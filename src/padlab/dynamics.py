@@ -17,7 +17,7 @@ the eigendata, so agreement of the two is a meaningful check.
 from __future__ import annotations
 
 import math
-import os
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,12 +35,19 @@ from .liegroup import (
     GroupSpec,
     _build_coordinate_solver,
     _combination_matches,
-    _mat_add_lenient,
-    _mat_sub_lenient,
+    _combine,
     _solve_coordinates,
     exp,
 )
-from .matrix import PadicMatrix, hensel_roots, nullspace, zp_module_basis
+from .matrix import (
+    PadicMatrix,
+    _invert,
+    add_rank,
+    fraction_val,
+    hensel_roots,
+    nullspace,
+    zp_module_basis,
+)
 from .scalar import PadicContext, PadicScalar
 
 ORACLE_POINT_BUDGET = 1 << 25
@@ -79,11 +86,7 @@ class HorosphericalDecomposition:
         return coords
 
     def combination(self, coords) -> PadicMatrix:
-        acc = PadicMatrix.zeros(self.ctx, self.a.dim)
-        for c, b in zip(coords, self.basis):
-            if not c.is_zero:
-                acc = _mat_add_lenient(acc, b.scale(c))
-        return acc
+        return _combine(self.basis, coords)
 
     def max_exponent(self) -> int:
         """max |v_p(lambda)| over all eigenlines (0 when none are hyperbolic)."""
@@ -151,20 +154,14 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
         # entries of Ad carry fewer than full digits, so subtracting an exact
         # eigenvalue can cancel every certified digit; the kernel computation
         # treats those as zero at working precision
-        shifted = _mat_sub_lenient(ad_mat, PadicMatrix.identity(ctx, dim_g).scale(lam))
+        shifted = ad_mat.add(-PadicMatrix.identity(ctx, dim_g).scale(lam), add_rank)
         kernel = nullspace(shifted)
         if len(kernel) != mult:
             raise NotDiagonalizable(
                 f"eigenvalue with multiplicity {mult} has only "
                 f"{len(kernel)} independent eigenvectors"
             )
-        flats = []
-        for vec in kernel:
-            mat = spec.lie_basis[0].scale(vec[0])
-            for c, b in zip(vec[1:], spec.lie_basis[1:]):
-                if not c.is_zero:
-                    mat = _mat_add_lenient(mat, b.scale(c))
-            flats.append(mat.flat())
+        flats = [_combine(spec.lie_basis, vec).flat() for vec in kernel]
         v_lam = lam.valuation()
         cls = "STABLE" if v_lam > 0 else ("UNSTABLE" if v_lam < 0 else "NEUTRAL")
         for flat in zp_module_basis(flats):
@@ -179,12 +176,10 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
         raise NoHyperbolicity("every adjoint eigenvalue is a p-adic unit")
 
     solver = _build_coordinate_solver(ctx, [b.flat() for b in basis])
-    _, inv = solver
-    # the solver picks pivots at globally minimal valuation, so the selected
-    # submatrix determinant valuation is the Smith index of the eigenlattice
-    # sum inside the full integral lattice; its inverse negates the valuation
-    det = inv.det()
-    defect = max(0, -int(det.valuation()))
+    # the solver picks pivots at globally minimal valuation, so the valuation
+    # of the selected minor's determinant, the sum of its pivot valuations, is
+    # the Smith index of the eigenlattice sum inside the full integral lattice
+    defect = max(0, solver[2])
     return HorosphericalDecomposition(
         a=a,
         group=spec,
@@ -241,23 +236,6 @@ def bowen_volume_ratio(dec: HorosphericalDecomposition, n: int) -> Fraction:
     if n < 1:
         raise DomainError("window length must be >= 1")
     return Fraction(1, dec.ctx.p ** ((n - 1) * dec.nu_total))
-
-
-def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    d = len(mat)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(mat)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if piv is None:
-            raise DomainError("matrix is singular over the rationals")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
 
 
 def _integerize(mat: list[list[Fraction]], p: int) -> tuple[list[list[int]], int]:
@@ -333,16 +311,6 @@ def _count_factored(dec, k, n, level) -> BowenCounts:
     return BowenCounts("FACTORED", level, tuple(counts), ratios)
 
 
-def _oracle_chunks(total: int) -> int:
-    threads = os.environ.get("PADLAB_THREADS", "1")
-    try:
-        t = max(1, int(threads))
-    except ValueError:
-        t = 1
-    # fixed partition per thread count: deterministic merge order either way
-    return min(total, max(t, (total + (1 << 18) - 1) >> 18))
-
-
 def _lift_mod(x: PadicScalar, modulus: int) -> int:
     fr = x.as_rational()
     return int(fr.numerator) * pow(int(fr.denominator), -1, modulus) % modulus
@@ -362,7 +330,10 @@ def _count_full(dec, k, n, level) -> BowenCounts:
 
     a_frac = [[x.as_rational() for x in row] for row in dec.a.rows]
     a_num, s_a = _integerize(a_frac, p)
-    inv_num, s_inv = _integerize(_fraction_inverse(a_frac), p)
+    inv_frac = _invert(a_frac, Fraction(0), Fraction(1), operator.add, fraction_val(p))
+    if inv_frac is None:
+        raise DomainError("matrix is singular over the rationals")
+    inv_num, s_inv = _integerize(inv_frac, p)
     shift = s_a + s_inv
     mod_exp = k + (n - 1) * shift
     if mod_exp > level:
@@ -382,7 +353,8 @@ def _count_full(dec, k, n, level) -> BowenCounts:
 
     counts = np.zeros(n, dtype=np.int64)
     pk = p**k
-    n_chunks = _oracle_chunks(total)
+    # chunks of at most 2^18 points, split evenly
+    n_chunks = (total + (1 << 18) - 1) >> 18
     chunk = (total + n_chunks - 1) // n_chunks
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
@@ -391,13 +363,19 @@ def _count_full(dec, k, n, level) -> BowenCounts:
         for j in range(dim_g):
             digits[:, j] = rest % radius
             rest //= radius
-        flat = (digits @ basis_flat) % modulus  # X / p^k, mod p^mod_exp
-        x_mat = (flat.reshape(-1, d, d) * pk) % modulus
+        # reduced in place, so that a chunk holds few (points, d, d) arrays at once
+        z = (digits @ basis_flat).reshape(-1, d, d)  # X / p^k
+        z %= modulus
+        z *= pk  # X, mod p^mod_exp
+        z %= modulus
         alive = np.ones(idx.size, dtype=bool)
         counts[0] += idx.size  # window m=1 is the whole level-k lattice
-        z = x_mat
         for m in range(2, n + 1):
-            z = np.einsum("ij,njk,kl->nil", a_arr, z, inv_arr) % modulus
+            # reduce between the two products: each stays below d * m^2
+            z = a_arr @ z
+            z %= modulus
+            z = z @ inv_arr
+            z %= modulus
             need = p ** (k + (m - 1) * shift)
             alive &= np.all(z % need == 0, axis=(1, 2))
             counts[m - 1] += int(alive.sum())
@@ -422,9 +400,6 @@ def atom_representatives(dec: HorosphericalDecomposition, k: int) -> list[PadicM
     for v, _ in stable:
         combos = [c + [r] for c in combos for r in range(ctx.p**v)]
     for digits in combos:
-        x = PadicMatrix.zeros(ctx, dec.a.dim)
-        for (v, b), c in zip(stable, digits):
-            if c:
-                x = _mat_add_lenient(x, b.scale(ctx.from_rational(c * ctx.p ** (k - v))))
-        reps.append(exp(x))
+        coords = [ctx.from_rational(c * ctx.p ** (k - v)) for (v, _), c in zip(stable, digits)]
+        reps.append(exp(_combine([b for _, b in stable], coords)))
     return reps

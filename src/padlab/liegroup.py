@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import DomainError, NoConvergence, PrecisionExhausted
-from .matrix import PadicMatrix, _add_lenient, zp_module_basis
+from .errors import DomainError, NoConvergence
+from .matrix import PadicMatrix, add_absorb, add_rank, eliminate, zp_module_basis
 from .scalar import PadicContext, PadicScalar
 
 
@@ -120,8 +120,7 @@ class GroupSpec:
                 for idx, e in enumerate(mono):
                     for _ in range(e):
                         term = term * flat[idx]
-                if not term.is_zero:
-                    acc = _add_lenient(acc, term)
+                acc = add_absorb(acc, term)
             if not _vanishes_at(acc, n):
                 return False
         return True
@@ -143,156 +142,73 @@ def _vanishes_at(x: PadicScalar, k: int) -> bool:
 
 
 def _build_coordinate_solver(ctx, flat_basis: list[list[PadicScalar]]):
-    """Pick len(basis) entry positions where the basis matrix is invertible,
-    with minimal-valuation pivoting, and precompute that inverse."""
+    """Solver for coordinates in a basis given as flat entry vectors.
+
+    The kernel runs on the rows [b_j | e_j] with pivots sought among the
+    entry columns, under the rank policy.  Its pivots pick len(basis) entry
+    positions where the basis is invertible; the carried identity block then
+    holds the inverse on those positions, row r divided by its pivot.
+    Returns (chosen entries, inverse rows, sum of pivot valuations); the sum
+    is the valuation of the chosen minor's determinant.
+    """
     n = len(flat_basis)
     width = len(flat_basis[0])
-    cols = [list(v) for v in flat_basis]  # cols[j] = basis vector j over entries
-    chosen: list[int] = []
-    elim = [list(v) for v in flat_basis]
-    used: set[int] = set()
-    for _ in range(n):
-        piv, best = None, None
-        for jcol in range(n):
-            if jcol in used:
-                continue
-            for row in range(width):
-                if row in chosen:
-                    continue
-                a = elim[jcol][row]
-                if not a.is_zero and (best is None or a.v < best):
-                    piv, best = (jcol, row), a.v
-        if piv is None:
-            raise ValueError("basis vectors do not have full rank")
-        jcol, row = piv
-        used.add(jcol)
-        chosen.append(row)
-        inv = elim[jcol][row].inverse()
-        for j2 in range(n):
-            if j2 == jcol:
-                continue
-            f = elim[j2][row]
-            if f.is_zero:
-                continue
-            mult = f * inv
-            elim[j2] = [
-                a if (t := mult * b).is_zero else _add_lenient(a, -t)
-                for a, b in zip(elim[j2], elim[jcol])
-            ]
-    rows_mat = PadicMatrix(
-        ctx, [[cols[j][r] for j in range(n)] for r in chosen]
-    )
-    return chosen, rows_mat.inverse()
+    zero, one = ctx.zero(), ctx.one()
+    rows = [list(v) + [one if i == j else zero for j in range(n)] for i, v in enumerate(flat_basis)]
+    pivots = eliminate(rows, zero, add_rank, width)
+    if len(pivots) < n:
+        raise ValueError("basis vectors do not have full rank")
+    chosen = [c for _, c in pivots]
+    inverse = [[x / rows[r][c] for x in rows[r][width:]] for r, c in pivots]
+    return chosen, inverse, sum(rows[r][c].v for r, c in pivots)
 
 
 def _solve_coordinates(solver, x: PadicMatrix) -> list[PadicScalar]:
-    chosen, inv = solver
+    chosen, inverse, _ = solver
     flat = x.flat()
-    sel = [flat[r] for r in chosen]
-    out = []
-    for i in range(inv.dim):
-        acc = x.ctx.zero()
-        for j in range(inv.dim):
-            t = inv.rows[i][j] * sel[j]
-            if not t.is_zero:
-                acc = _add_lenient(acc, t)
-        out.append(acc)
+    out = [x.ctx.zero()] * len(chosen)
+    for r, inv_row in zip(chosen, inverse):
+        s = flat[r]
+        if s.is_zero:
+            continue
+        out = [add_absorb(acc, s * c) for acc, c in zip(out, inv_row)]
     return out
 
 
+def _combine(basis, coords, policy=add_absorb) -> PadicMatrix:
+    """sum_i coords[i] * basis[i], each entry summed by `policy`."""
+    acc = PadicMatrix.zeros(basis[0].ctx, basis[0].dim)
+    for c, b in zip(coords, basis):
+        if not c.is_zero:
+            acc = acc.add(b.scale(c), policy)
+    return acc
+
+
 def _combination_matches(basis, coords, x: PadicMatrix) -> bool:
-    ctx = x.ctx
+    """Does sum_i coords[i] * basis[i] reproduce x at working precision?
+
+    This decides whether x raises the rank of the basis, so it sums under the
+    rank policy: x and its reconstruction can agree in every certified digit
+    without being mirror images at full precision.
+    """
     # the reconstruction is only as sharp as the least certified basis entry
-    level = ctx.precision
+    level = x.ctx.precision
     for b in basis:
         for row in b.rows:
             for e in row:
                 if not e.is_zero:
                     level = min(level, e.digits)
-    recon = PadicMatrix.zeros(ctx, x.dim)
-    for c, b in zip(coords, basis):
-        if not c.is_zero:
-            recon = _mat_add_lenient(recon, b.scale(c))
-    diff = _mat_sub_lenient(recon, x)
+    diff = _combine(basis, coords, add_rank).add(-x, add_rank)
     v = diff.min_valuation()
     return v == float("inf") or v >= level
 
 
-def _mat_add_lenient(a: PadicMatrix, b: PadicMatrix) -> PadicMatrix:
-    return PadicMatrix(
-        a.ctx,
-        [
-            [_add_lenient(x, y) for x, y in zip(ra, rb)]
-            for ra, rb in zip(a.rows, b.rows)
-        ],
-    )
-
-
-def _mat_sub_lenient(a: PadicMatrix, b: PadicMatrix) -> PadicMatrix:
-    return PadicMatrix(
-        a.ctx,
-        [
-            [_add_lenient(x, -y) for x, y in zip(ra, rb)]
-            for ra, rb in zip(a.rows, b.rows)
-        ],
-    )
-
-
-# ---- absorbing arithmetic ------------------------------------------------------
+# ---- exp / log ---------------------------------------------------------------
 #
 # Series evaluation multiplies stored approximations, so a sum whose true value
 # vanishes (e.g. an off-diagonal of X^4 for trace-zero 2x2 X) can cancel every
-# certified digit once an operand carries fewer than full digits.  When that
-# happens at absolute precision >= N the quantity is O(p^-N) and contributes
-# nothing at working precision: absorb it to exact zero.  Below N the loss is
-# real and the exception propagates.
-
-
-def _absorb_add(a: PadicScalar, b: PadicScalar) -> PadicScalar:
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    try:
-        return a + b
-    except PrecisionExhausted as err:
-        if getattr(err, "floor", -1) >= a.ctx.precision:
-            return a.ctx.zero()
-        raise
-
-
-def _mat_add_absorb(a: PadicMatrix, b: PadicMatrix) -> PadicMatrix:
-    return PadicMatrix(
-        a.ctx,
-        [
-            [_absorb_add(x, y) for x, y in zip(ra, rb)]
-            for ra, rb in zip(a.rows, b.rows)
-        ],
-    )
-
-
-def _matmul_absorb(a: PadicMatrix, b: PadicMatrix) -> PadicMatrix:
-    ctx, d = a.ctx, a.dim
-    zero = ctx.zero()
-    out = []
-    for i in range(d):
-        row_a = a.rows[i]
-        out_row = []
-        for j in range(d):
-            acc = zero
-            for l in range(d):
-                x = row_a[l]
-                if x.is_zero:
-                    continue
-                t = x * b.rows[l][j]
-                if not t.is_zero:
-                    acc = _absorb_add(acc, t)
-            out_row.append(acc)
-        out.append(out_row)
-    return PadicMatrix(ctx, out)
-
-
-# ---- exp / log ---------------------------------------------------------------
+# certified digit once an operand carries fewer than full digits.  Hence all
+# series arithmetic here runs under the absorb policy.
 
 
 def _require_deep(x: PadicMatrix, what: str) -> int:
@@ -316,10 +232,10 @@ def exp(x: PadicMatrix) -> PadicMatrix:
     # tail certified once n*k - v_p(n!) > N; v_p(n!) <= n/(p-1), and
     # n*(k - 1/(p-1)) is increasing since k >= 2 > 1/(p-1)
     while n * (k * (ctx.p - 1) - 1) <= n_prec * (ctx.p - 1):
-        term = _matmul_absorb(term, x).scale(ctx.from_rational(1, n))
+        term = term.matmul(x, add_absorb).scale(ctx.from_rational(1, n))
         if term.min_valuation() == float("inf"):
             break
-        acc = _mat_add_absorb(acc, term)
+        acc = acc.add(term, add_absorb)
         n += 1
     return acc
 
@@ -342,11 +258,11 @@ def _log_series(y: PadicMatrix) -> PadicMatrix:
             vp_bound += 1
         if n * k - (vp_bound - 1) > n_prec:
             break
-        power = _matmul_absorb(power, y)
+        power = power.matmul(y, add_absorb)
         if power.min_valuation() == float("inf"):
             break
         coeff = ctx.from_rational(1 if n % 2 else -1, n)
-        out = _mat_add_absorb(out, power.scale(coeff))
+        out = out.add(power.scale(coeff), add_absorb)
         n += 1
     return out
 
@@ -382,15 +298,9 @@ def _apply_flat(op: PadicMatrix, vec: list[PadicScalar]) -> list[PadicScalar]:
         for j in range(op.dim):
             if vec[j].is_zero or row[j].is_zero:
                 continue
-            t = row[j] * vec[j]
-            if not t.is_zero:
-                acc = _absorb_add(acc, t)
+            acc = add_absorb(acc, row[j] * vec[j])
         out.append(acc)
     return out
-
-
-def _vec_add(a, b):
-    return [_absorb_add(x, y) for x, y in zip(a, b)]
 
 
 def _dynkin_cutoff(p: int, k: int, target: int) -> int:
@@ -459,13 +369,13 @@ def bch(x: PadicMatrix, y: PadicMatrix, mode: str = "direct") -> PadicMatrix:
     a_pows, b_pows = [ident], [ident]
     for n in range(1, n_max + 1):
         inv_n = ctx.from_rational(1, n)
-        a_pows.append(_matmul_absorb(a_pows[-1], adx).scale(inv_n))
-        b_pows.append(_matmul_absorb(b_pows[-1], ady).scale(inv_n))
+        a_pows.append(a_pows[-1].matmul(adx, add_absorb).scale(inv_n))
+        b_pows.append(b_pows[-1].matmul(ady, add_absorb).scale(inv_n))
     ops = {
         s: _op_sum(a_pows, b_pows, s) for s in range(1, n_max)
     }
     # terminal vectors by degree
-    terminals: dict[int, list[PadicScalar]] = {1: _vec_add(x.flat(), y.flat())}
+    terminals: dict[int, list[PadicScalar]] = {1: x.add(y, add_absorb).flat()}
     vec = y.flat()
     fact_inv = ctx.one()
     for s in range(2, n_max + 1):
@@ -481,7 +391,7 @@ def bch(x: PadicMatrix, y: PadicMatrix, mode: str = "direct") -> PadicMatrix:
         for deg, u in layer.items():
             c = ctx.from_rational(sign, m * deg)
             total = [
-                _absorb_add(t, c * v) if not v.is_zero else t
+                add_absorb(t, c * v) if not v.is_zero else t
                 for t, v in zip(total, u)
             ]
         m += 1
@@ -495,7 +405,7 @@ def bch(x: PadicMatrix, y: PadicMatrix, mode: str = "direct") -> PadicMatrix:
                 if prev is None:
                     continue
                 contrib = _apply_flat(ops[s], prev)
-                acc = _vec_add(acc, contrib)
+                acc = [add_absorb(u, w) for u, w in zip(acc, contrib)]
             nxt[deg] = acc
         layer = nxt
         if not layer:
@@ -504,9 +414,9 @@ def bch(x: PadicMatrix, y: PadicMatrix, mode: str = "direct") -> PadicMatrix:
 
 
 def _op_sum(a_pows, b_pows, s: int) -> PadicMatrix:
-    acc = _matmul_absorb(a_pows[0], b_pows[s])
+    acc = a_pows[0].matmul(b_pows[s], add_absorb)
     for pp in range(1, s + 1):
-        acc = _mat_add_absorb(acc, _matmul_absorb(a_pows[pp], b_pows[s - pp]))
+        acc = acc.add(a_pows[pp].matmul(b_pows[s - pp], add_absorb), add_absorb)
     return acc
 
 
@@ -514,12 +424,14 @@ def _op_sum(a_pows, b_pows, s: int) -> PadicMatrix:
 
 
 def ball_membership(g: PadicMatrix, spec: GroupSpec, k: int) -> bool:
-    """g in K^G_k: ||g - e|| <= p^(-k) and the group equations vanish."""
+    """g in K^G_k: ||g - e|| <= p^(-k) and the group equations vanish.
+
+    Raises PrecisionExhausted when the certified digits of g cannot decide
+    ||g - e|| <= p^(-k).
+    """
     if k < 0:
         raise ValueError("ball level must be >= 0")
-    diff = _mat_sub_lenient(g, PadicMatrix.identity(g.ctx, g.dim))
-    v = diff.min_valuation()
-    if v != float("inf") and v < k:
+    if not g.congruent_mod(PadicMatrix.identity(g.ctx, g.dim), k):
         return False
     return spec.in_group(g)
 
@@ -556,7 +468,7 @@ def horospherical_factor(g: PadicMatrix, k: int, dec) -> FactorResult:
     resid = g
     prev_v = None
     for rounds in range(MAX_FACTOR_ROUNDS):
-        y = _mat_sub_lenient(resid, ident)
+        y = resid.add(-ident, add_absorb)
         v_res = y.min_valuation()
         if v_res == float("inf") or v_res >= n_prec:
             return FactorResult(f_acc, h_acc, rounds)
@@ -578,7 +490,7 @@ def horospherical_factor(g: PadicMatrix, k: int, dec) -> FactorResult:
         w_part = dec.combination(rest)
         f_i = exp(v_part)
         h_i = exp(w_part)
-        f_acc = _matmul_absorb(f_acc, f_i)
-        h_acc = _matmul_absorb(h_i, h_acc)
-        resid = _matmul_absorb(_matmul_absorb(f_i.inverse(), resid), h_i.inverse())
+        f_acc = f_acc.matmul(f_i, add_absorb)
+        h_acc = h_i.matmul(h_acc, add_absorb)
+        resid = f_i.inverse().matmul(resid, add_absorb).matmul(h_i.inverse(), add_absorb)
     raise NoConvergence("factorization exceeded the round budget")

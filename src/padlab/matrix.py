@@ -1,9 +1,28 @@
 """Square matrices over Q_p with max-norm geometry.
 
 The matrix norm is ||X|| = max_ij |X_ij|_p, which is submultiplicative and
-ultrametric.  Pivoting everywhere is by minimal valuation (the p-adic analogue
-of partial pivoting): dividing by a minimal-valuation entry keeps every
-elimination multiplier integral, so digit loss never amplifies.
+ultrametric.  Every elimination runs through one Gauss-Jordan kernel,
+`eliminate`, which always pivots on an entry of globally minimal valuation:
+dividing by a minimal-valuation entry keeps every elimination multiplier
+integral, so digit loss never amplifies.  The kernel takes a valuation
+function, so exact Fraction matrices use it too.
+
+Two cancellation policies say what a sum that cancels every certified digit
+becomes.  Each is an adder with the signature of `+`; public scalar and matrix
+`+`, `-` and `@` use neither and keep raising PrecisionExhausted.
+
+  * `add_absorb`: a full cancellation whose floor is >= N (the true sum is
+    O(p^-N), invisible in every mod-p^N output) becomes the exact zero; a
+    coarser one raises.  It is sound everywhere, and is used by `det`,
+    `inverse` and the series and coordinate arithmetic of the other modules.
+  * `add_rank`: any full cancellation becomes the exact zero.  Where a rank
+    is decided at working precision, "indistinguishable from zero" and
+    "zero" force the same decision, so it is allowed only there: inside the
+    kernel when it builds a kernel (`nullspace`), a Z_p-module basis
+    (`zp_module_basis`) or a coordinate solver (liegroup), in the test that
+    a matrix lies in the span of a basis (whether appending it raises the
+    rank; liegroup), and in the Ad(a) - lambda I shift of
+    `dynamics.decompose`.
 
 Characteristic polynomials use the Berkowitz algorithm: it is division-free,
 so coefficients of exact-rational inputs keep full certified digits.  Root
@@ -14,6 +33,7 @@ residues that collide modulo p.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -24,12 +44,31 @@ from .errors import (
 from .scalar import PadicContext, PadicScalar
 
 
-def _add_lenient(a: PadicScalar, b: PadicScalar) -> PadicScalar:
-    """Addition that maps full certified cancellation to the exact zero.
+def add_absorb(a: PadicScalar, b: PadicScalar) -> PadicScalar:
+    """a + b, absorbing a full cancellation at floor >= N into the exact zero.
 
-    Used only where a rank decision at working precision is being made
-    (kernels, module bases): there, "indistinguishable from zero" and "zero"
-    force the same decision.  Public arithmetic keeps the raising contract.
+    On full cancellation the exception's floor says the true sum is
+    O(p^-floor); at or below working resolution it is indistinguishable from
+    zero in every mod-p^N output, so the exact zero is sound.  Coarser
+    cancellations still raise.
+    """
+    # exact zeros skip the context check of `+`: series evaluation adds many
+    if a.v is None:
+        return b
+    if b.v is None:
+        return a
+    try:
+        return a + b
+    except PrecisionExhausted as err:
+        if err.floor >= a.ctx.precision:
+            return a.ctx.zero()
+        raise
+
+
+def add_rank(a: PadicScalar, b: PadicScalar) -> PadicScalar:
+    """a + b, mapping any full cancellation to the exact zero.
+
+    Only for rank decisions at working precision; see the module docstring.
     """
     try:
         return a + b
@@ -37,20 +76,80 @@ def _add_lenient(a: PadicScalar, b: PadicScalar) -> PadicScalar:
         return a.ctx.zero()
 
 
-def _sub_absorbing(a: PadicScalar, b: PadicScalar) -> PadicScalar:
-    """Subtraction that zeroes differences certified smaller than p^-N.
+_scalar_val = operator.attrgetter("v")  # None for the exact zero
 
-    On full cancellation the exception's floor says the true difference is
-    O(p^-floor); when that is at or below working resolution the value is
-    indistinguishable from zero in every mod-p^N output, so substituting the
-    exact zero is sound.  Coarser cancellations still raise.
+
+def fraction_val(p: int):
+    """Valuation function for Fraction entries (None for zero), for `eliminate`."""
+    return lambda x: _vp(x.numerator, p) - _vp(x.denominator, p) if x else None
+
+
+def eliminate(rows, zero, policy, width=None, val=_scalar_val) -> list[tuple[int, int]]:
+    """Gauss-Jordan elimination in place, pivoting on a globally minimal valuation.
+
+    Each step takes, among the rows and the first `width` columns (default:
+    all) not yet pivoted, the first entry of minimal valuation in row-major
+    order, and clears its column in every other row: row -= (f / pivot) *
+    pivot_row, each entry summed by `policy`; the pivot column is set to
+    `zero` outright.  Pivot rows are not normalized, and a pivot entry keeps
+    its value through later steps.  So the rows become T @ rows with det T = 1,
+    and the pivots multiply to the determinant of the pivoted minor, up to
+    the sign of the pivot permutation.
+
+    Args:
+        rows: list of mutable entry lists of one ring (PadicScalar or Fraction).
+        zero: that ring's zero.
+        policy: adder for the row updates: add_absorb, add_rank, or
+            operator.add for exact entries.
+        width: pivots are sought in columns < width only.
+        val: entry valuation, None for zero (default: PadicScalar.v).
+
+    Returns:
+        The (row, column) pivots in the order chosen; fewer than the row
+        count when the rows are dependent at working precision.
     """
-    try:
-        return a - b
-    except PrecisionExhausted as err:
-        if getattr(err, "floor", -1) >= a.ctx.precision:
-            return a.ctx.zero()
-        raise
+    free_rows = list(range(len(rows)))
+    free_cols = list(range(len(rows[0]) if width is None else width)) if rows else []
+    pivots: list[tuple[int, int]] = []
+    while True:
+        best = None
+        for i in free_rows:
+            row = rows[i]
+            for j in free_cols:
+                v = val(row[j])
+                if v is not None and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            return pivots
+        _, pi, pj = best
+        free_rows.remove(pi)
+        free_cols.remove(pj)
+        pivots.append((pi, pj))
+        prow = rows[pi]
+        pivot = prow[pj]
+        cols = [j for j, b in enumerate(prow) if j != pj and val(b) is not None]
+        for i, row in enumerate(rows):
+            f = row[pj]
+            if i == pi or val(f) is None:
+                continue
+            mult = f / pivot
+            for j in cols:
+                row[j] = policy(row[j], -(mult * prow[j]))
+            row[pj] = zero
+
+
+def _invert(rows, zero, one, policy, val=_scalar_val):
+    """Inverse of a square matrix by `eliminate` on [A | I]; None if singular."""
+    n = len(rows)
+    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
+    pivots = eliminate(aug, zero, policy, n, val)
+    if len(pivots) < n:
+        return None
+    out = [None] * n
+    for r, c in pivots:
+        inv = one / aug[r][c]
+        out[c] = [x * inv for x in aug[r][n:]]
+    return out
 
 
 class PadicMatrix:
@@ -96,22 +195,24 @@ class PadicMatrix:
 
     # ---- ring operations --------------------------------------------------
 
-    def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
+    def add(self, other: "PadicMatrix", policy) -> "PadicMatrix":
+        """Entrywise sum, each entry summed by `policy` (see the module docstring)."""
         return PadicMatrix(
             self.ctx,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+            [[policy(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
         )
 
+    def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
+        return self.add(other, operator.add)
+
     def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
-        return PadicMatrix(
-            self.ctx,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        return self.add(-other, operator.add)
 
     def __neg__(self) -> "PadicMatrix":
         return PadicMatrix(self.ctx, [[-a for a in r] for r in self.rows])
 
-    def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
+    def matmul(self, other: "PadicMatrix", policy) -> "PadicMatrix":
+        """Matrix product, each dot product accumulated by `policy`."""
         n = self.dim
         orows = other.rows
         cols = [[orows[k][j] for k in range(n)] for j in range(n)]
@@ -125,10 +226,13 @@ class PadicMatrix:
                 for k in range(n):
                     t = ri[k] * cj[k]
                     if not t.is_zero:
-                        acc = acc + t
+                        acc = policy(acc, t)
                 row.append(acc)
             out.append(row)
         return PadicMatrix(self.ctx, out)
+
+    def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
+        return self.matmul(other, operator.add)
 
     def scale(self, c: PadicScalar) -> "PadicMatrix":
         return PadicMatrix(self.ctx, [[c * a for a in r] for r in self.rows])
@@ -193,74 +297,31 @@ class PadicMatrix:
     # ---- elimination -------------------------------------------------------
 
     def det(self) -> PadicScalar:
-        """Determinant by elimination with minimal-valuation row pivoting.
+        """Determinant: the signed product of the kernel's pivots.
 
         Exactly singular input gives the exact zero; cancellation past
-        certified digits raises PrecisionExhausted like any other addition.
+        certified digits absorbs at floor >= N and raises below it.
         """
         n = self.dim
         work = [list(r) for r in self.rows]
-        sign = 1
+        pivots = eliminate(work, self.ctx.zero(), add_absorb)
+        if len(pivots) < n:
+            return self.ctx.zero()
         acc = self.ctx.one()
-        for col in range(n):
-            piv_row, piv_val = -1, None
-            for i in range(col, n):
-                a = work[i][col]
-                if not a.is_zero and (piv_val is None or a.v < piv_val):
-                    piv_row, piv_val = i, a.v
-            if piv_row < 0:
-                return self.ctx.zero()
-            if piv_row != col:
-                work[piv_row], work[col] = work[col], work[piv_row]
-                sign = -sign
-            pivot = work[col][col]
-            acc = acc * pivot
-            inv = pivot.inverse()
-            for i in range(col + 1, n):
-                f = work[i][col]
-                if f.is_zero:
-                    continue
-                mult = f * inv
-                work[i][col] = self.ctx.zero()
-                for j in range(col + 1, n):
-                    t = mult * work[col][j]
-                    if not t.is_zero:
-                        work[i][j] = work[i][j] - t
-        return -acc if sign < 0 else acc
+        col_of = [0] * n
+        for r, c in pivots:
+            acc = acc * work[r][c]
+            col_of[r] = c
+        inversions = sum(col_of[i] > col_of[j] for i in range(n) for j in range(i + 1, n))
+        return -acc if inversions % 2 else acc
 
     def inverse(self) -> "PadicMatrix":
         """Gauss-Jordan inverse; SingularAtPrecision when no pivot remains."""
-        n = self.dim
-        work = [list(r) for r in self.rows]
-        aug = [list(r) for r in PadicMatrix.identity(self.ctx, n).rows]
-        for col in range(n):
-            piv_row, piv_val = -1, None
-            for i in range(col, n):
-                a = work[i][col]
-                if not a.is_zero and (piv_val is None or a.v < piv_val):
-                    piv_row, piv_val = i, a.v
-            if piv_row < 0:
-                raise SingularAtPrecision(f"no pivot in column {col}")
-            if piv_row != col:
-                work[piv_row], work[col] = work[col], work[piv_row]
-                aug[piv_row], aug[col] = aug[col], aug[piv_row]
-            inv = work[col][col].inverse()
-            work[col] = [inv * a for a in work[col]]
-            aug[col] = [inv * a for a in aug[col]]
-            for i in range(n):
-                if i == col:
-                    continue
-                f = work[i][col]
-                if f.is_zero:
-                    continue
-                for j in range(n):
-                    t = f * work[col][j]
-                    if not t.is_zero:
-                        work[i][j] = _sub_absorbing(work[i][j], t)
-                    t = f * aug[col][j]
-                    if not t.is_zero:
-                        aug[i][j] = _sub_absorbing(aug[i][j], t)
-        return PadicMatrix(self.ctx, aug)
+        ctx = self.ctx
+        rows = _invert(self.rows, ctx.zero(), ctx.one(), add_absorb)
+        if rows is None:
+            raise SingularAtPrecision("no pivot left: singular at working precision")
+        return PadicMatrix(ctx, rows)
 
     def char_poly(self) -> list[PadicScalar]:
         """det(xI - A) by Berkowitz, ascending: coeffs[k] multiplies x^k."""
@@ -644,51 +705,19 @@ def nullspace(m: PadicMatrix) -> list[list[PadicScalar]]:
     certified digits cannot distinguish from null directions.
     """
     ctx = m.ctx
-    n = m.dim
     work = [list(r) for r in m.rows]
-    pivot_cols: list[int] = []
-    pivot_rows: list[int] = []
-    used_rows: set[int] = set()
-    while True:
-        piv, best = None, None
-        for i in range(n):
-            if i in used_rows:
-                continue
-            for j in range(n):
-                if j in pivot_cols:
-                    continue
-                a = work[i][j]
-                if not a.is_zero and (best is None or a.v < best):
-                    piv, best = (i, j), a.v
-        if piv is None:
-            break
-        pi, pj = piv
-        used_rows.add(pi)
-        pivot_rows.append(pi)
-        pivot_cols.append(pj)
-        inv = work[pi][pj].inverse()
-        work[pi] = [inv * a for a in work[pi]]
-        for i in range(n):
-            if i == pi:
-                continue
-            f = work[i][pj]
-            if f.is_zero:
-                continue
-            new_row = []
-            for a, b in zip(work[i], work[pi]):
-                t = f * b
-                new_row.append(a if t.is_zero else _add_lenient(a, -t))
-            work[i] = new_row
+    pivots = eliminate(work, ctx.zero(), add_rank)
+    pivot_cols = {c for _, c in pivots}
     basis = []
-    for j in range(n):
+    for j in range(m.dim):
         if j in pivot_cols:
             continue
-        vec = [ctx.zero()] * n
+        vec = [ctx.zero()] * m.dim
         vec[j] = ctx.one()
-        for pr, pc in zip(pivot_rows, pivot_cols):
+        for pr, pc in pivots:
             a = work[pr][j]
             if not a.is_zero:
-                vec[pc] = -a
+                vec[pc] = -(a / work[pr][pc])
         basis.append(_content_normalize(vec))
     return basis
 
@@ -709,11 +738,10 @@ def _content_normalize(vec: list[PadicScalar]) -> list[PadicScalar]:
 def zp_module_basis(vectors: list[list[PadicScalar]]) -> list[list[PadicScalar]]:
     """Z_p-basis of (Q_p-span of the inputs) cap (integral lattice).
 
-    Full Gauss-Jordan with global minimal-valuation pivoting (ties row-major),
-    then each surviving row scaled to content 0.  Minimal pivoting guarantees
-    each pivot ends at the minimal valuation of its final row, so after
-    scaling the pivots are units: the coordinates of any integral vector of
-    the span (its pivot-column entries over the unit pivots) are integral,
+    The kernel's pivot rows, each scaled to content 0.  Minimal pivoting
+    guarantees each pivot ends at the minimal valuation of its final row, so
+    after scaling the pivots are units: the coordinates of any integral vector
+    of the span (its pivot-column entries over the unit pivots) are integral,
     which is the Z_p-basis property.
     """
     if not vectors:
@@ -722,37 +750,5 @@ def zp_module_basis(vectors: list[list[PadicScalar]]) -> list[list[PadicScalar]]
     if any(len(v) != width for v in vectors):
         raise ValueError("ragged vector list")
     work = [list(v) for v in vectors]
-    pivot_cols: list[int] = []
-    used_rows: set[int] = set()
-    order: list[int] = []
-    while True:
-        piv, best = None, None
-        for i in range(len(work)):
-            if i in used_rows:
-                continue
-            for j in range(width):
-                if j in pivot_cols:
-                    continue
-                a = work[i][j]
-                if not a.is_zero and (best is None or a.v < best):
-                    piv, best = (i, j), a.v
-        if piv is None:
-            break
-        pi, pj = piv
-        used_rows.add(pi)
-        order.append(pi)
-        pivot_cols.append(pj)
-        inv = work[pi][pj].inverse()
-        for i in range(len(work)):
-            if i == pi:
-                continue
-            f = work[i][pj]
-            if f.is_zero:
-                continue
-            mult = f * inv
-            new_row = []
-            for a, b in zip(work[i], work[pi]):
-                t = mult * b
-                new_row.append(a if t.is_zero else _add_lenient(a, -t))
-            work[i] = new_row
-    return [_content_normalize(work[i]) for i in order]
+    pivots = eliminate(work, vectors[0][0].ctx.zero(), add_rank)
+    return [_content_normalize(work[r]) for r, _ in pivots]

@@ -19,6 +19,7 @@ a = diag(1/p, p) we have ||a|| = p.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from .errors import (
     NegativeGap,
     SingularAtPrecision,
 )
-from .matrix import PadicMatrix
+from .matrix import PadicMatrix, eliminate, fraction_val
 
 
 def xi_pgl2(p: int, k: int) -> float:
@@ -60,47 +61,11 @@ def cartan_valuations(g: PadicMatrix) -> list[int]:
         SingularAtPrecision: g has no inverse (a zero elementary divisor).
     """
     work = [[x.as_rational() for x in row] for row in g.rows]
-    p = g.ctx.p
-    size = g.dim
-
-    def val(x: Fraction) -> int:
-        num, den = x.numerator, x.denominator
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        return v
-
-    pivots: list[int] = []
-    rows_left = list(range(size))
-    cols_left = list(range(size))
-    for _ in range(size):
-        best = None
-        for i in rows_left:
-            for j in cols_left:
-                if work[i][j] == 0:
-                    continue
-                v = val(work[i][j])
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-        if best is None:
-            raise SingularAtPrecision("matrix has a zero elementary divisor")
-        v, pi, pj = best
-        pivot = work[pi][pj]
-        for i in rows_left:
-            if i == pi:
-                continue
-            factor = work[i][pj] / pivot
-            for j in cols_left:
-                work[i][j] -= factor * work[pi][j]
-        pivots.append(v)
-        rows_left.remove(pi)
-        cols_left.remove(pj)
-    pivots.sort(reverse=True)
-    return pivots
+    val = fraction_val(g.ctx.p)
+    pivots = eliminate(work, Fraction(0), operator.add, val=val)
+    if len(pivots) < g.dim:
+        raise SingularAtPrecision("matrix has a zero elementary divisor")
+    return sorted((val(work[r][c]) for r, c in pivots), reverse=True)
 
 
 def oh_bound(p: int, m: int, cartan: list[int], dim_kv: int, dim_kw: int) -> float:

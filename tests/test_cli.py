@@ -64,6 +64,26 @@ def test_documented_exit_codes(argv, want):
     assert err != ""  # but always say why on stderr
 
 
+@pytest.mark.parametrize("element", [
+    '[["1/3","1","0"],["0","1","0"],["0","0","3"]]',
+    '[["1/3","0","1"],["0","1","0"],["0","0","3"]]',
+])
+def test_analyze_conjugated_sl3_flow(element):
+    # conjugates of diag(1/3, 1, 3): |nu| = 1 + 2 + 1 whatever the conjugator
+    code, out, err = run_cli(["analyze", "--p", "3", "--dim", "3", "--element", element])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["nu_total"] == 4
+
+
+def test_readme_precision_refusal_example():
+    # the README's example of exit 7 from well-formed input
+    element = '[["9","-24","-48"],["0","1","-16"],["0","0","9"]]'
+    code, out, err = run_cli(["analyze", "--p", "3", "--group", "gl", "--dim", "3",
+                              "--element", element])
+    assert (code, out) == (7, "")
+    assert "PrecisionExhausted" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "padlab", "xi", "--p", "3", "--k", "0"],

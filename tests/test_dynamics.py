@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padlab import GroupSpec, PadicContext, PadicMatrix, decompose, exp
 from padlab.dynamics import (
@@ -26,6 +28,7 @@ from padlab.errors import (
     LevelTooSmall,
     NoHyperbolicity,
     NotDiagonalizable,
+    PrecisionExhausted,
 )
 from padlab.liegroup import ball_membership
 
@@ -225,3 +228,43 @@ def test_atom_representatives_partition():
             assert not ball_membership(reps[i] @ reps[j].inverse(), spec, 4)
     with pytest.raises(LevelTooSmall):
         atom_representatives(dec, 3)
+
+
+@st.composite
+def conjugated_flows(draw):
+    """(p, family, exponents, u D u^-1): D = diag(p^e_i) not scalar, u unipotent."""
+    family, d = draw(st.sampled_from([("sl", 2), ("sl", 3), ("gl", 3)]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    exps = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    if family == "sl":
+        exps[-1] = -sum(exps[:-1])
+    if len(set(exps)) == 1:
+        exps[0] += 1
+        if family == "sl":
+            exps[-1] -= 1
+    u = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    u_inv = [row[:] for row in u]
+    for i in range(d):
+        for j in range(i + 1, d):
+            u[i][j] = Fraction(draw(st.integers(-3, 3)))
+    # back substitution for the unitriangular inverse
+    for j in range(d):
+        for i in reversed(range(j)):
+            u_inv[i][j] = -sum(u[i][k] * u_inv[k][j] for k in range(i + 1, j + 1))
+    a = [[sum(u[i][k] * Fraction(p) ** exps[k] * u_inv[k][j] for k in range(d))
+          for j in range(d)] for i in range(d)]
+    return p, family, exps, a
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(conjugated_flows())
+def test_conjugated_flows_decompose_or_refuse(case):
+    # either the exact |nu| of the diagonal flow, or an honest precision refusal
+    p, family, exps, a = case
+    ctx = PadicContext(p)
+    spec = GroupSpec.sl(ctx, len(exps)) if family == "sl" else GroupSpec.gl(ctx, len(exps))
+    try:
+        dec = decompose(PadicMatrix.from_rationals(ctx, a), spec)
+    except PrecisionExhausted:
+        return
+    assert dec.nu_total == sum(abs(x - y) for i, x in enumerate(exps) for y in exps[i + 1:])

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from padlab import GroupSpec, PadicContext, PadicMatrix, bch, decompose, exp, log
-from padlab.errors import DomainError
+from padlab import GroupSpec, PadicContext, PadicMatrix, PadicScalar, bch, decompose, exp, log
+from padlab.errors import DomainError, PrecisionExhausted
 from padlab.liegroup import FactorResult, ball_membership, horospherical_factor
 
 
@@ -127,6 +127,18 @@ def test_ball_membership_levels():
     assert not ball_membership(h, spec, 2)
     with pytest.raises(ValueError):
         ball_membership(ident, spec, -1)
+
+
+def test_ball_membership_refuses_levels_beyond_certified_digits():
+    # g[0][0] = 1 + 3^5 is known only mod 3^3: g = e mod 3^3 is certified,
+    # mod 3^10 the digits cannot decide
+    ctx = PadicContext(3)
+    spec = GroupSpec.gl(ctx, 2)
+    g = PadicMatrix(ctx, [[PadicScalar(ctx, 0, 1 + 3**5, digits=3), ctx.zero()],
+                          [ctx.zero(), ctx.one()]])
+    assert ball_membership(g, spec, 3)
+    with pytest.raises(PrecisionExhausted):
+        ball_membership(g, spec, 10)
 
 
 def test_group_spec_validation():
