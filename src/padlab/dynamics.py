@@ -42,6 +42,7 @@ from .liegroup import (
 from .matrix import (
     PadicMatrix,
     _invert,
+    _vp,
     add_rank,
     fraction_val,
     hensel_roots,
@@ -238,21 +239,14 @@ def bowen_volume_ratio(dec: HorosphericalDecomposition, n: int) -> Fraction:
     return Fraction(1, dec.ctx.p ** ((n - 1) * dec.nu_total))
 
 
-def _integerize(mat: list[list[Fraction]], p: int) -> tuple[list[list[int]], int]:
-    """Write mat = p^-s * M with M integral, minimizing s over p-powers."""
-    s = 0
-    for row in mat:
-        for x in row:
-            den = x.denominator
-            t = 0
-            while den % p == 0:
-                den //= p
-                t += 1
-            if den != 1:
-                raise DomainError("entries must have p-power denominators")
-            s = max(s, t)
-    scaled = [[int(x * p**s) for x in row] for row in mat]
-    return scaled, s
+def _integerize(mat: list[list[Fraction]], p: int) -> tuple[list[list[Fraction]], int]:
+    """Write mat = p^-s * M with M p-integral, minimizing s over p-powers.
+
+    Only the p-part of each denominator sets s: the prime-to-p part stays in
+    M and is inverted modulo the conjugation modulus (see `_lift_mod`).
+    """
+    s = max(_vp(x.denominator, p) for row in mat for x in row)
+    return [[x * p**s for x in row] for row in mat], s
 
 
 def bowen_count_oracle(
@@ -311,9 +305,9 @@ def _count_factored(dec, k, n, level) -> BowenCounts:
     return BowenCounts("FACTORED", level, tuple(counts), ratios)
 
 
-def _lift_mod(x: PadicScalar, modulus: int) -> int:
-    fr = x.as_rational()
-    return int(fr.numerator) * pow(int(fr.denominator), -1, modulus) % modulus
+def _lift_mod(fr: Fraction, modulus: int) -> int:
+    """The p-integral rational fr modulo a power of p."""
+    return fr.numerator * pow(fr.denominator, -1, modulus) % modulus
 
 
 def _count_full(dec, k, n, level) -> BowenCounts:
@@ -345,11 +339,11 @@ def _count_full(dec, k, n, level) -> BowenCounts:
         raise BudgetExceeded("conjugation modulus too large for 64-bit counting")
 
     basis_flat = np.array(
-        [[_lift_mod(x, modulus) for x in b.flat()] for b in spec.lie_basis],
+        [[_lift_mod(x.as_rational(), modulus) for x in b.flat()] for b in spec.lie_basis],
         dtype=np.int64,
     )  # (dim_g, d*d)
-    a_arr = np.array(a_num, dtype=np.int64) % modulus
-    inv_arr = np.array(inv_num, dtype=np.int64) % modulus
+    a_arr = np.array([[_lift_mod(x, modulus) for x in r] for r in a_num], dtype=np.int64)
+    inv_arr = np.array([[_lift_mod(x, modulus) for x in r] for r in inv_num], dtype=np.int64)
 
     counts = np.zeros(n, dtype=np.int64)
     pk = p**k

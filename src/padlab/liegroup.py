@@ -12,15 +12,39 @@ expansion, organized as a dynamic program over blocks ad(x)^P ad(y)^q / (P!q!)
 so the composition sum costs O(n_max^3) operator applications instead of an
 exponential word enumeration.  Agreement of the two modes at certified
 precision is a core test oracle downstream.
+
+DYNKIN runs on Python integers modulo p^M, with one certified precision for
+the whole output (capped absolute precision).  x and y (valuation >= k >= 2)
+become the integer matrices of their representatives p^v * unit.  Scaling the
+block sums U_m(deg) by deg! makes the program integral:
+
+    V_1(1) = x + y,   V_1(deg) = deg ad(x)^(deg-1) y,
+    V_m(deg) = sum_s C(deg, s) O'_s V_(m-1)(deg - s),
+    O'_s = sum_P C(s, P) ad(x)^P ad(y)^(s-P),
+    z = sum (-1)^(m-1) V_m(deg) / (m deg deg!)   (deg <= n_max),
+
+and that last division is the only one.  With b(n) = n k - v_p(n!) -
+floor(log_p n) - v_p(n) the floor of every degree-n term, and A the least
+v + digits over the nonzero input entries, the output is certified modulo
+p^cert, cert = min(A + min_(n <= n_max) (b(n) - k), min_(n > n_max) b(n)):
+the first part bounds the input error carried by each kept term, the second
+the truncated tail.  Each entry of valuation v keeps min(N, cert - v) digits;
+an entry = 0 mod p^cert is the exact zero if cert >= N (the absorb rule) and
+raises PrecisionExhausted otherwise.  The modulus is M = cert + N + D with
+D = max v_p(m deg deg!), so every printed unit is exact on the input
+representatives modulo p^(v+N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import comb, factorial
+from operator import mul
 from typing import NamedTuple
 
-from .errors import DomainError, NoConvergence
-from .matrix import PadicMatrix, add_absorb, add_rank, eliminate, zp_module_basis
+from .errors import DomainError, NoConvergence, PrecisionExhausted
+from .matrix import PadicMatrix, _vp, add_absorb, add_rank, eliminate, zp_module_basis
 from .scalar import PadicContext, PadicScalar
 
 
@@ -277,61 +301,126 @@ def log(g: PadicMatrix) -> PadicMatrix:
 # ---- Dynkin BCH --------------------------------------------------------------
 
 
-def _ad_flat(x: PadicMatrix) -> PadicMatrix:
-    """ad(x) as a d^2 x d^2 matrix acting on row-major flattened matrices."""
-    ctx, d = x.ctx, x.dim
-    cols = []
-    for i in range(d):
-        for j in range(d):
-            e = _unit_matrix(ctx, d, i, j)
-            cols.append((x @ e - e @ x).flat())
-    n = d * d
-    return PadicMatrix(ctx, [[cols[j][i] for j in range(n)] for i in range(n)])
+def _term_floor(p: int, k: int, n: int) -> int:
+    """b(n) = n*k - v_p(n!) - floor(log_p n) - v_p(n).
+
+    A lower bound on the valuation of every degree-n Dynkin term when
+    ||x||, ||y|| <= p^-k: the term is a nested commutator of n letters over
+    m * n * prod P_i! q_i! with m <= n blocks, and sum_i v_p(P_i! q_i!) <=
+    v_p(n!) because multinomial coefficients are integers.  An error of p^A
+    in one letter moves the term by at most p^(A + b(n) - k).
+    """
+    vfact, q = 0, n
+    while q:
+        q //= p
+        vfact += q
+    logp, m = 0, p
+    while m <= n:
+        m *= p
+        logp += 1
+    return n * k - vfact - logp - _vp(n, p)
 
 
-def _apply_flat(op: PadicMatrix, vec: list[PadicScalar]) -> list[PadicScalar]:
-    ctx = op.ctx
-    out = []
-    for i in range(op.dim):
-        acc = ctx.zero()
-        row = op.rows[i]
-        for j in range(op.dim):
-            if vec[j].is_zero or row[j].is_zero:
-                continue
-            acc = add_absorb(acc, row[j] * vec[j])
-        out.append(acc)
-    return out
+@lru_cache(maxsize=128)
+def _dynkin_cutoff(p: int, k: int, target: int) -> tuple[int, int, int]:
+    """(n_max, loss, tail) for the Dynkin series at ||x||, ||y|| <= p^-k.
 
-
-def _dynkin_cutoff(p: int, k: int, target: int) -> int:
-    """Largest degree whose certified tail bound still touches the target.
-
-    Every degree-n Dynkin term has valuation >= n*k - v_p(n!) - v_p(m) - v_p(n)
-    with m <= n blocks, and sum_i v_p(P_i! q_i!) <= v_p(n!) because binomial
-    coefficients are integers.  Beyond the scan window the linear growth
+    n_max is the largest degree whose term floor b(n) still touches the
+    target; loss is the least b(n) - k over n <= n_max, the most an input
+    error can move a kept term by; tail is the least b(n) beyond n_max, the
+    floor of the truncated terms.  Beyond the scan window the linear growth
     n*(k - 1/(p-1)) - 2 log_p n dominates any target we accept.
     """
-    best = 0
-    limit = 8 * target + 32
-    for n in range(1, limit + 1):
-        vfact = 0
-        q = n
-        while q:
-            q //= p
-            vfact += q
-        logp = 0
-        m = 1
-        while m * p <= n:
-            m *= p
-            logp += 1
-        vn = 0
-        q = n
-        while q % p == 0:
-            q //= p
-            vn += 1
-        if n * k - vfact - logp - vn <= target:
-            best = n
-    return best
+    floors = [_term_floor(p, k, n) for n in range(1, 8 * target + 33)]
+    n_max = max((n for n, b in enumerate(floors, 1) if b <= target), default=0)
+    return n_max, min(floors[:n_max], default=k) - k, min(floors[n_max:])
+
+
+@lru_cache(maxsize=128)
+def _dynkin_weights(p: int, n_max: int, room: int) -> tuple[int, int, dict]:
+    """(D, mod, w): w[m, deg] = (-1)^(m-1) p^D / (m deg deg!) mod p^(room + D),
+    with D = max v_p(m deg deg!), so that every weight is an integer."""
+    denom = {(m, deg): m * deg * factorial(deg) for deg in range(1, n_max + 1) for m in range(1, deg + 1)}
+    big_d = max(_vp(c, p) for c in denom.values())
+    mod = p ** (room + big_d)
+    weights = {}
+    for (m, deg), c in denom.items():
+        e = _vp(c, p)
+        weights[m, deg] = (-1) ** (m - 1) * p ** (big_d - e) * pow(c // p**e, -1, mod) % mod
+    return big_d, mod, weights
+
+
+def _ad_int(x: list[list[int]], mod: int) -> list[list[int]]:
+    """ad(x) on row-major flattened matrices: row (i, j), column (k, l) holds
+    (x E_kl - E_kl x)_ij."""
+    d = len(x)
+    return [
+        [
+            ((x[i][k] if j == l else 0) - (x[l][j] if i == k else 0)) % mod
+            for k in range(d)
+            for l in range(d)
+        ]
+        for i in range(d)
+        for j in range(d)
+    ]
+
+
+def _bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int) -> PadicMatrix:
+    """The Dynkin series on integer representatives; see the module docstring."""
+    ctx, d = x.ctx, x.dim
+    p, n_prec = ctx.p, ctx.precision
+    n_max, loss, tail = _dynkin_cutoff(p, k, n_prec)
+    if n_max < 1:
+        return PadicMatrix.zeros(ctx, d)
+    least = min(e.v + e.digits for e in x.flat() + y.flat() if not e.is_zero)
+    cert = min(least + loss, tail)
+    big_d, mod, weights = _dynkin_weights(p, n_max, cert + n_prec)
+    xi, yi = ([[0 if e.is_zero else e.unit * p**e.v for e in r] for r in m.rows] for m in (x, y))
+    adx, ady = _ad_int(xi, mod), _ad_int(yi, mod)
+    # O'_s = s! sum_{P+q=s} ad(x)^P ad(y)^q / (P! q!) is the s-th derivative
+    # of e^(t ad x) e^(t ad y) at 0, so O'_(s+1) = ad(x) O'_s + O'_s ad(y).
+    # wide[i] is row i of [O'_1 | O'_2 | ... | O'_(n_max - 1)].
+    ady_cols = list(zip(*ady))
+    op = [[(a + b) % mod for a, b in zip(ra, rb)] for ra, rb in zip(adx, ady)]
+    wide = [list(r) for r in op]
+    for _ in range(2, n_max):
+        cols = list(zip(*op))
+        op = [
+            [(sum(map(mul, ra, c)) + sum(map(mul, ro, cb))) % mod for c, cb in zip(cols, ady_cols)]
+            for ra, ro in zip(adx, op)
+        ]
+        for w, r in zip(wide, op):
+            w.extend(r)
+    # V_1(1) = x + y, V_1(deg) = deg ad(x)^(deg-1) y
+    layer = {1: [(u + w) % mod for ru, rw in zip(xi, yi) for u, w in zip(ru, rw)]}
+    vec = [w for r in yi for w in r]
+    for deg in range(2, n_max + 1):
+        vec = [sum(map(mul, r, vec)) % mod for r in adx]
+        layer[deg] = [deg * w % mod for w in vec]
+    terms = []
+    for m in range(1, n_max + 1):
+        terms.extend((weights[m, deg], vm) for deg, vm in layer.items())
+        # V_(m+1)(deg) = sum_s C(deg, s) O'_s V_m(deg - s): one dot product per
+        # row of `wide` against the stacked, binomial-scaled V_m
+        nxt = {}
+        for deg in range(m + 1, n_max + 1):
+            stacked = [comb(deg, s) * u for s in range(1, deg - m + 1) for u in layer[deg - s]]
+            nxt[deg] = [sum(map(mul, w, stacked)) % mod for w in wide]
+        layer = nxt
+    cs = [c for c, _ in terms]
+    total = [sum(map(mul, cs, col)) % mod for col in zip(*(v for _, v in terms))]
+    return PadicMatrix.from_flat(ctx, d, [_certified(t // p**big_d, cert, ctx) for t in total])
+
+
+def _certified(z: int, cert: int, ctx: PadicContext) -> PadicScalar:
+    """The entry z, known mod p^(cert + N), certified mod p^cert."""
+    p, n_prec = ctx.p, ctx.precision
+    if z % p**cert == 0:
+        if cert >= n_prec:
+            return ctx.zero()
+        raise PrecisionExhausted(f"dynkin entry is O(p^{cert}), below {n_prec} digits")
+    v = _vp(z, p)
+    return PadicScalar._raw(ctx, v, z // p**v % ctx.modulus, min(n_prec, cert - v))
 
 
 def bch(x: PadicMatrix, y: PadicMatrix, mode: str = "direct") -> PadicMatrix:
@@ -340,10 +429,8 @@ def bch(x: PadicMatrix, y: PadicMatrix, mode: str = "direct") -> PadicMatrix:
     mode "direct" computes log(exp x exp y).  mode "dynkin" evaluates the
     Dynkin series sum_n z_n: each degree-n term is a nested commutator
     ad(x)^P1 ad(y)^q1 ... applied to a final letter, weighted by
-    (-1)^(m-1)/(m n P_1! q_1! ...); the sum over all block compositions is
-    computed by the dynamic program U_m(deg) = sum_s O_s(U_{m-1}(deg - s))
-    with block operators O_s = sum_{P+q=s} ad(x)^P ad(y)^q / (P! q!) and
-    terminal vectors t_1 = x + y, t_s = ad(x)^(s-1)(y)/(s-1)!.
+    (-1)^(m-1)/(m n P_1! q_1! ...); see the module docstring for the dynamic
+    program and its precision.
     """
     key = mode.strip().lower()
     if key in ("direct",):
@@ -354,70 +441,11 @@ def bch(x: PadicMatrix, y: PadicMatrix, mode: str = "direct") -> PadicMatrix:
         raise ValueError(f"unknown bch mode: {mode!r}")
     kx = _require_deep(x, "bch")
     ky = _require_deep(y, "bch")
-    ctx, d = x.ctx, x.dim
     if kx == float("inf"):
         return y.copy()
     if ky == float("inf"):
         return x.copy()
-    k = min(kx, ky)
-    n_max = _dynkin_cutoff(ctx.p, k, ctx.precision)
-    if n_max < 1:
-        return PadicMatrix.zeros(ctx, d)
-    adx, ady = _ad_flat(x), _ad_flat(y)
-    # A[P] = ad(x)^P / P!, B[q] = ad(y)^q / q!
-    ident = PadicMatrix.identity(ctx, d * d)
-    a_pows, b_pows = [ident], [ident]
-    for n in range(1, n_max + 1):
-        inv_n = ctx.from_rational(1, n)
-        a_pows.append(a_pows[-1].matmul(adx, add_absorb).scale(inv_n))
-        b_pows.append(b_pows[-1].matmul(ady, add_absorb).scale(inv_n))
-    ops = {
-        s: _op_sum(a_pows, b_pows, s) for s in range(1, n_max)
-    }
-    # terminal vectors by degree
-    terminals: dict[int, list[PadicScalar]] = {1: x.add(y, add_absorb).flat()}
-    vec = y.flat()
-    fact_inv = ctx.one()
-    for s in range(2, n_max + 1):
-        vec = _apply_flat(adx, vec)
-        fact_inv = fact_inv * ctx.from_rational(1, s - 1)
-        terminals[s] = [fact_inv * v for v in vec]
-    zero_vec = [ctx.zero()] * (d * d)
-    total = list(zero_vec)
-    layer = {deg: terminals[deg] for deg in range(1, n_max + 1)}  # U_1
-    m = 1
-    while True:
-        sign = 1 if m % 2 else -1
-        for deg, u in layer.items():
-            c = ctx.from_rational(sign, m * deg)
-            total = [
-                add_absorb(t, c * v) if not v.is_zero else t
-                for t, v in zip(total, u)
-            ]
-        m += 1
-        if m > n_max:
-            break
-        nxt: dict[int, list[PadicScalar]] = {}
-        for deg in range(m, n_max + 1):
-            acc = list(zero_vec)
-            for s in range(1, deg - m + 2):
-                prev = layer.get(deg - s)
-                if prev is None:
-                    continue
-                contrib = _apply_flat(ops[s], prev)
-                acc = [add_absorb(u, w) for u, w in zip(acc, contrib)]
-            nxt[deg] = acc
-        layer = nxt
-        if not layer:
-            break
-    return PadicMatrix.from_flat(ctx, d, total)
-
-
-def _op_sum(a_pows, b_pows, s: int) -> PadicMatrix:
-    acc = a_pows[0].matmul(b_pows[s], add_absorb)
-    for pp in range(1, s + 1):
-        acc = acc.add(a_pows[pp].matmul(b_pows[s - pp], add_absorb), add_absorb)
-    return acc
+    return _bch_dynkin(x, y, min(kx, ky))
 
 
 # ---- congruence balls --------------------------------------------------------

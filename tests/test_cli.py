@@ -6,10 +6,14 @@ drift shows up as a diff here before it reaches a downstream parser.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import padlab
 
 from cli_cases import EXIT_CASES, GOLDEN_CASES, GOLDEN_DIR, SUBCOMMANDS, run_cli
 
@@ -84,11 +88,30 @@ def test_readme_precision_refusal_example():
     assert "PrecisionExhausted" in err
 
 
+def test_full_oracle_accepts_negative_entries():
+    # -1/3 embeds as a p-adic approximation whose rational inverse has
+    # denominators prime to p; FULL must count it like FACTORED does
+    argv = ["oracle", "--element", '[["-1/3","0"],["0","-3"]]', "--dim", "2",
+            "--k", "4", "--n", "2", "--level", "7"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["counts"] == ["19683", "2187"]
+    assert doc["verdict"] == "AGREE"
+    code, factored, _ = run_cli(argv + ["--mode", "FACTORED"])
+    assert code == 0 and json.loads(factored)["counts"] == doc["counts"]
+
+
 def test_module_entry_point():
+    # the child imports the same padlab as this process, installed or not
+    src = str(Path(padlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "padlab", "xi", "--p", "3", "--k", "0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN_DIR / "xi_k0.json").read_text()

@@ -14,8 +14,9 @@ from padlab.errors import DomainError, PrecisionExhausted
 from padlab.liegroup import FactorResult, ball_membership, horospherical_factor
 
 
-def random_deep_element(spec: GroupSpec, rng: random.Random) -> PadicMatrix:
-    """Algebra element with every coefficient at valuation >= 2."""
+def random_deep_element(spec: GroupSpec, rng: random.Random, exact=None) -> PadicMatrix:
+    """Algebra element with every coefficient at valuation >= 2 (and the
+    matrix at valuation `exact`, if given)."""
     ctx = spec.ctx
     p = ctx.p
     while True:
@@ -24,7 +25,8 @@ def random_deep_element(spec: GroupSpec, rng: random.Random) -> PadicMatrix:
             c = rng.randint(-(p**5), p**5) * p ** rng.randint(2, 4)
             if c:
                 x = x + b.scale(ctx.from_rational(c))
-        if x.min_valuation() >= 2 and x.min_valuation() != float("inf"):
+        v = x.min_valuation()
+        if v >= 2 and v != float("inf") and exact in (None, v):
             return x
 
 
@@ -92,6 +94,78 @@ def test_bch_modes_agree(p):
         assert direct.congruent_mod(dynkin, 10)
         # both satisfy the defining property
         assert exp(direct).congruent_mod(exp(x) @ exp(y), 10)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_dynkin_returns_on_deep_sl3_pairs(p):
+    # building ad(x) with strict subtraction refused pairs whose diagonal
+    # entries carry fewer than N digits (27 of these 120 before)
+    spec = GroupSpec.sl(PadicContext(p), 3)
+    rng = random.Random(2000 + p)
+    for _ in range(40):
+        x = random_deep_element(spec, rng)
+        y = random_deep_element(spec, rng)
+        assert bch(x, y, mode="dynkin").congruent_mod(bch(x, y, mode="direct"), 10)
+
+
+def _vp_fraction(q: Fraction, p: int) -> int:
+    num, den, v = q.numerator, q.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_dynkin_never_overstates_certified_digits(p):
+    # the reference is DIRECT at 48 digits on the same representatives, so
+    # every digit the Dynkin result claims must match it
+    ctx, deep = PadicContext(p), PadicContext(p, 48)
+    sl2, sl3 = GroupSpec.sl(ctx, 2), GroupSpec.sl(ctx, 3)
+    rng = random.Random(1000 + p)
+    pairs = [
+        (random_deep_element(sl2, rng, v), random_deep_element(sl2, rng, v))
+        for v in (2, 3)
+        for _ in range(6)
+    ]
+    pairs += [(random_deep_element(sl2, rng, 2), random_deep_element(sl2, rng, 3))
+              for _ in range(3)]
+    pairs += [(random_deep_element(sl3, rng), random_deep_element(sl3, rng))
+              for _ in range(3)]
+    pairs.append((PadicMatrix.zeros(ctx, 2), pairs[0][1]))
+    checked = 0
+    for x, y in pairs:
+        got = bch(x, y, mode="dynkin")
+        lifted = [PadicMatrix.from_rationals(deep, [[e.as_rational() for e in r] for r in m.rows])
+                  for m in (x, y)]
+        ref = bch(*lifted, mode="direct")
+        for z, z_ref in zip(got.flat(), ref.flat()):
+            if z.is_zero:
+                assert z_ref.valuation() >= ctx.precision
+                continue
+            diff = z.as_rational() - z_ref.as_rational()
+            assert diff == 0 or _vp_fraction(diff, p) >= z.abs_precision()
+            checked += 1
+    assert checked > 60
+
+
+def test_dynkin_precision_follows_the_least_input_digits():
+    # x carries 5 digits at valuation 2, so the output is certified mod 3^7
+    # only; an entry that vanishes mod 3^7 cannot be certified zero
+    ctx = PadicContext(3)
+    zero = ctx.zero()
+    x = PadicMatrix(ctx, [[PadicScalar(ctx, 2, 1, 5), zero],
+                          [zero, PadicScalar(ctx, 2, 3**12 - 1, 5)]])
+    y = PadicMatrix.from_rationals(ctx, [[0, 9], [9, 0]])
+    z = bch(x, y, mode="dynkin")
+    assert [e.abs_precision() for e in z.flat()] == [7] * 4
+    exact = bch(PadicMatrix.from_rationals(ctx, [[9, 0], [0, -9]]), y, mode="dynkin")
+    assert z.congruent_mod(exact, 7)
+    with pytest.raises(PrecisionExhausted):
+        bch(x, PadicMatrix.from_rationals(ctx, [[0, 9], [0, 0]]), mode="dynkin")
 
 
 def test_bch_nilpotent_is_exact():
