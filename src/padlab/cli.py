@@ -446,8 +446,10 @@ def _cmd_bound(args) -> tuple[dict, int]:
 # ---- parser wiring -------------------------------------------------------
 
 
-def _add_matrix_group_flags(sp, with_a: bool = False):
-    sp.add_argument("--element", required=True, help="matrix: JSON literal or file path")
+def _add_matrix_group_flags(
+    sp, with_a: bool = False, element_help: str = "matrix: JSON literal or file path"
+):
+    sp.add_argument("--element", required=True, help=element_help)
     if with_a:
         sp.add_argument("--a", required=True, help="hyperbolic element a")
     sp.add_argument("--group", choices=("sl", "gl"), default="sl")
@@ -506,17 +508,13 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_factor)
 
     sp = sub.add_parser("bowen", parents=[common], help="Bowen ball levels and volume")
-    sp.add_argument("--element", required=True, help="hyperbolic element a")
-    sp.add_argument("--group", choices=("sl", "gl"), default="sl")
-    sp.add_argument("--dim", type=int, required=True)
+    _add_matrix_group_flags(sp, element_help="hyperbolic element a")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.set_defaults(handler=_cmd_bowen)
 
     sp = sub.add_parser("oracle", parents=[common], help="Bowen ball lattice count")
-    sp.add_argument("--element", required=True, help="hyperbolic element a")
-    sp.add_argument("--group", choices=("sl", "gl"), default="sl")
-    sp.add_argument("--dim", type=int, required=True)
+    _add_matrix_group_flags(sp, element_help="hyperbolic element a")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--level", type=int, required=True, help="truncation level")
@@ -524,9 +522,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_oracle)
 
     sp = sub.add_parser("atoms", parents=[common], help="partition atom representatives")
-    sp.add_argument("--element", required=True, help="hyperbolic element a")
-    sp.add_argument("--group", choices=("sl", "gl"), default="sl")
-    sp.add_argument("--dim", type=int, required=True)
+    _add_matrix_group_flags(sp, element_help="hyperbolic element a")
     sp.add_argument("--k", type=int, required=True)
     sp.set_defaults(handler=_cmd_atoms)
 

@@ -32,9 +32,14 @@ import numpy as np
 
 from .errors import IrreducibilityError, SupportMismatch, SymbolCountMismatch
 
-# power iteration: residual target and a hard stop
+# the stationary vector must have residual ||pi T - pi||_1 <= STATIONARY_TOL;
+# a chain counts as mixing too slowly when the damped power iteration
+# (T + I)/2 from the uniform vector, which shrinks its residual by about the
+# second eigenvalue modulus rho per round, would need more than
+# STATIONARY_MAX_ROUNDS rounds: rho^STATIONARY_MAX_ROUNDS > STATIONARY_TOL
 STATIONARY_TOL = 1e-13
 STATIONARY_MAX_ROUNDS = 200_000
+_RHO_BUDGET = STATIONARY_TOL ** (1.0 / STATIONARY_MAX_ROUNDS)
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -55,6 +60,8 @@ class ProbVector:
         ws = tuple(float(w) for w in weights)
         if not ws:
             raise ValueError("empty probability vector")
+        if not all(math.isfinite(w) for w in ws):
+            raise ValueError("probability weights must be finite")
         if any(w < 0.0 for w in ws):
             raise ValueError("negative weight in probability vector")
         if abs(sum(ws) - 1.0) > _NORMALIZATION_TOL:
@@ -132,11 +139,19 @@ class MarkovMeasure:
 
     i.e. each row T[i, :] is the conditional law of the next-finer choice
     given that the coarser one was i, and pi is the stationary row vector
-    (pi T = pi), found by damped power iteration.
+    (pi T = pi).  pi comes from a direct solve of the bordered system
+    (T^T - I with its last row replaced by ones) pi = e_last, clipped at 0,
+    renormalized and accepted only at residual ||pi T - pi||_1 <= 1e-13.
+    When the uniform vector already meets that residual it is returned
+    bit-for-bit.
 
     Raises:
-        ValueError: a row fails nonnegativity or does not sum to 1.
-        IrreducibilityError: power iteration failed to reach residual 1e-13.
+        ValueError: an entry is not finite, a row fails nonnegativity or
+            does not sum to 1.
+        IrreducibilityError: the stationary vector is not unique (a second
+            eigenvalue 1), or the chain mixes too slowly: the second
+            eigenvalue modulus rho of (T + I)/2 has
+            rho^STATIONARY_MAX_ROUNDS > STATIONARY_TOL.
     """
 
     def __init__(self, transition: Sequence[Sequence[float]]):
@@ -145,6 +160,8 @@ class MarkovMeasure:
             raise ValueError(f"transition matrix must be square, got {matrix.shape}")
         if matrix.shape[0] < 1:
             raise ValueError("empty transition matrix")
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("transition probabilities must be finite")
         if np.any(matrix < 0.0):
             raise ValueError("negative transition probability")
         rowsums = matrix.sum(axis=1)
@@ -156,23 +173,42 @@ class MarkovMeasure:
         self.stationary: ProbVector = self._find_stationary()
 
     def _find_stationary(self) -> ProbVector:
-        # damping by (T + I)/2 removes periodic oscillation without moving
-        # the fixed points; the residual check uses the undamped map
         matrix = self.transition
-        x = np.full(self.symbol_count, 1.0 / self.symbol_count)
-        for _ in range(STATIONARY_MAX_ROUNDS):
-            if np.abs(x @ matrix - x).sum() <= STATIONARY_TOL:
-                # renormalize only on visible drift: for an exactly uniform
-                # fixed point the raw vector must be returned bit-for-bit
-                total = x.sum()
-                if abs(total - 1.0) > 1e-13:
-                    x = x / total
-                return ProbVector(x.tolist())
-            x = 0.5 * (x @ matrix + x)
-        raise IrreducibilityError(
-            f"stationary vector residual above {STATIONARY_TOL} after "
-            f"{STATIONARY_MAX_ROUNDS} rounds"
-        )
+        s = self.symbol_count
+        # rho, the second eigenvalue modulus of the damped map (T + I)/2,
+        # sets the mixing rate; the damping folds periodic eigenvalues -1
+        # inside the unit circle without moving the fixed points
+        moduli = np.sort(np.abs(np.linalg.eigvals(matrix) + 1.0) / 2.0)
+        rho = float(moduli[-2]) if s > 1 else 0.0
+        if rho > _RHO_BUDGET:
+            # rho within STATIONARY_TOL of 1 is a second eigenvalue 1: every
+            # mixture of two stationary vectors passes the residual check
+            unique = 1.0 - rho > STATIONARY_TOL
+            reason = "over the round budget" if unique else "not unique"
+            raise IrreducibilityError(
+                f"stationary vector {reason}: (T + I)/2 has second eigenvalue "
+                f"modulus rho = {rho!r}, rho^{STATIONARY_MAX_ROUNDS} > {STATIONARY_TOL}"
+            )
+        uniform = np.full(s, 1.0 / s)
+        if np.abs(uniform @ matrix - uniform).sum() <= STATIONARY_TOL:
+            # an exactly uniform fixed point is returned bit-for-bit
+            return ProbVector(uniform.tolist())
+        bordered = matrix.T - np.eye(s)
+        bordered[-1, :] = 1.0
+        rhs = np.zeros(s)
+        rhs[-1] = 1.0
+        try:
+            x = np.linalg.solve(bordered, rhs)
+        except np.linalg.LinAlgError as err:
+            raise IrreducibilityError(f"stationary vector not unique: {err}") from err
+        x = np.clip(x, 0.0, None)
+        x = x / x.sum()
+        residual = np.abs(x @ matrix - x).sum()
+        if residual > STATIONARY_TOL:
+            raise IrreducibilityError(
+                f"stationary vector residual {residual!r} above {STATIONARY_TOL}"
+            )
+        return ProbVector(x.tolist())
 
     @property
     def s(self) -> int:

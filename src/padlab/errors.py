@@ -62,7 +62,12 @@ class SymbolCountMismatch(PadlabError):
 
 
 class IrreducibilityError(PadlabError):
-    """Power iteration for the stationary vector failed to converge."""
+    """A Markov chain has no usable stationary vector.
+
+    Either the stationary vector is not unique (more than one closed class),
+    or the chain mixes too slowly for the round budget, or the direct solve
+    misses the residual tolerance (see padlab.entropylab.MarkovMeasure).
+    """
 
 
 class NegativeGap(PadlabError):

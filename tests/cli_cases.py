@@ -113,7 +113,7 @@ EXIT_CASES = [
       "--d", "1", "--base", "1", "--a-norm", "1"], 16),
     # 17: Cartan list must be descending
     (["oh", "--cartan", "[-1,1]", "--p", "3"], 17),
-    # 18: stationary iteration exceeds its round budget
+    # 18: the chain mixes too slowly for the stationary round budget
     (["gap", "--markov", '{"s":2,"transition":[[1.0,0.0],[1e-9,0.999999999]]}',
       "--nu", "1", "--p", "2"], 18),
 ]

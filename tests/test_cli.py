@@ -88,6 +88,32 @@ def test_readme_precision_refusal_example():
     assert "PrecisionExhausted" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gap", "--p", "2", "--nu", "1",
+     "--markov", '{"s":2,"transition":[[1.0,0.0],[0.0,1.0]]}'],
+    ["gap", "--p", "2", "--nu", "2",
+     "--markov", '{"s":4,"transition":[[0.5,0.5,0,0],[0.25,0.75,0,0],'
+                 '[0,0,0.3,0.7],[0,0,0.6,0.4]]}'],
+], ids=["identity", "two-blocks"])
+def test_non_unique_stationary_exits_18(argv):
+    # more than one closed class: no stationary vector is the chain's own
+    code, out, err = run_cli(argv)
+    assert (code, out) == (18, "")
+    assert "not unique" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pinsker", "--ref", "[NaN, 1.0]", "--obs", "[0.5,0.5]"],
+    ["gap", "--p", "2", "--nu", "1",
+     "--markov", '{"s":2,"transition":[[NaN,1.0],[0.5,0.5]]}'],
+], ids=["pinsker", "gap"])
+def test_non_finite_probabilities_exit_1(argv):
+    # JSON admits NaN, which slips past both the sign and the sum checks
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert "finite" in err
+
+
 def test_full_oracle_accepts_negative_entries():
     # -1/3 embeds as a p-adic approximation whose rational inverse has
     # denominators prime to p; FULL must count it like FACTORED does

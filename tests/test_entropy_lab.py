@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from padlab.entropylab import (
+    STATIONARY_MAX_ROUNDS,
+    STATIONARY_TOL,
     CylinderFunction,
     MarkovMeasure,
     ProbVector,
@@ -48,6 +50,8 @@ def test_prob_vector_validation():
         ProbVector([1.0, 0.0], strictly_positive=True)
     with pytest.raises(ValueError):
         ProbVector([])
+    with pytest.raises(ValueError):
+        ProbVector([math.nan, 1.0])  # NaN fails both < 0 and the sum test
 
 
 def test_phi_frozen_value():
@@ -108,6 +112,8 @@ def test_markov_validation():
         MarkovMeasure([[0.5, 0.6], [0.5, 0.5]])  # row sum
     with pytest.raises(ValueError):
         MarkovMeasure([[1.5, -0.5], [0.5, 0.5]])  # negative
+    with pytest.raises(ValueError):
+        MarkovMeasure([[math.nan, 1.0], [0.5, 0.5]])  # not finite
 
 
 def test_uniform_chain_is_bit_exact():
@@ -122,7 +128,8 @@ def test_bernoulli_chain():
     assert mu.stationary.weights[0] == pytest.approx(0.25, abs=1e-13)
     assert entropy_rate(mu) == pytest.approx(0.5623351446188083, abs=1e-13)
     # product measure on words, finest coordinate first; the stationary
-    # factor carries the power iteration residual, hence the loose abs
+    # factor comes from a linear solve accepted at residual 1e-13, so the
+    # check allows more than rounding
     assert mu.word_measure([0, 1, 1]) == pytest.approx(
         0.25 * 0.75 * 0.75, abs=1e-11
     )
@@ -152,8 +159,107 @@ def test_from_document():
 
 def test_stationary_nonconvergence_is_reported():
     # spectral gap ~1e-9: the round budget cannot reach residual 1e-13
-    with pytest.raises(IrreducibilityError):
+    with pytest.raises(IrreducibilityError, match="round budget"):
         MarkovMeasure([[1.0, 0.0], [1e-9, 1.0 - 1e-9]])
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[0.5, 0.5, 0.0, 0.0], [0.25, 0.75, 0.0, 0.0],
+     [0.0, 0.0, 0.3, 0.7], [0.0, 0.0, 0.6, 0.4]],
+], ids=["identity", "two-blocks"])
+def test_non_unique_stationary_is_refused(rows):
+    # two closed classes: every mixture of their stationary vectors is
+    # stationary, so no answer would be the chain's own
+    with pytest.raises(IrreducibilityError, match="not unique"):
+        MarkovMeasure(rows)
+
+
+def power_iteration_stationary(chains):
+    """The damped power iteration, the reference route for the direct solve.
+
+    For each chain: x <- (x T + x)/2 from the uniform vector, returning
+    x / sum(x) at the first round with ||x T - x||_1 <= STATIONARY_TOL, or
+    None after STATIONARY_MAX_ROUNDS rounds.  All chains run at once as one
+    block-diagonal chain, and a chain leaves the block once it converges, so
+    the whole sweep costs at most one round budget.
+    """
+    out = [None] * len(chains)
+    live = [(k, np.asarray(t, dtype=float), np.full(len(t), 1.0 / len(t)))
+            for k, t in enumerate(chains)]
+    rounds = 0
+    while live:
+        sizes = [len(x) for _, _, x in live]
+        offsets = np.cumsum([0] + sizes[:-1])
+        big = np.zeros((sum(sizes), sum(sizes)))
+        for at, (_, t, _) in zip(offsets, live):
+            big[at:at + len(t), at:at + len(t)] = t
+        x = np.concatenate([x for _, _, x in live])
+        while rounds < STATIONARY_MAX_ROUNDS:
+            y = x @ big
+            residual = np.add.reduceat(np.abs(y - x), offsets)
+            if residual.min() <= STATIONARY_TOL:
+                break
+            x = 0.5 * (y + x)
+            rounds += 1
+        else:
+            return out
+        parts = np.split(x, offsets[1:])
+        for (k, _, _), part, r in zip(live, parts, residual):
+            if r <= STATIONARY_TOL:
+                out[k] = part / part.sum()
+        live = [(k, t, part) for (k, t, _), part, r in zip(live, parts, residual)
+                if r > STATIONARY_TOL]
+    return out
+
+
+def _stochastic_rows(rng: random.Random, s: int, leak: float | None) -> list[list[float]]:
+    # leak=None: a random positive chain; otherwise two blocks joined by
+    # `leak` from the first and 3*leak from the second, so the spectral gap
+    # is about 4*leak and the stationary block masses are 3:1
+    half = (s + 1) // 2
+    rows = []
+    for i in range(s):
+        w = [rng.uniform(0.05, 1.0) for _ in range(s)]
+        if leak is not None:
+            same = [j for j in range(s) if (j < half) == (i < half)]
+            other = [j for j in range(s) if j not in same]
+            cross = leak if i < half else 3 * leak
+            ts, to = math.fsum(w[j] for j in same), math.fsum(w[j] for j in other)
+            for j in same:
+                w[j] *= (1.0 - cross) / ts
+            for j in other:
+                w[j] *= cross / to
+        t = math.fsum(w)
+        row = [x / t for x in w]
+        row[-1] = 1.0 - math.fsum(row[:-1])
+        rows.append(row)
+    return rows
+
+
+def test_direct_solve_matches_power_iteration():
+    rng = random.Random(505)
+    leaks = [None] * 6 + [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7]
+    chains = [_stochastic_rows(rng, s, leak) for s in (2, 3, 4, 9) for leak in leaks]
+    # period 2: T has the eigenvalue -1, which only the damped map folds in
+    chains += [[[0.0, 1.0], [1.0, 0.0]],
+               [[0.0, 0.0, 0.3, 0.7], [0.0, 0.0, 0.6, 0.4],
+                [0.5, 0.5, 0.0, 0.0], [0.2, 0.8, 0.0, 0.0]]]
+    # a transient state, whose weight the solve leaves at about -1e-16
+    chains += [[[0.3, 0.3, 0.4], [0.0, 0.25, 0.75], [0.0, 0.5, 0.5]]]
+    reference = power_iteration_stationary(chains)
+    decisions = []
+    for rows, want in zip(chains, reference):
+        try:
+            got = MarkovMeasure(rows).stationary.weights
+        except IrreducibilityError:
+            got = None
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.abs(np.asarray(got) - want).max() <= 1e-9
+        decisions.append(got is None)
+    # the sweep exercises both decisions
+    assert 0 < sum(decisions) < len(decisions)
 
 
 # ---- the gap identity --------------------------------------------------------
