@@ -4,7 +4,8 @@ exp and log are mutually inverse isometries between the algebra ball
 {||X|| <= p^-2} and the group ball {||g - e|| <= p^-2}: ultrametrically, the
 n >= 2 series tails are strictly smaller than the leading term, because
 |n!|_p >= p^(-n/(p-1)) and the entries start at valuation 2.  The same
-estimate truncates every series here with a certified tail bound.
+estimate truncates every series here, and no output entry claims digits
+past the floor of its truncated tail.
 
 Baker-Campbell-Hausdorff comes in two independently implemented modes:
 DIRECT is log(exp x exp y); DYNKIN_SERIES evaluates Dynkin's nested-commutator
@@ -233,6 +234,42 @@ def _combination_matches(basis, coords, x: PadicMatrix) -> bool:
 # vanishes (e.g. an off-diagonal of X^4 for trace-zero 2x2 X) can cancel every
 # certified digit once an operand carries fewer than full digits.  Hence all
 # series arithmetic here runs under the absorb policy.
+#
+# Each output entry is certified no finer than the floor of the truncated
+# tail, unless a term came out exactly zero and so did the tail.
+
+
+def _vp_factorial(p: int, n: int) -> int:
+    v = 0
+    while n:
+        n //= p
+        v += n
+    return v
+
+
+@lru_cache(maxsize=128)
+def _tail_floor(p: int, k: int, n: int, factorial: bool) -> int:
+    """Least floor j*k - v_p(j!) (exp) or j*k - v_p(j) (log) of the terms
+    j >= n at ||X|| = p^-k; for k >= 2 no term past 2n comes lower."""
+    return min(j * k - (_vp_factorial(p, j) if factorial else _vp(j, p)) for j in range(n, 2 * n))
+
+
+def _charge_tail(m: PadicMatrix, floor: int) -> PadicMatrix:
+    """m with every entry certified at most modulo p^floor.
+
+    The series cutoffs keep floor > N, so an entry at or past the floor is
+    O(p^N) and becomes the exact zero, as under the absorb rule.
+    """
+    ctx = m.ctx
+
+    def cap(e: PadicScalar) -> PadicScalar:
+        if e.is_zero or e.v + e.digits <= floor:
+            return e
+        if e.v >= floor:
+            return ctx.zero()
+        return PadicScalar._raw(ctx, e.v, e.unit, floor - e.v)
+
+    return PadicMatrix(ctx, [[cap(e) for e in r] for r in m.rows])
 
 
 def _require_deep(x: PadicMatrix, what: str) -> int:
@@ -258,10 +295,10 @@ def exp(x: PadicMatrix) -> PadicMatrix:
     while n * (k * (ctx.p - 1) - 1) <= n_prec * (ctx.p - 1):
         term = term.matmul(x, add_absorb).scale(ctx.from_rational(1, n))
         if term.min_valuation() == float("inf"):
-            break
+            return acc  # the tail is exactly zero
         acc = acc.add(term, add_absorb)
         n += 1
-    return acc
+    return _charge_tail(acc, _tail_floor(ctx.p, k, n, True))
 
 
 def _log_series(y: PadicMatrix) -> PadicMatrix:
@@ -284,11 +321,11 @@ def _log_series(y: PadicMatrix) -> PadicMatrix:
             break
         power = power.matmul(y, add_absorb)
         if power.min_valuation() == float("inf"):
-            break
+            return out  # the tail is exactly zero
         coeff = ctx.from_rational(1 if n % 2 else -1, n)
         out = out.add(power.scale(coeff), add_absorb)
         n += 1
-    return out
+    return _charge_tail(out, _tail_floor(ctx.p, k, n, False))
 
 
 def log(g: PadicMatrix) -> PadicMatrix:
@@ -310,15 +347,11 @@ def _term_floor(p: int, k: int, n: int) -> int:
     v_p(n!) because multinomial coefficients are integers.  An error of p^A
     in one letter moves the term by at most p^(A + b(n) - k).
     """
-    vfact, q = 0, n
-    while q:
-        q //= p
-        vfact += q
     logp, m = 0, p
     while m <= n:
         m *= p
         logp += 1
-    return n * k - vfact - logp - _vp(n, p)
+    return n * k - _vp_factorial(p, n) - logp - _vp(n, p)
 
 
 @lru_cache(maxsize=128)

@@ -26,9 +26,9 @@ becomes.  Each is an adder with the signature of `+`; public scalar and matrix
 
 Characteristic polynomials use the Berkowitz algorithm: it is division-free,
 so coefficients of exact-rational inputs keep full certified digits.  Root
-finding over Q_p combines Newton-polygon segmentation by root valuation,
-simple-root Hensel/Newton lifting, and bounded-depth disk subdivision for
-residues that collide modulo p.
+finding over Q_p splits roots by valuation along the Newton polygon, then
+descends over residue classes c + p^k Z_p, visiting at most degree x
+precision classes; `hensel_roots` states its two certified-digit rules.
 """
 
 from __future__ import annotations
@@ -400,26 +400,15 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def _synthetic_div(coeffs: list[int], r: int, mod: int) -> tuple[list[int], int]:
-    """coeffs(x) = q(x)(x - r) + rem over Z/mod, ascending coefficients."""
-    n = len(coeffs) - 1
-    if n == 0:
-        return [], coeffs[0] % mod
-    q = [0] * n
-    q[n - 1] = coeffs[n] % mod
-    for k in range(n - 1, 0, -1):
-        q[k - 1] = (coeffs[k] + r * q[k]) % mod
-    rem = (coeffs[0] + r * q[0]) % mod
-    return q, rem
-
-
 def _taylor_shift(coeffs: list[int], r0: int, mod: int) -> list[int]:
     """Coefficients of f(r0 + y), ascending in y, by repeated synthetic division."""
     work = [c % mod for c in coeffs]
     out = []
     while work:
-        work, rem = _synthetic_div(work, r0, mod)
-        out.append(rem)
+        # divide by (x - r0) in place: work[0] becomes the remainder
+        for i in range(len(work) - 2, -1, -1):
+            work[i] = (work[i] + r0 * work[i + 1]) % mod
+        out.append(work.pop(0))
     return out
 
 
@@ -459,174 +448,64 @@ def _simple_lift(coeffs: list[int], r0: int, p: int, m_exp: int) -> int:
     return x
 
 
-def _residue_multiplicity(coeffs: list[int], p: int) -> int:
-    t = 0
-    for c in coeffs[:-1]:
-        if c % p == 0:
-            t += 1
-        else:
-            break
-    return t
+def _class_roots(
+    f: list[int], c: int, k: int, mu: int, p: int, m: int
+) -> list[tuple[int, int, int]]:
+    """(root, certified digits, multiplicity) of the roots of f in c + p^k Z_p.
 
-
-def _newton_candidates(coeffs: list[int], p: int, m_exp: int) -> list[int]:
-    """Roots of an integer polynomial in pZ_p by Newton with slack.
-
-    The derivative may be non-unit at the root, so v(f) > 2 v(f') can fail
-    from a cold start; seed Newton at every point of pZ_p up to a bounded
-    digit depth and keep the distinct roots that lift to the full modulus.
+    f is an integer polynomial known mod p^m, and the class holds mu of its
+    roots.  g(y) = f(c + p^k y) / p^s, s the content: a simple residue root of
+    g Hensel-lifts, a multiple one is a subclass to descend into, and a class
+    on which f vanishes mod p^m is a cluster of mu roots (see `hensel_roots`).
+    At k = 0 the residue 0 is skipped: those roots belong to another slope.
     """
-    mod = p**m_exp
-    deriv = _int_poly_derive(coeffs)
-
-    def attempt(x: int):
-        last = -1
-        for _ in range(2 * m_exp + 8):
-            fx = _int_poly_eval(coeffs, x, mod)
-            if fx == 0:
-                return x
-            dfx = _int_poly_eval(deriv, x, mod)
-            if dfx == 0:
-                return None
-            e = _vp(dfx, p)
-            vf = _vp(fx, p)
-            if vf <= 2 * e or vf <= last:
-                return None
-            last = vf
-            x = (x - (fx // p**e) * pow(dfx // p**e, -1, mod)) % mod
-        return None
-
-    depth = 1
-    while p ** (depth + 1) <= 2048 and depth < m_exp:
-        depth += 1
-    found: list[int] = []
-    for m in range(p ** (depth - 1)):
-        x0 = (p * m) % mod
-        got = attempt(x0)
-        if got is not None and got % p == 0 and got not in found:
-            found.append(got)
-    return found
-
-
-def _exact_multiple_probe(shifted: list[int], p: int, m_exp: int):
-    """Certify an exact multiple root y* = 0 mod p of a centered polynomial.
-
-    A multiplicity-mu root is a simple-at-slack root of the (mu-1)-th
-    derivative; Newton-refine a candidate center there, then demand that the
-    first mu Taylor coefficients at it vanish at the full working modulus.
-    Because a mu-fold root is only determined up to delta with
-    v(c_mu delta^mu) >= m by mod-p^m coefficients, the certified digits are
-    (m - v(c_mu)) / mu, not m.  Returns (center, digits, mu) or None.
-    """
-    mod = p**m_exp
-    t = _residue_multiplicity(shifted, p)
-    for mu in range(min(t, len(shifted) - 1), 1, -1):
-        f_der = list(shifted)
-        for _ in range(mu - 1):
-            f_der = _int_poly_derive(f_der)
-        for center in _newton_candidates(f_der, p, m_exp):
-            at_center = _taylor_shift(shifted, center, mod)
-            if any(at_center[i] % mod for i in range(mu)):
-                continue
-            lead_v = _vp(at_center[mu], p) if at_center[mu] % mod else 0
-            digits = max(1, (m_exp - lead_v + mu - 1) // mu)
-            return center, digits, mu
-    return None
-
-
-def _collision_roots(coeffs: list[int], r0: int, p: int, m_exp: int, depth: int, max_depth: int):
-    """Roots in the residue disk r0 + pZ_p when r0 annihilates both the
-    polynomial and its derivative mod p: certify an exact multiple root if
-    one is there, deflate, and descend into the rest of the disk."""
-    mod = p**m_exp
+    mod = p**m
+    g = [a * p ** (k * i) % mod for i, a in enumerate(_taylor_shift(f, c, mod))]
+    s = min((_vp(a, p) for a in g if a), default=m)
+    if s >= m:
+        return [(c, k, mu)]
+    g = [a // p**s for a in g]
+    gbar = [a % p for a in g]
     out = []
-    shifted = _taylor_shift(coeffs, r0, mod)
-    probe = _exact_multiple_probe(shifted, p, m_exp)
-    if probe is not None:
-        center, digits, mu = probe
-        out.append(((r0 + center) % mod, digits, mu))
-        rest = _taylor_shift(shifted, center, mod)[mu:]
-        if len(rest) > 1:
-            scaled = [c * p**i % mod for i, c in enumerate(rest)]
-            content = min((_vp(c, p) for c in scaled if c != 0), default=m_exp)
-            if content < m_exp:
-                inner = [c // p**content for c in scaled]
-                for s, sd, mult in _disk_roots(inner, m_exp - content, p, depth + 1, max_depth):
-                    # deflated roots inherit the center's uncertainty
-                    out.append(((r0 + center + p * s) % mod, min(m_exp, sd + 1, digits), mult))
-        return out
-    scaled = [c * p**i % mod for i, c in enumerate(shifted)]
-    content = min((_vp(c, p) for c in scaled if c != 0), default=m_exp)
-    if content >= m_exp:
-        raise NotSplitAtPrecision("polynomial vanishes identically at working precision")
-    inner = [c // p**content for c in scaled]
-    for s, digits, mult in _disk_roots(inner, m_exp - content, p, depth + 1, max_depth):
-        out.append(((r0 + p * s) % mod, min(m_exp, digits + 1), mult))
+    for y0 in range(1 if k == 0 else 0, p):
+        mult = next(i for i, a in enumerate(_taylor_shift(gbar, y0, p)) if a)
+        if mult == 1:
+            out.append((c + p**k * _simple_lift(g, y0, p, m - s), k + m - s, 1))
+        elif mult > 1:
+            out.extend(_class_roots(f, c + p**k * y0, k + 1, mult, p, m))
     return out
 
 
-def _disk_roots(coeffs: list[int], m_exp: int, p: int, depth: int, max_depth: int):
-    """Z_p roots of an integer polynomial certified mod p^m_exp.
-
-    Yields (root mod p^m_exp, certified digits, multiplicity).  depth counts
-    disk subdivisions t = r0 + p*s; beyond max_depth a residue cluster is
-    declared unsplit.  A block of leading coefficients that vanish at the full
-    certified modulus is an exact root at the disk center, with multiplicity
-    the block length; off-center multiple roots are certified by
-    _exact_multiple_probe inside the collision branch.
-    """
-    if depth > max_depth:
-        raise NotSplitAtPrecision(f"root cluster not separated within depth {max_depth}")
-    mod = p**m_exp
-    coeffs = [c % mod for c in coeffs]
-    out = []
-    mu = 0
-    while mu < len(coeffs) - 1 and coeffs[mu] == 0:
-        mu += 1
-    if mu > 0:
-        lead_v = _vp(coeffs[mu], p) if coeffs[mu] % mod else 0
-        digits = max(1, (m_exp - lead_v + mu - 1) // mu)
-        out.append((0, digits, mu))
-        coeffs = coeffs[mu:]
-    if len(coeffs) <= 1:
-        return out
-    cbar = [c % p for c in coeffs]
-    dbar = [c % p for c in _int_poly_derive(coeffs)]
-    for r0 in range(p):
-        if _int_poly_eval(cbar, r0, p) != 0:
-            continue
-        if _int_poly_eval(dbar, r0, p) != 0:
-            out.append((_simple_lift(coeffs, r0, p, m_exp), m_exp, 1))
-            continue
-        out.extend(_collision_roots(coeffs, r0, p, m_exp, depth, max_depth))
-    return out
-
-
-def hensel_roots(
-    coeffs: list[PadicScalar], target_digits: int | None = None
-) -> list[tuple[PadicScalar, int]]:
+def hensel_roots(coeffs: list[PadicScalar]) -> list[tuple[PadicScalar, int]]:
     """All Q_p roots of a polynomial, with multiplicities.
+
+    Each Newton slope w scales to an integer polynomial f with unit roots,
+    known mod p^m by the joint certified digits of the coefficients.  Its
+    roots are found by descent over residue classes c + p^k Z_p (see
+    `_class_roots`), which ends at a simple residue root or at the precision
+    floor, with the two digit rules (capped at the context precision):
+
+      * a simple root r keeps m - v(f'(r)) digits, as Hensel lifting gives;
+      * a class on which f vanishes mod p^m is reported as one root of the
+        class's multiplicity mu, certified to its depth k; for an exact
+        mu-fold root with Taylor coefficient c_mu that is
+        ceil((m - v(c_mu)) / mu) digits.
 
     Args:
         coeffs: ascending coefficients, not all zero.
-        target_digits: certified digits wanted per root (default: context
-            precision; never more than the joint certified precision of the
-            coefficients allows).
 
     Returns:
         List of (root, multiplicity) sorted by valuation then unit, with the
         multiplicities summing to the full degree: a polynomial that does not
         split over Q_p at working precision raises NotSplitAtPrecision, whether
-        the obstruction is a fractional Newton slope (ramified factor), a
-        rootless residue polynomial (unramified extension), or a residue
-        cluster the depth budget cannot separate.
+        the obstruction is a fractional Newton slope (ramified factor) or a
+        residue class without enough roots (a factor irreducible over Q_p).
     """
     nonzero = [c for c in coeffs if not c.is_zero]
     if not nonzero:
         raise ValueError("zero polynomial")
     ctx = nonzero[0].ctx
     p = ctx.p
-    want = ctx.precision if target_digits is None else target_digits
     lead_zeros = 0
     while coeffs[lead_zeros].is_zero:
         lead_zeros += 1
@@ -644,7 +523,6 @@ def hensel_roots(
     units = [0 if c.is_zero else c.unit for c in work]
     certs = [0 if c.is_zero else c.digits for c in work]
     points = [(i, v) for i, v in enumerate(vals) if v is not None]
-    max_depth = 2 * ctx.precision
     for _i0, _i1, slope in _newton_slopes(points):
         if slope.denominator != 1:
             raise NotSplitAtPrecision(
@@ -668,19 +546,9 @@ def hensel_roots(
                 ints.append(0)
             else:
                 ints.append(units[i] * p ** (vals[i] + w * i - content) % big)
-        cbar = [c % p for c in ints]
-        dbar = [c % p for c in _int_poly_derive(ints)]
-        for r0 in range(1, p):
-            if _int_poly_eval(cbar, r0, p) != 0:
-                continue
-            if _int_poly_eval(dbar, r0, p) != 0:
-                x = _simple_lift(ints, r0, p, m_exp)
-                d = min(want, m_exp)
-                out.append((PadicScalar._raw(ctx, w, x % ctx.modulus, d), 1))
-                continue
-            for x, xdigits, mult in _collision_roots(ints, r0, p, m_exp, 0, max_depth):
-                d = max(1, min(want, xdigits))
-                out.append((PadicScalar._raw(ctx, w, x % ctx.modulus, d), mult))
+        for x, digits, mult in _class_roots(ints, 0, 0, deg, p, m_exp):
+            d = min(ctx.precision, digits)
+            out.append((PadicScalar._raw(ctx, w, x % ctx.modulus, d), mult))
     total = sum(m for _, m in out)
     if total != deg + lead_zeros:
         raise NotSplitAtPrecision(

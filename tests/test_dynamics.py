@@ -6,6 +6,7 @@ closed form, so most assertions here are exact integers and Fractions.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -268,3 +269,13 @@ def test_conjugated_flows_decompose_or_refuse(case):
     except PrecisionExhausted:
         return
     assert dec.nu_total == sum(abs(x - y) for i, x in enumerate(exps) for y in exps[i + 1:])
+    # Ad(u D u^-1) has the eigenvalues p^(e_i - e_j) of Ad(D), the unit 1 once
+    # fewer on sl: each returned eigenvalue must agree with its exact value in
+    # every claimed digit, with the exact multiplicities
+    expected = Counter(x - y for x in exps for y in exps)
+    if family == "sl":
+        expected[0] -= 1
+    assert Counter(lam.valuation() for lam in dec.eigenvalues) == expected
+    for lam in dec.eigenvalues:
+        assert lam.unit % p**lam.digits == 1
+

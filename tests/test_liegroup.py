@@ -119,6 +119,26 @@ def _vp_fraction(q: Fraction, p: int) -> int:
     return v
 
 
+def _lift(m: PadicMatrix, ctx: PadicContext) -> PadicMatrix:
+    """The same representatives in another context."""
+    return PadicMatrix.from_rationals(ctx, [[e.as_rational() for e in r] for r in m.rows])
+
+
+def _check_claimed_digits(got: PadicMatrix, ref: PadicMatrix) -> int:
+    """Assert that each entry of got agrees with ref in every digit it claims
+    (an exact zero claims all N); return the number of nonzero entries."""
+    p, n_prec = got.ctx.p, got.ctx.precision
+    checked = 0
+    for z, z_ref in zip(got.flat(), ref.flat()):
+        if z.is_zero:
+            assert z_ref.valuation() >= n_prec
+            continue
+        diff = z.as_rational() - z_ref.as_rational()
+        assert diff == 0 or _vp_fraction(diff, p) >= z.abs_precision()
+        checked += 1
+    return checked
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_dynkin_never_overstates_certified_digits(p):
     # the reference is DIRECT at 48 digits on the same representatives, so
@@ -138,18 +158,49 @@ def test_dynkin_never_overstates_certified_digits(p):
     pairs.append((PadicMatrix.zeros(ctx, 2), pairs[0][1]))
     checked = 0
     for x, y in pairs:
-        got = bch(x, y, mode="dynkin")
-        lifted = [PadicMatrix.from_rationals(deep, [[e.as_rational() for e in r] for r in m.rows])
-                  for m in (x, y)]
-        ref = bch(*lifted, mode="direct")
-        for z, z_ref in zip(got.flat(), ref.flat()):
-            if z.is_zero:
-                assert z_ref.valuation() >= ctx.precision
-                continue
-            diff = z.as_rational() - z_ref.as_rational()
-            assert diff == 0 or _vp_fraction(diff, p) >= z.abs_precision()
-            checked += 1
+        ref = bch(_lift(x, deep), _lift(y, deep), mode="direct")
+        checked += _check_claimed_digits(bch(x, y, mode="dynkin"), ref)
     assert checked > 60
+
+
+_SERIES = {
+    "exp": lambda x, y: exp(x),
+    "log": lambda x, y: log(x + PadicMatrix.identity(x.ctx, x.dim)),
+    "direct": lambda x, y: bch(x, y, mode="direct"),
+}
+
+
+@pytest.mark.parametrize(
+    "name,p",
+    [(name, p) for name in ("exp", "log") for p in (2, 3, 5)]
+    + [
+        pytest.param(
+            "direct", 2,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="log absorbs the off-diagonal of y^2 at floor >= N, then "
+                "halves it: one entry claims 15 digits and holds 14",
+            ),
+        ),
+        ("direct", 3),
+        ("direct", 5),
+    ],
+)
+def test_series_never_overstate_certified_digits(name, p):
+    # exp, log and DIRECT against themselves at 48 digits on the same
+    # representatives: the truncated tail must be charged to the digits
+    ctx, deep = PadicContext(p), PadicContext(p, 48)
+    rng = random.Random(900 + p)
+    elements = [random_deep_element(GroupSpec.sl(ctx, d), rng) for d in (2, 3) for _ in range(25)]
+    sl2 = GroupSpec.sl(ctx, 2)
+    pairs = [(random_deep_element(sl2, rng), random_deep_element(sl2, rng)) for _ in range(25)]
+    cases = pairs if name == "direct" else [(x, x) for x in elements]
+    series = _SERIES[name]
+    checked = sum(
+        _check_claimed_digits(series(x, y), series(_lift(x, deep), _lift(y, deep)))
+        for x, y in cases
+    )
+    assert checked > 90
 
 
 def test_dynkin_precision_follows_the_least_input_digits():

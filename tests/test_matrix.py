@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padlab import PadicContext, PadicMatrix, PadicScalar
 from padlab.errors import NotSplitAtPrecision, PrecisionExhausted, SingularAtPrecision
@@ -271,19 +273,32 @@ def test_hensel_quadruple_root():
 
 def test_hensel_near_collision_simple_roots():
     ctx = PadicContext(3)
-    # roots 1 and 82 share residues through 3^4; both are simple
+    # roots 1 and 82 share residues through 3^4; both are simple, and
+    # f'(r) = -+81 leaves 12 - 4 = 8 certified digits each
     roots = hensel_roots(ascending(ctx, 82, -83, 1))
     match_roots(roots, [(Fraction(1), 1), (Fraction(82), 1)], 3)
-    assert sorted(r.digits for r, _ in roots) == [8, 11]
+    assert sorted(r.digits for r, _ in roots) == [8, 8]
+    # f + 3^12 equals f at 12 digits; solved at 24, both roots move at 3^8
+    moved = hensel_roots(ascending(PadicContext(3, 24), 82 + 3**12, -83, 1))
+    for root, _ in roots:
+        assert max(vp(root.as_rational() - q.as_rational(), 3) for q, _ in moved) == root.digits
 
 
 def test_hensel_cluster_double_and_simple():
     ctx = PadicContext(3)
     # (x+1)^2 (x-26): 26 = -1 + 27, all three roots share residue 2 mod 3.
-    # Certified digits are limited by the double root in the cluster.
+    # The double root keeps ceil((12 - v(c_2)) / 2) = 5 digits, c_2 = -27;
+    # the simple root keeps 12 - v(f'(26)) = 12 - 6 = 6.
     roots = hensel_roots(ascending(ctx, -26, -51, -24, 1))
     match_roots(roots, [(Fraction(-1), 2), (Fraction(26), 1)], 3)
-    assert all(r.digits == 5 for r, _ in roots)
+    assert sorted((m, r.digits) for r, m in roots) == [(1, 6), (2, 5)]
+    # f + 3^12 splits the double root into a ramified pair, so perturb c_0 by
+    # 3 * 3^12, which also equals f at 12 digits: solved at 24 digits, each
+    # claimed root still agrees with perturbed roots of its multiplicity
+    moved = hensel_roots(ascending(PadicContext(3, 24), -26 + 3**13, -51, -24, 1))
+    for root, mult in roots:
+        near = [mq for q, mq in moved if vp(root.as_rational() - q.as_rational(), 3) >= root.digits]
+        assert sum(near) == mult
 
 
 def test_hensel_q2_with_denominator():
@@ -335,6 +350,51 @@ def test_hensel_random_split_products():
             coeffs.reverse()
             found = hensel_roots([ctx.from_rational(c) for c in coeffs])
             match_roots(found, [(r, 1) for r in roots_exact], p)
+
+
+@st.composite
+def unit_root_products(draw):
+    """(p, N, {unit integer root: multiplicity}), with repeated roots and
+    near-collisions r, r + p^j that share j digits."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n_prec = draw(st.integers(4, 12))
+    roots: dict[int, int] = {}
+    for _ in range(draw(st.integers(1, 3))):
+        r = p * draw(st.integers(0, p**4)) + draw(st.integers(1, p - 1))
+        roots[r] = roots.get(r, 0) + draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            near = r + p ** draw(st.integers(1, n_prec + 2))
+            roots[near] = roots.get(near, 0) + draw(st.integers(1, 2))
+    return p, n_prec, roots
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(unit_root_products())
+def test_hensel_digits_match_closed_form(case):
+    # the closed form: a root r of multiplicity mu, with the other roots r_j of
+    # multiplicities mu_j, has v(f'(r)) (mu = 1) or v(c_mu) (mu >= 2) equal to
+    # sum mu_j v(r - r_j), and keeps N - that (mu = 1) or ceil((N - that) / mu)
+    # digits whenever it is separated from every r_j at those digits
+    p, n_prec, roots = case
+    ctx = PadicContext(p, n_prec)
+    coeffs = [1]
+    for r, mult in roots.items():
+        for _ in range(mult):
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    found = hensel_roots([ctx.from_rational(c) for c in coeffs])
+    assert sum(m for _, m in found) == len(coeffs) - 1
+    for root, mult in found:
+        # sound: the exact roots within the claimed digits carry the multiplicity
+        inside = sum(m for r, m in roots.items() if (root.unit - r) % p**root.digits == 0)
+        assert inside >= mult
+    for r, mult in roots.items():
+        gaps = [vp(Fraction(r - s), p) for s in roots if s != r]
+        lost = sum(m * vp(Fraction(r - s), p) for s, m in roots.items() if s != r)
+        digits = n_prec - lost if mult == 1 else -(-(n_prec - lost) // mult)
+        if digits <= max(gaps, default=0):
+            continue  # r shares its claimed class with another root
+        hits = [(root.digits, m) for root, m in found if (root.unit - r) % p**root.digits == 0]
+        assert hits == [(digits, mult)]
 
 
 # ---- kernels and lattice bases ----------------------------------------------
