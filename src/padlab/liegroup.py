@@ -3,9 +3,7 @@
 exp and log are mutually inverse isometries between the algebra ball
 {||X|| <= p^-2} and the group ball {||g - e|| <= p^-2}: ultrametrically, the
 n >= 2 series tails are strictly smaller than the leading term, because
-|n!|_p >= p^(-n/(p-1)) and the entries start at valuation 2.  The same
-estimate truncates every series here, and no output entry claims digits
-past the floor of its truncated tail.
+|n!|_p >= p^(-n/(p-1)) and the entries start at valuation 2.
 
 Baker-Campbell-Hausdorff comes in two independently implemented modes:
 DIRECT is log(exp x exp y); DYNKIN_SERIES evaluates Dynkin's nested-commutator
@@ -14,34 +12,49 @@ so the composition sum costs O(n_max^3) operator applications instead of an
 exponential word enumeration.  Agreement of the two modes at certified
 precision is a core test oracle downstream.
 
-DYNKIN runs on Python integers modulo p^M, with one certified precision for
-the whole output (capped absolute precision).  x and y (valuation >= k >= 2)
-become the integer matrices of their representatives p^v * unit.  Scaling the
-block sums U_m(deg) by deg! makes the program integral:
+exp, log and DYNKIN share one model.  The inputs (valuation >= k >= 2) become
+the integer matrices of their representatives p^v * unit, and each series
+coefficient c the weight p^D c mod p^M, with D the largest v_p of a kept
+denominator: the series is integer arithmetic mod p^M, nothing is absorbed,
+and the division by p^D at the end is the only one.  An output entry
+certified mod p^cert keeps min(N, cert - v) digits at valuation v; one = 0 mod
+p^cert is the exact zero if cert >= N and raises PrecisionExhausted
+otherwise.  M = cert + N + D for the largest cert, so every printed unit is
+exact on the representatives modulo p^(v + N).  cert is the least of the
+floor of the truncated tail and the first-order input error carried by the
+kept terms (Caruso, Roe and Vaccon, arXiv:1402.0743); A is the least
+v + digits over the input entries.
 
-    V_1(1) = x + y,   V_1(deg) = deg ad(x)^(deg-1) y,
-    V_m(deg) = sum_s C(deg, s) O'_s V_(m-1)(deg - s),
-    O'_s = sum_P C(s, P) ad(x)^P ad(y)^(s-P),
-    z = sum (-1)^(m-1) V_m(deg) / (m deg deg!)   (deg <= n_max),
+  * exp and log keep the terms j < n of sum c_j X^j, c_j = 1/j! or
+    (-1)^(j+1)/j, and certify each entry on its own.  With E the absolute
+    precisions of X (inf at an exact zero), V its valuations, den_j = j! or j
+    and tail = min_(j >= n) (j k - v_p(den_j)),
+        cert_ij = min(tail, E_ij, min_m min(E_im + V_mj, V_im + E_mj) - v_p(2),
+                      A + min_(j >= 3) ((j - 1) k - v_p(den_j))):
+    terms 1 and 2 carry each entry's own input error, later terms a uniform
+    bound.  An entry outside the support closure of X's zero pattern is
+    exactly zero in every power.  A power = 0 mod p^M ends the series early,
+    and the floor of the representatives' remaining tail replaces tail.
+  * DYNKIN certifies the whole output at once.  Scaling the block sums
+    U_m(deg) by deg! makes the program integral:
 
-and that last division is the only one.  With b(n) = n k - v_p(n!) -
-floor(log_p n) - v_p(n) the floor of every degree-n term, and A the least
-v + digits over the nonzero input entries, the output is certified modulo
-p^cert, cert = min(A + min_(n <= n_max) (b(n) - k), min_(n > n_max) b(n)):
-the first part bounds the input error carried by each kept term, the second
-the truncated tail.  Each entry of valuation v keeps min(N, cert - v) digits;
-an entry = 0 mod p^cert is the exact zero if cert >= N (the absorb rule) and
-raises PrecisionExhausted otherwise.  The modulus is M = cert + N + D with
-D = max v_p(m deg deg!), so every printed unit is exact on the input
-representatives modulo p^(v+N).
+        V_1(1) = x + y,   V_1(deg) = deg ad(x)^(deg-1) y,
+        V_m(deg) = sum_s C(deg, s) O'_s V_(m-1)(deg - s),
+        O'_s = sum_P C(s, P) ad(x)^P ad(y)^(s-P),
+        z = sum (-1)^(m-1) V_m(deg) / (m deg deg!)   (deg <= n_max),
+
+    and with b(n) = n k - v_p(n!) - floor(log_p n) - v_p(n) the floor of
+    every degree-n term, cert = min(A + min_(n <= n_max) (b(n) - k),
+    min_(n > n_max) b(n)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 from math import comb, factorial
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import DomainError, NoConvergence, PrecisionExhausted
@@ -229,14 +242,6 @@ def _combination_matches(basis, coords, x: PadicMatrix) -> bool:
 
 
 # ---- exp / log ---------------------------------------------------------------
-#
-# Series evaluation multiplies stored approximations, so a sum whose true value
-# vanishes (e.g. an off-diagonal of X^4 for trace-zero 2x2 X) can cancel every
-# certified digit once an operand carries fewer than full digits.  Hence all
-# series arithmetic here runs under the absorb policy.
-#
-# Each output entry is certified no finer than the floor of the truncated
-# tail, unless a term came out exactly zero and so did the tail.
 
 
 def _vp_factorial(p: int, n: int) -> int:
@@ -247,6 +252,15 @@ def _vp_factorial(p: int, n: int) -> int:
     return v
 
 
+def _floor_log(p: int, n: int) -> int:
+    """floor(log_p n) for n >= 1, the largest v_p(j) over j <= n."""
+    logp, m = 0, p
+    while m <= n:
+        m *= p
+        logp += 1
+    return logp
+
+
 @lru_cache(maxsize=128)
 def _tail_floor(p: int, k: int, n: int, factorial: bool) -> int:
     """Least floor j*k - v_p(j!) (exp) or j*k - v_p(j) (log) of the terms
@@ -254,22 +268,53 @@ def _tail_floor(p: int, k: int, n: int, factorial: bool) -> int:
     return min(j * k - (_vp_factorial(p, j) if factorial else _vp(j, p)) for j in range(n, 2 * n))
 
 
-def _charge_tail(m: PadicMatrix, floor: int) -> PadicMatrix:
-    """m with every entry certified at most modulo p^floor.
+@lru_cache(maxsize=128)
+def _series_plan(p: int, k: int, n_prec: int, is_exp: bool) -> tuple[int, int, int]:
+    """(n, tail, spread) for exp or log at ||X|| = p^-k: the terms j < n are
+    kept, tail is the least floor of the others, and spread is
+    min_(j >= 3) ((j - 1) k - v_p(den_j)), which bounds how far below a kept
+    term past the second an input error of p^A can reach: p^(A + spread)."""
+    if is_exp:
+        # n k - v_p(n!) > N once n (k (p - 1) - 1) > N (p - 1), as v_p(n!) <= n/(p - 1)
+        n = n_prec * (p - 1) // (k * (p - 1) - 1) + 1
+    else:
+        # n k - v_p(n) > N once n k - floor(log_p n) > N
+        n = next(n for n in count(1) if n * k - _floor_log(p, n) > n_prec)
+    return n, _tail_floor(p, k, n, is_exp), _tail_floor(p, k, 3, is_exp) - k
 
-    The series cutoffs keep floor > N, so an entry at or past the floor is
-    O(p^N) and becomes the exact zero, as under the absorb rule.
-    """
-    ctx = m.ctx
 
-    def cap(e: PadicScalar) -> PadicScalar:
-        if e.is_zero or e.v + e.digits <= floor:
-            return e
-        if e.v >= floor:
-            return ctx.zero()
-        return PadicScalar._raw(ctx, e.v, e.unit, floor - e.v)
+@lru_cache(maxsize=128)
+def _series_weights(p: int, n: int, is_exp: bool, room: int) -> tuple[int, int, tuple[int, ...]]:
+    """_weights of 1/j! (exp) or (-1)^(j+1)/j (log), j = 1 .. n - 1."""
+    return _weights(p, [factorial(j) if is_exp else (-1) ** (j + 1) * j for j in range(1, n)], room)
 
-    return PadicMatrix(ctx, [[cap(e) for e in r] for r in m.rows])
+
+def _weights(p: int, denoms: list[int], room: int) -> tuple[int, int, tuple[int, ...]]:
+    """(D, mod, w): w_i = p^D / denoms[i] mod p^(room + D), with D the largest
+    v_p(denoms[i]), so that every weight is an integer."""
+    vals = [_vp(c, p) for c in denoms]
+    big_d = max(vals, default=0)
+    mod = p ** (room + big_d)
+    return big_d, mod, tuple(p ** (big_d - e) * pow(c // p**e, -1, mod) % mod for c, e in zip(denoms, vals))
+
+
+def _reps(m: PadicMatrix) -> list[list[int]]:
+    """The integer representatives p^v * unit of m's entries (0 at an exact zero)."""
+    p = m.ctx.p
+    return [[0 if e.v is None else e.unit * p**e.v for e in r] for r in m.rows]
+
+
+def _support_closure(rows) -> list[list[bool]]:
+    """The positions that are nonzero in some power x^j, j >= 1, given the
+    exact zeros of x; every other entry of every power is exactly zero."""
+    edge = [[e.v is not None for e in r] for r in rows]
+    reach, span = edge, range(len(rows))
+    while not all(map(all, reach)):
+        nxt = [[r[j] or any(r[m] and edge[m][j] for m in span) for j in span] for r in reach]
+        if nxt == reach:
+            break
+        reach = nxt
+    return reach
 
 
 def _require_deep(x: PadicMatrix, what: str) -> int:
@@ -279,60 +324,61 @@ def _require_deep(x: PadicMatrix, what: str) -> int:
     return v
 
 
+def _series(x: PadicMatrix, k, is_exp: bool) -> PadicMatrix:
+    """exp(x), or log(e + x), at ||x|| = p^-k on integer representatives; see
+    the module docstring for the certificate."""
+    ctx, d = x.ctx, x.dim
+    if k == float("inf"):
+        return (PadicMatrix.identity if is_exp else PadicMatrix.zeros)(ctx, d)
+    p, n_prec = ctx.p, ctx.precision
+    n, tail, spread = _series_plan(p, k, n_prec, is_exp)
+    inf, half = float("inf"), _vp(2, p)
+    val = [[inf if e.v is None else e.v for e in r] for r in x.rows]
+    ab = [[inf if e.v is None else e.v + e.digits for e in r] for r in x.rows]
+    uniform = min(map(min, ab)) + spread
+    vcols, acols = list(zip(*val)), list(zip(*ab))
+    # the entry's own error (term 1), the halved second-order term, and the
+    # uniform bound on the later terms; the tail is charged below
+    cert = [
+        min(e, uniform, min(map(add, ai, vj)) - half, min(map(add, vi, aj)) - half)
+        for ai, vi in zip(ab, val)
+        for e, vj, aj in zip(ai, vcols, acols)
+    ]
+    room = min(max(cert), tail) + n_prec
+    big_d, mod, weights = _series_weights(p, n, is_exp, room)
+    scale = p**big_d
+    power = [[a % mod for a in r] for r in _reps(x)]
+    cols = list(zip(*power))
+    powers = [sum(power, [])]
+    for j in range(2, n):
+        power = [[sum(map(mul, r, c)) % mod for c in cols] for r in power]
+        if not any(map(any, power)):
+            # x^i = 0 mod p^(M + (i - j) k) for i >= j on the representatives
+            tail = min(room, room + big_d - j * k + _tail_floor(p, k, j, is_exp))
+            break
+        powers.append(sum(power, []))
+    total = [sum(map(mul, weights, col)) for col in zip(*powers)]
+    if is_exp:
+        for i in range(0, d * d, d + 1):
+            total[i] += scale
+    one, zero = ctx.one(), ctx.zero()
+    reach = sum(_support_closure(x.rows), [])
+    return PadicMatrix.from_flat(ctx, d, [
+        _certified(t % mod // scale, min(c, tail), ctx) if r
+        else one if is_exp and i % (d + 1) == 0 else zero
+        for i, (t, c, r) in enumerate(zip(total, cert, reach))
+    ])
+
+
 def exp(x: PadicMatrix) -> PadicMatrix:
     """exp(X) = sum X^n / n! for ||X|| <= p^-2; ||exp(X) - e|| = ||X||."""
-    k = _require_deep(x, "exp")
-    ctx = x.ctx
-    ident = PadicMatrix.identity(ctx, x.dim)
-    if k == float("inf"):
-        return ident
-    n_prec = ctx.precision
-    acc = ident
-    term = ident
-    n = 1
-    # tail certified once n*k - v_p(n!) > N; v_p(n!) <= n/(p-1), and
-    # n*(k - 1/(p-1)) is increasing since k >= 2 > 1/(p-1)
-    while n * (k * (ctx.p - 1) - 1) <= n_prec * (ctx.p - 1):
-        term = term.matmul(x, add_absorb).scale(ctx.from_rational(1, n))
-        if term.min_valuation() == float("inf"):
-            return acc  # the tail is exactly zero
-        acc = acc.add(term, add_absorb)
-        n += 1
-    return _charge_tail(acc, _tail_floor(ctx.p, k, n, True))
-
-
-def _log_series(y: PadicMatrix) -> PadicMatrix:
-    ctx = y.ctx
-    k = y.min_valuation()
-    out = PadicMatrix.zeros(ctx, y.dim)
-    if k == float("inf"):
-        return out
-    n_prec = ctx.precision
-    power = PadicMatrix.identity(ctx, y.dim)
-    n = 1
-    # tail certified once n*k - v_p(n) > N; v_p(n) <= log_p(n)
-    while True:
-        vp_bound = 0
-        m = 1
-        while m <= n:
-            m *= ctx.p
-            vp_bound += 1
-        if n * k - (vp_bound - 1) > n_prec:
-            break
-        power = power.matmul(y, add_absorb)
-        if power.min_valuation() == float("inf"):
-            return out  # the tail is exactly zero
-        coeff = ctx.from_rational(1 if n % 2 else -1, n)
-        out = out.add(power.scale(coeff), add_absorb)
-        n += 1
-    return _charge_tail(out, _tail_floor(ctx.p, k, n, False))
+    return _series(x, _require_deep(x, "exp"), True)
 
 
 def log(g: PadicMatrix) -> PadicMatrix:
     """log(g) = sum (-1)^(n+1) (g-e)^n / n for ||g - e|| <= p^-2."""
     y = g - PadicMatrix.identity(g.ctx, g.dim)
-    _require_deep(y, "log")
-    return _log_series(y)
+    return _series(y, _require_deep(y, "log"), False)
 
 
 # ---- Dynkin BCH --------------------------------------------------------------
@@ -347,11 +393,7 @@ def _term_floor(p: int, k: int, n: int) -> int:
     v_p(n!) because multinomial coefficients are integers.  An error of p^A
     in one letter moves the term by at most p^(A + b(n) - k).
     """
-    logp, m = 0, p
-    while m <= n:
-        m *= p
-        logp += 1
-    return n * k - _vp_factorial(p, n) - logp - _vp(n, p)
+    return n * k - _vp_factorial(p, n) - _floor_log(p, n) - _vp(n, p)
 
 
 @lru_cache(maxsize=128)
@@ -371,16 +413,10 @@ def _dynkin_cutoff(p: int, k: int, target: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=128)
 def _dynkin_weights(p: int, n_max: int, room: int) -> tuple[int, int, dict]:
-    """(D, mod, w): w[m, deg] = (-1)^(m-1) p^D / (m deg deg!) mod p^(room + D),
-    with D = max v_p(m deg deg!), so that every weight is an integer."""
-    denom = {(m, deg): m * deg * factorial(deg) for deg in range(1, n_max + 1) for m in range(1, deg + 1)}
-    big_d = max(_vp(c, p) for c in denom.values())
-    mod = p ** (room + big_d)
-    weights = {}
-    for (m, deg), c in denom.items():
-        e = _vp(c, p)
-        weights[m, deg] = (-1) ** (m - 1) * p ** (big_d - e) * pow(c // p**e, -1, mod) % mod
-    return big_d, mod, weights
+    """_weights of (-1)^(m-1) / (m deg deg!), keyed by (m, deg)."""
+    keys = [(m, deg) for deg in range(1, n_max + 1) for m in range(1, deg + 1)]
+    big_d, mod, weights = _weights(p, [(-1) ** (m - 1) * m * deg * factorial(deg) for m, deg in keys], room)
+    return big_d, mod, dict(zip(keys, weights))
 
 
 def _ad_int(x: list[list[int]], mod: int) -> list[list[int]]:
@@ -408,7 +444,7 @@ def _bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int) -> PadicMatrix:
     least = min(e.v + e.digits for e in x.flat() + y.flat() if not e.is_zero)
     cert = min(least + loss, tail)
     big_d, mod, weights = _dynkin_weights(p, n_max, cert + n_prec)
-    xi, yi = ([[0 if e.is_zero else e.unit * p**e.v for e in r] for r in m.rows] for m in (x, y))
+    xi, yi = _reps(x), _reps(y)
     adx, ady = _ad_int(xi, mod), _ad_int(yi, mod)
     # O'_s = s! sum_{P+q=s} ad(x)^P ad(y)^q / (P! q!) is the s-th derivative
     # of e^(t ad x) e^(t ad y) at 0, so O'_(s+1) = ad(x) O'_s + O'_s ad(y).
@@ -451,7 +487,7 @@ def _certified(z: int, cert: int, ctx: PadicContext) -> PadicScalar:
     if z % p**cert == 0:
         if cert >= n_prec:
             return ctx.zero()
-        raise PrecisionExhausted(f"dynkin entry is O(p^{cert}), below {n_prec} digits")
+        raise PrecisionExhausted(f"series entry is O(p^{cert}), below {n_prec} digits")
     v = _vp(z, p)
     return PadicScalar._raw(ctx, v, z // p**v % ctx.modulus, min(n_prec, cert - v))
 
@@ -542,7 +578,7 @@ def horospherical_factor(g: PadicMatrix, k: int, dec) -> FactorResult:
                 f"residual stalled at valuation {v_res} (inconsistent decomposition?)"
             )
         prev_v = v_res
-        x_log = _log_series(y)
+        x_log = _series(y, v_res, False)
         coords = dec.coordinates(x_log)
         zero = ctx.zero()
         plus = [c if cls == "UNSTABLE" else zero for c, cls in zip(coords, dec.classes)]

@@ -14,7 +14,7 @@ becomes.  Each is an adder with the signature of `+`; public scalar and matrix
   * `add_absorb`: a full cancellation whose floor is >= N (the true sum is
     O(p^-N), invisible in every mod-p^N output) becomes the exact zero; a
     coarser one raises.  It is sound everywhere, and is used by `det`,
-    `inverse` and the series and coordinate arithmetic of the other modules.
+    `inverse` and liegroup's coordinate, group-equation and factor products.
   * `add_rank`: any full cancellation becomes the exact zero.  Where a rank
     is decided at working precision, "indistinguishable from zero" and
     "zero" force the same decision, so it is allowed only there: inside the

@@ -262,6 +262,19 @@ def test_direct_solve_matches_power_iteration():
     assert 0 < sum(decisions) < len(decisions)
 
 
+
+@pytest.mark.parametrize("s", [2, 4])
+def test_round_budget_follows_the_closed_form_rule(s):
+    # exit 18 refuses a chain when rho^STATIONARY_MAX_ROUNDS > STATIONARY_TOL,
+    # rho the second eigenvalue modulus of (T + I)/2.  Blocks joined by leaks
+    # l and 3l give 1 - rho of about 2l, so the line lies near l = 7.5e-5.
+    # Leak 6e-5 is refused although the power iteration from the uniform
+    # start converges on it; leak 1e-4 is accepted.
+    rng = random.Random(606)
+    with pytest.raises(IrreducibilityError, match="round budget"):
+        MarkovMeasure(_stochastic_rows(rng, s, 6e-5))
+    MarkovMeasure(_stochastic_rows(rng, s, 1e-4))
+
 # ---- the gap identity --------------------------------------------------------
 
 
