@@ -34,8 +34,9 @@ for n in (1, 2, 3):
     ball = bowen_ball(dec, 4, n)
     print(f"window n={n}: levels {ball.levels}  volume ratio {bowen_volume_ratio(dec, n)}")
 
-# the oracle enumerates K_4/K_7 and conjugates every point directly;
-# FACTORED multiplies per-line digit counts instead and reaches any level
+# FULL enumerates K_4/K_7 and tests each point against the window maps
+# built from a alone (conjugating the basis, never the eigendata); FACTORED
+# multiplies per-line digit counts instead and reaches any level
 full = bowen_count_oracle(dec, 4, 2, 7, "FULL")
 factored = bowen_count_oracle(dec, 4, 3, 9, "FACTORED")
 print("FULL lattice counts (level 7):", full.counts, "ratios", full.ratios)

@@ -11,7 +11,13 @@ the total contraction |nu| = sum nu_i.
 The Bowen counting oracle deliberately has two routes.  FACTORED reads counts
 off the eigenvalue valuations.  FULL enumerates actual lattice points and
 tests window membership by integer conjugation with a itself, never touching
-the eigendata, so agreement of the two is a meaningful check.
+the eigendata, so agreement of the two is a meaningful check.  FULL
+conjugates the basis, not the points: for each window m >= 2 it builds once,
+on Python integers, the map from a point's digits to a^(m-1) X a^-(m-1)
+modulo the power of p that window m needs.  Window 1 is the whole lattice
+and costs no per-point work.  Window 2 tests every point, in fixed-size
+blocks, as a sum of a per-block high-digit row and one low-digit table; each
+later window tests only the points still alive after the one before.
 """
 
 from __future__ import annotations
@@ -260,10 +266,15 @@ def bowen_count_oracle(
 
     mode FACTORED multiplies per-eigenline digit counts (valid when the
     eigenbasis spans the full integral lattice, lattice_defect == 0).  mode
-    FULL enumerates coordinate tuples as numpy integers and conjugates by a
-    directly, without the eigendata; it assumes the algebra's standard basis
-    splits the entry lattice (true for the sl and gl families) and refuses
-    enumerations beyond 2^25 points.
+    FULL enumerates coordinate tuples as numpy integers and tests them
+    against per-window integer maps, built from a alone, without the
+    eigendata: window 1 is the whole lattice, window 2 runs over every point
+    in blocks of a fixed size, and each later window only over the points
+    still alive.  It assumes the algebra's standard basis splits the entry
+    lattice (true for the sl and gl families), refuses enumerations beyond
+    2^25 points, and, for n >= 2, refuses windows whose 64-bit sums
+    dim_g * p^(level - k) * p^(k + (n-1) shift) would pass 2^63, where p^shift
+    clears the p-power denominators of a and a^-1.
     """
     _require_ball_level(dec, k)
     if n < 1:
@@ -310,18 +321,37 @@ def _lift_mod(fr: Fraction, modulus: int) -> int:
     return fr.numerator * pow(fr.denominator, -1, modulus) % modulus
 
 
-def _count_full(dec, k, n, level) -> BowenCounts:
-    ctx = dec.ctx
-    p, d = ctx.p, dec.a.dim
-    spec = dec.group
-    dim_g = len(spec.lie_basis)
-    radius = p ** (level - k)
-    total = radius**dim_g
-    if total > ORACLE_POINT_BUDGET:
-        raise BudgetExceeded(
-            f"full oracle needs {total} points, budget {ORACLE_POINT_BUDGET}"
-        )
+# points per block of the window-2 test: whatever the lattice size, the
+# kernel holds a few arrays of _BLOCK entries per matrix entry at once
+_BLOCK = 1 << 16
 
+
+def _digits(idx, radius: int, count: int) -> np.ndarray:
+    """Rows j < count: digit j of each flat index in base radius."""
+    out = np.empty((count, idx.size), dtype=np.int64)
+    rest = idx.copy()
+    for j in range(count):
+        out[j] = rest % radius
+        rest //= radius
+    return out
+
+
+def _mul_mod(x, y, mod: int) -> list[list[int]]:
+    """x y mod `mod`, on lists of Python integers."""
+    cols = list(zip(*y))
+    return [[sum(map(operator.mul, r, c)) % mod for c in cols] for r in x]
+
+
+def _window_maps(dec, k, n, level, radius) -> list[tuple[int, np.ndarray]]:
+    """(need_m, W_m) for the windows m = 2..n, exact on Python integers.
+
+    With a = p^-s_a a_num and a^-1 = p^-s_inv inv_num, shift = s_a + s_inv,
+    column j of the (d*d, dim_g) table W_m is a_num^(m-1) (p^k basis_j)
+    inv_num^(m-1), flattened and reduced mod need_m = p^(k + (m-1) shift).
+    The point with digits c_j lies in window m exactly when every entry of
+    W_m c vanishes mod need_m, which is a^(m-1) X a^-(m-1) in K_k.
+    """
+    p, spec = dec.ctx.p, dec.group
     a_frac = [[x.as_rational() for x in row] for row in dec.a.rows]
     a_num, s_a = _integerize(a_frac, p)
     inv_frac = _invert(a_frac, Fraction(0), Fraction(1), operator.add, fraction_val(p))
@@ -335,45 +365,60 @@ def _count_full(dec, k, n, level) -> BowenCounts:
             f"window conjugation needs p^{mod_exp} resolution, lattice has p^{level}"
         )
     modulus = p**mod_exp
-    if modulus > 1 << 20 or d * d * modulus * modulus > 1 << 62:
+    # the sums W_m c have dim_g terms below radius * need_m <= radius * modulus
+    if len(spec.lie_basis) * radius * modulus > 1 << 63:
         raise BudgetExceeded("conjugation modulus too large for 64-bit counting")
+    a_int = [[_lift_mod(x, modulus) for x in row] for row in a_num]
+    inv_int = [[_lift_mod(x, modulus) for x in row] for row in inv_num]
+    images = [
+        [[_lift_mod(x.as_rational() * p**k, modulus) for x in row] for row in b.rows]
+        for b in spec.lie_basis
+    ]
+    maps = []
+    for m in range(2, n + 1):
+        images = [_mul_mod(_mul_mod(a_int, z, modulus), inv_int, modulus) for z in images]
+        need = p ** (k + (m - 1) * shift)
+        table = [[x % need for row in z for x in row] for z in images]
+        maps.append((need, np.array(table, dtype=np.int64).T))
+    return maps
 
-    basis_flat = np.array(
-        [[_lift_mod(x.as_rational(), modulus) for x in b.flat()] for b in spec.lie_basis],
-        dtype=np.int64,
-    )  # (dim_g, d*d)
-    a_arr = np.array([[_lift_mod(x, modulus) for x in r] for r in a_num], dtype=np.int64)
-    inv_arr = np.array([[_lift_mod(x, modulus) for x in r] for r in inv_num], dtype=np.int64)
 
-    counts = np.zeros(n, dtype=np.int64)
-    pk = p**k
-    # chunks of at most 2^18 points, split evenly
-    n_chunks = (total + (1 << 18) - 1) >> 18
-    chunk = (total + n_chunks - 1) // n_chunks
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((idx.size, dim_g), dtype=np.int64)
-        rest = idx.copy()
-        for j in range(dim_g):
-            digits[:, j] = rest % radius
-            rest //= radius
-        # reduced in place, so that a chunk holds few (points, d, d) arrays at once
-        z = (digits @ basis_flat).reshape(-1, d, d)  # X / p^k
-        z %= modulus
-        z *= pk  # X, mod p^mod_exp
-        z %= modulus
-        alive = np.ones(idx.size, dtype=bool)
-        counts[0] += idx.size  # window m=1 is the whole level-k lattice
-        for m in range(2, n + 1):
-            # reduce between the two products: each stays below d * m^2
-            z = a_arr @ z
-            z %= modulus
-            z = z @ inv_arr
-            z %= modulus
-            need = p ** (k + (m - 1) * shift)
-            alive &= np.all(z % need == 0, axis=(1, 2))
-            counts[m - 1] += int(alive.sum())
-    out = tuple(int(c) for c in counts)
+def _count_full(dec, k, n, level) -> BowenCounts:
+    dim_g = len(dec.group.lie_basis)
+    radius = dec.ctx.p ** (level - k)
+    total = radius**dim_g
+    if total > ORACLE_POINT_BUDGET:
+        raise BudgetExceeded(
+            f"full oracle needs {total} points, budget {ORACLE_POINT_BUDGET}"
+        )
+    counts = [total] + [0] * (n - 1)  # window 1 is the whole level-k lattice
+    if n > 1:
+        (need, table), *later = _window_maps(dec, k, n, level, radius)
+        # a flat index is high * low_size + low, its first `width` digits in low
+        width, low_size = 0, 1
+        while width < dim_g and low_size * radius <= _BLOCK:
+            width, low_size = width + 1, low_size * radius
+        low = table[:, :width] @ _digits(np.arange(low_size), radius, width)
+        low %= need
+        n_high = total // low_size
+        step = max(1, _BLOCK // low_size)
+        for start in range(0, n_high, step):
+            high = np.arange(start, min(start + step, n_high))
+            # window 2's sum is low + high; it vanishes mod need exactly when
+            # each low entry equals the negated high entry, both reduced
+            neg = -(table[:, width:] @ _digits(high, radius, dim_g - width)) % need
+            hit = neg[0, :, None] == low[0]
+            for row, low_row in zip(neg[1:], low[1:]):
+                hit &= row[:, None] == low_row
+            alive = np.flatnonzero(hit) + start * low_size
+            counts[1] += alive.size
+            # later windows test only the points still alive
+            for m, (need_m, table_m) in enumerate(later, 2):
+                z = table_m @ _digits(alive, radius, dim_g)
+                z %= need_m
+                alive = alive[~z.any(axis=0)]
+                counts[m] += alive.size
+    out = tuple(counts)
     ratios = tuple(Fraction(c, out[0]) for c in out)
     return BowenCounts("FULL", level, out, ratios)
 

@@ -128,6 +128,26 @@ def test_full_oracle_accepts_negative_entries():
     assert code == 0 and json.loads(factored)["counts"] == doc["counts"]
 
 
+def test_full_oracle_guards_only_conjugated_windows():
+    # n = 1 conjugates nothing, so no modulus bound applies
+    base = ["oracle", "--p", "5", "--element", '[["1/25","0"],["0","25"]]', "--dim", "2"]
+    code, out, err = run_cli(base + ["--k", "9", "--n", "1", "--level", "10", "--mode", "FULL"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["counts"] == ["125"]
+    # window 2 at need 2^21: 3 * 2^3 * 2^21 stays far below 2^63
+    argv = ["oracle", "--p", "2", "--element", '[["1/2","0"],["0","2"]]', "--dim", "2",
+            "--k", "19", "--n", "2", "--level", "22"]
+    code, full, err = run_cli(argv + ["--mode", "FULL"])
+    assert (code, err) == (0, "")
+    code, factored, _ = run_cli(argv + ["--mode", "FACTORED"])
+    assert code == 0
+    assert json.loads(full)["counts"] == json.loads(factored)["counts"] == ["512", "128"]
+    # window 2 at need 2^62: 3 * 2^3 * 2^62 passes 2^63
+    argv[argv.index("19")], argv[argv.index("22")] = "60", "63"
+    code, _, err = run_cli(argv + ["--mode", "FULL"])
+    assert code == 10 and "64-bit" in err
+
+
 def test_module_entry_point():
     # the child imports the same padlab as this process, installed or not
     src = str(Path(padlab.__file__).resolve().parents[1])

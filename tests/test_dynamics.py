@@ -5,16 +5,24 @@ closed form, so most assertions here are exact integers and Fractions.
 """
 
 import math
+import operator
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from padlab import GroupSpec, PadicContext, PadicMatrix, decompose, exp
 from padlab.dynamics import (
+    _BLOCK,
+    ORACLE_POINT_BUDGET,
+    BowenCounts,
+    _integerize,
+    _lift_mod,
     atom_representatives,
     bowen_ball,
     bowen_count_oracle,
@@ -32,6 +40,7 @@ from padlab.errors import (
     PrecisionExhausted,
 )
 from padlab.liegroup import ball_membership
+from padlab.matrix import _invert, fraction_val
 
 
 def sl_flow(p: int, diag):
@@ -187,13 +196,17 @@ def test_bowen_volume_ratio_closed_form():
 
 
 def test_oracle_full_matches_factored():
-    spec, dec = sl_flow(2, [Fraction(1, 2), 2])
-    full = bowen_count_oracle(dec, 4, 2, 9, "FULL")
-    fact = bowen_count_oracle(dec, 4, 2, 9, "FACTORED")
-    assert full.counts == fact.counts
-    assert full.ratios == fact.ratios
-    assert full.ratios[0] == 1
-    assert full.ratios[1] == bowen_volume_ratio(dec, 2)
+    # the sl3 case has 2^24 points; its lines of eigenvalue 2^-1 lie strictly
+    # between the unit and the widest expansion, so a window power off by
+    # one shows there, where on sl2 it cancels against the scaling by p^shift
+    for diag, level in (([Fraction(1, 2), 2], 9), ([Fraction(1, 2), 1, 2], 7)):
+        spec, dec = sl_flow(2, diag)
+        full = bowen_count_oracle(dec, 4, 2, level, "FULL")
+        fact = bowen_count_oracle(dec, 4, 2, level, "FACTORED")
+        assert full.counts == fact.counts
+        assert full.ratios == fact.ratios
+        assert full.ratios[0] == 1
+        assert full.ratios[1] == bowen_volume_ratio(dec, 2)
 
 
 def test_oracle_factored_closed_form():
@@ -231,11 +244,8 @@ def test_atom_representatives_partition():
         atom_representatives(dec, 3)
 
 
-@st.composite
-def conjugated_flows(draw):
-    """(p, family, exponents, u D u^-1): D = diag(p^e_i) not scalar, u unipotent."""
-    family, d = draw(st.sampled_from([("sl", 2), ("sl", 3), ("gl", 3)]))
-    p = draw(st.sampled_from([2, 3, 5]))
+def _flow_exponents(draw, family: str, d: int) -> list[int]:
+    """Exponents e_i in [-2, 2] of a non-scalar diag(p^e_i), summing to 0 on sl."""
     exps = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
     if family == "sl":
         exps[-1] = -sum(exps[:-1])
@@ -243,6 +253,12 @@ def conjugated_flows(draw):
         exps[0] += 1
         if family == "sl":
             exps[-1] -= 1
+    return exps
+
+
+def _unipotent_conjugate(draw, diag: list[Fraction]) -> list[list[Fraction]]:
+    """u diag(diag) u^-1 for u integral unitriangular, entries in [-3, 3]."""
+    d = len(diag)
     u = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     u_inv = [row[:] for row in u]
     for i in range(d):
@@ -252,12 +268,20 @@ def conjugated_flows(draw):
     for j in range(d):
         for i in reversed(range(j)):
             u_inv[i][j] = -sum(u[i][k] * u_inv[k][j] for k in range(i + 1, j + 1))
-    a = [[sum(u[i][k] * Fraction(p) ** exps[k] * u_inv[k][j] for k in range(d))
-          for j in range(d)] for i in range(d)]
-    return p, family, exps, a
+    return [[sum(u[i][k] * diag[k] * u_inv[k][j] for k in range(d))
+             for j in range(d)] for i in range(d)]
 
 
-@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@st.composite
+def conjugated_flows(draw):
+    """(p, family, exponents, u D u^-1): D = diag(p^e_i) not scalar, u unipotent."""
+    family, d = draw(st.sampled_from([("sl", 2), ("sl", 3), ("gl", 3)]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    exps = _flow_exponents(draw, family, d)
+    return p, family, exps, _unipotent_conjugate(draw, [Fraction(p) ** e for e in exps])
+
+
+@settings(max_examples=120)
 @given(conjugated_flows())
 def test_conjugated_flows_decompose_or_refuse(case):
     # either the exact |nu| of the diagonal flow, or an honest precision refusal
@@ -279,3 +303,153 @@ def test_conjugated_flows_decompose_or_refuse(case):
     for lam in dec.eigenvalues:
         assert lam.unit % p**lam.digits == 1
 
+
+# ---- the FULL oracle against its reference kernel ----------------------------
+
+
+def reference_count_full(dec, k, n, level) -> BowenCounts:
+    """FULL by conjugating every point: digit extraction, a product with the
+    flattened basis, and two batched int64 products per window."""
+    ctx = dec.ctx
+    p, d = ctx.p, dec.a.dim
+    spec = dec.group
+    dim_g = len(spec.lie_basis)
+    radius = p ** (level - k)
+    total = radius**dim_g
+    if total > ORACLE_POINT_BUDGET:
+        raise BudgetExceeded(
+            f"full oracle needs {total} points, budget {ORACLE_POINT_BUDGET}"
+        )
+
+    a_frac = [[x.as_rational() for x in row] for row in dec.a.rows]
+    a_num, s_a = _integerize(a_frac, p)
+    inv_frac = _invert(a_frac, Fraction(0), Fraction(1), operator.add, fraction_val(p))
+    if inv_frac is None:
+        raise DomainError("matrix is singular over the rationals")
+    inv_num, s_inv = _integerize(inv_frac, p)
+    shift = s_a + s_inv
+    mod_exp = k + (n - 1) * shift
+    if mod_exp > level:
+        raise LevelTooSmall(
+            f"window conjugation needs p^{mod_exp} resolution, lattice has p^{level}"
+        )
+    modulus = p**mod_exp
+    if modulus > 1 << 20 or d * d * modulus * modulus > 1 << 62:
+        raise BudgetExceeded("conjugation modulus too large for 64-bit counting")
+
+    basis_flat = np.array(
+        [[_lift_mod(x.as_rational(), modulus) for x in b.flat()] for b in spec.lie_basis],
+        dtype=np.int64,
+    )  # (dim_g, d*d)
+    a_arr = np.array([[_lift_mod(x, modulus) for x in r] for r in a_num], dtype=np.int64)
+    inv_arr = np.array([[_lift_mod(x, modulus) for x in r] for r in inv_num], dtype=np.int64)
+
+    counts = np.zeros(n, dtype=np.int64)
+    pk = p**k
+    # chunks of at most 2^18 points, split evenly
+    n_chunks = (total + (1 << 18) - 1) >> 18
+    chunk = (total + n_chunks - 1) // n_chunks
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = np.empty((idx.size, dim_g), dtype=np.int64)
+        rest = idx.copy()
+        for j in range(dim_g):
+            digits[:, j] = rest % radius
+            rest //= radius
+        # reduced in place, so that a chunk holds few (points, d, d) arrays at once
+        z = (digits @ basis_flat).reshape(-1, d, d)  # X / p^k
+        z %= modulus
+        z *= pk  # X, mod p^mod_exp
+        z %= modulus
+        alive = np.ones(idx.size, dtype=bool)
+        counts[0] += idx.size  # window m=1 is the whole level-k lattice
+        for m in range(2, n + 1):
+            # reduce between the two products: each stays below d * m^2
+            z = a_arr @ z
+            z %= modulus
+            z = z @ inv_arr
+            z %= modulus
+            need = p ** (k + (m - 1) * shift)
+            alive &= np.all(z % need == 0, axis=(1, 2))
+            counts[m - 1] += int(alive.sum())
+    out = tuple(int(c) for c in counts)
+    ratios = tuple(Fraction(c, out[0]) for c in out)
+    return BowenCounts("FULL", level, out, ratios)
+
+
+ORACLE_CASE_POINTS = 3**10
+
+
+@st.composite
+def oracle_jobs(draw):
+    """(family, p, a, k, n, level, points): FULL jobs of at most
+    ORACLE_CASE_POINTS points on u S D u^-1, with D = diag(p^e_i) in either
+    exponent order, S a diagonal of signs and u unipotent as in
+    conjugated_flows; k and the level run up to 3 above their minima.
+    The drawn n drops to the largest window length that fits the cap."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    # only sl2 has windows n >= 2 within the cap
+    family, d = draw(st.sampled_from([("sl", 2)] + [
+        (f, 3) for f in ("sl", "gl") if n == 1 and p ** (9 - (f == "sl")) <= ORACLE_CASE_POINTS
+    ]))
+    dim_g = d * d - (family == "sl")
+    exps = _flow_exponents(draw, family, d)
+    spread = max(exps) - min(exps)  # the largest |v_p| of an Ad eigenvalue
+
+    def fits(digits: int) -> bool:
+        return p ** (dim_g * digits) <= ORACLE_CASE_POINTS
+
+    while not fits((n - 1) * spread + 1):
+        n -= 1
+    digits = (n - 1) * spread + 1
+    digits += draw(st.integers(0, max(x for x in range(4) if fits(digits + x))))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d))
+    if family == "sl":
+        signs[-1] = math.prod(signs[:-1])
+    a = _unipotent_conjugate(draw, [s * Fraction(p) ** e for s, e in zip(signs, exps)])
+    k = spread + 2 + draw(st.integers(0, 3))
+    return family, p, a, k, n, k + digits, p ** (dim_g * digits)
+
+
+@settings(max_examples=120)
+@given(oracle_jobs())
+def test_full_oracle_matches_reference_factored_and_closed_form(job):
+    family, p, a, k, n, level, points = job
+    ctx = PadicContext(p)
+    spec = GroupSpec.sl(ctx, len(a)) if family == "sl" else GroupSpec.gl(ctx, len(a))
+    try:
+        dec = decompose(PadicMatrix.from_rationals(ctx, a), spec)
+    except PrecisionExhausted:
+        reject()  # a D1 refusal; see test_conjugated_flows_decompose_or_refuse
+    full = bowen_count_oracle(dec, k, n, level, "FULL")
+    try:
+        reference = reference_count_full(dec, k, n, level)
+    except BudgetExceeded:
+        # the reference refuses moduli past 2^20, even where it tests no window
+        assert n == 1
+    else:
+        assert full == reference
+    assert full.counts[0] == points
+    # an integral unipotent u keeps the level-k lattice, so the volume law
+    # holds exactly for every conjugate
+    assert full.ratios == tuple(bowen_volume_ratio(dec, m) for m in range(1, n + 1))
+    if dec.lattice_defect == 0:
+        assert full.counts == bowen_count_oracle(dec, k, n, level, "FACTORED").counts
+
+
+def test_full_oracle_working_set_is_bounded_by_the_block():
+    # 2^21 points: the kernel holds the low table and one block's arrays,
+    # each at most _BLOCK int64 entries per matrix entry, never the lattice
+    _, dec = sl_flow(2, [Fraction(1, 2), 2])
+    entries = 4
+    cap = 2 * _BLOCK * entries * 8
+    assert 2**21 * entries * 8 > cap  # an unchunked outer sum cannot fit
+    tracemalloc.start()
+    try:
+        full = bowen_count_oracle(dec, 4, 2, 11, "FULL")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert full.counts == (2**21, 2**19)
+    assert peak < cap

@@ -368,7 +368,7 @@ def unit_root_products(draw):
     return p, n_prec, roots
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(unit_root_products())
 def test_hensel_digits_match_closed_form(case):
     # the closed form: a root r of multiplicity mu, with the other roots r_j of
