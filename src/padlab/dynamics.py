@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -37,19 +37,14 @@ from .errors import (
     NotDiagonalizable,
     NotSplitAtPrecision,
 )
-from .liegroup import (
-    GroupSpec,
-    _build_coordinate_solver,
-    _combination_matches,
-    _combine,
-    _solve_coordinates,
-    exp,
-)
+from .liegroup import GroupSpec, exp
 from .matrix import (
+    Basis,
     PadicMatrix,
     _invert,
     _vp,
     add_rank,
+    combine,
     fraction_val,
     hensel_roots,
     nullspace,
@@ -69,6 +64,9 @@ class HorosphericalDecomposition:
     "UNSTABLE" by the sign of v_p(eigenvalues[i]); nu[i] is that valuation.
     Lines are sorted by (valuation, unit lift) of the eigenvalue, repeated
     eigenvalues contiguous.  nu_total is the summed stable contraction.
+    lattice_defect is the eigenbasis' index, clipped at 0: Basis pivots at
+    globally minimal valuation, so that is the Smith index of the eigenlattice
+    sum inside the full integral lattice.
     """
 
     a: PadicMatrix
@@ -79,7 +77,7 @@ class HorosphericalDecomposition:
     nu: tuple
     nu_total: int
     lattice_defect: int
-    _solver: tuple
+    _coords: Basis = field(repr=False, compare=False)
 
     @property
     def ctx(self) -> PadicContext:
@@ -87,13 +85,10 @@ class HorosphericalDecomposition:
 
     def coordinates(self, x: PadicMatrix, verify: bool = False):
         """Coordinates of x in the eigenbasis; None if verify finds x outside."""
-        coords = _solve_coordinates(self._solver, x)
-        if verify and not _combination_matches(self.basis, coords, x):
-            return None
-        return coords
+        return self._coords.coordinates(x, verify)
 
     def combination(self, coords) -> PadicMatrix:
-        return _combine(self.basis, coords)
+        return combine(self.basis, coords)
 
     def max_exponent(self) -> int:
         """max |v_p(lambda)| over all eigenlines (0 when none are hyperbolic)."""
@@ -136,12 +131,14 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     fails to normalize the algebra.
     """
     ctx = spec.ctx
+    if a.dim != spec.dim:
+        raise ValueError(f"a {a.dim}x{a.dim} flow on a group of {spec.dim}x{spec.dim} matrices")
     dim_g = len(spec.lie_basis)
     a_inv = a.inverse()
     cols = []
     for b in spec.lie_basis:
         image = a @ b @ a_inv
-        co = spec.algebra_coordinates(image, verify=True)
+        co = spec.algebra_coordinates(image)
         if co is None:
             raise DomainError("a does not normalize the algebra")
         cols.append(co)
@@ -168,7 +165,7 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
                 f"eigenvalue with multiplicity {mult} has only "
                 f"{len(kernel)} independent eigenvectors"
             )
-        flats = [_combine(spec.lie_basis, vec).flat() for vec in kernel]
+        flats = [combine(spec.lie_basis, vec).flat() for vec in kernel]
         v_lam = lam.valuation()
         cls = "STABLE" if v_lam > 0 else ("UNSTABLE" if v_lam < 0 else "NEUTRAL")
         for flat in zp_module_basis(flats):
@@ -182,21 +179,17 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     if nu_total == 0:
         raise NoHyperbolicity("every adjoint eigenvalue is a p-adic unit")
 
-    solver = _build_coordinate_solver(ctx, [b.flat() for b in basis])
-    # the solver picks pivots at globally minimal valuation, so the valuation
-    # of the selected minor's determinant, the sum of its pivot valuations, is
-    # the Smith index of the eigenlattice sum inside the full integral lattice
-    defect = max(0, solver[2])
+    eigen = Basis(ctx, basis)
     return HorosphericalDecomposition(
         a=a,
         group=spec,
         eigenvalues=tuple(eigenvalues),
-        basis=tuple(basis),
+        basis=eigen.mats,
         classes=tuple(classes),
         nu=tuple(nu),
         nu_total=nu_total,
-        lattice_defect=defect,
-        _solver=solver,
+        lattice_defect=max(0, eigen.index),
+        _coords=eigen,
     )
 
 
@@ -440,5 +433,5 @@ def atom_representatives(dec: HorosphericalDecomposition, k: int) -> list[PadicM
         combos = [c + [r] for c in combos for r in range(ctx.p**v)]
     for digits in combos:
         coords = [ctx.from_rational(c * ctx.p ** (k - v)) for (v, _), c in zip(stable, digits)]
-        reps.append(exp(_combine([b for _, b in stable], coords)))
+        reps.append(exp(combine([b for _, b in stable], coords)))
     return reps

@@ -50,13 +50,11 @@ class ProbVector:
 
     Args:
         weights: the entries; the sum must be within 1e-12 of 1.
-        strictly_positive: demand every entry > 0 (needed for the reference
-            argument of phi, which divides by these weights).
     """
 
     weights: tuple[float, ...]
 
-    def __init__(self, weights: Sequence[float], strictly_positive: bool = False):
+    def __init__(self, weights: Sequence[float]):
         ws = tuple(float(w) for w in weights)
         if not ws:
             raise ValueError("empty probability vector")
@@ -66,8 +64,6 @@ class ProbVector:
             raise ValueError("negative weight in probability vector")
         if abs(sum(ws) - 1.0) > _NORMALIZATION_TOL:
             raise ValueError(f"weights sum to {sum(ws)!r}, not 1")
-        if strictly_positive and any(w == 0.0 for w in ws):
-            raise ValueError("zero weight where strict positivity was required")
         object.__setattr__(self, "weights", ws)
 
     @property

@@ -58,7 +58,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .errors import DomainError, NoConvergence, PrecisionExhausted
-from .matrix import PadicMatrix, _vp, add_absorb, add_rank, eliminate, zp_module_basis
+from .matrix import Basis, PadicMatrix, _vp, add_absorb
 from .scalar import PadicContext, PadicScalar
 
 
@@ -68,30 +68,25 @@ class GroupSpec:
 
     Args:
         ctx: ambient p-adic context.
-        family: "sl", "gl", or "custom".
+        family: "sl" or "gl".
         dim: ambient matrix size d.
         lie_basis: Z_p-basis of (algebra cap Mat_d(Z_p)); every vector must be
             integral with content 0, and the list linearly independent.
-        equations: for "custom" only, defining polynomials of the group as
-            {exponent tuple over the d^2 entries: rational coefficient} dicts;
-            membership requires them to vanish at working precision.
     """
 
     ctx: PadicContext
     family: str
     dim: int
     lie_basis: tuple
-    equations: tuple = ()
-    _solver: dict = field(default_factory=dict, repr=False, compare=False)
+    _coords: Basis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.family not in ("sl", "gl"):
+            raise ValueError(f"unknown group family: {self.family!r}")
         for b in self.lie_basis:
-            v = b.min_valuation()
-            if v != 0:
+            if b.min_valuation() != 0:
                 raise ValueError("lie_basis vectors must be integral with content 0")
-        reduced = zp_module_basis([b.flat() for b in self.lie_basis])
-        if len(reduced) != len(self.lie_basis):
-            raise ValueError("lie_basis vectors are linearly dependent")
+        object.__setattr__(self, "_coords", Basis(self.ctx, self.lie_basis))
 
     @classmethod
     def sl(cls, ctx: PadicContext, d: int) -> "GroupSpec":
@@ -118,50 +113,15 @@ class GroupSpec:
         ]
         return cls(ctx, "gl", d, tuple(basis))
 
-    @classmethod
-    def custom(cls, ctx, d, lie_basis, equations) -> "GroupSpec":
-        eqs = tuple(
-            tuple(sorted((tuple(mono), coeff) for mono, coeff in eq.items()))
-            for eq in equations
-        )
-        return cls(ctx, "custom", d, tuple(lie_basis), eqs)
-
-    # -- algebra coordinates -------------------------------------------------
-
-    def algebra_coordinates(self, x: PadicMatrix, verify: bool = True):
+    def algebra_coordinates(self, x: PadicMatrix):
         """Coordinates of x in lie_basis; None if x is (certifiably) outside."""
-        solver = self._coordinate_solver()
-        coords = _solve_coordinates(solver, x)
-        if verify and not _combination_matches(self.lie_basis, coords, x):
-            return None
-        return coords
-
-    def _coordinate_solver(self):
-        if "data" not in self._solver:
-            self._solver["data"] = _build_coordinate_solver(
-                self.ctx, [b.flat() for b in self.lie_basis]
-            )
-        return self._solver["data"]
+        return self._coords.coordinates(x, verify=True)
 
     def in_group(self, g: PadicMatrix) -> bool:
-        """Do the defining equations hold at working precision?"""
-        n = self.ctx.precision
+        """sl: det g = 1 at working precision; gl: det g is not zero."""
         if self.family == "sl":
-            return _vanishes_at(g.det() - self.ctx.one(), n)
-        if self.family == "gl":
-            return not g.det().is_zero
-        flat = g.flat()
-        for eq in self.equations:
-            acc = self.ctx.zero()
-            for mono, coeff in eq:
-                term = self.ctx.from_rational(coeff)
-                for idx, e in enumerate(mono):
-                    for _ in range(e):
-                        term = term * flat[idx]
-                acc = add_absorb(acc, term)
-            if not _vanishes_at(acc, n):
-                return False
-        return True
+            return _vanishes_at(g.det() - self.ctx.one(), self.ctx.precision)
+        return not g.det().is_zero
 
 
 def _unit_matrix(ctx, d, i, j) -> PadicMatrix:
@@ -174,71 +134,6 @@ def _vanishes_at(x: PadicScalar, k: int) -> bool:
     if x.is_zero:
         return True
     return x.v >= min(k, x.v + x.digits)
-
-
-# ---- coordinate solving ------------------------------------------------------
-
-
-def _build_coordinate_solver(ctx, flat_basis: list[list[PadicScalar]]):
-    """Solver for coordinates in a basis given as flat entry vectors.
-
-    The kernel runs on the rows [b_j | e_j] with pivots sought among the
-    entry columns, under the rank policy.  Its pivots pick len(basis) entry
-    positions where the basis is invertible; the carried identity block then
-    holds the inverse on those positions, row r divided by its pivot.
-    Returns (chosen entries, inverse rows, sum of pivot valuations); the sum
-    is the valuation of the chosen minor's determinant.
-    """
-    n = len(flat_basis)
-    width = len(flat_basis[0])
-    zero, one = ctx.zero(), ctx.one()
-    rows = [list(v) + [one if i == j else zero for j in range(n)] for i, v in enumerate(flat_basis)]
-    pivots = eliminate(rows, zero, add_rank, width)
-    if len(pivots) < n:
-        raise ValueError("basis vectors do not have full rank")
-    chosen = [c for _, c in pivots]
-    inverse = [[x / rows[r][c] for x in rows[r][width:]] for r, c in pivots]
-    return chosen, inverse, sum(rows[r][c].v for r, c in pivots)
-
-
-def _solve_coordinates(solver, x: PadicMatrix) -> list[PadicScalar]:
-    chosen, inverse, _ = solver
-    flat = x.flat()
-    out = [x.ctx.zero()] * len(chosen)
-    for r, inv_row in zip(chosen, inverse):
-        s = flat[r]
-        if s.is_zero:
-            continue
-        out = [add_absorb(acc, s * c) for acc, c in zip(out, inv_row)]
-    return out
-
-
-def _combine(basis, coords, policy=add_absorb) -> PadicMatrix:
-    """sum_i coords[i] * basis[i], each entry summed by `policy`."""
-    acc = PadicMatrix.zeros(basis[0].ctx, basis[0].dim)
-    for c, b in zip(coords, basis):
-        if not c.is_zero:
-            acc = acc.add(b.scale(c), policy)
-    return acc
-
-
-def _combination_matches(basis, coords, x: PadicMatrix) -> bool:
-    """Does sum_i coords[i] * basis[i] reproduce x at working precision?
-
-    This decides whether x raises the rank of the basis, so it sums under the
-    rank policy: x and its reconstruction can agree in every certified digit
-    without being mirror images at full precision.
-    """
-    # the reconstruction is only as sharp as the least certified basis entry
-    level = x.ctx.precision
-    for b in basis:
-        for row in b.rows:
-            for e in row:
-                if not e.is_zero:
-                    level = min(level, e.digits)
-    diff = _combine(basis, coords, add_rank).add(-x, add_rank)
-    v = diff.min_valuation()
-    return v == float("inf") or v >= level
 
 
 # ---- exp / log ---------------------------------------------------------------
@@ -501,6 +396,8 @@ def bch(x: PadicMatrix, y: PadicMatrix, mode: str = "direct") -> PadicMatrix:
     (-1)^(m-1)/(m n P_1! q_1! ...); see the module docstring for the dynamic
     program and its precision.
     """
+    if x.dim != y.dim:
+        raise ValueError(f"bch of a {x.dim}x{x.dim} and a {y.dim}x{y.dim} matrix")
     key = mode.strip().lower()
     if key in ("direct",):
         _require_deep(x, "bch")
@@ -521,7 +418,7 @@ def bch(x: PadicMatrix, y: PadicMatrix, mode: str = "direct") -> PadicMatrix:
 
 
 def ball_membership(g: PadicMatrix, spec: GroupSpec, k: int) -> bool:
-    """g in K^G_k: ||g - e|| <= p^(-k) and the group equations vanish.
+    """g in K^G_k: ||g - e|| <= p^(-k) and g lies in the group.
 
     Raises PrecisionExhausted when the certified digits of g cannot decide
     ||g - e|| <= p^(-k).
@@ -559,6 +456,8 @@ def horospherical_factor(g: PadicMatrix, k: int, dec) -> FactorResult:
     n_prec = ctx.precision
     if k < 2:
         raise DomainError("factorization needs k >= 2")
+    if g.dim != dec.a.dim:
+        raise ValueError(f"a {g.dim}x{g.dim} element against a {dec.a.dim}x{dec.a.dim} flow")
     ident = PadicMatrix.identity(ctx, g.dim)
     f_acc = ident
     h_acc = ident

@@ -14,15 +14,15 @@ becomes.  Each is an adder with the signature of `+`; public scalar and matrix
   * `add_absorb`: a full cancellation whose floor is >= N (the true sum is
     O(p^-N), invisible in every mod-p^N output) becomes the exact zero; a
     coarser one raises.  It is sound everywhere, and is used by `det`,
-    `inverse` and liegroup's coordinate, group-equation and factor products.
+    `inverse`, `Basis` coordinates, `combine` and liegroup's factor
+    products.
   * `add_rank`: any full cancellation becomes the exact zero.  Where a rank
     is decided at working precision, "indistinguishable from zero" and
     "zero" force the same decision, so it is allowed only there: inside the
     kernel when it builds a kernel (`nullspace`), a Z_p-module basis
-    (`zp_module_basis`) or a coordinate solver (liegroup), in the test that
-    a matrix lies in the span of a basis (whether appending it raises the
-    rank; liegroup), and in the Ad(a) - lambda I shift of
-    `dynamics.decompose`.
+    (`zp_module_basis`) or a `Basis`, in the test that a matrix lies in the
+    span of a `Basis` (whether appending it raises the rank), and in the
+    Ad(a) - lambda I shift of `dynamics.decompose`.
 
 Characteristic polynomials use the Berkowitz algorithm: it is division-free,
 so coefficients of exact-rational inputs keep full certified digits.  Root
@@ -195,8 +195,13 @@ class PadicMatrix:
 
     # ---- ring operations --------------------------------------------------
 
+    def _check_size(self, other: "PadicMatrix") -> None:
+        if other.dim != self.dim:
+            raise ValueError(f"a {self.dim}x{self.dim} and a {other.dim}x{other.dim} matrix")
+
     def add(self, other: "PadicMatrix", policy) -> "PadicMatrix":
         """Entrywise sum, each entry summed by `policy` (see the module docstring)."""
+        self._check_size(other)
         return PadicMatrix(
             self.ctx,
             [[policy(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
@@ -213,6 +218,7 @@ class PadicMatrix:
 
     def matmul(self, other: "PadicMatrix", policy) -> "PadicMatrix":
         """Matrix product, each dot product accumulated by `policy`."""
+        self._check_size(other)
         n = self.dim
         orows = other.rows
         cols = [[orows[k][j] for k in range(n)] for j in range(n)]
@@ -560,6 +566,67 @@ def hensel_roots(coeffs: list[PadicScalar]) -> list[tuple[PadicScalar, int]]:
 
 def _sort_roots(roots: list[tuple[PadicScalar, int]]) -> None:
     roots.sort(key=lambda rm: (rm[0].valuation(), 0 if rm[0].is_zero else rm[0].unit))
+
+
+# ---- coordinates in a basis of matrices --------------------------------------
+
+
+def combine(mats, coords, policy=add_absorb) -> PadicMatrix:
+    """sum_i coords[i] * mats[i], each entry summed by `policy`."""
+    acc = PadicMatrix.zeros(mats[0].ctx, mats[0].dim)
+    for c, b in zip(coords, mats):
+        if not c.is_zero:
+            acc = acc.add(b.scale(c), policy)
+    return acc
+
+
+class Basis:
+    """Coordinates of matrices in a basis of linearly independent matrices.
+
+    Construction runs the kernel on the rows [b_j | e_j] with pivots sought
+    among the entry columns, under the rank policy.  Its pivots pick len(mats)
+    entry positions where the basis is invertible; the carried identity block
+    then holds the inverse on those positions, row r divided by its pivot.
+    `index` is the sum of the pivot valuations, the valuation of the chosen
+    minor's determinant.  The empty basis (of sl_1) is allowed.
+    """
+
+    __slots__ = ("mats", "index", "_chosen", "_inverse", "_level")
+
+    def __init__(self, ctx: PadicContext, mats) -> None:
+        self.mats = tuple(mats)
+        n = len(self.mats)
+        flat = [b.flat() for b in self.mats]
+        width = len(flat[0]) if flat else 0
+        zero, one = ctx.zero(), ctx.one()
+        rows = [v + [one if i == j else zero for j in range(n)] for i, v in enumerate(flat)]
+        pivots = eliminate(rows, zero, add_rank, width)
+        if len(pivots) < n:
+            raise ValueError("basis matrices are linearly dependent")
+        self._chosen = [c for _, c in pivots]
+        self._inverse = [[x / rows[r][c] for x in rows[r][width:]] for r, c in pivots]
+        self.index = sum(rows[r][c].v for r, c in pivots)
+        # a combination is only as sharp as the least certified basis entry
+        self._level = min([ctx.precision] + [e.digits for v in flat for e in v if not e.is_zero])
+
+    def coordinates(self, x: PadicMatrix, verify: bool):
+        """Coordinates of x; None if verify finds x outside the span.
+
+        The check asks whether x raises the rank of the basis, so it sums
+        under the rank policy: x and its reconstruction can agree in every
+        certified digit without being mirror images at full precision.
+        """
+        flat = x.flat()
+        out = [x.ctx.zero()] * len(self._chosen)
+        for r, inv_row in zip(self._chosen, self._inverse):
+            s = flat[r]
+            if not s.is_zero:
+                out = [add_absorb(acc, s * c) for acc, c in zip(out, inv_row)]
+        if verify:
+            diff = combine(self.mats, out, add_rank).add(-x, add_rank) if self.mats else -x
+            if diff.min_valuation() < self._level:
+                return None
+        return out
 
 
 # ---- kernels and Z_p module bases -------------------------------------------

@@ -148,6 +148,23 @@ def test_full_oracle_guards_only_conjugated_windows():
     assert code == 10 and "64-bit" in err
 
 
+X2 = '[["0","9"],["0","0"]]'
+X3 = '[["0","9","0"],["0","0","0"],["0","0","0"]]'
+I3 = '[["1","0","0"],["0","1","0"],["0","0","1"]]'
+
+
+@pytest.mark.parametrize("argv", [
+    ["bch", "--x", X2, "--y", X3],
+    ["bch", "--x", X2, "--y", X3, "--mode", "dynkin"],
+    ["factor", "--dim", "2", "--a", '[["1/3","0"],["0","3"]]', "--element", I3],
+    ["analyze", "--dim", "2", "--element", '[["1/3","0","0"],["0","1","0"],["0","0","3"]]'],
+], ids=["bch-direct", "bch-dynkin", "factor", "analyze"])
+def test_operands_of_different_sizes_exit_1(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err and "x3" in err
+
+
 def test_module_entry_point():
     # the child imports the same padlab as this process, installed or not
     src = str(Path(padlab.__file__).resolve().parents[1])

@@ -47,8 +47,6 @@ def test_prob_vector_validation():
     with pytest.raises(ValueError):
         ProbVector([-0.1, 1.1])
     with pytest.raises(ValueError):
-        ProbVector([1.0, 0.0], strictly_positive=True)
-    with pytest.raises(ValueError):
         ProbVector([])
     with pytest.raises(ValueError):
         ProbVector([math.nan, 1.0])  # NaN fails both < 0 and the sum test

@@ -19,7 +19,7 @@ from padlab.liegroup import (
     ball_membership,
     horospherical_factor,
 )
-from padlab.matrix import add_absorb
+from padlab.matrix import Basis, add_absorb, combine
 
 
 def random_deep_element(spec: GroupSpec, rng: random.Random, exact=None) -> PadicMatrix:
@@ -509,25 +509,37 @@ def test_group_spec_validation():
     ctx = PadicContext(3)
     e = PadicMatrix.from_rationals(ctx, [[0, 1], [0, 0]])
     with pytest.raises(ValueError):
-        GroupSpec(ctx, "custom", 2, (e, e))  # dependent
+        GroupSpec(ctx, "gl", 2, (e, e))  # dependent
     with pytest.raises(ValueError):
-        GroupSpec(ctx, "custom", 2, (e.scale(ctx.from_rational(3)),))  # content 1
+        GroupSpec(ctx, "gl", 2, (e.scale(ctx.from_rational(3)),))  # content 1
+    with pytest.raises(ValueError):
+        GroupSpec(ctx, "custom", 2, (e,))  # only sl and gl have membership rules
 
 
-def test_algebra_coordinates_detect_outsiders():
-    ctx = PadicContext(3)
-    spec = GroupSpec.sl(ctx, 2)
-    inside = PadicMatrix.from_rationals(ctx, [[2, 5], [7, -2]])
-    coords = spec.algebra_coordinates(inside)
-    assert coords is not None
-    rebuilt = PadicMatrix.zeros(ctx, 2)
-    for c, b in zip(coords, spec.lie_basis):
-        if not c.is_zero:
-            rebuilt = rebuilt + b.scale(c)
-    assert rebuilt.congruent_mod(inside, ctx.precision)
-    # nonzero trace lies outside sl_2
-    outside = PadicMatrix.from_rationals(ctx, [[1, 0], [0, 0]])
-    assert spec.algebra_coordinates(outside) is None
+GROUP_CASES = [(family, d, p) for family in ("sl", "gl") for d in (1, 2, 3) for p in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("family,d,p", GROUP_CASES, ids=[f"{f}{d}-p{p}" for f, d, p in GROUP_CASES])
+def test_algebra_coordinates_detect_outsiders(family, d, p):
+    ctx = PadicContext(p)
+    spec = getattr(GroupSpec, family)(ctx, d)
+    assert len(spec.lie_basis) == d * d - (family == "sl")
+    assert Basis(ctx, spec.lie_basis).index == 0
+    rng = random.Random(1000 * p + 10 * d + (family == "sl"))
+    for _ in range(5):
+        # a seeded integral element of the algebra
+        x = PadicMatrix.zeros(ctx, d)
+        for b in spec.lie_basis:
+            x = x + b.scale(ctx.from_rational(rng.randint(-(p**3), p**3)))
+        coords = spec.algebra_coordinates(x)
+        assert coords is not None and len(coords) == len(spec.lie_basis)
+        if spec.lie_basis:
+            assert combine(spec.lie_basis, coords).congruent_mod(x, ctx.precision)
+    # nonzero trace lies outside sl_d, for d = 1 outside the empty basis
+    trace_one = PadicMatrix.zeros(ctx, d).rows
+    trace_one[0][0] = ctx.one()
+    coords = spec.algebra_coordinates(PadicMatrix(ctx, trace_one))
+    assert (coords is None) == (family == "sl")
 
 
 # ---- horospherical factorization --------------------------------------------

@@ -6,6 +6,7 @@ and compared at the precision each entry claims.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from padlab import PadicContext, PadicMatrix, PadicScalar
 from padlab.errors import NotSplitAtPrecision, PrecisionExhausted, SingularAtPrecision
-from padlab.matrix import hensel_roots, nullspace, poly_eval, zp_module_basis
+from padlab.matrix import Basis, add_absorb, hensel_roots, nullspace, poly_eval, zp_module_basis
 
 
 def vp(fr: Fraction, p: int):
@@ -445,6 +446,39 @@ def test_zp_module_basis_unit_pivots():
     # the input span is all of Q_p^2, so the integral basis has unit det
     det = basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0]
     assert det.valuation() == 0
+
+
+def test_operands_of_different_sizes_raise():
+    # zip would otherwise truncate the larger operand to the smaller's size
+    ctx = PadicContext(3)
+    small, big = PadicMatrix.identity(ctx, 2), PadicMatrix.identity(ctx, 3)
+    for x, y in ((small, big), (big, small)):
+        for op in (operator.add, operator.sub, operator.matmul):
+            with pytest.raises(ValueError):
+                op(x, y)
+        with pytest.raises(ValueError):
+            x.add(y, add_absorb)
+        with pytest.raises(ValueError):
+            x.matmul(y, add_absorb)
+
+
+def test_basis_coordinates_and_index():
+    ctx = PadicContext(3)
+    e12 = PadicMatrix.from_rationals(ctx, [[0, 1], [0, 0]])
+    e21 = PadicMatrix.from_rationals(ctx, [[0, 0], [1, 0]])
+    basis = Basis(ctx, (e12, e21.scale(ctx.from_rational(9))))
+    assert basis.index == 2  # the span holds 9 Z_3 E21, not Z_3 E21
+    x = PadicMatrix.from_rationals(ctx, [[0, 5], [18, 0]])
+    assert basis.coordinates(x, True) == [ctx.from_rational(5), ctx.from_rational(2)]
+    assert basis.coordinates(e21, True) == [ctx.zero(), ctx.from_rational(Fraction(1, 9))]
+    assert basis.coordinates(PadicMatrix.identity(ctx, 2), True) is None
+    with pytest.raises(ValueError):
+        Basis(ctx, (e12, e12.scale(ctx.from_rational(3))))
+    # the empty basis spans only the zero matrix
+    empty = Basis(ctx, ())
+    assert empty.index == 0
+    assert empty.coordinates(PadicMatrix.zeros(ctx, 1), True) == []
+    assert empty.coordinates(PadicMatrix.identity(ctx, 1), True) is None
 
 
 def test_zp_module_basis_drops_dependent_rows():
