@@ -79,6 +79,13 @@ def _as_prob(v: "ProbVector | Sequence[float]") -> ProbVector:
     return v if isinstance(v, ProbVector) else ProbVector(v)
 
 
+def _json_int(value, name: str) -> int:
+    """A count read from a document: a JSON integer, not a float, bool or string."""
+    if type(value) is not int:
+        raise ValueError(f"'{name}' must be a JSON integer, got {value!r}")
+    return value
+
+
 def phi(ref: "ProbVector | Sequence[float]", obs: "ProbVector | Sequence[float]") -> float:
     """Relative entropy sum_i q_i ln(q_i / p_i) of obs = q against ref = p.
 
@@ -228,7 +235,7 @@ class MarkovMeasure:
             raise ValueError("markov document needs a 'transition' field")
         measure = cls(doc["transition"])
         declared = doc.get("s")
-        if declared is not None and int(declared) != measure.s:
+        if declared is not None and _json_int(declared, "s") != measure.s:
             raise ValueError(
                 f"declared symbol count {declared} does not match "
                 f"{measure.s}x{measure.s} transition matrix"
@@ -342,7 +349,7 @@ class CylinderFunction:
         """Build from {"depth": m, "values": [...]}."""
         if not isinstance(doc, dict) or "depth" not in doc or "values" not in doc:
             raise ValueError("cylinder document needs 'depth' and 'values'")
-        return cls(int(doc["depth"]), s, doc["values"])
+        return cls(_json_int(doc["depth"], "depth"), s, doc["values"])
 
     def value(self, word: Sequence[int]) -> float:
         idx = 0

@@ -8,8 +8,11 @@ integral, so digit loss never amplifies.  The kernel takes a valuation
 function, so exact Fraction matrices use it too.
 
 Two cancellation policies say what a sum that cancels every certified digit
-becomes.  Each is an adder with the signature of `+`; public scalar and matrix
-`+`, `-` and `@` use neither and keep raising PrecisionExhausted.
+becomes.  Each is an adder with the signature of `+`, applied in exactly three
+places: the row update of `eliminate`, the dot product `_dot` (behind
+`matmul`, `combine` and `Basis` coordinates; `char_poly` sums with strict `+`)
+and the entrywise `PadicMatrix.add`.  Public scalar and matrix `+`, `-` and
+`@` use neither and keep raising PrecisionExhausted.
 
   * `add_absorb`: a full cancellation whose floor is >= N (the true sum is
     O(p^-N), invisible in every mod-p^N output) becomes the exact zero; a
@@ -52,7 +55,8 @@ def add_absorb(a: PadicScalar, b: PadicScalar) -> PadicScalar:
     zero in every mod-p^N output, so the exact zero is sound.  Coarser
     cancellations still raise.
     """
-    # exact zeros skip the context check of `+`: series evaluation adds many
+    # exact zeros skip the context check of `+`: every `_dot` sum starts from
+    # one, and the identity block of an `eliminate` row holds many
     if a.v is None:
         return b
     if b.v is None:
@@ -74,6 +78,20 @@ def add_rank(a: PadicScalar, b: PadicScalar) -> PadicScalar:
         return a + b
     except PrecisionExhausted:
         return a.ctx.zero()
+
+
+def _dot(xs, ys, zero, policy=operator.add):
+    """Sum of the nonzero products xs[i] * ys[i], added in index order by `policy`.
+
+    The sum starts from `zero` and runs over the shorter of the two sequences.
+    A product is zero exactly when a factor is, so zero factors are skipped
+    unmultiplied: sparse rows and coordinate vectors cost only their support.
+    """
+    acc = zero
+    for x, y in zip(xs, ys):
+        if x.v is not None and y.v is not None:
+            acc = policy(acc, x * y)
+    return acc
 
 
 _scalar_val = operator.attrgetter("v")  # None for the exact zero
@@ -219,23 +237,11 @@ class PadicMatrix:
     def matmul(self, other: "PadicMatrix", policy) -> "PadicMatrix":
         """Matrix product, each dot product accumulated by `policy`."""
         self._check_size(other)
-        n = self.dim
-        orows = other.rows
-        cols = [[orows[k][j] for k in range(n)] for j in range(n)]
-        out = []
-        for i in range(n):
-            ri = self.rows[i]
-            row = []
-            for j in range(n):
-                cj = cols[j]
-                acc = self.ctx.zero()
-                for k in range(n):
-                    t = ri[k] * cj[k]
-                    if not t.is_zero:
-                        acc = policy(acc, t)
-                row.append(acc)
-            out.append(row)
-        return PadicMatrix(self.ctx, out)
+        zero = self.ctx.zero()
+        cols = list(zip(*other.rows))
+        return PadicMatrix(
+            self.ctx, [[_dot(ri, cj, zero, policy) for cj in cols] for ri in self.rows]
+        )
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         return self.matmul(other, operator.add)
@@ -248,10 +254,7 @@ class PadicMatrix:
         return PadicMatrix(self.ctx, [[self.rows[j][i] for j in range(n)] for i in range(n)])
 
     def trace(self) -> PadicScalar:
-        acc = self.ctx.zero()
-        for i in range(self.dim):
-            acc = acc + self.rows[i][i]
-        return acc
+        return sum((self.rows[i][i] for i in range(self.dim)), self.ctx.zero())
 
     def flat(self) -> list[PadicScalar]:
         """Row-major entry list (the coordinate vector in the E_ij basis)."""
@@ -283,6 +286,7 @@ class PadicMatrix:
 
     def congruent_mod(self, other: "PadicMatrix", k: int) -> bool:
         """Certified entrywise congruence mod p^k, i.e. ||X - Y|| <= p^(-k)."""
+        self._check_size(other)
         return all(
             a.congruent_mod(b, k)
             for ra, rb in zip(self.rows, other.rows)
@@ -332,45 +336,22 @@ class PadicMatrix:
     def char_poly(self) -> list[PadicScalar]:
         """det(xI - A) by Berkowitz, ascending: coeffs[k] multiplies x^k."""
         ctx = self.ctx
-        n = self.dim
+        zero = ctx.zero()
         a = self.rows
         poly = [ctx.one()]  # descending coefficients, leading first
-        for r in range(1, n + 1):
-            diag = a[r - 1][r - 1]
+        for r in range(1, self.dim + 1):
             row = a[r - 1][: r - 1]
-            col = [a[i][r - 1] for i in range(r - 1)]
-            # first column of the (r+1) x r Toeplitz factor:
-            # [1, -diag, -(R C), -(R M C), ..., -(R M^(r-2) C)]
-            t = [ctx.one(), -diag]
-            w = col
+            # first column of the (r+1) x r Toeplitz factor, M the leading
+            # (r-1) x (r-1) block: [1, -diag, -(R C), -(R M C), ..., -(R M^(r-2) C)]
+            t = [ctx.one(), -a[r - 1][r - 1]]
+            w = [a[i][r - 1] for i in range(r - 1)]
             while len(t) < r + 1:
-                acc = ctx.zero()
-                for x, y in zip(row, w):
-                    s = x * y
-                    if not s.is_zero:
-                        acc = acc + s
-                t.append(-acc)
+                t.append(-_dot(row, w, zero))
                 if len(t) == r + 1:
                     break
-                w2 = []
-                for i in range(r - 1):
-                    acc = ctx.zero()
-                    for j in range(r - 1):
-                        s = a[i][j] * w[j]
-                        if not s.is_zero:
-                            acc = acc + s
-                    w2.append(acc)
-                w = w2
-            new = []
-            for i in range(r + 1):
-                acc = ctx.zero()
-                lo = max(0, i - (len(t) - 1))
-                for j in range(lo, min(i, r - 1) + 1):
-                    s = t[i - j] * poly[j]
-                    if not s.is_zero:
-                        acc = acc + s
-                new.append(acc)
-            poly = new
+                w = [_dot(a[i], w, zero) for i in range(r - 1)]
+            # the Toeplitz product: new[i] = sum_j t[i - j] * poly[j]
+            poly = [_dot(t[i::-1], poly, zero) for i in range(r + 1)]
         poly.reverse()
         return poly
 
@@ -573,11 +554,10 @@ def _sort_roots(roots: list[tuple[PadicScalar, int]]) -> None:
 
 def combine(mats, coords, policy=add_absorb) -> PadicMatrix:
     """sum_i coords[i] * mats[i], each entry summed by `policy`."""
-    acc = PadicMatrix.zeros(mats[0].ctx, mats[0].dim)
-    for c, b in zip(coords, mats):
-        if not c.is_zero:
-            acc = acc.add(b.scale(c), policy)
-    return acc
+    ctx = mats[0].ctx
+    zero = ctx.zero()
+    entries = zip(*(b.flat() for b in mats))
+    return PadicMatrix.from_flat(ctx, mats[0].dim, [_dot(coords, e, zero, policy) for e in entries])
 
 
 class Basis:
@@ -612,16 +592,18 @@ class Basis:
     def coordinates(self, x: PadicMatrix, verify: bool):
         """Coordinates of x; None if verify finds x outside the span.
 
+        x must have the size of the basis matrices (ValueError otherwise).
+
         The check asks whether x raises the rank of the basis, so it sums
         under the rank policy: x and its reconstruction can agree in every
         certified digit without being mirror images at full precision.
         """
+        if self.mats:
+            self.mats[0]._check_size(x)
         flat = x.flat()
-        out = [x.ctx.zero()] * len(self._chosen)
-        for r, inv_row in zip(self._chosen, self._inverse):
-            s = flat[r]
-            if not s.is_zero:
-                out = [add_absorb(acc, s * c) for acc, c in zip(out, inv_row)]
+        picked = [flat[r] for r in self._chosen]
+        zero = x.ctx.zero()
+        out = [_dot(picked, col, zero, add_absorb) for col in zip(*self._inverse)]
         if verify:
             diff = combine(self.mats, out, add_rank).add(-x, add_rank) if self.mats else -x
             if diff.min_valuation() < self._level:

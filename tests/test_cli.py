@@ -165,6 +165,21 @@ def test_operands_of_different_sizes_exit_1(argv):
     assert "Traceback" not in err and "x3" in err
 
 
+CHAIN = '"transition":[[0.5,0.5],[0.5,0.5]]'
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--p", "2", "--nu", "1", "--markov", '{"s":2.5,' + CHAIN + "}"],
+    ["telescope", "--markov", "{" + CHAIN + "}", "--f", '{"depth":1.9,"values":[1.0,0.0]}'],
+    ["telescope", "--markov", "{" + CHAIN + "}", "--f", '{"depth":"1","values":[1.0,0.0]}'],
+], ids=["gap-s-float", "telescope-depth-float", "telescope-depth-string"])
+def test_document_counts_must_be_json_integers(argv):
+    # int() would truncate these counts and run the call on other input
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert "JSON integer" in err
+
+
 def test_module_entry_point():
     # the child imports the same padlab as this process, installed or not
     src = str(Path(padlab.__file__).resolve().parents[1])

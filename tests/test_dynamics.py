@@ -69,6 +69,17 @@ def test_sl2_standard_flow():
         assert image.congruent_mod(b.scale(lam), 10)
 
 
+def test_coordinates_refuse_a_matrix_of_another_size():
+    # unchecked, the sl2 eigenbasis would read a 3x3 at its pivot positions
+    # (diag(9, 9, -18) as [0, 9, 0]) and a 1x1 past its end
+    _, dec = sl_flow(3, [Fraction(1, 3), 3])
+    for rows in ([[9, 0, 0], [0, 9, 0], [0, 0, -18]], [[1]]):
+        x = PadicMatrix.from_rationals(dec.ctx, rows)
+        for verify in (False, True):
+            with pytest.raises(ValueError, match="matrix"):
+                dec.coordinates(x, verify)
+
+
 def test_sl3_bicontracting_flow():
     _, dec = sl_flow(3, [Fraction(1, 9), 1, 9])
     assert dec.nu == (-4, -2, -2, 0, 0, 2, 2, 4)

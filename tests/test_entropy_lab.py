@@ -155,6 +155,18 @@ def test_from_document():
         MarkovMeasure.from_document({"rows": []})
 
 
+def test_document_counts_must_be_json_integers():
+    # int() would read 2.5 as 2, "2" as 2 and True as 1
+    chain = [[0.5, 0.5], [0.5, 0.5]]
+    for s in (2.5, 2.0, "2", True):
+        with pytest.raises(ValueError, match="JSON integer"):
+            MarkovMeasure.from_document({"s": s, "transition": chain})
+    for depth in (1.9, 1.0, "1", True):
+        with pytest.raises(ValueError, match="JSON integer"):
+            CylinderFunction.from_document({"depth": depth, "values": [1.0, 0.0]}, 2)
+    assert CylinderFunction.from_document({"depth": 1, "values": [1.0, 0.0]}, 2).depth == 1
+
+
 def test_stationary_nonconvergence_is_reported():
     # spectral gap ~1e-9: the round budget cannot reach residual 1e-13
     with pytest.raises(IrreducibilityError, match="round budget"):

@@ -16,7 +16,16 @@ from hypothesis import strategies as st
 
 from padlab import PadicContext, PadicMatrix, PadicScalar
 from padlab.errors import NotSplitAtPrecision, PrecisionExhausted, SingularAtPrecision
-from padlab.matrix import Basis, add_absorb, hensel_roots, nullspace, poly_eval, zp_module_basis
+from padlab.matrix import (
+    Basis,
+    add_absorb,
+    add_rank,
+    combine,
+    hensel_roots,
+    nullspace,
+    poly_eval,
+    zp_module_basis,
+)
 
 
 def vp(fr: Fraction, p: int):
@@ -173,6 +182,16 @@ def test_char_poly_matches_cofactor_expansion(p, n):
                 check_entry(g, e)
 
 
+def test_char_poly_sums_with_strict_plus():
+    # Berkowitz's first dot R C = u - u, u = 3 * 5 to 11 digits, cancels at
+    # floor 12 = N: add_absorb would return the exact zero, strict + refuses
+    ctx = PadicContext(3)
+    u, zero, one = PadicScalar(ctx, 1, 5, 11), ctx.zero(), ctx.one()
+    m = PadicMatrix(ctx, [[zero, zero, one], [zero, zero, one], [u, -u, zero]])
+    with pytest.raises(PrecisionExhausted, match="cancelled all 11"):
+        m.char_poly()
+
+
 def test_trace_transpose_flat():
     ctx = PadicContext(5)
     m = PadicMatrix.from_rationals(ctx, [[1, 2], [3, 4]])
@@ -193,6 +212,15 @@ def test_congruent_mod_matrices():
     b = PadicMatrix.from_rationals(ctx, [[1 + 3**7, 0], [3**7, 1]])
     assert a.congruent_mod(b, 7)
     assert not a.congruent_mod(b, 8)
+
+
+def test_congruent_mod_refuses_another_size():
+    # through zip alone, I2 and I3 would agree mod 3^5 on their common corner
+    ctx = PadicContext(3)
+    small, big = PadicMatrix.identity(ctx, 2), PadicMatrix.identity(ctx, 3)
+    for x, y in ((small, big), (big, small)):
+        with pytest.raises(ValueError):
+            x.congruent_mod(y, 5)
 
 
 # ---- Hensel root finding ----------------------------------------------------
@@ -487,3 +515,159 @@ def test_zp_module_basis_drops_dependent_rows():
     vin = [[one, one], [ctx.from_rational(2), ctx.from_rational(2)]]
     basis = zp_module_basis(vin)
     assert len(basis) == 1
+
+
+# ---- the hand-written dot products, the reference routes -----------------------
+
+
+def reference_matmul(a: PadicMatrix, b: PadicMatrix, policy) -> PadicMatrix:
+    """The product as matmul summed it before the shared dot product."""
+    n = a.dim
+    cols = [[b.rows[k][j] for k in range(n)] for j in range(n)]
+    out = []
+    for i in range(n):
+        ri = a.rows[i]
+        row = []
+        for j in range(n):
+            cj = cols[j]
+            acc = a.ctx.zero()
+            for k in range(n):
+                t = ri[k] * cj[k]
+                if not t.is_zero:
+                    acc = policy(acc, t)
+            row.append(acc)
+        out.append(row)
+    return PadicMatrix(a.ctx, out)
+
+
+def reference_char_poly(m: PadicMatrix) -> list[PadicScalar]:
+    """Berkowitz with its three hand-written loops, strict +."""
+    ctx = m.ctx
+    n = m.dim
+    a = m.rows
+    poly = [ctx.one()]
+    for r in range(1, n + 1):
+        diag = a[r - 1][r - 1]
+        row = a[r - 1][: r - 1]
+        col = [a[i][r - 1] for i in range(r - 1)]
+        t = [ctx.one(), -diag]
+        w = col
+        while len(t) < r + 1:
+            acc = ctx.zero()
+            for x, y in zip(row, w):
+                s = x * y
+                if not s.is_zero:
+                    acc = acc + s
+            t.append(-acc)
+            if len(t) == r + 1:
+                break
+            w2 = []
+            for i in range(r - 1):
+                acc = ctx.zero()
+                for j in range(r - 1):
+                    s = a[i][j] * w[j]
+                    if not s.is_zero:
+                        acc = acc + s
+                w2.append(acc)
+            w = w2
+        new = []
+        for i in range(r + 1):
+            acc = ctx.zero()
+            lo = max(0, i - (len(t) - 1))
+            for j in range(lo, min(i, r - 1) + 1):
+                s = t[i - j] * poly[j]
+                if not s.is_zero:
+                    acc = acc + s
+            new.append(acc)
+        poly = new
+    poly.reverse()
+    return poly
+
+
+def reference_combine(mats, coords, policy) -> PadicMatrix:
+    """sum_i coords[i] * mats[i] through a scaled matrix per coordinate."""
+    acc = PadicMatrix.zeros(mats[0].ctx, mats[0].dim)
+    for c, b in zip(coords, mats):
+        if not c.is_zero:
+            acc = acc.add(b.scale(c), policy)
+    return acc
+
+
+def reference_coordinates(basis: Basis, x: PadicMatrix, verify: bool):
+    """Basis.coordinates rebuilding its output list for every chosen row."""
+    flat = x.flat()
+    out = [x.ctx.zero()] * len(basis._chosen)
+    for r, inv_row in zip(basis._chosen, basis._inverse):
+        s = flat[r]
+        if not s.is_zero:
+            out = [add_absorb(acc, s * c) for acc, c in zip(out, inv_row)]
+    if verify:
+        diff = reference_combine(basis.mats, out, add_rank).add(-x, add_rank) if basis.mats else -x
+        if diff.min_valuation() < basis._level:
+            return None
+    return out
+
+
+def outcome(call):
+    """("ok", (v, unit, digits) of every entry) or ("raise", class, message)."""
+    try:
+        got = call()
+    except (PrecisionExhausted, ValueError) as err:
+        return ("raise", type(err), str(err))
+    if got is None:
+        return ("ok", None)
+    entries = got.flat() if isinstance(got, PadicMatrix) else got
+    return ("ok", [(e.v, e.unit, e.digits) for e in entries])
+
+
+@st.composite
+def low_digit_cases(draw):
+    """(policy, a, b, mats, coords, x) over one Q_p: d x d matrices whose
+    entries are exact zeros or p^v u with 3-12 certified digits."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(2, 4))
+    ctx = PadicContext(p)
+
+    def entry(code: int) -> PadicScalar:
+        # one draw per entry: a quarter are exact zeros, half carry one of the
+        # units +-1, +-(1 + p), so sums often cancel, and a quarter any unit
+        code, kind = divmod(code, 4)
+        code, v = divmod(code, 3)
+        code, digits = divmod(code, 10)
+        if kind == 0:
+            return ctx.zero()
+        a, r = divmod(code, p - 1)
+        unit = p * a + r + 1 if kind == 3 else (-1) ** code * (1 + p * (code // 2 % 2))
+        return PadicScalar(ctx, v - 1, unit, digits + 3)
+
+    entries = st.integers(0, 120 * p**12).map(entry)
+    matrix = st.lists(entries, min_size=d * d, max_size=d * d).map(
+        lambda flat: PadicMatrix.from_flat(ctx, d, flat)
+    )
+    policy = draw(st.sampled_from([add_absorb, add_rank, operator.add]))
+    mats = draw(st.lists(matrix, min_size=1, max_size=4))
+    coords = draw(st.lists(entries, min_size=len(mats), max_size=len(mats)))
+    return policy, draw(matrix), draw(matrix), mats, coords, draw(matrix)
+
+
+@settings(max_examples=200)
+@given(low_digit_cases())
+def test_dot_product_matches_the_reference_loops(case):
+    policy, a, b, mats, coords, x = case
+    assert outcome(lambda: a.matmul(b, policy)) == outcome(lambda: reference_matmul(a, b, policy))
+    assert outcome(a.char_poly) == outcome(lambda: reference_char_poly(a))
+    # combine and coordinates now finish one output entry before the next,
+    # where the reference added one term to every entry at a time: when two
+    # entries refuse, each route names the first it reached, so only the
+    # class of a refusal is compared
+    assert outcome(lambda: combine(mats, coords, policy))[:2] == outcome(
+        lambda: reference_combine(mats, coords, policy)
+    )[:2]
+    try:
+        basis = Basis(a.ctx, mats)
+    except ValueError:
+        return  # linearly dependent draws have no coordinates
+    for verify in (False, True):
+        assert outcome(lambda: basis.coordinates(x, verify))[:2] == outcome(
+            lambda: reference_coordinates(basis, x, verify)
+        )[:2]
