@@ -1,5 +1,6 @@
 """Command-line front end: one subcommand per library capability.
 
+The common flags --p, --precision and --format follow the subcommand.
 Output is a single JSON document on stdout (schema "padlab/1", sorted keys)
 or flat key = value lines with --format text.  Exact quantities are printed
 as num/den rational strings and inexact reals with 12 significant digits, so
@@ -33,6 +34,7 @@ from .dynamics import (
 from .entropylab import (
     CylinderFunction,
     MarkovMeasure,
+    _json_int,
     entropy_gap,
     entropy_rate,
     pinsker_check,
@@ -155,174 +157,124 @@ def _group_spec(ctx: PadicContext, args) -> GroupSpec:
 
 def _decomposition(args):
     ctx = _context(args)
-    spec = _group_spec(ctx, args)
-    a = _parse_matrix(ctx, args.a if hasattr(args, "a") and args.a else args.element)
-    return ctx, spec, a, decompose(a, spec)
-
-
-def _base_doc(args, command: str) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "p": args.p,
-        "precision": args.precision,
-    }
+    a = _parse_matrix(ctx, getattr(args, "a", None) or args.element)
+    return decompose(a, _group_spec(ctx, args))
 
 
 # ---- subcommand handlers ------------------------------------------------
+# each returns its own fields and the exit code; main adds the envelope
 
 
 def _cmd_analyze(args) -> tuple[dict, int]:
-    ctx, spec, a, dec = _decomposition(args)
-    nu_plus = [v for v in dec.nu if v > 0]
-    doc = _base_doc(args, "analyze")
-    doc.update(
-        {
-            "group": args.group,
-            "dim": args.dim,
-            "eigenvalues": [_fmt_rational(ev.as_rational()) for ev in dec.eigenvalues],
-            "valuations": list(dec.nu),
-            "classes": list(dec.classes),
-            "nu": nu_plus,
-            "nu_total": dec.nu_total,
-            "entropy": {
-                "exact": f"{dec.nu_total}*log({args.p})",
-                "nats": _fmt_real(entropy(dec)),
-            },
-            "mod_character": _fmt_rational(mod_character(dec)),
-            "min_partition_level": min_partition_level(dec),
-            "lattice_defect": dec.lattice_defect,
-        }
-    )
-    return doc, 0
+    dec = _decomposition(args)
+    return {
+        "group": args.group,
+        "dim": args.dim,
+        "eigenvalues": [_fmt_rational(ev.as_rational()) for ev in dec.eigenvalues],
+        "valuations": list(dec.nu),
+        "classes": list(dec.classes),
+        "nu": [v for v in dec.nu if v > 0],
+        "nu_total": dec.nu_total,
+        "entropy": {
+            "exact": f"{dec.nu_total}*log({args.p})",
+            "nats": _fmt_real(entropy(dec)),
+        },
+        "mod_character": _fmt_rational(mod_character(dec)),
+        "min_partition_level": min_partition_level(dec),
+        "lattice_defect": dec.lattice_defect,
+    }, 0
 
 
 def _cmd_exp(args) -> tuple[dict, int]:
-    ctx = _context(args)
-    x = _parse_matrix(ctx, args.element)
-    doc = _base_doc(args, "exp")
-    doc["result"] = _matrix_doc(exp(x))
-    return doc, 0
+    m = _parse_matrix(_context(args), args.element)
+    return {"result": _matrix_doc(exp(m))}, 0
 
 
 def _cmd_log(args) -> tuple[dict, int]:
-    ctx = _context(args)
-    g = _parse_matrix(ctx, args.element)
-    doc = _base_doc(args, "log")
-    doc["result"] = _matrix_doc(log(g))
-    return doc, 0
+    m = _parse_matrix(_context(args), args.element)
+    return {"result": _matrix_doc(log(m))}, 0
 
 
 def _cmd_bch(args) -> tuple[dict, int]:
     ctx = _context(args)
-    x = _parse_matrix(ctx, args.x)
-    y = _parse_matrix(ctx, args.y)
-    doc = _base_doc(args, "bch")
-    doc["mode"] = args.mode
-    doc["result"] = _matrix_doc(bch(x, y, mode=args.mode))
-    return doc, 0
+    z = bch(_parse_matrix(ctx, args.x), _parse_matrix(ctx, args.y), mode=args.mode)
+    return {"mode": args.mode, "result": _matrix_doc(z)}, 0
 
 
 def _cmd_factor(args) -> tuple[dict, int]:
-    ctx, spec, a, dec = _decomposition(args)
-    g = _parse_matrix(ctx, args.element)
+    dec = _decomposition(args)
+    g = _parse_matrix(dec.ctx, args.element)
     res = horospherical_factor(g, args.k, dec)
-    product = res.unstable @ res.bounded
-    passed = product.congruent_mod(g, ctx.precision)
-    doc = _base_doc(args, "factor")
-    doc.update(
-        {
-            "unstable": _matrix_doc(res.unstable),
-            "bounded": _matrix_doc(res.bounded),
-            "rounds": res.rounds,
-            "remultiplication": "PASS" if passed else "FAIL",
-        }
-    )
-    return doc, 0 if passed else EXIT_DISAGREE
+    passed = (res.unstable @ res.bounded).congruent_mod(g, dec.ctx.precision)
+    return {
+        "unstable": _matrix_doc(res.unstable),
+        "bounded": _matrix_doc(res.bounded),
+        "rounds": res.rounds,
+        "remultiplication": "PASS" if passed else "FAIL",
+    }, 0 if passed else EXIT_DISAGREE
 
 
 def _cmd_bowen(args) -> tuple[dict, int]:
-    ctx, spec, a, dec = _decomposition(args)
-    ball = bowen_ball(dec, args.k, args.n)
-    doc = _base_doc(args, "bowen")
-    doc.update(
-        {
-            "k": args.k,
-            "n": args.n,
-            "levels": list(ball.levels),
-            "volume_ratio": _fmt_rational(bowen_volume_ratio(dec, args.n)),
-            "entropy_nats": _fmt_real(entropy(dec)),
-        }
-    )
-    return doc, 0
+    dec = _decomposition(args)
+    return {
+        "k": args.k,
+        "n": args.n,
+        "levels": list(bowen_ball(dec, args.k, args.n).levels),
+        "volume_ratio": _fmt_rational(bowen_volume_ratio(dec, args.n)),
+        "entropy_nats": _fmt_real(entropy(dec)),
+    }, 0
 
 
 def _cmd_oracle(args) -> tuple[dict, int]:
-    ctx, spec, a, dec = _decomposition(args)
+    dec = _decomposition(args)
     counts = bowen_count_oracle(dec, args.k, args.n, args.level, mode=args.mode)
     closed = [bowen_volume_ratio(dec, m) for m in range(1, args.n + 1)]
     agree = list(counts.ratios) == closed
-    doc = _base_doc(args, "oracle")
-    doc.update(
-        {
-            "mode": counts.mode,
-            "k": args.k,
-            "n": args.n,
-            "level": counts.level,
-            "counts": [str(c) for c in counts.counts],
-            "ratios": [_fmt_rational(r) for r in counts.ratios],
-            "closed_form": [_fmt_rational(r) for r in closed],
-            "verdict": "AGREE" if agree else "DISAGREE",
-        }
-    )
-    return doc, 0 if agree else EXIT_DISAGREE
+    return {
+        "mode": counts.mode,
+        "k": args.k,
+        "n": args.n,
+        "level": counts.level,
+        "counts": [str(c) for c in counts.counts],
+        "ratios": [_fmt_rational(r) for r in counts.ratios],
+        "closed_form": [_fmt_rational(r) for r in closed],
+        "verdict": "AGREE" if agree else "DISAGREE",
+    }, 0 if agree else EXIT_DISAGREE
 
 
 def _cmd_atoms(args) -> tuple[dict, int]:
-    ctx, spec, a, dec = _decomposition(args)
+    dec = _decomposition(args)
     reps = atom_representatives(dec, args.k)
-    doc = _base_doc(args, "atoms")
-    doc.update(
-        {
-            "k": args.k,
-            "count": len(reps),
-            "mod_character": _fmt_rational(mod_character(dec)),
-            "representatives": [_matrix_doc(r) for r in reps],
-        }
-    )
-    return doc, 0
+    return {
+        "k": args.k,
+        "count": len(reps),
+        "mod_character": _fmt_rational(mod_character(dec)),
+        "representatives": [_matrix_doc(r) for r in reps],
+    }, 0
 
 
 def _cmd_gap(args) -> tuple[dict, int]:
     measure = MarkovMeasure.from_document(_load_json_arg(args.markov))
     identity = entropy_gap(measure, args.nu, args.p)
-    doc = _base_doc(args, "gap")
-    doc.update(
-        {
-            "nu_total": args.nu,
-            "symbols": measure.s,
-            "entropy_rate": _fmt_real(entropy_rate(measure)),
-            "entropy_side": _fmt_real(identity.entropy_side),
-            "phi_side": _fmt_real(identity.phi_side),
-            "stationary": [_fmt_real(w) for w in measure.stationary.weights],
-        }
-    )
-    return doc, 0
+    return {
+        "nu_total": args.nu,
+        "symbols": measure.s,
+        "entropy_rate": _fmt_real(entropy_rate(measure)),
+        "entropy_side": _fmt_real(identity.entropy_side),
+        "phi_side": _fmt_real(identity.phi_side),
+        "stationary": [_fmt_real(w) for w in measure.stationary.weights],
+    }, 0
 
 
 def _cmd_pinsker(args) -> tuple[dict, int]:
     ref = [float(x) for x in _load_json_arg(args.ref)]
     obs = [float(x) for x in _load_json_arg(args.obs)]
     report = pinsker_check(ref, obs)
-    doc = _base_doc(args, "pinsker")
-    doc.update(
-        {
-            "l1": _fmt_real(report.l1),
-            "bound": _fmt_real(report.bound),
-            "holds": report.holds,
-        }
-    )
-    return doc, 0
+    return {
+        "l1": _fmt_real(report.l1),
+        "bound": _fmt_real(report.bound),
+        "holds": report.holds,
+    }, 0
 
 
 def _cmd_telescope(args) -> tuple[dict, int]:
@@ -337,49 +289,37 @@ def _cmd_telescope(args) -> tuple[dict, int]:
         raise ValueError("no cylinder function: pass --f or embed an 'f' field")
     f = CylinderFunction.from_document(f_doc, measure.s)
     report = telescope_bound_check(f, measure)
-    doc = _base_doc(args, "telescope")
-    doc.update(
-        {
-            "depth": f.depth,
-            "gap": _fmt_real(report.gap),
-            "deltas": [_fmt_real(d) for d in report.deltas],
-            "per_step_bounds": [_fmt_real(b) for b in report.per_step_bounds],
-            "mean_f": _fmt_real(report.mean_f),
-            "mu_f": _fmt_real(report.mu_f),
-            "total_defect": _fmt_real(report.total_defect),
-            "delta_sum": _fmt_real(report.delta_sum),
-            "per_step_hold": report.per_step_hold,
-            "telescoping_holds": report.telescoping_holds,
-        }
-    )
-    return doc, 0
+    return {
+        "depth": f.depth,
+        "gap": _fmt_real(report.gap),
+        "deltas": [_fmt_real(d) for d in report.deltas],
+        "per_step_bounds": [_fmt_real(b) for b in report.per_step_bounds],
+        "mean_f": _fmt_real(report.mean_f),
+        "mu_f": _fmt_real(report.mu_f),
+        "total_defect": _fmt_real(report.total_defect),
+        "delta_sum": _fmt_real(report.delta_sum),
+        "per_step_hold": report.per_step_hold,
+        "telescoping_holds": report.telescoping_holds,
+    }, 0
 
 
 def _cmd_xi(args) -> tuple[dict, int]:
-    doc = _base_doc(args, "xi")
-    doc["k"] = args.k
-    doc["value"] = _fmt_real(xi_pgl2(args.p, args.k))
-    return doc, 0
+    return {"k": args.k, "value": _fmt_real(xi_pgl2(args.p, args.k))}, 0
 
 
 def _cmd_oh(args) -> tuple[dict, int]:
     if (args.cartan is None) == (args.element is None):
         raise ValueError("pass exactly one of --cartan or --element")
     if args.cartan is not None:
-        cartan = [int(x) for x in _load_json_arg(args.cartan)]
+        cartan = [_json_int(x, "cartan") for x in _load_json_arg(args.cartan)]
     else:
-        ctx = _context(args)
-        cartan = cartan_valuations(_parse_matrix(ctx, args.element))
-    doc = _base_doc(args, "oh")
-    doc.update(
-        {
-            "cartan": cartan,
-            "dim_kv": args.dimkv,
-            "dim_kw": args.dimkw,
-            "value": _fmt_real(oh_bound(args.p, len(cartan), cartan, args.dimkv, args.dimkw)),
-        }
-    )
-    return doc, 0
+        cartan = cartan_valuations(_parse_matrix(_context(args), args.element))
+    return {
+        "cartan": cartan,
+        "dim_kv": args.dimkv,
+        "dim_kw": args.dimkw,
+        "value": _fmt_real(oh_bound(args.p, len(cartan), cartan, args.dimkv, args.dimkw)),
+    }, 0
 
 
 def _bundle_from_args(args) -> ConstantsBundle:
@@ -401,15 +341,11 @@ def _bundle_from_args(args) -> ConstantsBundle:
 
 def _cmd_kappa(args) -> tuple[dict, int]:
     bundle = _bundle_from_args(args)
-    doc = _base_doc(args, "kappa")
-    doc.update(
-        {
-            "kappa": _fmt_real(kappa(bundle)),
-            "entropy_nats": _fmt_real(bundle.entropy_nats),
-            "lf_shift_applied": bundle.lf_shift_applied,
-        }
-    )
-    return doc, 0
+    return {
+        "kappa": _fmt_real(kappa(bundle)),
+        "entropy_nats": _fmt_real(bundle.entropy_nats),
+        "lf_shift_applied": bundle.lf_shift_applied,
+    }, 0
 
 
 def _cmd_bound(args) -> tuple[dict, int]:
@@ -429,18 +365,14 @@ def _cmd_bound(args) -> tuple[dict, int]:
     rhs = theorem1_rhs(
         kappa_value, args.p, bundle.mixing.alpha, args.d, l_f, args.f_norm, gap
     )
-    doc = _base_doc(args, "bound")
-    doc.update(
-        {
-            "kappa": _fmt_real(kappa_value),
-            "l_f": l_f,
-            "lf_shift_applied": bundle.lf_shift_applied,
-            "gap": _fmt_real(gap),
-            "f_norm": _fmt_real(args.f_norm),
-            "rhs": _fmt_real(rhs),
-        }
-    )
-    return doc, 0
+    return {
+        "kappa": _fmt_real(kappa_value),
+        "l_f": l_f,
+        "lf_shift_applied": bundle.lf_shift_applied,
+        "gap": _fmt_real(gap),
+        "f_norm": _fmt_real(args.f_norm),
+        "rhs": _fmt_real(rhs),
+    }, 0
 
 
 # ---- parser wiring -------------------------------------------------------
@@ -474,6 +406,8 @@ def _add_bundle_flags(sp):
 
 
 def build_parser() -> _Parser:
+    # the common flags belong to the subcommands alone: placed before the
+    # subcommand they are not recognized, so the call exits 1
     common = _Parser(add_help=False)
     common.add_argument("--p", type=int, default=3, help="residue prime (default 3)")
     common.add_argument(
@@ -481,88 +415,77 @@ def build_parser() -> _Parser:
     )
     common.add_argument("--format", choices=("json", "text"), default="json")
 
-    parser = _Parser(prog="padlab", description=__doc__, parents=[common])
+    parser = _Parser(prog="padlab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
-    sp = sub.add_parser("analyze", parents=[common], help="adjoint eigenspace report")
+    def command(name, handler, summary):
+        sp = sub.add_parser(name, parents=[common], help=summary)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = command("analyze", _cmd_analyze, "adjoint eigenspace report")
     _add_matrix_group_flags(sp)
-    sp.set_defaults(handler=_cmd_analyze)
 
-    sp = sub.add_parser("exp", parents=[common], help="matrix exponential")
+    sp = command("exp", _cmd_exp, "matrix exponential")
     sp.add_argument("--element", required=True)
-    sp.set_defaults(handler=_cmd_exp)
 
-    sp = sub.add_parser("log", parents=[common], help="matrix logarithm")
+    sp = command("log", _cmd_log, "matrix logarithm")
     sp.add_argument("--element", required=True)
-    sp.set_defaults(handler=_cmd_log)
 
-    sp = sub.add_parser("bch", parents=[common], help="Baker-Campbell-Hausdorff")
+    sp = command("bch", _cmd_bch, "Baker-Campbell-Hausdorff")
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
     sp.add_argument("--mode", choices=("direct", "dynkin"), default="direct")
-    sp.set_defaults(handler=_cmd_bch)
 
-    sp = sub.add_parser("factor", parents=[common], help="horospherical factorization")
+    sp = command("factor", _cmd_factor, "horospherical factorization")
     _add_matrix_group_flags(sp, with_a=True)
     sp.add_argument("--k", type=int, default=2, help="ball level of g")
-    sp.set_defaults(handler=_cmd_factor)
 
-    sp = sub.add_parser("bowen", parents=[common], help="Bowen ball levels and volume")
+    sp = command("bowen", _cmd_bowen, "Bowen ball levels and volume")
     _add_matrix_group_flags(sp, element_help="hyperbolic element a")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_bowen)
 
-    sp = sub.add_parser("oracle", parents=[common], help="Bowen ball lattice count")
+    sp = command("oracle", _cmd_oracle, "Bowen ball lattice count")
     _add_matrix_group_flags(sp, element_help="hyperbolic element a")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--level", type=int, required=True, help="truncation level")
     sp.add_argument("--mode", choices=("FULL", "FACTORED"), default="FULL")
-    sp.set_defaults(handler=_cmd_oracle)
 
-    sp = sub.add_parser("atoms", parents=[common], help="partition atom representatives")
+    sp = command("atoms", _cmd_atoms, "partition atom representatives")
     _add_matrix_group_flags(sp, element_help="hyperbolic element a")
     sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(handler=_cmd_atoms)
 
-    sp = sub.add_parser("gap", parents=[common], help="entropy gap identity")
+    sp = command("gap", _cmd_gap, "entropy gap identity")
     sp.add_argument("--markov", required=True, help="markov document: literal or path")
     sp.add_argument("--nu", type=int, required=True, help="|nu| with s = p^|nu|")
-    sp.set_defaults(handler=_cmd_gap)
 
-    sp = sub.add_parser("pinsker", parents=[common], help="Pinsker inequality check")
+    sp = command("pinsker", _cmd_pinsker, "Pinsker inequality check")
     sp.add_argument("--ref", required=True, help="reference vector: literal or path")
     sp.add_argument("--obs", required=True, help="observed vector: literal or path")
-    sp.set_defaults(handler=_cmd_pinsker)
 
-    sp = sub.add_parser("telescope", parents=[common], help="telescoping bound report")
+    sp = command("telescope", _cmd_telescope, "telescoping bound report")
     sp.add_argument("--markov", required=True)
     sp.add_argument("--f", default=None, help="cylinder function document")
-    sp.set_defaults(handler=_cmd_telescope)
 
-    sp = sub.add_parser("xi", parents=[common], help="Harish-Chandra function value")
+    sp = command("xi", _cmd_xi, "Harish-Chandra function value")
     sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(handler=_cmd_xi)
 
-    sp = sub.add_parser("oh", parents=[common], help="matrix-coefficient decay bound")
+    sp = command("oh", _cmd_oh, "matrix-coefficient decay bound")
     sp.add_argument("--cartan", default=None, help="descending k-list, JSON literal")
     sp.add_argument("--element", default=None, help="matrix to take Cartan data from")
     sp.add_argument("--dimkv", type=int, default=1)
     sp.add_argument("--dimkw", type=int, default=1)
-    sp.set_defaults(handler=_cmd_oh)
 
-    sp = sub.add_parser("kappa", parents=[common], help="the headline constant")
-    _add_bundle_flags(sp)
-    sp.set_defaults(handler=_cmd_kappa)
+    _add_bundle_flags(command("kappa", _cmd_kappa, "the headline constant"))
 
-    sp = sub.add_parser("bound", parents=[common], help="entropy-gap rigidity bound")
+    sp = command("bound", _cmd_bound, "entropy-gap rigidity bound")
     _add_bundle_flags(sp)
     sp.add_argument("--lf", type=int, required=True, help="smoothness level of f")
     sp.add_argument("--f-norm", dest="f_norm", type=float, required=True)
     sp.add_argument("--gap", type=float, default=None)
     sp.add_argument("--gap-file", dest="gap_file", default=None)
-    sp.set_defaults(handler=_cmd_bound)
 
     return parser
 
@@ -571,29 +494,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not getattr(args, "subcommand", None):
+        if args.subcommand is None:
             parser.print_usage(sys.stderr)
             return 1
-        doc, code = args.handler(args)
+        fields, code = args.handler(args)
     except _ParseFailure as err:
         print(f"padlab: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as err:
+    except (ValueError, OSError, KeyError, TypeError) as err:
         print(f"padlab: invalid input: {err}", file=sys.stderr)
         return 1
     except errors.PadlabError as err:
-        code = EXIT_CODES.get(type(err))
-        if code is None:
-            # subclasses map to their nearest documented ancestor
-            for klass, value in EXIT_CODES.items():
-                if isinstance(err, klass):
-                    code = value
-                    break
-            else:
-                code = 1
         print(f"padlab: {type(err).__name__}: {err}", file=sys.stderr)
-        return code
-    _emit(doc, args.format)
+        return EXIT_CODES.get(type(err), 1)
+    envelope = {"schema": SCHEMA, "command": args.subcommand, "p": args.p,
+                "precision": args.precision}
+    _emit({**envelope, **fields}, args.format)
     return code
 
 

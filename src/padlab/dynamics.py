@@ -179,7 +179,7 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     if nu_total == 0:
         raise NoHyperbolicity("every adjoint eigenvalue is a p-adic unit")
 
-    eigen = Basis(ctx, basis)
+    eigen = Basis(ctx, a.dim, basis)
     return HorosphericalDecomposition(
         a=a,
         group=spec,

@@ -6,7 +6,7 @@ n >= 2 series tails are strictly smaller than the leading term, because
 |n!|_p >= p^(-n/(p-1)) and the entries start at valuation 2.
 
 Baker-Campbell-Hausdorff comes in two independently implemented modes:
-DIRECT is log(exp x exp y); DYNKIN_SERIES evaluates Dynkin's nested-commutator
+DIRECT is log(exp x exp y); DYNKIN evaluates Dynkin's nested-commutator
 expansion, organized as a dynamic program over blocks ad(x)^P ad(y)^q / (P!q!)
 so the composition sum costs O(n_max^3) operator applications instead of an
 exponential word enumeration.  Agreement of the two modes at certified
@@ -86,7 +86,7 @@ class GroupSpec:
         for b in self.lie_basis:
             if b.min_valuation() != 0:
                 raise ValueError("lie_basis vectors must be integral with content 0")
-        object.__setattr__(self, "_coords", Basis(self.ctx, self.lie_basis))
+        object.__setattr__(self, "_coords", Basis(self.ctx, self.dim, self.lie_basis))
 
     @classmethod
     def sl(cls, ctx: PadicContext, d: int) -> "GroupSpec":
@@ -399,11 +399,11 @@ def bch(x: PadicMatrix, y: PadicMatrix, mode: str = "direct") -> PadicMatrix:
     if x.dim != y.dim:
         raise ValueError(f"bch of a {x.dim}x{x.dim} and a {y.dim}x{y.dim} matrix")
     key = mode.strip().lower()
-    if key in ("direct",):
+    if key == "direct":
         _require_deep(x, "bch")
         _require_deep(y, "bch")
         return log(exp(x) @ exp(y))
-    if key not in ("dynkin", "dynkin_series"):
+    if key != "dynkin":
         raise ValueError(f"unknown bch mode: {mode!r}")
     kx = _require_deep(x, "bch")
     ky = _require_deep(y, "bch")

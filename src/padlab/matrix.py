@@ -568,16 +568,20 @@ class Basis:
     entry positions where the basis is invertible; the carried identity block
     then holds the inverse on those positions, row r divided by its pivot.
     `index` is the sum of the pivot valuations, the valuation of the chosen
-    minor's determinant.  The empty basis (of sl_1) is allowed.
+    minor's determinant.  The basis matrices are dim x dim; the empty basis
+    (of sl_1) is allowed and still knows dim.
     """
 
-    __slots__ = ("mats", "index", "_chosen", "_inverse", "_level")
+    __slots__ = ("dim", "mats", "index", "_chosen", "_inverse", "_level")
 
-    def __init__(self, ctx: PadicContext, mats) -> None:
+    def __init__(self, ctx: PadicContext, dim: int, mats) -> None:
+        self.dim = dim
         self.mats = tuple(mats)
+        for b in self.mats:
+            self._check_size(b)
         n = len(self.mats)
         flat = [b.flat() for b in self.mats]
-        width = len(flat[0]) if flat else 0
+        width = dim * dim
         zero, one = ctx.zero(), ctx.one()
         rows = [v + [one if i == j else zero for j in range(n)] for i, v in enumerate(flat)]
         pivots = eliminate(rows, zero, add_rank, width)
@@ -592,14 +596,13 @@ class Basis:
     def coordinates(self, x: PadicMatrix, verify: bool):
         """Coordinates of x; None if verify finds x outside the span.
 
-        x must have the size of the basis matrices (ValueError otherwise).
+        x must be dim x dim (ValueError otherwise).
 
         The check asks whether x raises the rank of the basis, so it sums
         under the rank policy: x and its reconstruction can agree in every
         certified digit without being mirror images at full precision.
         """
-        if self.mats:
-            self.mats[0]._check_size(x)
+        self._check_size(x)
         flat = x.flat()
         picked = [flat[r] for r in self._chosen]
         zero = x.ctx.zero()
@@ -609,6 +612,8 @@ class Basis:
             if diff.min_valuation() < self._level:
                 return None
         return out
+
+    _check_size = PadicMatrix._check_size  # reads only self.dim
 
 
 # ---- kernels and Z_p module bases -------------------------------------------

@@ -57,15 +57,28 @@ def cartan_valuations(g: PadicMatrix) -> list[int]:
     so diag(p, 1/p) gives (1, -1) and any unimodular-integral g gives all
     zeros.
 
+    g is known only modulo p^F, F the least absolute precision v + digits of
+    its nonzero entries, so only divisors of valuation below F are
+    determined.  One at F or above may be an artefact of the representatives
+    (as_rational lifts -1 to p^N - 1) over a true divisor of zero.
+
     Raises:
-        SingularAtPrecision: g has no inverse (a zero elementary divisor).
+        SingularAtPrecision: g has a zero elementary divisor, or one the
+            certified digits do not determine.
     """
     work = [[x.as_rational() for x in row] for row in g.rows]
     val = fraction_val(g.ctx.p)
     pivots = eliminate(work, Fraction(0), operator.add, val=val)
     if len(pivots) < g.dim:
         raise SingularAtPrecision("matrix has a zero elementary divisor")
-    return sorted((val(work[r][c]) for r, c in pivots), reverse=True)
+    divisors = sorted((val(work[r][c]) for r, c in pivots), reverse=True)
+    floor = min(x.abs_precision() for row in g.rows for x in row)
+    if divisors[0] >= floor:
+        raise SingularAtPrecision(
+            f"elementary divisor at valuation {divisors[0]} is not determined by "
+            f"entries certified modulo p^{floor}"
+        )
+    return divisors
 
 
 def oh_bound(p: int, m: int, cartan: list[int], dim_kv: int, dim_kw: int) -> float:

@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import padlab
+from padlab import errors
+from padlab.cli import EXIT_CODES
 
 from cli_cases import EXIT_CASES, GOLDEN_CASES, GOLDEN_DIR, SUBCOMMANDS, run_cli
 
@@ -172,12 +174,43 @@ CHAIN = '"transition":[[0.5,0.5],[0.5,0.5]]'
     ["gap", "--p", "2", "--nu", "1", "--markov", '{"s":2.5,' + CHAIN + "}"],
     ["telescope", "--markov", "{" + CHAIN + "}", "--f", '{"depth":1.9,"values":[1.0,0.0]}'],
     ["telescope", "--markov", "{" + CHAIN + "}", "--f", '{"depth":"1","values":[1.0,0.0]}'],
-], ids=["gap-s-float", "telescope-depth-float", "telescope-depth-string"])
+    ["oh", "--p", "3", "--cartan", "[1.9,-1.9]"],
+    ["oh", "--p", "3", "--cartan", "[true,false]"],
+    ["oh", "--p", "3", "--cartan", '["1","-1"]'],
+], ids=["gap-s-float", "telescope-depth-float", "telescope-depth-string",
+        "oh-cartan-float", "oh-cartan-bool", "oh-cartan-string"])
 def test_document_counts_must_be_json_integers(argv):
     # int() would truncate these counts and run the call on other input
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "")
     assert "JSON integer" in err
+
+
+def test_oh_of_a_singular_element_with_negative_entries_exits_8():
+    # -1 embeds as 3^12 - 1; the lifted matrix is not singular, g is
+    code, out, err = run_cli(["oh", "--p", "3", "--element", '[["-1","1"],["1","-1"]]'])
+    assert (code, out) == (8, "")
+    assert "SingularAtPrecision" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "5", "xi", "--k", "1"],
+    ["--format", "text", "xi", "--k", "1"],
+], ids=["p", "format"])
+def test_common_flags_before_the_subcommand_exit_1(argv):
+    # refused, not shadowed by the subcommand's default of the same flag
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err != ""
+
+
+def test_every_error_class_has_one_exit_code():
+    # main maps an error by its exact class, so a class missing here would
+    # silently exit 1
+    classes = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, errors.PadlabError)
+               and obj is not errors.PadlabError}
+    assert set(EXIT_CODES) == classes
 
 
 def test_module_entry_point():

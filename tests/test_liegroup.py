@@ -524,7 +524,7 @@ def test_algebra_coordinates_detect_outsiders(family, d, p):
     ctx = PadicContext(p)
     spec = getattr(GroupSpec, family)(ctx, d)
     assert len(spec.lie_basis) == d * d - (family == "sl")
-    assert Basis(ctx, spec.lie_basis).index == 0
+    assert Basis(ctx, d, spec.lie_basis).index == 0
     rng = random.Random(1000 * p + 10 * d + (family == "sl"))
     for _ in range(5):
         # a seeded integral element of the algebra
@@ -540,6 +540,9 @@ def test_algebra_coordinates_detect_outsiders(family, d, p):
     trace_one[0][0] = ctx.one()
     coords = spec.algebra_coordinates(PadicMatrix(ctx, trace_one))
     assert (coords is None) == (family == "sl")
+    # a matrix of another size is refused, by the empty basis of sl_1 too
+    with pytest.raises(ValueError, match=f"{d}x{d} and a {d + 2}x{d + 2}"):
+        spec.algebra_coordinates(PadicMatrix.zeros(ctx, d + 2))
 
 
 # ---- horospherical factorization --------------------------------------------

@@ -494,19 +494,24 @@ def test_basis_coordinates_and_index():
     ctx = PadicContext(3)
     e12 = PadicMatrix.from_rationals(ctx, [[0, 1], [0, 0]])
     e21 = PadicMatrix.from_rationals(ctx, [[0, 0], [1, 0]])
-    basis = Basis(ctx, (e12, e21.scale(ctx.from_rational(9))))
+    basis = Basis(ctx, 2, (e12, e21.scale(ctx.from_rational(9))))
     assert basis.index == 2  # the span holds 9 Z_3 E21, not Z_3 E21
     x = PadicMatrix.from_rationals(ctx, [[0, 5], [18, 0]])
     assert basis.coordinates(x, True) == [ctx.from_rational(5), ctx.from_rational(2)]
     assert basis.coordinates(e21, True) == [ctx.zero(), ctx.from_rational(Fraction(1, 9))]
     assert basis.coordinates(PadicMatrix.identity(ctx, 2), True) is None
     with pytest.raises(ValueError):
-        Basis(ctx, (e12, e12.scale(ctx.from_rational(3))))
+        Basis(ctx, 2, (e12, e12.scale(ctx.from_rational(3))))
     # the empty basis spans only the zero matrix
-    empty = Basis(ctx, ())
+    empty = Basis(ctx, 1, ())
     assert empty.index == 0
     assert empty.coordinates(PadicMatrix.zeros(ctx, 1), True) == []
     assert empty.coordinates(PadicMatrix.identity(ctx, 1), True) is None
+    # and, like every basis, knows its matrix size
+    with pytest.raises(ValueError, match="1x1 and a 3x3"):
+        empty.coordinates(PadicMatrix.zeros(ctx, 3), True)
+    with pytest.raises(ValueError, match="3x3 and a 2x2"):
+        Basis(ctx, 3, (e12,))
 
 
 def test_zp_module_basis_drops_dependent_rows():
@@ -664,7 +669,7 @@ def test_dot_product_matches_the_reference_loops(case):
         lambda: reference_combine(mats, coords, policy)
     )[:2]
     try:
-        basis = Basis(a.ctx, mats)
+        basis = Basis(a.ctx, a.dim, mats)
     except ValueError:
         return  # linearly dependent draws have no coordinates
     for verify in (False, True):

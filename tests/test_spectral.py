@@ -119,6 +119,18 @@ def test_cartan_rejects_singular():
         cartan_valuations(PadicMatrix.from_rationals(ctx, [[1, 2], [2, 4]]))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 1], [1, 1]],
+    [[-1, 1], [1, -1]],
+    [[2, -4], [-1, 2]],
+], ids=["positive", "negative", "mixed"])
+def test_cartan_rejects_singular_with_negative_entries(rows):
+    # -1 embeds as p^N - 1, so the lifted matrix has a divisor at valuation
+    # N that the certified digits do not determine
+    with pytest.raises(SingularAtPrecision):
+        cartan_valuations(PadicMatrix.from_rationals(PadicContext(3), rows))
+
+
 # ---- decay bound from Cartan data ---------------------------------------------
 
 
