@@ -57,28 +57,43 @@ def cartan_valuations(g: PadicMatrix) -> list[int]:
     so diag(p, 1/p) gives (1, -1) and any unimodular-integral g gives all
     zeros.
 
-    g is known only modulo p^F, F the least absolute precision v + digits of
-    its nonzero entries, so only divisors of valuation below F are
-    determined.  One at F or above may be an artefact of the representatives
-    (as_rational lifts -1 to p^N - 1) over a true divisor of zero.
+    The elimination runs on the rational lift G of g (as_rational lifts -1
+    to p^N - 1), and each entry g_kj is certified only modulo p^P_kj, P_kj
+    its absolute precision v + digits.  Any matrix within those precisions
+    is G + D = G (I + G^-1 D), and (G^-1 D)_ij has valuation at least
+    min_k val((G^-1)_ik) + P_kj.  When every such sum is positive, I + G^-1 D
+    lies in GL_n(Z_p) and all those matrices share G's divisors; otherwise
+    they are not determined, as for a singular g whose lift has a spurious
+    divisor at valuation N.
 
     Raises:
-        SingularAtPrecision: g has a zero elementary divisor, or one the
-            certified digits do not determine.
+        SingularAtPrecision: g has a zero elementary divisor, or divisors
+            its certified digits do not determine.
     """
-    work = [[x.as_rational() for x in row] for row in g.rows]
+    n = g.dim
+    zero, one = Fraction(0), Fraction(1)
+    aug = [
+        [x.as_rational() for x in row] + [one if i == j else zero for j in range(n)]
+        for i, row in enumerate(g.rows)
+    ]
     val = fraction_val(g.ctx.p)
-    pivots = eliminate(work, Fraction(0), operator.add, val=val)
-    if len(pivots) < g.dim:
+    pivots = eliminate(aug, zero, operator.add, n, val)
+    if len(pivots) < n:
         raise SingularAtPrecision("matrix has a zero elementary divisor")
-    divisors = sorted((val(work[r][c]) for r, c in pivots), reverse=True)
-    floor = min(x.abs_precision() for row in g.rows for x in row)
-    if divisors[0] >= floor:
-        raise SingularAtPrecision(
-            f"elementary divisor at valuation {divisors[0]} is not determined by "
-            f"entries certified modulo p^{floor}"
-        )
-    return divisors
+    # row c of G^-1 is the identity block of pivot row (r, c) over its pivot
+    inverse = [None] * n
+    for r, c in pivots:
+        inverse[c] = [x / aug[r][c] for x in aug[r][n:]]
+    row_precision = [min(x.abs_precision() for x in row) for row in g.rows]
+    for inv_row in inverse:
+        for k, x in enumerate(inv_row):
+            if x and val(x) + row_precision[k] <= 0:
+                raise SingularAtPrecision(
+                    f"elementary divisors are not determined: (g^-1) entry at "
+                    f"valuation {val(x)} against row {k} certified modulo "
+                    f"p^{row_precision[k]}"
+                )
+    return sorted((val(aug[r][c]) for r, c in pivots), reverse=True)
 
 
 def oh_bound(p: int, m: int, cartan: list[int], dim_kv: int, dim_kw: int) -> float:

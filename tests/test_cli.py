@@ -193,6 +193,13 @@ def test_oh_of_a_singular_element_with_negative_entries_exits_8():
     assert "SingularAtPrecision" in err
 
 
+def test_oh_of_an_element_with_divisors_at_the_entry_precision_exits_0():
+    # 1/729 is certified modulo 3^6 only, and the divisors are still [6, -6]
+    code, out, _ = run_cli(["oh", "--p", "3", "--element", '[["729","0"],["0","1/729"]]'])
+    assert code == 0
+    assert json.loads(out)["cartan"] == [6, -6]
+
+
 @pytest.mark.parametrize("argv", [
     ["--p", "5", "xi", "--k", "1"],
     ["--format", "text", "xi", "--k", "1"],

@@ -131,6 +131,18 @@ def test_cartan_rejects_singular_with_negative_entries(rows):
         cartan_valuations(PadicMatrix.from_rationals(PadicContext(3), rows))
 
 
+
+@pytest.mark.parametrize("precision,rows,expected", [
+    (12, [[Fraction(3) ** 6, 0], [0, Fraction(1, 3**6)]], [6, -6]),
+    (12, [[Fraction(3) ** 12, 0], [0, 1]], [12, 0]),
+    (4, [[9, 0], [0, Fraction(1, 9)]], [2, -2]),
+], ids=["diag-6-6", "diag-12-0", "diag-2-2-at-N4"])
+def test_cartan_of_divisors_beyond_the_least_entry_precision(precision, rows, expected):
+    # 3^-6 is certified only modulo 3^6, yet every matrix within each
+    # entry's own precision has these divisors
+    ctx = PadicContext(3, precision)
+    assert cartan_valuations(PadicMatrix.from_rationals(ctx, rows)) == expected
+
 # ---- decay bound from Cartan data ---------------------------------------------
 
 
