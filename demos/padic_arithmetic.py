@@ -33,13 +33,16 @@ b = ctx.from_rational(1)
 d = a - b
 print("(1 + 3^6) - 1:", d, " valuation:", d.valuation(), " digits left:", d.digits)
 
-# cancelling past every certified digit is an error, not a wrong answer
+# cancelling past every certified digit leaves the zero O(3^4), known only
+# modulo 3^4; it is not the exact zero, and reading it as an output refuses
 u = PadicScalar(ctx, 0, 1 + 3**2, 4)  # only 4 digits certified
 v = PadicScalar(ctx, 0, 1 + 3**2 + 3**4, 4)  # same 4 leading digits
+w = u - v
+print("u - v:", w, " times 9:", w * ctx.from_rational(9), " exact zero:", not w)
 try:
-    u - v
+    w.as_rational()
 except PrecisionExhausted as err:
-    print("full cancellation raises:", err)
+    print("reading u - v as a rational refuses:", err)
 
 # Hensel lifting: factor x^2 - x - 6 = (x - 3)(x + 2) over Q_3.
 # as_rational returns the canonical lift, so -2 prints as 3^12 - 2 = 531439

@@ -491,6 +491,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -499,6 +500,11 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         fields, code = args.handler(args)
     except _ParseFailure as err:
+        # the top level takes no flag, so a leading common flag is misplaced
+        flag = argv[0].split("=")[0] if argv else ""
+        if flag in ("--p", "--precision", "--format"):
+            err = (f"{flag} follows the subcommand, as --p, --precision and --format "
+                   f"do: padlab SUBCOMMAND {flag} ...")
         print(f"padlab: {err}", file=sys.stderr)
         return 1
     except (ValueError, OSError, KeyError, TypeError) as err:

@@ -43,7 +43,6 @@ from .matrix import (
     PadicMatrix,
     _invert,
     _vp,
-    add_rank,
     combine,
     fraction_val,
     hensel_roots,
@@ -156,9 +155,9 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     nu: list[int] = []
     for lam, mult in roots:
         # entries of Ad carry fewer than full digits, so subtracting an exact
-        # eigenvalue can cancel every certified digit; the kernel computation
-        # treats those as zero at working precision
-        shifted = ad_mat.add(-PadicMatrix.identity(ctx, dim_g).scale(lam), add_rank)
+        # eigenvalue can cancel every certified digit; the kernel never
+        # pivots on such an O(p^c)
+        shifted = ad_mat - PadicMatrix.identity(ctx, dim_g).scale(lam)
         kernel = nullspace(shifted)
         if len(kernel) != mult:
             raise NotDiagonalizable(
@@ -347,7 +346,7 @@ def _window_maps(dec, k, n, level, radius) -> list[tuple[int, np.ndarray]]:
     p, spec = dec.ctx.p, dec.group
     a_frac = [[x.as_rational() for x in row] for row in dec.a.rows]
     a_num, s_a = _integerize(a_frac, p)
-    inv_frac = _invert(a_frac, Fraction(0), Fraction(1), operator.add, fraction_val(p))
+    inv_frac, _ = _invert(a_frac, Fraction(0), Fraction(1), fraction_val(p))
     if inv_frac is None:
         raise DomainError("matrix is singular over the rationals")
     inv_num, s_inv = _integerize(inv_frac, p)

@@ -10,10 +10,10 @@ class PadlabError(Exception):
 
 
 class PrecisionExhausted(PadlabError):
-    """An addition cancelled every jointly certified digit.
+    """The certified digits cannot give what is asked of a value.
 
-    The result cannot be certified nonzero at working precision, and the
-    floating-valuation representation has no way to carry it.
+    An output entry is the zero O(p^c) with c below the working precision,
+    a division is by O(p^c), or a congruence is past the certified digits.
     """
 
 

@@ -18,17 +18,17 @@ coefficient c the weight p^D c mod p^M, with D the largest v_p of a kept
 denominator: the series is integer arithmetic mod p^M, nothing is absorbed,
 and the division by p^D at the end is the only one.  An output entry
 certified mod p^cert keeps min(N, cert - v) digits at valuation v; one = 0 mod
-p^cert is the exact zero if cert >= N and raises PrecisionExhausted
-otherwise.  M = cert + N + D for the largest cert, so every printed unit is
-exact on the representatives modulo p^(v + N).  cert is the least of the
-floor of the truncated tail and the first-order input error carried by the
-kept terms (Caruso, Roe and Vaccon, arXiv:1402.0743); A is the least
-v + digits over the input entries.
+p^cert is the zero O(p^cert).  M = cert + N + D for the largest cert, so every
+printed unit is exact on the representatives modulo p^(v + N).  cert is the
+least of the floor of the truncated tail and the first-order input error
+carried by the kept terms (Caruso, Roe and Vaccon, arXiv:1402.0743); A is the
+least v + digits over the input entries, and k the least valuation an input
+entry may have (c at an O(p^c)).
 
   * exp and log keep the terms j < n of sum c_j X^j, c_j = 1/j! or
     (-1)^(j+1)/j, and certify each entry on its own.  With E the absolute
-    precisions of X (inf at an exact zero), V its valuations, den_j = j! or j
-    and tail = min_(j >= n) (j k - v_p(den_j)),
+    precisions of X (inf at an exact zero), V its valuations (c at O(p^c)),
+    den_j = j! or j and tail = min_(j >= n) (j k - v_p(den_j)),
         cert_ij = min(tail, E_ij, min_m min(E_im + V_mj, V_im + E_mj) - v_p(2),
                       A + min_(j >= 3) ((j - 1) k - v_p(den_j))):
     terms 1 and 2 carry each entry's own input error, later terms a uniform
@@ -58,7 +58,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .errors import DomainError, NoConvergence, PrecisionExhausted
-from .matrix import Basis, PadicMatrix, _vp, add_absorb
+from .matrix import Basis, PadicMatrix, _vp
 from .scalar import PadicContext, PadicScalar
 
 
@@ -118,9 +118,11 @@ class GroupSpec:
         return self._coords.coordinates(x, verify=True)
 
     def in_group(self, g: PadicMatrix) -> bool:
-        """sl: det g = 1 at working precision; gl: det g is not zero."""
+        """sl: det g = 1 at working precision (PrecisionExhausted when its
+        digits cannot tell); gl: det g is not zero."""
         if self.family == "sl":
-            return _vanishes_at(g.det() - self.ctx.one(), self.ctx.precision)
+            ctx = self.ctx
+            return (g.det() - ctx.one()).congruent_mod(ctx.zero(), ctx.precision)
         return not g.det().is_zero
 
 
@@ -128,12 +130,6 @@ def _unit_matrix(ctx, d, i, j) -> PadicMatrix:
     rows = PadicMatrix.zeros(ctx, d).rows
     rows[i][j] = ctx.one()
     return PadicMatrix(ctx, rows)
-
-
-def _vanishes_at(x: PadicScalar, k: int) -> bool:
-    if x.is_zero:
-        return True
-    return x.v >= min(k, x.v + x.digits)
 
 
 # ---- exp / log ---------------------------------------------------------------
@@ -194,15 +190,17 @@ def _weights(p: int, denoms: list[int], room: int) -> tuple[int, int, tuple[int,
 
 
 def _reps(m: PadicMatrix) -> list[list[int]]:
-    """The integer representatives p^v * unit of m's entries (0 at an exact zero)."""
+    """The integer representatives p^v * unit of m's entries (0 at a zero:
+    O(p^c) keeps its floor in the certificate, not here)."""
     p = m.ctx.p
     return [[0 if e.v is None else e.unit * p**e.v for e in r] for r in m.rows]
 
 
 def _support_closure(rows) -> list[list[bool]]:
     """The positions that are nonzero in some power x^j, j >= 1, given the
-    exact zeros of x; every other entry of every power is exactly zero."""
-    edge = [[e.v is not None for e in r] for r in rows]
+    exact zeros of x; every other entry of every power is exactly zero.
+    O(p^c) may be nonzero, so it is an edge."""
+    edge = [[bool(e) for e in r] for r in rows]
     reach, span = edge, range(len(rows))
     while not all(map(all, reach)):
         nxt = [[r[j] or any(r[m] and edge[m][j] for m in span) for j in span] for r in reach]
@@ -213,7 +211,8 @@ def _support_closure(rows) -> list[list[bool]]:
 
 
 def _require_deep(x: PadicMatrix, what: str) -> int:
-    v = x.min_valuation()
+    """The least valuation an entry of x may have (O(p^c) may have c)."""
+    v = min(e.valuation() for e in x.flat())
     if v < 2:
         raise DomainError(f"{what} needs ||.|| <= p^-2, got valuation {v}")
     return v
@@ -227,9 +226,9 @@ def _series(x: PadicMatrix, k, is_exp: bool) -> PadicMatrix:
         return (PadicMatrix.identity if is_exp else PadicMatrix.zeros)(ctx, d)
     p, n_prec = ctx.p, ctx.precision
     n, tail, spread = _series_plan(p, k, n_prec, is_exp)
-    inf, half = float("inf"), _vp(2, p)
-    val = [[inf if e.v is None else e.v for e in r] for r in x.rows]
-    ab = [[inf if e.v is None else e.v + e.digits for e in r] for r in x.rows]
+    half = _vp(2, p)
+    val = [[e.valuation() for e in r] for r in x.rows]
+    ab = [[e.abs_precision() for e in r] for r in x.rows]
     uniform = min(map(min, ab)) + spread
     vcols, acols = list(zip(*val)), list(zip(*ab))
     # the entry's own error (term 1), the halved second-order term, and the
@@ -336,7 +335,7 @@ def _bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int) -> PadicMatrix:
     n_max, loss, tail = _dynkin_cutoff(p, k, n_prec)
     if n_max < 1:
         return PadicMatrix.zeros(ctx, d)
-    least = min(e.v + e.digits for e in x.flat() + y.flat() if not e.is_zero)
+    least = min(e.abs_precision() for e in x.flat() + y.flat())
     cert = min(least + loss, tail)
     big_d, mod, weights = _dynkin_weights(p, n_max, cert + n_prec)
     xi, yi = _reps(x), _reps(y)
@@ -380,9 +379,7 @@ def _certified(z: int, cert: int, ctx: PadicContext) -> PadicScalar:
     """The entry z, known mod p^(cert + N), certified mod p^cert."""
     p, n_prec = ctx.p, ctx.precision
     if z % p**cert == 0:
-        if cert >= n_prec:
-            return ctx.zero()
-        raise PrecisionExhausted(f"series entry is O(p^{cert}), below {n_prec} digits")
+        return ctx.zero(cert)
     v = _vp(z, p)
     return PadicScalar._raw(ctx, v, z // p**v % ctx.modulus, min(n_prec, cert - v))
 
@@ -449,8 +446,10 @@ def horospherical_factor(g: PadicMatrix, k: int, dec) -> FactorResult:
     Peeling iteration: write log(residual) = v + w in the adjoint eigenbasis
     (v the unstable part, w the rest), peel f_i = exp(v), h_i = exp(w), and
     pass to f_i^-1 residual h_i^-1, whose distance from e at least squares
-    each round.  Accumulates F = f_0 f_1 ... and H = ... h_1 h_0; stops when
-    the residual is the identity at working precision, so F H = g mod p^N.
+    each round.  Accumulates F = f_0 f_1 ... and H = ... h_1 h_0; stops once
+    the residual is certified = e mod p^N, so F H = g mod p^N.  A residual
+    that stops improving raises NoConvergence, or PrecisionExhausted when
+    an entry O(p^c), c < N, holds it back.
     """
     ctx = g.ctx
     n_prec = ctx.precision
@@ -464,15 +463,19 @@ def horospherical_factor(g: PadicMatrix, k: int, dec) -> FactorResult:
     resid = g
     prev_v = None
     for rounds in range(MAX_FACTOR_ROUNDS):
-        y = resid.add(-ident, add_absorb)
-        v_res = y.min_valuation()
-        if v_res == float("inf") or v_res >= n_prec:
+        y = resid - ident
+        v_res = min(e.valuation() for e in y.flat())
+        if v_res >= n_prec:
             return FactorResult(f_acc, h_acc, rounds)
         if v_res < k:
             raise DomainError(
                 f"residual entries at valuation {v_res}, outside K^G_{k}"
             )
         if prev_v is not None and v_res <= prev_v:
+            if any(e.is_zero and e.valuation() == v_res for e in y.flat()):
+                raise PrecisionExhausted(
+                    f"residual entry is O({ctx.p}^{v_res}), below {n_prec} digits"
+                )
             raise NoConvergence(
                 f"residual stalled at valuation {v_res} (inconsistent decomposition?)"
             )
@@ -486,7 +489,7 @@ def horospherical_factor(g: PadicMatrix, k: int, dec) -> FactorResult:
         w_part = dec.combination(rest)
         f_i = exp(v_part)
         h_i = exp(w_part)
-        f_acc = f_acc.matmul(f_i, add_absorb)
-        h_acc = h_i.matmul(h_acc, add_absorb)
-        resid = f_i.inverse().matmul(resid, add_absorb).matmul(h_i.inverse(), add_absorb)
+        f_acc = f_acc @ f_i
+        h_acc = h_i @ h_acc
+        resid = f_i.inverse() @ resid @ h_i.inverse()
     raise NoConvergence("factorization exceeded the round budget")

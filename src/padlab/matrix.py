@@ -7,25 +7,13 @@ dividing by a minimal-valuation entry keeps every elimination multiplier
 integral, so digit loss never amplifies.  The kernel takes a valuation
 function, so exact Fraction matrices use it too.
 
-Two cancellation policies say what a sum that cancels every certified digit
-becomes.  Each is an adder with the signature of `+`, applied in exactly three
-places: the row update of `eliminate`, the dot product `_dot` (behind
-`matmul`, `combine` and `Basis` coordinates; `char_poly` sums with strict `+`)
-and the entrywise `PadicMatrix.add`.  Public scalar and matrix `+`, `-` and
-`@` use neither and keep raising PrecisionExhausted.
-
-  * `add_absorb`: a full cancellation whose floor is >= N (the true sum is
-    O(p^-N), invisible in every mod-p^N output) becomes the exact zero; a
-    coarser one raises.  It is sound everywhere, and is used by `det`,
-    `inverse`, `Basis` coordinates, `combine` and liegroup's factor
-    products.
-  * `add_rank`: any full cancellation becomes the exact zero.  Where a rank
-    is decided at working precision, "indistinguishable from zero" and
-    "zero" force the same decision, so it is allowed only there: inside the
-    kernel when it builds a kernel (`nullspace`), a Z_p-module basis
-    (`zp_module_basis`) or a `Basis`, in the test that a matrix lies in the
-    span of a `Basis` (whether appending it raises the rank), and in the
-    Ad(a) - lambda I shift of `dynamics.decompose`.
+A sum that cancels every certified digit is the zero O(p^c) (see
+padlab.scalar), and each reader of a zero says what it means.  A pivot
+search skips O(p^c) as it skips the exact zero: where a rank is decided at
+working precision, "indistinguishable from zero" and "zero" force the same
+decision.  Everything that multiplies or sums skips only the exact zero, so
+O(p^c) carries its floor on: the row updates of `eliminate`, `_dot` (behind
+`@`, `char_poly`, `combine` and `Basis` coordinates) and `nullspace`.
 
 Characteristic polynomials use the Berkowitz algorithm: it is division-free,
 so coefficients of exact-rational inputs keep full certified digits.  Root
@@ -39,62 +27,25 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .errors import (
-    NotSplitAtPrecision,
-    PrecisionExhausted,
-    SingularAtPrecision,
-)
+from .errors import NotSplitAtPrecision, SingularAtPrecision
 from .scalar import PadicContext, PadicScalar
 
 
-def add_absorb(a: PadicScalar, b: PadicScalar) -> PadicScalar:
-    """a + b, absorbing a full cancellation at floor >= N into the exact zero.
-
-    On full cancellation the exception's floor says the true sum is
-    O(p^-floor); at or below working resolution it is indistinguishable from
-    zero in every mod-p^N output, so the exact zero is sound.  Coarser
-    cancellations still raise.
-    """
-    # exact zeros skip the context check of `+`: every `_dot` sum starts from
-    # one, and the identity block of an `eliminate` row holds many
-    if a.v is None:
-        return b
-    if b.v is None:
-        return a
-    try:
-        return a + b
-    except PrecisionExhausted as err:
-        if err.floor >= a.ctx.precision:
-            return a.ctx.zero()
-        raise
-
-
-def add_rank(a: PadicScalar, b: PadicScalar) -> PadicScalar:
-    """a + b, mapping any full cancellation to the exact zero.
-
-    Only for rank decisions at working precision; see the module docstring.
-    """
-    try:
-        return a + b
-    except PrecisionExhausted:
-        return a.ctx.zero()
-
-
-def _dot(xs, ys, zero, policy=operator.add):
-    """Sum of the nonzero products xs[i] * ys[i], added in index order by `policy`.
+def _dot(xs, ys, zero):
+    """Sum of the products xs[i] * ys[i], added in index order.
 
     The sum starts from `zero` and runs over the shorter of the two sequences.
-    A product is zero exactly when a factor is, so zero factors are skipped
-    unmultiplied: sparse rows and coordinate vectors cost only their support.
+    A pair with an exact-zero factor is skipped unmultiplied, so sparse rows
+    and coordinate vectors cost only their support; O(p^c) factors are not.
     """
     acc = zero
     for x, y in zip(xs, ys):
-        if x.v is not None and y.v is not None:
-            acc = policy(acc, x * y)
+        if x.digits is not None and y.digits is not None:
+            acc = acc + x * y
     return acc
 
 
-_scalar_val = operator.attrgetter("v")  # None for the exact zero
+_scalar_val = operator.attrgetter("v")  # None for every zero
 
 
 def fraction_val(p: int):
@@ -102,25 +53,24 @@ def fraction_val(p: int):
     return lambda x: _vp(x.numerator, p) - _vp(x.denominator, p) if x else None
 
 
-def eliminate(rows, zero, policy, width=None, val=_scalar_val) -> list[tuple[int, int]]:
+def eliminate(rows, zero, width=None, val=_scalar_val) -> list[tuple[int, int]]:
     """Gauss-Jordan elimination in place, pivoting on a globally minimal valuation.
 
     Each step takes, among the rows and the first `width` columns (default:
     all) not yet pivoted, the first entry of minimal valuation in row-major
     order, and clears its column in every other row: row -= (f / pivot) *
-    pivot_row, each entry summed by `policy`; the pivot column is set to
-    `zero` outright.  Pivot rows are not normalized, and a pivot entry keeps
-    its value through later steps.  So the rows become T @ rows with det T = 1,
+    pivot_row, skipping exact zeros; the pivot column is set to `zero`
+    outright.  Pivot rows are not normalized, and a pivot entry keeps its
+    value through later steps.  So the rows become T @ rows with det T = 1,
     and the pivots multiply to the determinant of the pivoted minor, up to
     the sign of the pivot permutation.
 
     Args:
         rows: list of mutable entry lists of one ring (PadicScalar or Fraction).
-        zero: that ring's zero.
-        policy: adder for the row updates: add_absorb, add_rank, or
-            operator.add for exact entries.
+        zero: that ring's exact zero.
         width: pivots are sought in columns < width only.
-        val: entry valuation, None for zero (default: PadicScalar.v).
+        val: entry valuation, None for a zero, which is never a pivot
+            (default: PadicScalar.v, None for O(p^c) too).
 
     Returns:
         The (row, column) pivots in the order chosen; fewer than the row
@@ -145,29 +95,34 @@ def eliminate(rows, zero, policy, width=None, val=_scalar_val) -> list[tuple[int
         pivots.append((pi, pj))
         prow = rows[pi]
         pivot = prow[pj]
-        cols = [j for j, b in enumerate(prow) if j != pj and val(b) is not None]
+        cols = [j for j, b in enumerate(prow) if j != pj and b]
         for i, row in enumerate(rows):
             f = row[pj]
-            if i == pi or val(f) is None:
+            if i == pi or not f:
                 continue
-            mult = f / pivot
+            mult = -(f / pivot)
             for j in cols:
-                row[j] = policy(row[j], -(mult * prow[j]))
+                row[j] = row[j] + mult * prow[j]
             row[pj] = zero
 
 
-def _invert(rows, zero, one, policy, val=_scalar_val):
-    """Inverse of a square matrix by `eliminate` on [A | I]; None if singular."""
+def _invert(rows, zero, one, val=_scalar_val):
+    """(inverse, pivots) of a square matrix by `eliminate` on [A | I].
+
+    The inverse is None if A is singular; the pivots are the kernel's pivot
+    entries, in the order chosen.
+    """
     n = len(rows)
     aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-    pivots = eliminate(aug, zero, policy, n, val)
-    if len(pivots) < n:
-        return None
+    at = eliminate(aug, zero, n, val)
+    pivots = [aug[r][c] for r, c in at]
+    if len(at) < n:
+        return None, pivots
     out = [None] * n
-    for r, c in pivots:
+    for r, c in at:
         inv = one / aug[r][c]
         out[c] = [x * inv for x in aug[r][n:]]
-    return out
+    return out, pivots
 
 
 class PadicMatrix:
@@ -217,34 +172,23 @@ class PadicMatrix:
         if other.dim != self.dim:
             raise ValueError(f"a {self.dim}x{self.dim} and a {other.dim}x{other.dim} matrix")
 
-    def add(self, other: "PadicMatrix", policy) -> "PadicMatrix":
-        """Entrywise sum, each entry summed by `policy` (see the module docstring)."""
+    def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_size(other)
         return PadicMatrix(
-            self.ctx,
-            [[policy(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+            self.ctx, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
-    def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
-        return self.add(other, operator.add)
-
     def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
-        return self.add(-other, operator.add)
+        return self + (-other)
 
     def __neg__(self) -> "PadicMatrix":
         return PadicMatrix(self.ctx, [[-a for a in r] for r in self.rows])
 
-    def matmul(self, other: "PadicMatrix", policy) -> "PadicMatrix":
-        """Matrix product, each dot product accumulated by `policy`."""
+    def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_size(other)
         zero = self.ctx.zero()
         cols = list(zip(*other.rows))
-        return PadicMatrix(
-            self.ctx, [[_dot(ri, cj, zero, policy) for cj in cols] for ri in self.rows]
-        )
-
-    def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
-        return self.matmul(other, operator.add)
+        return PadicMatrix(self.ctx, [[_dot(ri, cj, zero) for cj in cols] for ri in self.rows])
 
     def scale(self, c: PadicScalar) -> "PadicMatrix":
         return PadicMatrix(self.ctx, [[c * a for a in r] for r in self.rows])
@@ -268,7 +212,10 @@ class PadicMatrix:
     # ---- norm and congruence ----------------------------------------------
 
     def min_valuation(self):
-        """min_ij v_p(X_ij); +inf for the zero matrix."""
+        """min_ij v_p(X_ij) over the nonzero entries; +inf if there are none.
+
+        A rank reading: O(p^c) entries are skipped like exact zeros.
+        """
         best = None
         for r in self.rows:
             for a in r:
@@ -309,14 +256,20 @@ class PadicMatrix:
     def det(self) -> PadicScalar:
         """Determinant: the signed product of the kernel's pivots.
 
-        Exactly singular input gives the exact zero; cancellation past
-        certified digits absorbs at floor >= N and raises below it.
+        Without a full set of pivots the rows left over hold only zeros, and
+        the determinant is the zero O(p^c), c the pivot valuations plus the
+        least cap of each row left over (the exact zero if one holds only
+        exact zeros).
         """
         n = self.dim
         work = [list(r) for r in self.rows]
-        pivots = eliminate(work, self.ctx.zero(), add_absorb)
+        pivots = eliminate(work, self.ctx.zero())
         if len(pivots) < n:
-            return self.ctx.zero()
+            done = {r for r, _ in pivots}
+            floor = sum(work[r][c].v for r, c in pivots) + sum(
+                min(x.valuation() for x in row) for i, row in enumerate(work) if i not in done
+            )
+            return self.ctx.zero(floor)
         acc = self.ctx.one()
         col_of = [0] * n
         for r, c in pivots:
@@ -328,7 +281,7 @@ class PadicMatrix:
     def inverse(self) -> "PadicMatrix":
         """Gauss-Jordan inverse; SingularAtPrecision when no pivot remains."""
         ctx = self.ctx
-        rows = _invert(self.rows, ctx.zero(), ctx.one(), add_absorb)
+        rows, _ = _invert(self.rows, ctx.zero(), ctx.one())
         if rows is None:
             raise SingularAtPrecision("no pivot left: singular at working precision")
         return PadicMatrix(ctx, rows)
@@ -363,7 +316,7 @@ def poly_eval(coeffs: list[PadicScalar], x: PadicScalar) -> PadicScalar:
     acc = x.ctx.zero()
     for c in reversed(coeffs):
         acc = acc * x
-        if not c.is_zero:
+        if c:
             acc = acc + c
     return acc
 
@@ -506,9 +459,9 @@ def hensel_roots(coeffs: list[PadicScalar]) -> list[tuple[PadicScalar, int]]:
     if deg < 1:
         _sort_roots(out)
         return out
-    vals = [None if c.is_zero else c.v for c in work]
-    units = [0 if c.is_zero else c.unit for c in work]
-    certs = [0 if c.is_zero else c.digits for c in work]
+    vals = [c.v for c in work]  # None at a zero
+    units = [c.unit for c in work]  # 0 at a zero
+    precs = [c.abs_precision() for c in work]  # an O(p^c) coefficient has c
     points = [(i, v) for i, v in enumerate(vals) if v is not None]
     for _i0, _i1, slope in _newton_slopes(points):
         if slope.denominator != 1:
@@ -519,20 +472,12 @@ def hensel_roots(coeffs: list[PadicScalar]) -> list[tuple[PadicScalar, int]]:
         exps = [vals[i] + w * i for i in range(deg + 1) if vals[i] is not None]
         content = min(exps)
         # joint certified modulus of the scaled integer coefficients
-        m_exp = min(
-            certs[i] + vals[i] + w * i - content
-            for i in range(deg + 1)
-            if vals[i] is not None
-        )
+        m_exp = min(prec + w * i for i, prec in enumerate(precs)) - content
         if m_exp < 1:
             raise NotSplitAtPrecision("coefficients carry no joint certified digits")
         big = p**m_exp
-        ints = []
-        for i in range(deg + 1):
-            if vals[i] is None:
-                ints.append(0)
-            else:
-                ints.append(units[i] * p ** (vals[i] + w * i - content) % big)
+        ints = [0 if v is None else u * p ** (v + w * i - content) % big
+                for i, (v, u) in enumerate(zip(vals, units))]
         for x, digits, mult in _class_roots(ints, 0, 0, deg, p, m_exp):
             d = min(ctx.precision, digits)
             out.append((PadicScalar._raw(ctx, w, x % ctx.modulus, d), mult))
@@ -552,21 +497,21 @@ def _sort_roots(roots: list[tuple[PadicScalar, int]]) -> None:
 # ---- coordinates in a basis of matrices --------------------------------------
 
 
-def combine(mats, coords, policy=add_absorb) -> PadicMatrix:
-    """sum_i coords[i] * mats[i], each entry summed by `policy`."""
+def combine(mats, coords) -> PadicMatrix:
+    """sum_i coords[i] * mats[i], entry by entry."""
     ctx = mats[0].ctx
     zero = ctx.zero()
     entries = zip(*(b.flat() for b in mats))
-    return PadicMatrix.from_flat(ctx, mats[0].dim, [_dot(coords, e, zero, policy) for e in entries])
+    return PadicMatrix.from_flat(ctx, mats[0].dim, [_dot(coords, e, zero) for e in entries])
 
 
 class Basis:
     """Coordinates of matrices in a basis of linearly independent matrices.
 
     Construction runs the kernel on the rows [b_j | e_j] with pivots sought
-    among the entry columns, under the rank policy.  Its pivots pick len(mats)
-    entry positions where the basis is invertible; the carried identity block
-    then holds the inverse on those positions, row r divided by its pivot.
+    among the entry columns.  Its pivots pick len(mats) entry positions where
+    the basis is invertible; the carried identity block then holds the
+    inverse on those positions, row r divided by its pivot.
     `index` is the sum of the pivot valuations, the valuation of the chosen
     minor's determinant.  The basis matrices are dim x dim; the empty basis
     (of sl_1) is allowed and still knows dim.
@@ -584,31 +529,32 @@ class Basis:
         width = dim * dim
         zero, one = ctx.zero(), ctx.one()
         rows = [v + [one if i == j else zero for j in range(n)] for i, v in enumerate(flat)]
-        pivots = eliminate(rows, zero, add_rank, width)
+        pivots = eliminate(rows, zero, width)
         if len(pivots) < n:
             raise ValueError("basis matrices are linearly dependent")
         self._chosen = [c for _, c in pivots]
         self._inverse = [[x / rows[r][c] for x in rows[r][width:]] for r, c in pivots]
         self.index = sum(rows[r][c].v for r, c in pivots)
         # a combination is only as sharp as the least certified basis entry
-        self._level = min([ctx.precision] + [e.digits for v in flat for e in v if not e.is_zero])
+        self._level = min([ctx.precision] + [e.digits for v in flat for e in v if e])
 
     def coordinates(self, x: PadicMatrix, verify: bool):
         """Coordinates of x; None if verify finds x outside the span.
 
         x must be dim x dim (ValueError otherwise).
 
-        The check asks whether x raises the rank of the basis, so it sums
-        under the rank policy: x and its reconstruction can agree in every
-        certified digit without being mirror images at full precision.
+        The check asks whether x raises the rank of the basis, so an entry
+        of x minus its reconstruction that is O(p^c) counts as zero: the two
+        can agree in every certified digit without being mirror images at
+        full precision.
         """
         self._check_size(x)
         flat = x.flat()
         picked = [flat[r] for r in self._chosen]
         zero = x.ctx.zero()
-        out = [_dot(picked, col, zero, add_absorb) for col in zip(*self._inverse)]
+        out = [_dot(picked, col, zero) for col in zip(*self._inverse)]
         if verify:
-            diff = combine(self.mats, out, add_rank).add(-x, add_rank) if self.mats else -x
+            diff = combine(self.mats, out) - x if self.mats else -x
             if diff.min_valuation() < self._level:
                 return None
         return out
@@ -622,13 +568,14 @@ class Basis:
 def nullspace(m: PadicMatrix) -> list[list[PadicScalar]]:
     """Basis of ker(m) at working precision, content-normalized.
 
-    Entries whose certified digits fully cancel during elimination are treated
-    as zero: the kernel at precision is exactly the set of directions the
-    certified digits cannot distinguish from null directions.
+    Entries whose certified digits fully cancel during elimination are never
+    pivots: the kernel at precision is exactly the set of directions the
+    certified digits cannot distinguish from null directions.  Such an
+    O(p^c) entry still carries its floor into the vector.
     """
     ctx = m.ctx
     work = [list(r) for r in m.rows]
-    pivots = eliminate(work, ctx.zero(), add_rank)
+    pivots = eliminate(work, ctx.zero())
     pivot_cols = {c for _, c in pivots}
     basis = []
     for j in range(m.dim):
@@ -638,7 +585,7 @@ def nullspace(m: PadicMatrix) -> list[list[PadicScalar]]:
         vec[j] = ctx.one()
         for pr, pc in pivots:
             a = work[pr][j]
-            if not a.is_zero:
+            if a:
                 vec[pc] = -(a / work[pr][pc])
         basis.append(_content_normalize(vec))
     return basis
@@ -672,5 +619,5 @@ def zp_module_basis(vectors: list[list[PadicScalar]]) -> list[list[PadicScalar]]
     if any(len(v) != width for v in vectors):
         raise ValueError("ragged vector list")
     work = [list(v) for v in vectors]
-    pivots = eliminate(work, vectors[0][0].ctx.zero(), add_rank)
+    pivots = eliminate(work, vectors[0][0].ctx.zero())
     return [_content_normalize(work[r]) for r, _ in pivots]

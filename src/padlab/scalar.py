@@ -4,17 +4,26 @@ A nonzero scalar is stored as  x = p^v * u  where v is an integer valuation,
 u is a unit kept modulo p^N (N = context precision), and 1 <= known_digits <= N
 records how many digits of u are actually certified.  The absolute precision of
 x is therefore v + known_digits: we know x modulo p^(v + known_digits) and
-nothing beyond.  Zero produced by exact cancellation is a distinguished value
-(EXACT ZERO) rather than a tiny unit, so norms and valuations of genuine zeros
-are exact.
+nothing beyond.
+
+A zero is the value O(p^c), known modulo p^c only: v is None and `digits`
+holds c.  The exact zero is the case c = +inf, stored as digits None; a full
+cancellation gives a finite c, as capped-relative p-adics do (Caruso,
+"Computations with p-adic numbers", arXiv:1701.06794).  `is_zero` holds for
+every zero, and bool(x) is False for the exact zero alone.
 
 The arithmetic mirrors floating point: multiplication is exact on units and
 keeps the smaller digit count, addition aligns valuations and can only lose
-digits when leading digits cancel.  An addition that cancels every jointly
-certified digit raises PrecisionExhausted, because the model cannot certify
-the result nonzero; the one exception is cancellation of two full-precision
-mirror-image representations, which provably sums to zero and returns the
-exact zero.
+digits when leading digits cancel.  `+` never raises:
+
+  * an addition that cancels every jointly certified digit is O(p^cert),
+    cert the joint absolute precision, except that two full-precision
+    mirror-image representations provably sum to the exact zero;
+  * O(p^c) + x keeps only the digits of x below p^c;
+  * O(p^c) * x is O(p^(c + v(x))).
+
+Dividing by O(p^c) raises PrecisionExhausted, and so does reading O(p^c),
+c < N, as a rational (`as_rational`) or deciding a congruence it leaves open.
 """
 
 from __future__ import annotations
@@ -62,8 +71,10 @@ class PadicContext:
             raise ValueError("precision must be >= 1")
         object.__setattr__(self, "modulus", self.p**self.precision)
 
-    def zero(self) -> "PadicScalar":
-        return PadicScalar._raw(self, None, 0, self.precision)
+    def zero(self, cap=None) -> "PadicScalar":
+        """The zero O(p^cap), known modulo p^cap; the exact zero if cap is
+        None or +inf."""
+        return PadicScalar._raw(self, None, 0, None if cap == math.inf else cap)
 
     def one(self) -> "PadicScalar":
         return PadicScalar._raw(self, 0, 1, self.precision)
@@ -130,27 +141,42 @@ class PadicScalar:
 
     @property
     def is_zero(self) -> bool:
+        """True for every zero, the exact one and O(p^c) alike."""
         return self.v is None
 
+    def __bool__(self) -> bool:
+        """False for the exact zero alone: O(p^c) may be nonzero."""
+        return self.digits is not None
+
     def valuation(self):
-        """v_p(x) as an int; +inf for the exact zero."""
-        return math.inf if self.v is None else self.v
+        """v_p(x) as an int; for O(p^c), c, the least it may be (+inf if exact)."""
+        if self.v is not None:
+            return self.v
+        return math.inf if self.digits is None else self.digits
 
     def norm(self) -> Fraction:
-        """|x|_p = p^(-v) as an exact Fraction; 0 for the exact zero."""
-        if self.v is None:
+        """|x|_p = p^(-v) as an exact Fraction; p^(-c) bounds it for O(p^c)."""
+        v = self.valuation()
+        if v == math.inf:
             return Fraction(0)
-        p, v = self.ctx.p, self.v
+        p = self.ctx.p
         return Fraction(1, p**v) if v >= 0 else Fraction(p**-v)
 
     def abs_precision(self):
-        """Largest k such that x is certified modulo p^k (inf for exact zero)."""
-        return math.inf if self.v is None else self.v + self.digits
+        """Largest k such that x is certified modulo p^k (c for O(p^c))."""
+        return self.valuation() if self.v is None else self.v + self.digits
 
     def as_rational(self) -> Fraction:
         """Canonical rational representative p^v * unit (exact for embedded rationals
-        of short digit expansion; otherwise a representative mod p^(v+digits))."""
+        of short digit expansion; otherwise a representative mod p^(v+digits)).
+
+        O(p^c) reads as 0 when c >= N and raises PrecisionExhausted below.
+        """
         if self.v is None:
+            if self.abs_precision() < self.ctx.precision:
+                raise PrecisionExhausted(
+                    f"value is O({self.ctx.p}^{self.digits}), below {self.ctx.precision} digits"
+                )
             return Fraction(0)
         p, v = self.ctx.p, self.v
         return Fraction(self.unit * p**v) if v >= 0 else Fraction(self.unit, p**-v)
@@ -159,28 +185,36 @@ class PadicScalar:
         """Integer representative of x modulo p^abs_prec (requires v >= 0 side
         handled by the caller: the lift is of p^v*unit, so v must be >= 0
         whenever abs_prec > 0)."""
-        if self.v is None:
-            return 0
         if self.abs_precision() < abs_prec:
             raise PrecisionExhausted(
                 f"need {abs_prec} absolute digits, have {self.abs_precision()}"
             )
+        if self.v is None:
+            return 0
         if self.v < 0:
             raise ValueError("lift of a non-integral scalar")
         return self.unit * self.ctx.p**self.v % self.ctx.p**abs_prec
 
+    def _cap(self, c) -> "PadicScalar":
+        """x + O(p^c): x known modulo p^c at most."""
+        if self.abs_precision() <= c:
+            return self
+        if self.v is None or self.v >= c:
+            return PadicScalar._raw(self.ctx, None, 0, c)
+        return PadicScalar._raw(self.ctx, self.v, self.unit, c - self.v)
+
     # ---- arithmetic ------------------------------------------------------
 
     def _check_ctx(self, other: "PadicScalar") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("mixed p-adic contexts")
 
     def __add__(self, other: "PadicScalar") -> "PadicScalar":
         self._check_ctx(other)
         if self.v is None:
-            return other
+            return other if self.digits is None else other._cap(self.digits)
         if other.v is None:
-            return self
+            return self if other.digits is None else self._cap(other.digits)
         ctx = self.ctx
         pn, n = ctx.modulus, ctx.precision
         # exact cancellation: mirror-image full-precision representations
@@ -195,13 +229,8 @@ class PadicScalar:
         cert = min(self.v + self.digits, other.v + other.digits)  # joint absolute precision
         p = ctx.p
         s = (self.unit * p ** (self.v - m) + other.unit * p ** (other.v - m)) % pn
-        window = p ** (cert - m)
-        if s % window == 0:
-            err = PrecisionExhausted(
-                f"addition cancelled all {cert - m} certified digits at valuation {m}"
-            )
-            err.floor = cert  # the sum is O(p^-cert); callers may absorb at >= this
-            raise err
+        if s % p ** (cert - m) == 0:
+            return PadicScalar._raw(ctx, None, 0, cert)
         t = 0
         while s % p == 0:
             s //= p
@@ -221,10 +250,10 @@ class PadicScalar:
 
     def __mul__(self, other: "PadicScalar") -> "PadicScalar":
         self._check_ctx(other)
-        if self.v is None:
-            return self
-        if other.v is None:
-            return other
+        if self.v is None or other.v is None:
+            if self.digits is None or other.digits is None:
+                return self if self.digits is None else other  # the exact zero
+            return PadicScalar._raw(self.ctx, None, 0, self.valuation() + other.valuation())
         d = self.digits if self.digits <= other.digits else other.digits
         return PadicScalar._raw(
             self.ctx, self.v + other.v, self.unit * other.unit % self.ctx.modulus, d
@@ -232,7 +261,9 @@ class PadicScalar:
 
     def inverse(self) -> "PadicScalar":
         if self.v is None:
-            raise DivisionByZero("inverse of exact zero")
+            if self.digits is None:
+                raise DivisionByZero("inverse of exact zero")
+            raise PrecisionExhausted(f"division by O({self.ctx.p}^{self.digits})")
         return PadicScalar._raw(
             self.ctx, -self.v, pow(self.unit, -1, self.ctx.modulus), self.digits
         )
@@ -259,12 +290,15 @@ class PadicScalar:
         """Certify x = y (mod p^k).  True/False when decidable at the stored
         precision, PrecisionExhausted when the certified digits cannot tell."""
         self._check_ctx(other)
-        if self.v is None and other.v is None:
-            return True
-        if self.v is None:
-            return other.v >= k
-        if other.v is None:
-            return self.v >= k
+        if self.v is None or other.v is None:
+            # x - y is O(p^c) (c the least cap) plus the nonzero operand, if any
+            c = min(self.abs_precision(), other.abs_precision())
+            w = min(self.valuation(), other.valuation())
+            if w >= k and c >= k:
+                return True
+            if w < c:
+                return False
+            raise PrecisionExhausted(f"congruence mod p^{k} against O(p^{c})")
         if self.v >= k and other.v >= k:
             return True
         if self.v != other.v:
@@ -280,5 +314,5 @@ class PadicScalar:
 
     def __repr__(self) -> str:
         if self.v is None:
-            return "0 (exact)"
+            return "0 (exact)" if self.digits is None else f"O({self.ctx.p}^{self.digits})"
         return f"{self.ctx.p}^{self.v} * {self.unit} ({self.digits} digits)"

@@ -19,7 +19,6 @@ a = diag(1/p, p) we have ||a|| = p.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from .errors import (
     NegativeGap,
     SingularAtPrecision,
 )
-from .matrix import PadicMatrix, eliminate, fraction_val
+from .matrix import PadicMatrix, _invert, fraction_val
 
 
 def xi_pgl2(p: int, k: int) -> float:
@@ -70,20 +69,11 @@ def cartan_valuations(g: PadicMatrix) -> list[int]:
         SingularAtPrecision: g has a zero elementary divisor, or divisors
             its certified digits do not determine.
     """
-    n = g.dim
-    zero, one = Fraction(0), Fraction(1)
-    aug = [
-        [x.as_rational() for x in row] + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(g.rows)
-    ]
     val = fraction_val(g.ctx.p)
-    pivots = eliminate(aug, zero, operator.add, n, val)
-    if len(pivots) < n:
+    lifted = [[x.as_rational() for x in row] for row in g.rows]
+    inverse, pivots = _invert(lifted, Fraction(0), Fraction(1), val)
+    if inverse is None:
         raise SingularAtPrecision("matrix has a zero elementary divisor")
-    # row c of G^-1 is the identity block of pivot row (r, c) over its pivot
-    inverse = [None] * n
-    for r, c in pivots:
-        inverse[c] = [x / aug[r][c] for x in aug[r][n:]]
     row_precision = [min(x.abs_precision() for x in row) for row in g.rows]
     for inv_row in inverse:
         for k, x in enumerate(inv_row):
@@ -93,7 +83,7 @@ def cartan_valuations(g: PadicMatrix) -> list[int]:
                     f"valuation {val(x)} against row {k} certified modulo "
                     f"p^{row_precision[k]}"
                 )
-    return sorted((val(aug[r][c]) for r, c in pivots), reverse=True)
+    return sorted(map(val, pivots), reverse=True)
 
 
 def oh_bound(p: int, m: int, cartan: list[int], dim_kv: int, dim_kw: int) -> float:

@@ -1,0 +1,131 @@
+"""The conjugate sweep: decompose and factor on seeded conjugated flows.
+
+Each flow is drawn from one random.Random(seed), in this order: the family
+(sl or gl), the size d in {2, 3} and p in {2, 3, 5}; exponents e_i in
+[-2, 2], drawn again until they are not all equal and, on sl, sum to 0; the
+entries above the diagonal of an upper unitriangular u, in [-3, 3]; and the
+entries of X, p^2 times [-3, 3], the last diagonal one then set so that the
+trace is 0 on sl.  The flow is a = u diag(p^e) u^-1, and the factor input is
+g = exp(X) at k = 2.
+
+Each flow is decomposed at the default precision N = 12; |nu| must be the
+sum of |e_i - e_j| over i < j.  Each factorization F H of g is checked by
+F H = g mod p^8, which may also be undecidable at the digits F H carries.
+
+Run as a script, it prints, for each seed given (7 if none), the
+decompositions and the wrong |nu| among them, the refusals by error class and
+raising function, and the factorizations by the outcome of their check:
+
+    PYTHONPATH=src python tests/conjugate_sweep.py 7 8
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from collections import Counter
+from fractions import Fraction
+
+from padlab import GroupSpec, PadicContext, PadicMatrix, PadlabError, decompose, exp
+from padlab.errors import PrecisionExhausted
+from padlab.liegroup import horospherical_factor
+
+FLOWS = 600
+CHECK_DIGITS = 8
+
+
+def draw_flow(rng: random.Random):
+    """(family, p, exponents, a as Fraction rows, X as int rows)."""
+    family = rng.choice(["sl", "gl"])
+    d = rng.choice([2, 3])
+    p = rng.choice([2, 3, 5])
+    while True:
+        exps = [rng.randint(-2, 2) for _ in range(d)]
+        if len(set(exps)) > 1 and (family == "gl" or sum(exps) == 0):
+            break
+    u = [[Fraction(int(i == j) if j <= i else rng.randint(-3, 3)) for j in range(d)]
+         for i in range(d)]
+    # back substitution for the unitriangular inverse
+    u_inv = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for j in range(d):
+        for i in reversed(range(j)):
+            u_inv[i][j] = -sum(u[i][k] * u_inv[k][j] for k in range(i + 1, j + 1))
+    a = [[sum(u[i][k] * Fraction(p) ** exps[k] * u_inv[k][j] for k in range(d))
+          for j in range(d)] for i in range(d)]
+    x = [[p * p * rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+    if family == "sl":
+        x[-1][-1] = -sum(x[i][i] for i in range(d - 1))
+    return family, p, exps, a, x
+
+
+def _raiser(err: Exception) -> str:
+    """The function whose frame raised err."""
+    tb = err.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_code.co_name
+
+
+def run_flow(flow) -> tuple:
+    """One outcome: ("refused", error class, raising function) when decompose
+    refuses, or ("decomposed", |nu| correct, factor outcome), the factor
+    outcome being "PASS", "FAIL", "UNDECIDED" or (error class, raising
+    function)."""
+    family, p, exps, a, x = flow
+    ctx = PadicContext(p)
+    d = len(exps)
+    spec = GroupSpec.sl(ctx, d) if family == "sl" else GroupSpec.gl(ctx, d)
+    try:
+        dec = decompose(PadicMatrix.from_rationals(ctx, a), spec)
+    except PadlabError as err:
+        return ("refused", type(err).__name__, _raiser(err))
+    nu_ok = dec.nu_total == sum(abs(e - f) for i, e in enumerate(exps) for f in exps[i + 1:])
+    g = exp(PadicMatrix.from_rationals(ctx, x))
+    try:
+        res = horospherical_factor(g, 2, dec)
+    except PadlabError as err:
+        return ("decomposed", nu_ok, (type(err).__name__, _raiser(err)))
+    try:
+        held = (res.unstable @ res.bounded).congruent_mod(g, CHECK_DIGITS)
+    except PrecisionExhausted:
+        return ("decomposed", nu_ok, "UNDECIDED")
+    return ("decomposed", nu_ok, "PASS" if held else "FAIL")
+
+
+def sweep(seed: int, flows: int = FLOWS) -> Counter:
+    """Outcome counts of the first `flows` flows of a seed."""
+    rng = random.Random(seed)
+    return Counter(run_flow(draw_flow(rng)) for _ in range(flows))
+
+
+def summary(counts: Counter) -> dict:
+    """Totals of a sweep: decompositions, wrong |nu|, refusals and checks."""
+    out = {"decomposed": 0, "wrong_nu": 0, "refused": Counter(), "factor": Counter()}
+    for outcome, n in counts.items():
+        if outcome[0] == "refused":
+            out["refused"][outcome[1:]] += n
+            continue
+        out["decomposed"] += n
+        out["wrong_nu"] += n * (not outcome[1])
+        out["factor"][outcome[2]] += n
+    return out
+
+
+def main(argv: list[str]) -> int:
+    for seed in map(int, argv or ["7"]):
+        s = summary(sweep(seed))
+        print(f"seed {seed}: {FLOWS} flows, {s['decomposed']} decomposed, "
+              f"{s['wrong_nu']} with a wrong |nu|")
+        for (cls, where), n in sorted(s["refused"].items()):
+            print(f"  decompose refused: {cls} in {where}: {n}")
+        checks = s["factor"]
+        print(f"  factor: {sum(checks[k] for k in ('PASS', 'FAIL', 'UNDECIDED'))} returned; "
+              f"F H = g mod p^{CHECK_DIGITS}: PASS {checks['PASS']}, FAIL {checks['FAIL']}, "
+              f"UNDECIDED {checks['UNDECIDED']}")
+        for key, n in sorted((k, n) for k, n in checks.items() if isinstance(k, tuple)):
+            print(f"  factor refused: {key[0]} in {key[1]}: {n}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -82,10 +82,11 @@ def test_analyze_conjugated_sl3_flow(element):
 
 
 def test_readme_precision_refusal_example():
-    # the README's example of exit 7 from well-formed input
-    element = '[["9","-24","-48"],["0","1","-16"],["0","0","9"]]'
-    code, out, err = run_cli(["analyze", "--p", "3", "--group", "gl", "--dim", "3",
-                              "--element", element])
+    # the README's example of exit 7 from well-formed input: the peeling
+    # residual is held back by an entry known only modulo 3^8
+    code, out, err = run_cli(["factor", "--p", "3", "--group", "gl", "--dim", "2",
+                              "--a", '[["1/3","8/3"],["0","3"]]',
+                              "--element", '[["10","9"],["0","1"]]', "--k", "2"])
     assert (code, out) == (7, "")
     assert "PrecisionExhausted" in err
 
@@ -203,12 +204,15 @@ def test_oh_of_an_element_with_divisors_at_the_entry_precision_exits_0():
 @pytest.mark.parametrize("argv", [
     ["--p", "5", "xi", "--k", "1"],
     ["--format", "text", "xi", "--k", "1"],
-], ids=["p", "format"])
+    ["--precision=5", "xi", "--k", "1"],
+], ids=["p", "format", "precision"])
 def test_common_flags_before_the_subcommand_exit_1(argv):
-    # refused, not shadowed by the subcommand's default of the same flag
+    # refused, not shadowed by the subcommand's default of the same flag, and
+    # the message names the flag
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "")
-    assert err != ""
+    flag = argv[0].split("=")[0]
+    assert f"{flag} follows the subcommand" in err
 
 
 def test_every_error_class_has_one_exit_code():

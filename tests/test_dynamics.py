@@ -5,7 +5,6 @@ closed form, so most assertions here are exact integers and Fractions.
 """
 
 import math
-import operator
 import random
 import tracemalloc
 from collections import Counter
@@ -41,6 +40,8 @@ from padlab.errors import (
 )
 from padlab.liegroup import ball_membership
 from padlab.matrix import _invert, fraction_val
+
+from conjugate_sweep import summary, sweep
 
 
 def sl_flow(p: int, diag):
@@ -315,6 +316,15 @@ def test_conjugated_flows_decompose_or_refuse(case):
         assert lam.unit % p**lam.digits == 1
 
 
+def test_conjugate_sweep_slice():
+    # the first 60 flows of seed 7 of the conjugate sweep: every decomposition
+    # has the right |nu|, and no returned factorization fails F H = g mod p^8
+    # or leaves it open
+    s = summary(sweep(7, 60))
+    assert (s["decomposed"], s["wrong_nu"]) == (58, 0)
+    assert s["factor"]["FAIL"] == s["factor"]["UNDECIDED"] == 0
+
+
 # ---- the FULL oracle against its reference kernel ----------------------------
 
 
@@ -334,7 +344,7 @@ def reference_count_full(dec, k, n, level) -> BowenCounts:
 
     a_frac = [[x.as_rational() for x in row] for row in dec.a.rows]
     a_num, s_a = _integerize(a_frac, p)
-    inv_frac = _invert(a_frac, Fraction(0), Fraction(1), operator.add, fraction_val(p))
+    inv_frac, _ = _invert(a_frac, Fraction(0), Fraction(1), fraction_val(p))
     if inv_frac is None:
         raise DomainError("matrix is singular over the rationals")
     inv_num, s_inv = _integerize(inv_frac, p)

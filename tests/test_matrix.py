@@ -18,8 +18,6 @@ from padlab import PadicContext, PadicMatrix, PadicScalar
 from padlab.errors import NotSplitAtPrecision, PrecisionExhausted, SingularAtPrecision
 from padlab.matrix import (
     Basis,
-    add_absorb,
-    add_rank,
     combine,
     hensel_roots,
     nullspace,
@@ -148,7 +146,7 @@ def test_inverse_matches_fractions(p, n):
             for j in range(n):
                 got = inv.rows[i][j]
                 if got.is_zero:
-                    # only absorbed when the true entry sits below resolution
+                    # a zero only where the true entry sits below resolution
                     assert exact[i][j] == 0 or vp(exact[i][j], p) >= ctx.precision
                 else:
                     check_entry(got, exact[i][j])
@@ -182,14 +180,16 @@ def test_char_poly_matches_cofactor_expansion(p, n):
                 check_entry(g, e)
 
 
-def test_char_poly_sums_with_strict_plus():
+def test_char_poly_keeps_the_floor_of_a_cancelled_sum():
     # Berkowitz's first dot R C = u - u, u = 3 * 5 to 11 digits, cancels at
-    # floor 12 = N: add_absorb would return the exact zero, strict + refuses
+    # floor 12 = N: the coefficient of x is the zero O(3^12), not the exact
+    # zero, and the others stay exact
     ctx = PadicContext(3)
     u, zero, one = PadicScalar(ctx, 1, 5, 11), ctx.zero(), ctx.one()
     m = PadicMatrix(ctx, [[zero, zero, one], [zero, zero, one], [u, -u, zero]])
-    with pytest.raises(PrecisionExhausted, match="cancelled all 11"):
-        m.char_poly()
+    coeffs = m.char_poly()
+    assert all(c.is_zero for c in coeffs[:3]) and coeffs[3] == one
+    assert [c.abs_precision() for c in coeffs[:3]] == [math.inf, 12, math.inf]
 
 
 def test_trace_transpose_flat():
@@ -484,10 +484,6 @@ def test_operands_of_different_sizes_raise():
         for op in (operator.add, operator.sub, operator.matmul):
             with pytest.raises(ValueError):
                 op(x, y)
-        with pytest.raises(ValueError):
-            x.add(y, add_absorb)
-        with pytest.raises(ValueError):
-            x.matmul(y, add_absorb)
 
 
 def test_basis_coordinates_and_index():
@@ -525,7 +521,7 @@ def test_zp_module_basis_drops_dependent_rows():
 # ---- the hand-written dot products, the reference routes -----------------------
 
 
-def reference_matmul(a: PadicMatrix, b: PadicMatrix, policy) -> PadicMatrix:
+def reference_matmul(a: PadicMatrix, b: PadicMatrix) -> PadicMatrix:
     """The product as matmul summed it before the shared dot product."""
     n = a.dim
     cols = [[b.rows[k][j] for k in range(n)] for j in range(n)]
@@ -538,15 +534,15 @@ def reference_matmul(a: PadicMatrix, b: PadicMatrix, policy) -> PadicMatrix:
             acc = a.ctx.zero()
             for k in range(n):
                 t = ri[k] * cj[k]
-                if not t.is_zero:
-                    acc = policy(acc, t)
+                if t:
+                    acc = acc + t
             row.append(acc)
         out.append(row)
     return PadicMatrix(a.ctx, out)
 
 
 def reference_char_poly(m: PadicMatrix) -> list[PadicScalar]:
-    """Berkowitz with its three hand-written loops, strict +."""
+    """Berkowitz with its three hand-written loops."""
     ctx = m.ctx
     n = m.dim
     a = m.rows
@@ -561,7 +557,7 @@ def reference_char_poly(m: PadicMatrix) -> list[PadicScalar]:
             acc = ctx.zero()
             for x, y in zip(row, w):
                 s = x * y
-                if not s.is_zero:
+                if s:
                     acc = acc + s
             t.append(-acc)
             if len(t) == r + 1:
@@ -571,7 +567,7 @@ def reference_char_poly(m: PadicMatrix) -> list[PadicScalar]:
                 acc = ctx.zero()
                 for j in range(r - 1):
                     s = a[i][j] * w[j]
-                    if not s.is_zero:
+                    if s:
                         acc = acc + s
                 w2.append(acc)
             w = w2
@@ -581,7 +577,7 @@ def reference_char_poly(m: PadicMatrix) -> list[PadicScalar]:
             lo = max(0, i - (len(t) - 1))
             for j in range(lo, min(i, r - 1) + 1):
                 s = t[i - j] * poly[j]
-                if not s.is_zero:
+                if s:
                     acc = acc + s
             new.append(acc)
         poly = new
@@ -589,12 +585,12 @@ def reference_char_poly(m: PadicMatrix) -> list[PadicScalar]:
     return poly
 
 
-def reference_combine(mats, coords, policy) -> PadicMatrix:
+def reference_combine(mats, coords) -> PadicMatrix:
     """sum_i coords[i] * mats[i] through a scaled matrix per coordinate."""
     acc = PadicMatrix.zeros(mats[0].ctx, mats[0].dim)
     for c, b in zip(coords, mats):
-        if not c.is_zero:
-            acc = acc.add(b.scale(c), policy)
+        if c:
+            acc = acc + b.scale(c)
     return acc
 
 
@@ -604,10 +600,10 @@ def reference_coordinates(basis: Basis, x: PadicMatrix, verify: bool):
     out = [x.ctx.zero()] * len(basis._chosen)
     for r, inv_row in zip(basis._chosen, basis._inverse):
         s = flat[r]
-        if not s.is_zero:
-            out = [add_absorb(acc, s * c) for acc, c in zip(out, inv_row)]
+        if s:
+            out = [acc + s * c for acc, c in zip(out, inv_row)]
     if verify:
-        diff = reference_combine(basis.mats, out, add_rank).add(-x, add_rank) if basis.mats else -x
+        diff = reference_combine(basis.mats, out) - x if basis.mats else -x
         if diff.min_valuation() < basis._level:
             return None
     return out
@@ -627,52 +623,53 @@ def outcome(call):
 
 @st.composite
 def low_digit_cases(draw):
-    """(policy, a, b, mats, coords, x) over one Q_p: d x d matrices whose
-    entries are exact zeros or p^v u with 3-12 certified digits."""
+    """(a, b, mats, coords, x) over one Q_p: d x d matrices whose entries are
+    exact zeros, zeros O(p^c) or p^v u with 3-12 certified digits."""
     p = draw(st.sampled_from([2, 3, 5]))
     d = draw(st.integers(2, 4))
     ctx = PadicContext(p)
 
     def entry(code: int) -> PadicScalar:
-        # one draw per entry: a quarter are exact zeros, half carry one of the
-        # units +-1, +-(1 + p), so sums often cancel, and a quarter any unit
-        code, kind = divmod(code, 4)
+        # one draw per entry: a fifth are exact zeros, a fifth zeros O(p^c),
+        # two fifths carry one of the units +-1, +-(1 + p), so sums often
+        # cancel, and a fifth any unit
+        code, kind = divmod(code, 5)
         code, v = divmod(code, 3)
         code, digits = divmod(code, 10)
         if kind == 0:
             return ctx.zero()
+        if kind == 4:
+            return ctx.zero(v + digits + 2)
         a, r = divmod(code, p - 1)
         unit = p * a + r + 1 if kind == 3 else (-1) ** code * (1 + p * (code // 2 % 2))
         return PadicScalar(ctx, v - 1, unit, digits + 3)
 
-    entries = st.integers(0, 120 * p**12).map(entry)
+    entries = st.integers(0, 150 * p**12).map(entry)
     matrix = st.lists(entries, min_size=d * d, max_size=d * d).map(
         lambda flat: PadicMatrix.from_flat(ctx, d, flat)
     )
-    policy = draw(st.sampled_from([add_absorb, add_rank, operator.add]))
     mats = draw(st.lists(matrix, min_size=1, max_size=4))
     coords = draw(st.lists(entries, min_size=len(mats), max_size=len(mats)))
-    return policy, draw(matrix), draw(matrix), mats, coords, draw(matrix)
+    return draw(matrix), draw(matrix), mats, coords, draw(matrix)
 
 
 @settings(max_examples=200)
 @given(low_digit_cases())
 def test_dot_product_matches_the_reference_loops(case):
-    policy, a, b, mats, coords, x = case
-    assert outcome(lambda: a.matmul(b, policy)) == outcome(lambda: reference_matmul(a, b, policy))
+    a, b, mats, coords, x = case
+    assert outcome(lambda: a @ b) == outcome(lambda: reference_matmul(a, b))
     assert outcome(a.char_poly) == outcome(lambda: reference_char_poly(a))
-    # combine and coordinates now finish one output entry before the next,
-    # where the reference added one term to every entry at a time: when two
-    # entries refuse, each route names the first it reached, so only the
-    # class of a refusal is compared
-    assert outcome(lambda: combine(mats, coords, policy))[:2] == outcome(
-        lambda: reference_combine(mats, coords, policy)
-    )[:2]
+    # combine and coordinates finish one output entry before the next, where
+    # the reference adds one term to every entry at a time; each entry still
+    # sums its terms in the same order, and no sum refuses
+    assert outcome(lambda: combine(mats, coords)) == outcome(
+        lambda: reference_combine(mats, coords)
+    )
     try:
         basis = Basis(a.ctx, a.dim, mats)
     except ValueError:
         return  # linearly dependent draws have no coordinates
     for verify in (False, True):
-        assert outcome(lambda: basis.coordinates(x, verify))[:2] == outcome(
+        assert outcome(lambda: basis.coordinates(x, verify)) == outcome(
             lambda: reference_coordinates(basis, x, verify)
-        )[:2]
+        )

@@ -11,9 +11,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padlab import DEFAULT_PRECISION, PadicContext, PadicScalar
-from padlab.errors import DivisionByZero, PrecisionExhausted
+from padlab import DEFAULT_PRECISION, PadicContext, PadicMatrix, PadicScalar
+from padlab.errors import DivisionByZero, PrecisionExhausted, SingularAtPrecision
+from padlab.matrix import _dot
 
 
 def vp(fr: Fraction, p: int):
@@ -180,21 +183,53 @@ def test_partial_cancellation_loses_digits():
     assert d.abs_precision() == 12
 
 
-def test_full_cancellation_raises_with_floor():
+def test_full_cancellation_is_the_zero_at_its_floor():
     ctx = PadicContext(3)
     # four certified digits each; the difference is invisible at that depth
     a = PadicScalar(ctx, 0, 1 + 3**2, 4)
     b = PadicScalar(ctx, 0, 1 + 3**2, 4)
-    with pytest.raises(PrecisionExhausted) as info:
-        a - b
-    assert info.value.floor == 4
+    diff = a - b
+    assert diff.is_zero and diff
+    assert diff.abs_precision() == 4
 
     # deeper certification moves the floor with it
     c = PadicScalar(ctx, 3, 2, 7)
     d = PadicScalar(ctx, 3, 2, 7)
-    with pytest.raises(PrecisionExhausted) as info:
-        c - d
-    assert info.value.floor == 10
+    assert (c - d).abs_precision() == 10
+
+
+def test_inexact_zero_rules():
+    ctx = PadicContext(3)
+    o4 = ctx.zero(4)
+    x = PadicScalar(ctx, 1, 2 + 3**5, 9)  # certified mod 3^10
+    # O(3^4) + x keeps only the digits of x below 3^4
+    s = o4 + x
+    assert (s.v, s.unit, s.digits) == (1, 2 + 3**5, 3)
+    assert (x + o4) == s and (x + o4).digits == 3
+    assert (o4 + ctx.from_rational(3**5)).abs_precision() == 4
+    assert (o4 + ctx.zero(6)).abs_precision() == 4
+    # O(3^4) * x is O(3^(4 + v(x))); the exact zero absorbs it
+    assert (o4 * x).abs_precision() == 5
+    assert (o4 * ctx.from_rational(1, 9)).abs_precision() == 2
+    assert (o4 * ctx.zero(3)).abs_precision() == 7
+    assert not (o4 * ctx.zero())
+    # dividing by it, or reading it below N digits, refuses
+    with pytest.raises(PrecisionExhausted):
+        x / o4
+    with pytest.raises(PrecisionExhausted):
+        o4.inverse()
+    with pytest.raises(PrecisionExhausted):
+        o4.as_rational()
+    assert ctx.zero(12).as_rational() == 0
+    assert (o4 / x).abs_precision() == 3
+    # congruences it leaves open refuse; the ones it decides do not
+    assert o4.congruent_mod(ctx.from_rational(3**5), 4)
+    assert not o4.congruent_mod(ctx.from_rational(3), 2)
+    with pytest.raises(PrecisionExhausted):
+        o4.congruent_mod(ctx.from_rational(3**5), 5)
+    with pytest.raises(PrecisionExhausted):
+        o4.congruent_mod(ctx.zero(), 6)
+    assert repr(o4) == "O(3^4)"
 
 
 def test_digit_bookkeeping_in_products():
@@ -244,3 +279,98 @@ def test_eq_and_hash_follow_representation():
     assert a == b
     assert hash(a) == hash(b)
     assert a != ctx.from_rational(3, 5)
+
+
+# ---- the O(p^c) rules against a perturbation ----------------------------------
+
+DEEP = 48
+
+
+@st.composite
+def drawn_scalars(draw, p: int, kinds: int):
+    """(x at N = 12, a rational x stands for): one in `kinds` is an exact
+    zero and two a zero O(p^c); the others are p^v u with 1..N certified
+    digits, u a balanced integer prime to p."""
+    ctx = PadicContext(p)
+    kind = draw(st.integers(1, kinds))
+    if kind == 1:
+        return ctx.zero(), Fraction(0)
+    if kind <= 3:
+        return ctx.zero(draw(st.integers(-3, 14))), Fraction(0)
+    half = (p**DEFAULT_PRECISION - 1) // 2
+    u = draw(st.integers(-half, half).filter(lambda u: u % p))
+    v = draw(st.integers(-3, 3))
+    digits = draw(st.integers(1, DEFAULT_PRECISION))
+    return PadicScalar(ctx, v, u, digits), u * Fraction(p) ** v
+
+
+def _moved(x: PadicScalar, value: Fraction, deep: PadicContext, rng) -> PadicScalar:
+    """value moved by a random multiple of p^(x's absolute precision), at 48
+    digits.  An exact zero stays put, and so does a full-precision scalar:
+    it is the rational it embeds, which is what lets two mirror images at
+    full precision sum to the exact zero."""
+    if x and (x.is_zero or x.digits < DEFAULT_PRECISION):
+        value += Fraction(deep.p) ** x.abs_precision() * rng.randrange(-deep.p**6, deep.p**6)
+    return deep.from_rational(value)
+
+
+def _rep(x: PadicScalar) -> Fraction:
+    return Fraction(0) if x.is_zero else x.unit * Fraction(x.ctx.p) ** x.v
+
+
+def _holds(claimed: PadicScalar, recomputed: PadicScalar) -> None:
+    """The 48-digit value agrees with the claim modulo its precision: for
+    O(p^c), it has valuation >= c."""
+    prec = claimed.abs_precision()
+    if prec == math.inf:
+        assert not recomputed
+        return
+    assert recomputed.abs_precision() >= prec
+    assert vp(_rep(recomputed) - _rep(claimed), claimed.ctx.p) >= prec
+
+
+@st.composite
+def precision_cases(draw):
+    """(p, op, drawn inputs, seed of the perturbation)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    op = draw(st.sampled_from(["add", "mul", "dot", "inverse"]))
+    count = {"add": 2, "mul": 2, "dot": 2 * draw(st.integers(1, 4))}.get(op)
+    if count is None:
+        count = draw(st.sampled_from([4, 9]))
+    # fewer zeros in a matrix, or most draws would be singular
+    entry = drawn_scalars(p, 16 if op == "inverse" else 8)
+    inputs = draw(st.lists(entry, min_size=count, max_size=count))
+    return p, op, inputs, draw(st.integers(0, 2**32))
+
+
+def _apply(op: str, xs: list[PadicScalar]):
+    if op == "add":
+        return [xs[0] + xs[1]]
+    if op == "mul":
+        return [xs[0] * xs[1]]
+    half = len(xs) // 2
+    if op == "dot":
+        return [_dot(xs[:half], xs[half:], xs[0].ctx.zero())]
+    return PadicMatrix.from_flat(xs[0].ctx, math.isqrt(len(xs)), xs).inverse().flat()
+
+
+@settings(max_examples=400)
+@given(precision_cases())
+def test_inexact_zero_rules_hold_under_perturbation(case):
+    # every claimed digit, and every floor of an O(p^c), must survive moving
+    # the inputs anywhere inside their own certified digits
+    p, op, inputs, seed = case
+    xs = [x for x, _ in inputs]
+    for x in xs:
+        if x.is_zero and x:  # dividing by O(p^c) claims nothing: it refuses
+            with pytest.raises(PrecisionExhausted):
+                xs[0] / x
+    try:
+        claimed = _apply(op, xs)
+    except SingularAtPrecision:
+        return  # no pivot at working precision: nothing is claimed
+    deep, rng = PadicContext(p, DEEP), random.Random(seed)
+    for _ in range(3):
+        moved = [_moved(x, value, deep, rng) for x, value in inputs]
+        for got, again in zip(claimed, _apply(op, moved)):
+            _holds(got, again)
