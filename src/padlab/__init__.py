@@ -15,7 +15,13 @@ Layers, from the ground up:
  - spectral: closed-form evaluators for the quantitative constants
    (Harish-Chandra function, matrix-coefficient bounds, equidistribution
    and rigidity constants).
+
+Importing the package loads no numpy.  The entropylab names of __all__ are
+resolved on first access (PEP 562), which imports entropylab and numpy with
+it; FULL Bowen counting imports numpy on its first call.
 """
+
+import importlib
 
 from .errors import (
     BudgetExceeded,
@@ -59,20 +65,6 @@ from .dynamics import (
     entropy,
     min_partition_level,
     mod_character,
-)
-from .entropylab import (
-    CylinderFunction,
-    GapIdentity,
-    MarkovMeasure,
-    PinskerReport,
-    ProbVector,
-    TelescopeReport,
-    entropy_gap,
-    entropy_rate,
-    f_sequence,
-    phi,
-    pinsker_check,
-    telescope_bound_check,
 )
 from .spectral import (
     ConstantsBundle,
@@ -156,3 +148,19 @@ __all__ = [
     "xi_pgl2",
     "zp_module_basis",
 ]
+
+
+def __getattr__(name):
+    # the numpy-backed Markov lab is imported on first access to it or to one
+    # of its names, which are those of __all__ not imported above
+    if name != "entropylab" and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.entropylab")
+    if name == "entropylab":
+        return module
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | {"entropylab"})

@@ -31,15 +31,7 @@ from .dynamics import (
     min_partition_level,
     mod_character,
 )
-from .entropylab import (
-    CylinderFunction,
-    MarkovMeasure,
-    _json_int,
-    entropy_gap,
-    entropy_rate,
-    pinsker_check,
-    telescope_bound_check,
-)
+from .errors import _json_int
 from .liegroup import GroupSpec, bch, exp, horospherical_factor, log
 from .matrix import PadicMatrix
 from .scalar import DEFAULT_PRECISION, PadicContext
@@ -253,7 +245,10 @@ def _cmd_atoms(args) -> tuple[dict, int]:
     }, 0
 
 
+# the Markov lab loads numpy: its three handlers import it on first use
 def _cmd_gap(args) -> tuple[dict, int]:
+    from .entropylab import MarkovMeasure, entropy_gap, entropy_rate
+
     measure = MarkovMeasure.from_document(_load_json_arg(args.markov))
     identity = entropy_gap(measure, args.nu, args.p)
     return {
@@ -267,6 +262,8 @@ def _cmd_gap(args) -> tuple[dict, int]:
 
 
 def _cmd_pinsker(args) -> tuple[dict, int]:
+    from .entropylab import pinsker_check
+
     ref = [float(x) for x in _load_json_arg(args.ref)]
     obs = [float(x) for x in _load_json_arg(args.obs)]
     report = pinsker_check(ref, obs)
@@ -278,6 +275,8 @@ def _cmd_pinsker(args) -> tuple[dict, int]:
 
 
 def _cmd_telescope(args) -> tuple[dict, int]:
+    from .entropylab import CylinderFunction, MarkovMeasure, telescope_bound_check
+
     markov_doc = _load_json_arg(args.markov)
     measure = MarkovMeasure.from_document(markov_doc)
     if args.f is not None:

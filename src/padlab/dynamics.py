@@ -18,6 +18,10 @@ modulo the power of p that window m needs.  Window 1 is the whole lattice
 and costs no per-point work.  Window 2 tests every point, in fixed-size
 blocks, as a sum of a per-block high-digit row and one low-digit table; each
 later window tests only the points still alive after the one before.
+
+FULL counting is the only part of this module that uses numpy, and it
+imports numpy on its first call: decompositions, FACTORED counts, Bowen
+balls and atoms load none.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     BudgetExceeded,
@@ -50,6 +53,9 @@ from .matrix import (
     zp_module_basis,
 )
 from .scalar import PadicContext, PadicScalar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORACLE_POINT_BUDGET = 1 << 25
 
@@ -154,10 +160,13 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     classes: list[str] = []
     nu: list[int] = []
     for lam, mult in roots:
-        # entries of Ad carry fewer than full digits, so subtracting an exact
-        # eigenvalue can cancel every certified digit; the kernel never
-        # pivots on such an O(p^c)
-        shifted = ad_mat - PadicMatrix.identity(ctx, dim_g).scale(lam)
+        # Ad(a) - lam, subtracted on the diagonal alone.  Entries of Ad carry
+        # fewer than full digits, so subtracting an exact eigenvalue can
+        # cancel every certified digit; the kernel never pivots on such an
+        # O(p^c)
+        shifted = PadicMatrix(ctx, ad_mat.rows)
+        for i in range(dim_g):
+            shifted.rows[i][i] -= lam
         kernel = nullspace(shifted)
         if len(kernel) != mult:
             raise NotDiagonalizable(
@@ -320,6 +329,8 @@ _BLOCK = 1 << 16
 
 def _digits(idx, radius: int, count: int) -> np.ndarray:
     """Rows j < count: digit j of each flat index in base radius."""
+    import numpy as np
+
     out = np.empty((count, idx.size), dtype=np.int64)
     rest = idx.copy()
     for j in range(count):
@@ -343,6 +354,8 @@ def _window_maps(dec, k, n, level, radius) -> list[tuple[int, np.ndarray]]:
     The point with digits c_j lies in window m exactly when every entry of
     W_m c vanishes mod need_m, which is a^(m-1) X a^-(m-1) in K_k.
     """
+    import numpy as np
+
     p, spec = dec.ctx.p, dec.group
     a_frac = [[x.as_rational() for x in row] for row in dec.a.rows]
     a_num, s_a = _integerize(a_frac, p)
@@ -376,6 +389,8 @@ def _window_maps(dec, k, n, level, radius) -> list[tuple[int, np.ndarray]]:
 
 
 def _count_full(dec, k, n, level) -> BowenCounts:
+    import numpy as np
+
     dim_g = len(dec.group.lie_basis)
     radius = dec.ctx.p ** (level - k)
     total = radius**dim_g

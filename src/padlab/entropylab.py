@@ -20,6 +20,11 @@ Delta_n is the integrated defect between f_{n+1} (the uniform average over
 one more coordinate) and the mu-conditional expectation of f_n on the same
 sigma-algebra.  For the uniform chain the two coincide and every Delta_n
 vanishes exactly.
+
+This module imports numpy, and nothing else in the package imports this
+module at load time: ``padlab`` resolves its names on first access, and the
+CLI imports it only in ``gap``, ``pinsker`` and ``telescope``.  Together with
+FULL Bowen counting, these are the calls that load numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import IrreducibilityError, SupportMismatch, SymbolCountMismatch
+from .errors import IrreducibilityError, SupportMismatch, SymbolCountMismatch, _json_int
 
 # the stationary vector must have residual ||pi T - pi||_1 <= STATIONARY_TOL;
 # a chain counts as mixing too slowly when the damped power iteration
@@ -77,13 +82,6 @@ class ProbVector:
 
 def _as_prob(v: "ProbVector | Sequence[float]") -> ProbVector:
     return v if isinstance(v, ProbVector) else ProbVector(v)
-
-
-def _json_int(value, name: str) -> int:
-    """A count read from a document: a JSON integer, not a float, bool or string."""
-    if type(value) is not int:
-        raise ValueError(f"'{name}' must be a JSON integer, got {value!r}")
-    return value
 
 
 def phi(ref: "ProbVector | Sequence[float]", obs: "ProbVector | Sequence[float]") -> float:

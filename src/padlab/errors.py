@@ -1,7 +1,9 @@
 """Exception hierarchy for the whole package.
 
 Every failure mode callers are expected to handle gets its own class; the CLI
-maps each one to a distinct exit code (see padlab.cli.EXIT_CODES).
+maps each one to a distinct exit code (see padlab.cli.EXIT_CODES).  The
+check of a count read from a JSON document lives here too: the CLI and the
+Markov lab share it, and this module loads no numpy.
 """
 
 
@@ -80,3 +82,10 @@ class DivergentSeries(PadlabError):
 
 class NegativeExponent(PadlabError):
     """Cartan exponent differences must be nonnegative (descending input)."""
+
+
+def _json_int(value, name: str) -> int:
+    """A count read from a document: a JSON integer, not a float, bool or string."""
+    if type(value) is not int:
+        raise ValueError(f"'{name}' must be a JSON integer, got {value!r}")
+    return value

@@ -187,6 +187,14 @@ def test_document_counts_must_be_json_integers(argv):
     assert "JSON integer" in err
 
 
+def test_json_int_is_shared_from_the_numpy_free_errors_module():
+    # oh --cartan reads its entries with it, so it must not live in entropylab
+    assert errors._json_int(-3, "cartan") == -3
+    for value in (1.9, 2.0, True, "1", None):
+        with pytest.raises(ValueError, match="JSON integer"):
+            errors._json_int(value, "cartan")
+
+
 def test_oh_of_a_singular_element_with_negative_entries_exits_8():
     # -1 embeds as 3^12 - 1; the lifted matrix is not singular, g is
     code, out, err = run_cli(["oh", "--p", "3", "--element", '[["-1","1"],["1","-1"]]'])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from padlab import GroupSpec, PadicContext, PadicMatrix, decompose, exp
+from padlab import GroupSpec, PadicContext, PadicMatrix, PadlabError, decompose, dynamics, exp
 from padlab.dynamics import (
     _BLOCK,
     ORACLE_POINT_BUDGET,
@@ -41,7 +41,7 @@ from padlab.errors import (
 from padlab.liegroup import ball_membership
 from padlab.matrix import _invert, fraction_val
 
-from conjugate_sweep import summary, sweep
+from conjugate_sweep import draw_flow, summary, sweep
 
 
 def sl_flow(p: int, diag):
@@ -323,6 +323,48 @@ def test_conjugate_sweep_slice():
     s = summary(sweep(7, 60))
     assert (s["decomposed"], s["wrong_nu"]) == (58, 0)
     assert s["factor"]["FAIL"] == s["factor"]["UNDECIDED"] == 0
+
+
+def test_eigen_shift_equals_subtracting_a_scaled_identity(monkeypatch):
+    # decompose subtracts each eigenvalue on the diagonal of Ad(a) alone; on
+    # the flows of the sweep slice that must give Ad(a) - lam I entry for
+    # entry, in value, valuation and digits: an exact zero times lam is the
+    # exact zero, and x plus the exact zero is x
+    char_poly, roots_of, kernel = PadicMatrix.char_poly, dynamics.hensel_roots, dynamics.nullspace
+
+    def record(key, fn):
+        def wrapper(arg):
+            seen[key].append(arg)
+            return fn(arg)
+        return wrapper
+
+    def record_roots(poly):
+        seen["roots"] = roots_of(poly)
+        return seen["roots"]
+
+    monkeypatch.setattr(PadicMatrix, "char_poly", record("ad", char_poly))
+    monkeypatch.setattr(dynamics, "hensel_roots", record_roots)
+    monkeypatch.setattr(dynamics, "nullspace", record("shifted", kernel))
+
+    def entries(m):
+        return [[(x.unit, x.v, x.digits) for x in row] for row in m.rows]
+
+    rng = random.Random(7)
+    shifts = 0
+    for _ in range(60):
+        family, p, exps, a, _ = draw_flow(rng)
+        ctx = PadicContext(p)
+        spec = GroupSpec.sl(ctx, len(exps)) if family == "sl" else GroupSpec.gl(ctx, len(exps))
+        seen = {"ad": [], "roots": [], "shifted": []}
+        try:
+            decompose(PadicMatrix.from_rationals(ctx, a), spec)
+        except PadlabError:
+            pass
+        (ad,) = seen["ad"]
+        for (lam, _), shifted in zip(seen["roots"], seen["shifted"]):
+            assert entries(shifted) == entries(ad - PadicMatrix.identity(ctx, ad.dim).scale(lam))
+            shifts += 1
+    assert shifts > 200
 
 
 # ---- the FULL oracle against its reference kernel ----------------------------
