@@ -31,7 +31,7 @@ from .dynamics import (
     min_partition_level,
     mod_character,
 )
-from .errors import _json_int
+from .errors import _json_int, _json_number
 from .liegroup import GroupSpec, bch, exp, horospherical_factor, log
 from .matrix import PadicMatrix
 from .scalar import DEFAULT_PRECISION, PadicContext
@@ -264,8 +264,8 @@ def _cmd_gap(args) -> tuple[dict, int]:
 def _cmd_pinsker(args) -> tuple[dict, int]:
     from .entropylab import pinsker_check
 
-    ref = [float(x) for x in _load_json_arg(args.ref)]
-    obs = [float(x) for x in _load_json_arg(args.obs)]
+    ref = [_json_number(x, "ref") for x in _load_json_arg(args.ref)]
+    obs = [_json_number(x, "obs") for x in _load_json_arg(args.obs)]
     report = pinsker_check(ref, obs)
     return {
         "l1": _fmt_real(report.l1),
@@ -334,7 +334,6 @@ def _bundle_from_args(args) -> ConstantsBundle:
         base_ball_measure=args.base,
         a_norm=args.a_norm,
         nu_total=args.nu_total,
-        lf_shift_applied=args.lf_shift,
     )
 
 
@@ -343,7 +342,7 @@ def _cmd_kappa(args) -> tuple[dict, int]:
     return {
         "kappa": _fmt_real(kappa(bundle)),
         "entropy_nats": _fmt_real(bundle.entropy_nats),
-        "lf_shift_applied": bundle.lf_shift_applied,
+        "lf_shift_applied": args.lf_shift,
     }, 0
 
 
@@ -359,7 +358,7 @@ def _cmd_bound(args) -> tuple[dict, int]:
             raise ValueError("gap file must be a gap report with 'entropy_side'")
         gap = float(gap_doc["entropy_side"])
     # the lf shift is folded in here, on the caller side of the constant
-    l_f = args.lf + (bundle.nu_total if bundle.lf_shift_applied else 0)
+    l_f = args.lf + (bundle.nu_total if args.lf_shift else 0)
     kappa_value = kappa(bundle)
     rhs = theorem1_rhs(
         kappa_value, args.p, bundle.mixing.alpha, args.d, l_f, args.f_norm, gap
@@ -367,7 +366,7 @@ def _cmd_bound(args) -> tuple[dict, int]:
     return {
         "kappa": _fmt_real(kappa_value),
         "l_f": l_f,
-        "lf_shift_applied": bundle.lf_shift_applied,
+        "lf_shift_applied": args.lf_shift,
         "gap": _fmt_real(gap),
         "f_norm": _fmt_real(args.f_norm),
         "rhs": _fmt_real(rhs),
@@ -400,7 +399,7 @@ def _add_bundle_flags(sp):
         "--lf-shift",
         dest="lf_shift",
         action="store_true",
-        help="record that l_f inputs carry the l_f + |nu| adjustment",
+        help="replace l_f by l_f + |nu| (bound); reported as lf_shift_applied",
     )
 
 

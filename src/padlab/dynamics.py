@@ -40,7 +40,7 @@ from .errors import (
     NotDiagonalizable,
     NotSplitAtPrecision,
 )
-from .liegroup import GroupSpec, exp
+from .liegroup import GroupSpec, exp, log
 from .matrix import (
     Basis,
     PadicMatrix,
@@ -119,8 +119,6 @@ class AdaptedBall:
         return True
 
     def contains_group(self, g: PadicMatrix) -> bool:
-        from .liegroup import log
-
         try:
             return self.contains_algebra(log(g))
         except DomainError:

@@ -19,7 +19,10 @@ exact identities that the tests can check to float accuracy:
 Delta_n is the integrated defect between f_{n+1} (the uniform average over
 one more coordinate) and the mu-conditional expectation of f_n on the same
 sigma-algebra.  For the uniform chain the two coincide and every Delta_n
-vanishes exactly.
+vanishes exactly.  Each value has one route: the gap in the telescoping
+report is the phi side of the gap identity, bit for bit, and f_n is the
+direct average f.average_first(n).  The from_document readers take JSON
+numbers only, never a bool or a numeric string.
 
 This module imports numpy, and nothing else in the package imports this
 module at load time: ``padlab`` resolves its names on first access, and the
@@ -35,7 +38,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import IrreducibilityError, SupportMismatch, SymbolCountMismatch, _json_int
+from .errors import IrreducibilityError, SupportMismatch, SymbolCountMismatch
+from .errors import _json_int, _json_number
 
 # the stationary vector must have residual ||pi T - pi||_1 <= STATIONARY_TOL;
 # a chain counts as mixing too slowly when the damped power iteration
@@ -168,14 +172,14 @@ class MarkovMeasure:
         rowsums = matrix.sum(axis=1)
         if np.any(np.abs(rowsums - 1.0) > _NORMALIZATION_TOL):
             raise ValueError("transition rows must sum to 1")
-        self.symbol_count: int = matrix.shape[0]
+        self.s: int = matrix.shape[0]
         self.transition: np.ndarray = matrix
         self.transition.setflags(write=False)
         self.stationary: ProbVector = self._find_stationary()
 
     def _find_stationary(self) -> ProbVector:
         matrix = self.transition
-        s = self.symbol_count
+        s = self.s
         # rho, the second eigenvalue modulus of the damped map (T + I)/2,
         # sets the mixing rate; the damping folds periodic eigenvalues -1
         # inside the unit circle without moving the fixed points
@@ -211,10 +215,6 @@ class MarkovMeasure:
             )
         return ProbVector(x.tolist())
 
-    @property
-    def s(self) -> int:
-        return self.symbol_count
-
     @classmethod
     def uniform(cls, s: int) -> "MarkovMeasure":
         """The Haar analogue: every conditional split is uniform."""
@@ -228,10 +228,13 @@ class MarkovMeasure:
 
     @classmethod
     def from_document(cls, doc: dict) -> "MarkovMeasure":
-        """Build from {"s": int, "transition": [[...]]}."""
+        """Build from {"s": int, "transition": [[...]]}: JSON numbers only."""
         if not isinstance(doc, dict) or "transition" not in doc:
             raise ValueError("markov document needs a 'transition' field")
-        measure = cls(doc["transition"])
+        rows = doc["transition"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("'transition' must be an array of rows")
+        measure = cls([[_json_number(t, "transition") for t in row] for row in rows])
         declared = doc.get("s")
         if declared is not None and _json_int(declared, "s") != measure.s:
             raise ValueError(
@@ -276,6 +279,15 @@ def entropy_rate(measure: MarkovMeasure) -> float:
     return total
 
 
+def _phi_side(measure: MarkovMeasure) -> float:
+    """The phi side of the gap identity, sum_i pi_i phi(uniform, T[i, :])."""
+    unif = ProbVector.uniform(measure.s)
+    return sum(
+        pi * phi(unif, ProbVector(measure.transition[i].tolist()))
+        for i, pi in enumerate(measure.stationary.weights)
+    )
+
+
 class GapIdentity(NamedTuple):
     """Both evaluations of the entropy gap h_top - h_mu.
 
@@ -299,11 +311,7 @@ def entropy_gap(measure: MarkovMeasure, nu_total: int, p: int) -> GapIdentity:
             f"{p}^{nu_total} = {p ** nu_total}"
         )
     side_a = nu_total * math.log(p) - entropy_rate(measure)
-    unif = ProbVector.uniform(measure.s)
-    side_b = sum(
-        pi * phi(unif, ProbVector(measure.transition[i].tolist()))
-        for i, pi in enumerate(measure.stationary.weights)
-    )
+    side_b = _phi_side(measure)
     if abs(side_a - side_b) > 1e-10:
         raise ArithmeticError(
             f"gap identity violated: {side_a!r} vs {side_b!r}"
@@ -311,12 +319,13 @@ def entropy_gap(measure: MarkovMeasure, nu_total: int, p: int) -> GapIdentity:
     return GapIdentity(side_a, side_b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CylinderFunction:
     """Real function of the first `depth` coordinates of the shift.
 
     values is flat-indexed by sum_t w_t s^t.  The depth is the symbolic
-    smoothness level: deeper functions see finer atoms.
+    smoothness level: deeper functions see finer atoms.  Two instances
+    compare and hash by identity, as MarkovMeasure does.
     """
 
     depth: int
@@ -344,10 +353,11 @@ class CylinderFunction:
 
     @classmethod
     def from_document(cls, doc: dict, s: int) -> "CylinderFunction":
-        """Build from {"depth": m, "values": [...]}."""
+        """Build from {"depth": m, "values": [...]}: JSON numbers only."""
         if not isinstance(doc, dict) or "depth" not in doc or "values" not in doc:
             raise ValueError("cylinder document needs 'depth' and 'values'")
-        return cls(_json_int(doc["depth"], "depth"), s, doc["values"])
+        values = [_json_number(v, "values") for v in doc["values"]]
+        return cls(_json_int(doc["depth"], "depth"), s, values)
 
     def value(self, word: Sequence[int]) -> float:
         idx = 0
@@ -379,27 +389,12 @@ class CylinderFunction:
 def f_sequence(f: CylinderFunction, n_max: int) -> list[CylinderFunction]:
     """The averaging sequence f_0 = f, f_1, ..., f_{n_max}.
 
-    f_n averages f uniformly over the first n coordinates; once n reaches
-    depth(f) the sequence is the constant mean.  Built by the one-step
-    recursion f_{n+1}(y) = (1/s) sum_j f_n(j, y) and cross-checked against
-    the direct average.
+    f_n = f.average_first(n), the direct uniform average of f over its first
+    n coordinates; once n reaches depth(f) it is the constant mean.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    seq = [f]
-    for n in range(n_max):
-        prev = seq[-1]
-        if prev.depth == 0:
-            seq.append(prev)
-            continue
-        nxt = CylinderFunction(
-            prev.depth - 1, f.s, prev.values.reshape(-1, f.s).mean(axis=1)
-        )
-        direct = f.average_first(n + 1)
-        if np.abs(nxt.values - direct.values).max() > 1e-9:
-            raise ArithmeticError("averaging recursion does not match direct average")
-        seq.append(nxt)
-    return seq
+    return [f.average_first(n) for n in range(n_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -460,17 +455,12 @@ def telescope_bound_check(f: CylinderFunction, measure: MarkovMeasure) -> Telesc
         )
     s = measure.s
     m = f.depth
-    unif = ProbVector.uniform(s)
-    gap = sum(
-        pi * phi(unif, ProbVector(measure.transition[i].tolist()))
-        for i, pi in enumerate(measure.stationary.weights)
-    )
+    gap = _phi_side(measure)
     mu_f = float(measure.word_measures(m) @ f.values) if m > 0 else f.mean()
 
     # the uniform average and the mu-conditional expectation go through the
     # same expression shape so they cancel exactly when the rows are uniform
     unif_row = np.full(s, 1.0 / s)
-    pi_rows = np.tile(np.asarray(measure.stationary.weights), (1, 1))
     deltas: list[float] = []
     bounds: list[float] = []
     norms: list[float] = []
@@ -485,7 +475,7 @@ def telescope_bound_check(f: CylinderFunction, measure: MarkovMeasure) -> Telesc
             rows = measure.transition[np.arange(averaged.size) % s, :]
         else:
             # last step: the lone remaining coordinate is distributed as pi
-            rows = pi_rows
+            rows = np.asarray(measure.stationary.weights)
         conditional = (grouped * rows).sum(axis=1)
         weights = measure.word_measures(m - n - 1)
         delta = float(weights @ np.abs(averaged - conditional))

@@ -2,8 +2,8 @@
 
 Every failure mode callers are expected to handle gets its own class; the CLI
 maps each one to a distinct exit code (see padlab.cli.EXIT_CODES).  The
-check of a count read from a JSON document lives here too: the CLI and the
-Markov lab share it, and this module loads no numpy.
+checks of a count and of a real number read from a JSON document live here
+too: the CLI and the Markov lab share them, and this module loads no numpy.
 """
 
 
@@ -88,4 +88,11 @@ def _json_int(value, name: str) -> int:
     """A count read from a document: a JSON integer, not a float, bool or string."""
     if type(value) is not int:
         raise ValueError(f"'{name}' must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_number(value, name: str) -> int | float:
+    """A real read from a document: a JSON integer or float, not a bool or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"'{name}' entries must be JSON numbers, got {value!r}")
     return value

@@ -352,8 +352,8 @@ def _taylor_shift(coeffs: list[int], r0: int, mod: int) -> list[int]:
     return out
 
 
-def _newton_slopes(points: list[tuple[int, int]]) -> list[tuple[int, int, Fraction]]:
-    """Lower convex hull edges of (i, v_p(c_i)) points: (i_start, i_end, slope)."""
+def _newton_slopes(points: list[tuple[int, int]]) -> list[Fraction]:
+    """Slopes of the lower convex hull edges of (i, v_p(c_i)) points, left to right."""
     hull: list[tuple[int, int]] = []
     for pt in points:
         while len(hull) >= 2:
@@ -364,14 +364,7 @@ def _newton_slopes(points: list[tuple[int, int]]) -> list[tuple[int, int, Fracti
             else:
                 break
         hull.append(pt)
-    return [
-        (
-            hull[i][0],
-            hull[i + 1][0],
-            Fraction(hull[i + 1][1] - hull[i][1], hull[i + 1][0] - hull[i][0]),
-        )
-        for i in range(len(hull) - 1)
-    ]
+    return [Fraction(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
 
 
 def _simple_lift(coeffs: list[int], r0: int, p: int, m_exp: int) -> int:
@@ -463,7 +456,7 @@ def hensel_roots(coeffs: list[PadicScalar]) -> list[tuple[PadicScalar, int]]:
     units = [c.unit for c in work]  # 0 at a zero
     precs = [c.abs_precision() for c in work]  # an O(p^c) coefficient has c
     points = [(i, v) for i, v in enumerate(vals) if v is not None]
-    for _i0, _i1, slope in _newton_slopes(points):
+    for slope in _newton_slopes(points):
         if slope.denominator != 1:
             raise NotSplitAtPrecision(
                 f"Newton slope {slope} is fractional: roots lie in a ramified extension"

@@ -130,10 +130,9 @@ class ConstantsBundle:
     """Everything kappa and the equidistribution bound consume.
 
     entropy_nats is |nu| ln p; base_ball_measure is the Haar mass of the
-    level-2 congruence ball; a_norm the max-norm of a.  lf_shift_applied
-    records whether the caller already replaced l_f by l_f + |nu| when
-    moving between plain and adapted balls; nothing here changes arithmetic
-    based on the flag, it only documents which convention the inputs use.
+    level-2 congruence ball; a_norm the max-norm of a.  The bundle holds no
+    smoothness level, so the shift of l_f to l_f + |nu| between plain and
+    adapted balls is the caller's (``padlab bound --lf-shift`` makes it).
     """
 
     mixing: MixingParams
@@ -143,7 +142,6 @@ class ConstantsBundle:
     base_ball_measure: float
     a_norm: float
     nu_total: int
-    lf_shift_applied: bool = False
 
     def __post_init__(self):
         if self.p < 2:

@@ -17,7 +17,7 @@ import padlab
 from padlab import errors
 from padlab.cli import EXIT_CODES
 
-from cli_cases import EXIT_CASES, GOLDEN_CASES, GOLDEN_DIR, SUBCOMMANDS, run_cli
+from cli_cases import A2, BUNDLE, EXIT_CASES, GOLDEN_CASES, GOLDEN_DIR, SUBCOMMANDS, run_cli
 
 
 @pytest.mark.parametrize(
@@ -193,6 +193,107 @@ def test_json_int_is_shared_from_the_numpy_free_errors_module():
     for value in (1.9, 2.0, True, "1", None):
         with pytest.raises(ValueError, match="JSON integer"):
             errors._json_int(value, "cartan")
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["gap", "--p", "2", "--nu", "1",
+      "--markov", '{"s":2,"transition":[["0.5","0.5"],[true,false]]}'], "transition"),
+    (["gap", "--p", "2", "--nu", "1",
+      "--markov", '{"s":2,"transition":[[0.5,0.5],[true,false]]}'], "transition"),
+    (["telescope", "--markov", "{" + CHAIN + "}", "--f", '{"depth":1,"values":[true,"2"]}'],
+     "values"),
+    (["pinsker", "--ref", '["0.5","0.5"]', "--obs", "[0.25,0.75]"], "ref"),
+    (["pinsker", "--ref", "[0.5,0.5]", "--obs", "[false,true]"], "obs"),
+], ids=["gap-strings", "gap-bools", "telescope-values", "pinsker-ref", "pinsker-obs"])
+def test_document_reals_must_be_json_numbers(argv, field):
+    # float() would read "0.5" as 0.5 and true as 1.0 and run on that input
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert f"'{field}' entries must be JSON numbers" in err
+
+
+def test_json_number_is_shared_from_the_numpy_free_errors_module():
+    for value in (0, -3, 0.25):
+        assert errors._json_number(value, "ref") == value
+    for value in (True, False, "0.5", None, [0.5]):
+        with pytest.raises(ValueError, match="JSON numbers"):
+            errors._json_number(value, "ref")
+
+
+def test_matrix_read_from_a_file_path(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(A2)
+    code, out, err = run_cli(["analyze", "--element", str(path), "--dim", "2"])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "analyze_sl2.json").read_text()
+
+
+def _flat_lines(doc, prefix=""):
+    if isinstance(doc, dict):
+        return [line for key in sorted(doc) for line in _flat_lines(doc[key], f"{prefix}{key}.")]
+    if isinstance(doc, list):
+        return [line for i, item in enumerate(doc) for line in _flat_lines(item, f"{prefix}{i}.")]
+    return [f"{prefix[:-1]} = {doc}"]
+
+
+def test_text_format_numbers_list_entries():
+    # nested keys join with dots and list entries are numbered from 0
+    code, out, err = run_cli(["analyze", "--element", A2, "--dim", "2", "--format", "text"])
+    assert (code, err) == (0, "")
+    doc = json.loads((GOLDEN_DIR / "analyze_sl2.json").read_text())
+    assert out.splitlines() == _flat_lines(doc)
+    assert "eigenvalues.2 = 9" in out.splitlines()
+
+
+def test_telescope_reads_f_embedded_in_the_markov_document():
+    markov = '{"s":2,"transition":[[0.25,0.75],[0.25,0.75]],"f":{"depth":1,"values":[1.0,0.0]}}'
+    code, out, err = run_cli(["telescope", "--markov", markov])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "telescope.json").read_text()
+
+
+def test_telescope_without_a_cylinder_function_exits_1():
+    code, out, err = run_cli(["telescope", "--markov", "{" + CHAIN + "}"])
+    assert (code, out) == (1, "")
+    assert "no cylinder function" in err
+
+
+def test_bound_reads_the_entropy_side_of_a_gap_report():
+    report = GOLDEN_DIR / "gap_bernoulli.json"
+    tail = ["--lf", "0", "--f-norm", "1"]
+    code, from_file, err = run_cli(["bound"] + BUNDLE + tail + ["--gap-file", str(report)])
+    assert (code, err) == (0, "")
+    gap = json.loads(report.read_text())["entropy_side"]
+    assert run_cli(["bound"] + BUNDLE + tail + ["--gap", gap]) == (0, from_file, "")
+
+
+def test_lf_shift_moves_l_f_and_leaves_kappa():
+    # the shift is the caller's: kappa is the same, bound's l_f gains |nu|
+    code, out, _ = run_cli(["kappa"] + BUNDLE + ["--lf-shift"])
+    golden = json.loads((GOLDEN_DIR / "kappa.json").read_text())
+    assert (code, json.loads(out)) == (0, {**golden, "lf_shift_applied": True})
+    argv = ["bound"] + BUNDLE + ["--nu-total", "2", "--lf", "1", "--f-norm", "1", "--gap", "0.25"]
+    plain, shifted = (json.loads(run_cli(argv + extra)[1]) for extra in ([], ["--lf-shift"]))
+    assert (plain["l_f"], plain["lf_shift_applied"]) == (1, False)
+    assert (shifted["l_f"], shifted["lf_shift_applied"]) == (3, True)
+    assert shifted["kappa"] == plain["kappa"] == golden["kappa"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["oh", "--p", "3"],"exactly one of --cartan or --element"),
+    (["oh", "--p", "3", "--cartan", "[1,-1]", "--element", A2],
+     "exactly one of --cartan or --element"),
+    (["bound"] + BUNDLE + ["--lf", "0", "--f-norm", "1"], "exactly one of --gap or --gap-file"),
+    (["bound"] + BUNDLE + ["--lf", "0", "--f-norm", "1", "--gap", "0.25",
+                           "--gap-file", '{"entropy_side": "0.25"}'],
+     "exactly one of --gap or --gap-file"),
+    (["bound"] + BUNDLE + ["--lf", "0", "--f-norm", "1", "--gap-file", '{"phi_side": "0.25"}'],
+     "gap report with 'entropy_side'"),
+], ids=["oh-neither", "oh-both", "bound-neither", "bound-both", "bound-not-a-report"])
+def test_alternative_inputs_take_exactly_one_exits_1(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_oh_of_a_singular_element_with_negative_entries_exits_8():

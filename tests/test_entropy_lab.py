@@ -341,6 +341,48 @@ def test_cylinder_function_basics():
         CylinderFunction(0, 2, [math.inf])
 
 
+def test_cylinder_functions_compare_and_hash_by_identity():
+    # the generated __eq__ and __hash__ would compare and hash the ndarray
+    f = CylinderFunction(1, 2, [1.0, 2.0])
+    g = CylinderFunction(1, 2, [1.0, 2.0])
+    assert f == f
+    assert f != g
+    assert len({f, g, f}) == 2
+
+
+def test_documents_take_json_numbers_only():
+    # float() would read "0.5" as 0.5 and True as 1.0
+    for entry in ("0.5", True, None, [0.5]):
+        with pytest.raises(ValueError, match="'transition' entries must be JSON numbers"):
+            MarkovMeasure.from_document({"transition": [[entry, 0.5], [0.5, 0.5]]})
+        with pytest.raises(ValueError, match="'values' entries must be JSON numbers"):
+            CylinderFunction.from_document({"depth": 1, "values": [1.0, entry]}, 2)
+    for transition in ([0.5, 0.5], "[[1.0]]", {"0": [1.0]}):
+        with pytest.raises(ValueError, match="array of rows"):
+            MarkovMeasure.from_document({"transition": transition})
+    mu = MarkovMeasure.from_document({"transition": [[1, 0], [0.5, 0.5]]})
+    assert mu.stationary.weights == pytest.approx((1.0, 0.0), abs=1e-15)
+    assert CylinderFunction.from_document({"depth": 1, "values": [1, -2]}, 2).mean() == -0.5
+
+
+def reference_f_sequence(f: CylinderFunction, n_max: int) -> list[CylinderFunction]:
+    """The one-step recursion f_{n+1}(y) = (1/s) sum_j f_n(j, y).
+
+    A second route to the direct averages f.average_first(n) that
+    f_sequence returns.
+    """
+    seq = [f]
+    for _ in range(n_max):
+        prev = seq[-1]
+        if prev.depth == 0:
+            seq.append(prev)
+            continue
+        seq.append(CylinderFunction(
+            prev.depth - 1, f.s, prev.values.reshape(-1, f.s).mean(axis=1)
+        ))
+    return seq
+
+
 def test_f_sequence_indicator():
     # indicator of w_0 = 0 over three symbols averages to the constant 1/3
     f = CylinderFunction(1, 3, [1.0, 0.0, 0.0])
@@ -359,9 +401,12 @@ def test_f_sequence_matches_direct_average():
         f = CylinderFunction(
             depth, s, [rng.uniform(-2, 2) for _ in range(s**depth)]
         )
-        for n, fn in enumerate(f_sequence(f, depth)):
-            direct = f.average_first(n)
-            assert np.abs(fn.values - direct.values).max() <= 1e-12
+        seq = f_sequence(f, depth)
+        reference = reference_f_sequence(f, depth)
+        assert len(seq) == len(reference) == depth + 1
+        for fn, ref in zip(seq, reference):
+            assert fn.depth == ref.depth
+            assert np.abs(fn.values - ref.values).max() <= 1e-12
 
 
 # ---- the telescoping estimate ------------------------------------------------
@@ -420,6 +465,8 @@ def test_telescope_sweep():
         assert report.per_step_hold
         assert report.telescoping_holds
         assert all(d >= 0.0 for d in report.deltas)
+        # one phi-side sum serves both: s = p^1 symbols
+        assert report.gap == entropy_gap(mu, 1, s).phi_side
         # mu(f) agrees with brute-force enumeration
         brute = sum(
             mu.word_measure([(idx // s**t) % s for t in range(depth)])

@@ -239,13 +239,6 @@ def test_kappa_entropy_scaling():
     assert hi / lo == pytest.approx(3.0**4, rel=1e-12)
 
 
-def test_lf_shift_flag_is_metadata_only():
-    plain = bundle(lf_shift_applied=False)
-    shifted = bundle(lf_shift_applied=True)
-    assert kappa(plain) == kappa(shifted)
-    assert equidistribution_bound(plain, 2, 3) == equidistribution_bound(shifted, 2, 3)
-
-
 def test_bundle_validation():
     with pytest.raises(ValueError):
         bundle(p=1)
