@@ -31,7 +31,7 @@ from .dynamics import (
     min_partition_level,
     mod_character,
 )
-from .errors import _json_int, _json_number
+from .errors import _finite_real, _json_int, _json_number
 from .liegroup import GroupSpec, bch, exp, horospherical_factor, log
 from .matrix import PadicMatrix
 from .scalar import DEFAULT_PRECISION, PadicContext
@@ -356,7 +356,7 @@ def _cmd_bound(args) -> tuple[dict, int]:
         gap_doc = _load_json_arg(args.gap_file)
         if not isinstance(gap_doc, dict) or "entropy_side" not in gap_doc:
             raise ValueError("gap file must be a gap report with 'entropy_side'")
-        gap = float(gap_doc["entropy_side"])
+        gap = _finite_real(gap_doc["entropy_side"], "entropy_side")
     # the lf shift is folded in here, on the caller side of the constant
     l_f = args.lf + (bundle.nu_total if args.lf_shift else 0)
     kappa_value = kappa(bundle)
@@ -387,14 +387,14 @@ def _add_matrix_group_flags(
 
 
 def _add_bundle_flags(sp):
-    sp.add_argument("--c", type=float, required=True, help="mixing constant c")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--delta", type=float, required=True)
+    sp.add_argument("--c", type=_finite_real, required=True, help="mixing constant c")
+    sp.add_argument("--alpha", type=_finite_real, required=True)
+    sp.add_argument("--delta", type=_finite_real, required=True)
     sp.add_argument("--d", type=int, required=True, help="group dimension")
-    sp.add_argument("--base", type=float, required=True, help="m_G of the level-2 ball")
-    sp.add_argument("--a-norm", dest="a_norm", type=float, required=True)
+    sp.add_argument("--base", type=_finite_real, required=True, help="m_G of the level-2 ball")
+    sp.add_argument("--a-norm", dest="a_norm", type=_finite_real, required=True)
     sp.add_argument("--nu-total", dest="nu_total", type=int, default=0)
-    sp.add_argument("--entropy-nats", dest="entropy_nats", type=float, default=None)
+    sp.add_argument("--entropy-nats", dest="entropy_nats", type=_finite_real, default=None)
     sp.add_argument(
         "--lf-shift",
         dest="lf_shift",
@@ -481,8 +481,8 @@ def build_parser() -> _Parser:
     sp = command("bound", _cmd_bound, "entropy-gap rigidity bound")
     _add_bundle_flags(sp)
     sp.add_argument("--lf", type=int, required=True, help="smoothness level of f")
-    sp.add_argument("--f-norm", dest="f_norm", type=float, required=True)
-    sp.add_argument("--gap", type=float, default=None)
+    sp.add_argument("--f-norm", dest="f_norm", type=_finite_real, required=True)
+    sp.add_argument("--gap", type=_finite_real, default=None)
     sp.add_argument("--gap-file", dest="gap_file", default=None)
 
     return parser

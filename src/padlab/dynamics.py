@@ -8,6 +8,12 @@ on the valuations nu_i = v_p(lambda_i) of the stable eigenvalues: entropy,
 Bowen ball shapes, partition atoms, and the module character all reduce to
 the total contraction |nu| = sum nu_i.
 
+Both window conventions read one rule, `_window_levels`: the Bowen ball
+bowen_ball(dec, k, n) holds the points staying k-close for times 0..n, and
+oracle window m those for times 0..m-1, the ball of length m - 1.  Staying
+in the level-k ball at time l costs the unstable line i l|nu_i| extra
+digits, so over times 0..n line i needs k + n max(0, -nu_i).
+
 The Bowen counting oracle deliberately has two routes.  FACTORED reads counts
 off the eigenvalue valuations.  FULL enumerates actual lattice points and
 tests window membership by integer conjugation with a itself, never touching
@@ -64,36 +70,50 @@ ORACLE_POINT_BUDGET = 1 << 25
 class HorosphericalDecomposition:
     """Eigenline data of Ad(a) on a group's algebra.
 
-    basis[i] is an integral, content-0 algebra element spanning an eigenline
-    of eigenvalue eigenvalues[i]; classes[i] is "STABLE", "NEUTRAL" or
-    "UNSTABLE" by the sign of v_p(eigenvalues[i]); nu[i] is that valuation.
-    Lines are sorted by (valuation, unit lift) of the eigenvalue, repeated
-    eigenvalues contiguous.  nu_total is the summed stable contraction.
-    lattice_defect is the eigenbasis' index, clipped at 0: Basis pivots at
-    globally minimal valuation, so that is the Smith index of the eigenlattice
-    sum inside the full integral lattice.
+    Stored: a, group, eigenvalues and the eigenbasis _coords, whose matrix i
+    is an integral, content-0 algebra element spanning an eigenline of
+    eigenvalue eigenvalues[i]; lines are sorted by (valuation, unit lift) of
+    the eigenvalue, repeated eigenvalues contiguous.  Derived: basis, the
+    eigenbasis matrices; nu[i] = v_p(eigenvalues[i]); classes[i], "STABLE",
+    "NEUTRAL" or "UNSTABLE" by the sign of nu[i], for output (the rules read
+    the sign); nu_total, the summed stable contraction; lattice_defect, the
+    eigenbasis' index, which is the Smith index of the eigenlattice sum inside
+    the full integral lattice (Basis pivots at globally minimal valuation),
+    never negative, as the lines are integral.
     """
 
     a: PadicMatrix
     group: GroupSpec
     eigenvalues: tuple
-    basis: tuple
-    classes: tuple
-    nu: tuple
-    nu_total: int
-    lattice_defect: int
     _coords: Basis = field(repr=False, compare=False)
 
     @property
     def ctx(self) -> PadicContext:
         return self.group.ctx
 
+    @property
+    def basis(self) -> tuple:
+        return self._coords.mats
+
+    @property
+    def nu(self) -> tuple:
+        return tuple(lam.v for lam in self.eigenvalues)
+
+    @property
+    def classes(self) -> tuple:
+        return tuple("STABLE" if v > 0 else "UNSTABLE" if v < 0 else "NEUTRAL" for v in self.nu)
+
+    @property
+    def nu_total(self) -> int:
+        return sum(v for v in self.nu if v > 0)
+
+    @property
+    def lattice_defect(self) -> int:
+        return self._coords.index
+
     def coordinates(self, x: PadicMatrix, verify: bool = False):
         """Coordinates of x in the eigenbasis; None if verify finds x outside."""
         return self._coords.coordinates(x, verify)
-
-    def combination(self, coords) -> PadicMatrix:
-        return combine(self.basis, coords)
 
     def max_exponent(self) -> int:
         """max |v_p(lambda)| over all eigenlines (0 when none are hyperbolic)."""
@@ -129,7 +149,8 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     """Diagonalize Ad(a) on spec's algebra and classify its eigenlines.
 
     Raises NotDiagonalizable when the characteristic polynomial of Ad(a) does
-    not split over Q_p at working precision or an eigenspace comes up short,
+    not split over Q_p at working precision, an eigenspace comes up short, or
+    the eigenlines are too few or dependent at working precision,
     NoHyperbolicity when every eigenvalue is a unit, and DomainError when a
     fails to normalize the algebra.
     """
@@ -154,9 +175,7 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
         raise NotDiagonalizable(f"adjoint spectrum does not split: {err}") from err
 
     eigenvalues: list[PadicScalar] = []
-    basis: list[PadicMatrix] = []
-    classes: list[str] = []
-    nu: list[int] = []
+    lines: list[PadicMatrix] = []
     for lam, mult in roots:
         # Ad(a) - lam, subtracted on the diagonal alone.  Entries of Ad carry
         # fewer than full digits, so subtracting an exact eigenvalue can
@@ -172,31 +191,20 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
                 f"{len(kernel)} independent eigenvectors"
             )
         flats = [combine(spec.lie_basis, vec).flat() for vec in kernel]
-        v_lam = lam.valuation()
-        cls = "STABLE" if v_lam > 0 else ("UNSTABLE" if v_lam < 0 else "NEUTRAL")
         for flat in zp_module_basis(flats):
             eigenvalues.append(lam)
-            basis.append(PadicMatrix.from_flat(ctx, a.dim, flat))
-            classes.append(cls)
-            nu.append(int(v_lam))
-    if len(basis) != dim_g:
-        raise NotDiagonalizable("eigenlines do not span the algebra")
-    nu_total = sum(v for v in nu if v > 0)
-    if nu_total == 0:
+            lines.append(PadicMatrix.from_flat(ctx, a.dim, flat))
+    # the eigenbasis question, asked once: too few lines or dependent ones
+    try:
+        if len(lines) != dim_g:
+            raise ValueError("eigenlines do not span the algebra")
+        eigen = Basis(ctx, a.dim, lines)
+    except ValueError as err:
+        raise NotDiagonalizable(f"no eigenbasis at working precision: {err}") from err
+    dec = HorosphericalDecomposition(a, spec, tuple(eigenvalues), eigen)
+    if dec.nu_total == 0:
         raise NoHyperbolicity("every adjoint eigenvalue is a p-adic unit")
-
-    eigen = Basis(ctx, a.dim, basis)
-    return HorosphericalDecomposition(
-        a=a,
-        group=spec,
-        eigenvalues=tuple(eigenvalues),
-        basis=eigen.mats,
-        classes=tuple(classes),
-        nu=tuple(nu),
-        nu_total=nu_total,
-        lattice_defect=max(0, eigen.index),
-        _coords=eigen,
-    )
+    return dec
 
 
 def entropy(dec: HorosphericalDecomposition) -> float:
@@ -214,26 +222,24 @@ def min_partition_level(dec: HorosphericalDecomposition) -> int:
     return dec.nu_total + 2
 
 
-def _require_ball_level(dec: HorosphericalDecomposition, k: int) -> None:
+def _window_levels(dec: HorosphericalDecomposition, k: int, n: int) -> tuple:
+    """Per-line levels of the points staying k-close for times 0..n (see the
+    module docstring), after checking the ball level k."""
     least = max(2, dec.max_exponent() + 2)
     if k < least:
         raise LevelTooSmall(f"ball level {k} below the adapted minimum {least}")
+    return tuple(k + n * max(0, -v) for v in dec.nu)
 
 
 def bowen_ball(dec: HorosphericalDecomposition, k: int, n: int) -> AdaptedBall:
     """Adapted ball of the points staying k-close for time 0..n.
 
     Membership of X for the window means a^l exp(X) a^-l stays in the level-k
-    ball for 0 <= l <= n; on the unstable line i that costs n|nu_i| extra
-    digits, elsewhere nothing.
+    ball for 0 <= l <= n (see `_window_levels`).
     """
-    _require_ball_level(dec, k)
+    levels = _window_levels(dec, k, n)
     if n < 1:
         raise DomainError("window length must be >= 1")
-    levels = tuple(
-        k + n * (-v) if cls == "UNSTABLE" else k
-        for cls, v in zip(dec.classes, dec.nu)
-    )
     return AdaptedBall(dec=dec, levels=levels, k=k, n=n)
 
 
@@ -275,10 +281,12 @@ def bowen_count_oracle(
     dim_g * p^(level - k) * p^(k + (n-1) shift) would pass 2^63, where p^shift
     clears the p-power denominators of a and a^-1.
     """
-    _require_ball_level(dec, k)
+    # window n is the ball of times 0..n-1; the lattice must resolve its
+    # deepest line
+    deepest = max(_window_levels(dec, k, n - 1))
     if n < 1:
         raise DomainError("window length must be >= 1")
-    if level <= k + (n - 1) * dec.max_exponent():
+    if level <= deepest:
         raise LevelTooSmall(
             f"lattice level {level} cannot resolve a length-{n} window at k={k}"
         )
@@ -292,10 +300,15 @@ def bowen_count_oracle(
 
 @dataclass(frozen=True)
 class BowenCounts:
+    """Point counts of the windows m = 1..n modulo p^level."""
+
     mode: str
     level: int
     counts: tuple
-    ratios: tuple
+
+    @property
+    def ratios(self) -> tuple:
+        return tuple(Fraction(c, self.counts[0]) for c in self.counts)
 
 
 def _count_factored(dec, k, n, level) -> BowenCounts:
@@ -304,15 +317,11 @@ def _count_factored(dec, k, n, level) -> BowenCounts:
             "factored counting needs an eigenbasis spanning the full lattice"
         )
     p = dec.ctx.p
-    counts = []
-    for m in range(1, n + 1):
-        total = 1
-        for cls, v in zip(dec.classes, dec.nu):
-            req = k + (m - 1) * (-v) if cls == "UNSTABLE" else k
-            total *= p ** max(0, level - req)
-        counts.append(total)
-    ratios = tuple(Fraction(c, counts[0]) for c in counts)
-    return BowenCounts("FACTORED", level, tuple(counts), ratios)
+    counts = tuple(
+        math.prod(p ** max(0, level - req) for req in _window_levels(dec, k, m - 1))
+        for m in range(1, n + 1)
+    )
+    return BowenCounts("FACTORED", level, counts)
 
 
 def _lift_mod(fr: Fraction, modulus: int) -> int:
@@ -423,9 +432,7 @@ def _count_full(dec, k, n, level) -> BowenCounts:
                 z %= need_m
                 alive = alive[~z.any(axis=0)]
                 counts[m] += alive.size
-    out = tuple(counts)
-    ratios = tuple(Fraction(c, out[0]) for c in out)
-    return BowenCounts("FULL", level, out, ratios)
+    return BowenCounts("FULL", level, tuple(counts))
 
 
 def atom_representatives(dec: HorosphericalDecomposition, k: int) -> list[PadicMatrix]:
@@ -436,9 +443,7 @@ def atom_representatives(dec: HorosphericalDecomposition, k: int) -> list[PadicM
     if k < least:
         raise LevelTooSmall(f"partition level {k} below the minimum {least}")
     ctx = dec.ctx
-    stable = [
-        (v, b) for v, b, cls in zip(dec.nu, dec.basis, dec.classes) if cls == "STABLE"
-    ]
+    stable = [(v, b) for v, b in zip(dec.nu, dec.basis) if v > 0]
     reps: list[PadicMatrix] = []
     combos = [[]]
     for v, _ in stable:

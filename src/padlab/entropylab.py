@@ -92,7 +92,11 @@ def phi(ref: "ProbVector | Sequence[float]", obs: "ProbVector | Sequence[float]"
     """Relative entropy sum_i q_i ln(q_i / p_i) of obs = q against ref = p.
 
     Natural log, with 0 ln 0 := 0.  Nonnegative, zero exactly when the two
-    vectors agree on the support of q.
+    vectors agree on the support of q.  Each term is evaluated as
+    p_i ((1 + x) log1p(x) - x) with x = (q_i - p_i) / p_i, which adds up to
+    the same sum when both vectors sum to 1 but never cancels: every term is
+    nonnegative, so near-equal vectors keep their small gap instead of
+    rounding it to zero.  A term with q_i = 0 contributes p_i.
 
     Raises:
         SupportMismatch: q puts mass where p has none.
@@ -104,10 +108,12 @@ def phi(ref: "ProbVector | Sequence[float]", obs: "ProbVector | Sequence[float]"
     total = 0.0
     for pi, qi in zip(p, q):
         if qi == 0.0:
+            total += pi
             continue
         if pi == 0.0:
             raise SupportMismatch("observed mass where the reference vanishes")
-        total += qi * math.log(qi / pi)
+        x = (qi - pi) / pi
+        total += pi * ((1.0 + x) * math.log1p(x) - x)
     # the exact value is >= 0; rounding may leave a tiny negative residue
     return max(total, 0.0)
 

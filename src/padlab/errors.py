@@ -2,9 +2,12 @@
 
 Every failure mode callers are expected to handle gets its own class; the CLI
 maps each one to a distinct exit code (see padlab.cli.EXIT_CODES).  The
-checks of a count and of a real number read from a JSON document live here
-too: the CLI and the Markov lab share them, and this module loads no numpy.
+checks of a count and of a real number read from a JSON document, and of a
+finite real read from a flag or a report, live here too: the CLI and the
+Markov lab share them, and this module loads no numpy.
 """
+
+import math
 
 
 class PadlabError(Exception):
@@ -96,3 +99,21 @@ def _json_number(value, name: str) -> int | float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"'{name}' entries must be JSON numbers, got {value!r}")
     return value
+
+
+def _finite_real(value, name: str = "value") -> float:
+    """A finite real: a flag's text, a report's printed string or a JSON
+    number; never a bool, a NaN or an infinity."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"'{name}' must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"'{name}' must be a finite real, got {value!r}")
+    return x
+
+
+# argparse names a flag's type by it: "invalid finite real value: 'nan'"
+_finite_real.__name__ = "finite real"

@@ -50,68 +50,66 @@ entry may have (c at an O(p^c)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import count
 from math import comb, factorial
 from operator import add, mul
 from typing import NamedTuple
 
 from .errors import DomainError, NoConvergence, PrecisionExhausted
-from .matrix import Basis, PadicMatrix, _vp
+from .matrix import Basis, PadicMatrix, _vp, combine
 from .scalar import PadicContext, PadicScalar
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """An algebraic matrix group with a chosen integral basis of its algebra.
+    """An algebraic matrix group with the integral basis of its algebra.
 
-    Args:
-        ctx: ambient p-adic context.
-        family: "sl" or "gl".
-        dim: ambient matrix size d.
-        lie_basis: Z_p-basis of (algebra cap Mat_d(Z_p)); every vector must be
-            integral with content 0, and the list linearly independent.
+    Stored: ctx, the ambient p-adic context; family, "sl" or "gl"; and dim,
+    the ambient matrix size d.  Derived from them: lie_basis, the Z_p-basis
+    of (algebra cap Mat_d(Z_p)) that the family fixes, and the coordinates
+    in it.  For sl it is E_ij (i < j), H_k = E_kk - E_(k+1)(k+1), E_ij
+    (i > j); for gl all E_ij, row-major.
     """
 
     ctx: PadicContext
     family: str
     dim: int
-    lie_basis: tuple
-    _coords: Basis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in ("sl", "gl"):
             raise ValueError(f"unknown group family: {self.family!r}")
-        for b in self.lie_basis:
-            if b.min_valuation() != 0:
-                raise ValueError("lie_basis vectors must be integral with content 0")
-        object.__setattr__(self, "_coords", Basis(self.ctx, self.dim, self.lie_basis))
 
     @classmethod
     def sl(cls, ctx: PadicContext, d: int) -> "GroupSpec":
-        """SL(d): trace-zero algebra, basis E_ij (i<j), H_k, E_ij (i>j)."""
-        basis = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                basis.append(_unit_matrix(ctx, d, i, j))
-        for k in range(d - 1):
-            m = PadicMatrix.zeros(ctx, d).rows
-            m[k][k] = ctx.one()
-            m[k + 1][k + 1] = -ctx.one()
-            basis.append(PadicMatrix(ctx, m))
-        for j in range(d):
-            for i in range(j + 1, d):
-                basis.append(_unit_matrix(ctx, d, i, j))
-        return cls(ctx, "sl", d, tuple(basis))
+        """SL(d): the trace-zero algebra."""
+        return cls(ctx, "sl", d)
 
     @classmethod
     def gl(cls, ctx: PadicContext, d: int) -> "GroupSpec":
-        """GL(d): the full matrix algebra, basis all E_ij row-major."""
-        basis = [
-            _unit_matrix(ctx, d, i, j) for i in range(d) for j in range(d)
-        ]
-        return cls(ctx, "gl", d, tuple(basis))
+        """GL(d): the full matrix algebra."""
+        return cls(ctx, "gl", d)
+
+    @cached_property
+    def lie_basis(self) -> tuple:
+        ctx, d = self.ctx, self.dim
+        one, zero = ctx.one(), ctx.zero()
+
+        def mat(entries: dict) -> PadicMatrix:  # keyed by flat index, zero elsewhere
+            return PadicMatrix.from_flat(ctx, d, [entries.get(m, zero) for m in range(d * d)])
+
+        if self.family == "gl":
+            return tuple(mat({m: one}) for m in range(d * d))
+        return tuple(
+            [mat({i * d + j: one}) for i in range(d) for j in range(i + 1, d)]
+            + [mat({k * (d + 1): one, (k + 1) * (d + 1): -one}) for k in range(d - 1)]
+            + [mat({i * d + j: one}) for j in range(d) for i in range(j + 1, d)]
+        )
+
+    @cached_property
+    def _coords(self) -> Basis:
+        return Basis(self.ctx, self.dim, self.lie_basis)
 
     def algebra_coordinates(self, x: PadicMatrix):
         """Coordinates of x in lie_basis; None if x is (certifiably) outside."""
@@ -124,12 +122,6 @@ class GroupSpec:
             ctx = self.ctx
             return (g.det() - ctx.one()).congruent_mod(ctx.zero(), ctx.precision)
         return not g.det().is_zero
-
-
-def _unit_matrix(ctx, d, i, j) -> PadicMatrix:
-    rows = PadicMatrix.zeros(ctx, d).rows
-    rows[i][j] = ctx.one()
-    return PadicMatrix(ctx, rows)
 
 
 # ---- exp / log ---------------------------------------------------------------
@@ -483,10 +475,10 @@ def horospherical_factor(g: PadicMatrix, k: int, dec) -> FactorResult:
         x_log = _series(y, v_res, False)
         coords = dec.coordinates(x_log)
         zero = ctx.zero()
-        plus = [c if cls == "UNSTABLE" else zero for c, cls in zip(coords, dec.classes)]
-        rest = [zero if cls == "UNSTABLE" else c for c, cls in zip(coords, dec.classes)]
-        v_part = dec.combination(plus)
-        w_part = dec.combination(rest)
+        plus = [c if v < 0 else zero for c, v in zip(coords, dec.nu)]
+        rest = [zero if v < 0 else c for c, v in zip(coords, dec.nu)]
+        v_part = combine(dec.basis, plus)
+        w_part = combine(dec.basis, rest)
         f_i = exp(v_part)
         h_i = exp(w_part)
         f_acc = f_acc @ f_i

@@ -121,8 +121,8 @@ class MixingParams:
     delta: float
 
     def __post_init__(self):
-        if self.c <= 0 or self.alpha <= 0 or self.delta <= 0:
-            raise ValueError("mixing parameters must all be strictly positive")
+        if not all(0 < x < math.inf for x in (self.c, self.alpha, self.delta)):
+            raise ValueError("mixing parameters must all be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,12 @@ class ConstantsBundle:
             raise ValueError("p must be a prime >= 2")
         if self.d < 1:
             raise ValueError("group dimension must be >= 1")
-        if self.entropy_nats < 0:
-            raise ValueError("entropy must be >= 0")
+        if not 0 <= self.entropy_nats < math.inf:
+            raise ValueError("entropy must be finite and >= 0")
         if not 0 < self.base_ball_measure <= 1:
             raise ValueError("base ball measure must lie in (0, 1]")
-        if self.a_norm <= 0:
-            raise ValueError("||a|| must be positive")
+        if not 0 < self.a_norm < math.inf:
+            raise ValueError("||a|| must be finite and positive")
         if self.nu_total < 0:
             raise ValueError("|nu| must be >= 0")
 
@@ -244,8 +244,11 @@ def theorem1_rhs(
     entropy deficit from the maximal-entropy measure.
 
     Raises:
+        ValueError: a real input is NaN or infinite.
         NegativeGap: gap < 0.
     """
+    if not all(map(math.isfinite, (kappa_value, alpha, f_l2_norm, gap))):
+        raise ValueError("kappa, alpha, the norm and the gap must be finite reals")
     if gap < 0:
         raise NegativeGap(f"entropy gap must be >= 0, got {gap}")
     if l_f < 0:

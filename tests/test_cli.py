@@ -15,7 +15,7 @@ import pytest
 
 import padlab
 from padlab import errors
-from padlab.cli import EXIT_CODES
+from padlab.cli import EXIT_CODES, EXIT_DISAGREE
 
 from cli_cases import A2, BUNDLE, EXIT_CASES, GOLDEN_CASES, GOLDEN_DIR, SUBCOMMANDS, run_cli
 
@@ -89,6 +89,84 @@ def test_readme_precision_refusal_example():
                               "--element", '[["10","9"],["0","1"]]', "--k", "2"])
     assert (code, out) == (7, "")
     assert "PrecisionExhausted" in err
+
+
+def test_dependent_eigenbasis_exits_2():
+    # every eigenspace has its multiplicity, but the eigenlines are dependent
+    # at working precision: no eigenbasis, not an invalid input
+    code, out, err = run_cli([
+        "analyze", "--p", "5", "--group", "gl", "--dim", "4", "--element",
+        '[["0","2/625","-1244/625","-56/625"],["1","0","4","44/25"],'
+        '["0","0","0","2/25"],["0","0","1","0"]]'])
+    assert (code, out) == (2, "")
+    assert "no eigenbasis at working precision" in err
+
+
+def test_readme_exit_table_matches_the_exit_codes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Exit codes:", 1)[1].split("\n\n", 2)[1]
+    # the rows under the header and its | --- | rule
+    codes = [int(line.split("|")[1]) for line in table.splitlines()[2:]]
+    assert len(codes) == len(set(codes))
+    assert set(codes) == {0, 1, EXIT_DISAGREE} | set(EXIT_CODES.values())
+
+
+NEAR_UNIFORM = '{"s":2,"transition":[[0.5,0.5],[0.500000001,0.499999999]]}'
+
+
+def test_telescope_keeps_the_gap_of_a_near_uniform_chain():
+    # the row terms of phi cancel below rounding when summed as q ln(q/p);
+    # a gap rounded to 0 bounds every Delta_n by 0, and these reach 5e5
+    f = '{"depth":3,"values":[1e15,-1e15,3e14,7,1e15,-2e15,5,1e15]}'
+    code, out, err = run_cli(["telescope", "--markov", NEAR_UNIFORM, "--f", f])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["per_step_hold"] and doc["telescoping_holds"]
+    assert float(doc["gap"]) == pytest.approx(1e-18, rel=1e-6, abs=0)
+
+
+BOUND = ["bound"] + BUNDLE + ["--lf", "0", "--f-norm", "1"]
+KAPPA = ["kappa", "--p", "2", "--c", "1", "--alpha", "1", "--delta", "1",
+         "--d", "1", "--base", "1", "--entropy-nats", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    BOUND + ["--gap", "nan"],
+    BOUND + ["--gap=-inf"],
+    BOUND + ["--gap-file", '{"entropy_side": true}'],
+    BOUND + ["--gap-file", '{"entropy_side": "nan"}'],
+    BOUND + ["--gap-file", '{"entropy_side": Infinity}'],
+    BOUND + ["--gap-file", '{"entropy_side": null}'],
+    ["bound"] + BUNDLE + ["--lf", "0", "--f-norm", "inf", "--gap", "0.25"],
+    KAPPA + ["--a-norm", "inf"],
+    KAPPA + ["--a-norm", "nan"],
+    ["kappa"] + BUNDLE + ["--c", "nan"],
+    ["kappa"] + BUNDLE + ["--entropy-nats", "inf"],
+], ids=["gap-nan", "gap-minus-inf", "gap-file-bool", "gap-file-nan-string",
+        "gap-file-infinity", "gap-file-null", "f-norm-inf", "a-norm-inf", "a-norm-nan",
+        "c-nan", "entropy-inf"])
+def test_non_finite_reals_exit_1(argv):
+    # NaN passes every sign check, and float(true) is 1
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert "real" in err
+
+
+def test_gap_file_takes_the_printed_string_or_a_json_number():
+    by_flag = run_cli(BOUND + ["--gap", "0.25"])
+    assert by_flag[0] == 0
+    for gap in ('"0.25"', "0.25"):
+        assert run_cli(BOUND + ["--gap-file", '{"entropy_side": ' + gap + "}"]) == by_flag
+
+
+def test_finite_real_is_shared_from_the_numpy_free_errors_module():
+    for value, want in (("0.25", 0.25), ("-3", -3.0), (2, 2.0), (-0.5, -0.5)):
+        assert errors._finite_real(value) == want
+    for value in (True, None, [0.5], "nan", "inf", "-1e400", float("nan"), float("inf"), 10**400):
+        with pytest.raises(ValueError, match="real"):
+            errors._finite_real(value, "gap")
+    with pytest.raises(ValueError):
+        errors._finite_real("half")
 
 
 @pytest.mark.parametrize("argv", [

@@ -116,6 +116,28 @@ def test_unipotent_not_diagonalizable():
         decompose(shear, spec)
 
 
+# a gl4 flow at p = 5 whose eigenspaces have their full multiplicities but
+# whose eigenlines are dependent at working precision
+DEPENDENT_EIGENLINES = [
+    [0, Fraction(2, 625), Fraction(-1244, 625), Fraction(-56, 625)],
+    [1, 0, 4, Fraction(44, 25)],
+    [0, 0, 0, Fraction(2, 25)],
+    [0, 0, 1, 0],
+]
+
+
+def test_no_eigenbasis_at_working_precision_is_not_diagonalizable(monkeypatch):
+    ctx = PadicContext(5)
+    a = PadicMatrix.from_rationals(ctx, DEPENDENT_EIGENLINES)
+    with pytest.raises(NotDiagonalizable, match="no eigenbasis at working precision"):
+        decompose(a, GroupSpec.gl(ctx, 4))
+    # too few lines get the same answer: here one line of each eigenspace is dropped
+    module_basis = dynamics.zp_module_basis
+    monkeypatch.setattr(dynamics, "zp_module_basis", lambda flats: module_basis(flats)[:-1])
+    with pytest.raises(NotDiagonalizable, match="no eigenbasis at working precision"):
+        sl_flow(3, [Fraction(1, 3), 3])
+
+
 def test_conjugated_flow_has_lattice_defect():
     # a = g diag(1/3, 3) g^-1 with g = [[1, 1/3], [0, 1]]: same spectrum,
     # but the eigenlattice no longer spans the integral algebra
@@ -228,6 +250,44 @@ def test_oracle_factored_closed_form():
     res = bowen_count_oracle(dec, 4, 3, 9, "FACTORED")
     assert res.counts == (3**15, 3**13, 3**11)
     assert res.ratios == (1, Fraction(1, 9), Fraction(1, 81))
+
+
+def _window_rule_flows():
+    """The diagonal sl2, sl3 and gl3 flows, then the flows of the sweep slice
+    whose eigenbasis spans the integral lattice."""
+    for p, family, diag in ((3, "sl", [Fraction(1, 3), 3]), (2, "sl", [Fraction(1, 2), 1, 2]),
+                            (3, "gl", [Fraction(1, 3), 1, 9])):
+        ctx = PadicContext(p)
+        spec = getattr(GroupSpec, family)(ctx, len(diag))
+        yield decompose(PadicMatrix.from_rationals(ctx, [
+            [x if i == j else 0 for j in range(len(diag))] for i, x in enumerate(diag)]), spec)
+    rng = random.Random(7)
+    for _ in range(60):
+        family, p, exps, a, _ = draw_flow(rng)
+        ctx = PadicContext(p)
+        try:
+            dec = decompose(PadicMatrix.from_rationals(ctx, a), getattr(GroupSpec, family)(ctx, len(exps)))
+        except PadlabError:
+            continue
+        if dec.lattice_defect == 0:
+            yield dec
+
+
+def test_one_window_rule_for_balls_and_oracle_windows():
+    # bowen_ball(dec, k, n) covers times 0..n and oracle window n + 1 times
+    # 0..n: at a level resolving every line, the FACTORED count of window
+    # n + 1 is the number of residues of the ball of length n
+    flows = 0
+    for dec in _window_rule_flows():
+        p, k = dec.ctx.p, dec.max_exponent() + 2
+        for n in (1, 2):
+            level = k + n * dec.max_exponent() + 1
+            ball = bowen_ball(dec, k, n)
+            expected = math.prod(p ** max(0, level - lvl) for lvl in ball.levels)
+            counts = bowen_count_oracle(dec, k, n + 1, level, "FACTORED").counts
+            assert counts[n] == expected
+        flows += 1
+    assert flows > 3
 
 
 def test_oracle_preconditions():
@@ -435,9 +495,7 @@ def reference_count_full(dec, k, n, level) -> BowenCounts:
             need = p ** (k + (m - 1) * shift)
             alive &= np.all(z % need == 0, axis=(1, 2))
             counts[m - 1] += int(alive.sum())
-    out = tuple(int(c) for c in counts)
-    ratios = tuple(Fraction(c, out[0]) for c in out)
-    return BowenCounts("FULL", level, out, ratios)
+    return BowenCounts("FULL", level, tuple(int(c) for c in counts))
 
 
 ORACLE_CASE_POINTS = 3**10

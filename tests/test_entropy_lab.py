@@ -6,6 +6,7 @@ formulas (natural logs throughout).
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -68,6 +69,32 @@ def test_phi_zero_iff_equal():
         w = [x / t for x in w]
         assert phi(w, w) == 0.0
         assert phi(ProbVector.uniform(s), w) >= 0.0
+
+
+def reference_phi(ref, obs) -> float:
+    """phi of the two float vectors, each normalized exactly, in 80 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        p, q = ([Decimal(x) for x in v] for v in (ref, obs))
+        p, q = ([x / sum(v) for x in v] for v in (p, q))
+        return float(sum(qi * (qi / pi).ln() for pi, qi in zip(p, q) if qi))
+
+
+@pytest.mark.parametrize("row", [
+    [0.5 + 1e-9, 0.5 - 1e-9],
+    [0.500000001, 0.499999999],
+    [0.5 + 1e-8, 0.5 - 1e-8],
+    [0.5 + 1e-6, 0.5 - 1e-6],
+    [0.5 + 1e-2, 0.5 - 1e-2],
+    [1 / 3 + 1e-8, 1 / 3 - 2e-8, 1 / 3 + 1e-8],
+    [0.25 + 3e-9, 0.25 - 1e-9, 0.25 - 1e-9, 0.25 - 1e-9],
+    [0.2 + 4e-7, 0.2 - 1e-7, 0.2 - 1e-7, 0.2 - 1e-7, 0.2 - 1e-7],
+])
+def test_phi_of_near_uniform_rows_matches_a_decimal_reference(row):
+    # summed as q ln(q/p), the terms cancel to below the rounding of the
+    # rows' sums: [0.500000001, 0.499999999] sums to 1 - 2^-54 and gave 0
+    unif = ProbVector.uniform(len(row)).weights
+    assert phi(unif, row) == pytest.approx(reference_phi(unif, row), rel=1e-6, abs=0)
 
 
 def test_phi_support_handling():

@@ -548,14 +548,8 @@ def test_ball_membership_refuses_levels_beyond_certified_digits():
 
 
 def test_group_spec_validation():
-    ctx = PadicContext(3)
-    e = PadicMatrix.from_rationals(ctx, [[0, 1], [0, 0]])
     with pytest.raises(ValueError):
-        GroupSpec(ctx, "gl", 2, (e, e))  # dependent
-    with pytest.raises(ValueError):
-        GroupSpec(ctx, "gl", 2, (e.scale(ctx.from_rational(3)),))  # content 1
-    with pytest.raises(ValueError):
-        GroupSpec(ctx, "custom", 2, (e,))  # only sl and gl have membership rules
+        GroupSpec(PadicContext(3), "custom", 2)  # only sl and gl have membership rules
 
 
 GROUP_CASES = [(family, d, p) for family in ("sl", "gl") for d in (1, 2, 3) for p in (2, 3, 5)]

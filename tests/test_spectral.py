@@ -256,6 +256,26 @@ def test_bundle_validation():
         bundle(nu_total=-1)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("x", NON_FINITE, ids=["nan", "inf", "minus-inf"])
+def test_non_finite_reals_are_refused(x):
+    # x < 0 and x <= 0 are both false for NaN, so sign checks alone let it in
+    for field in ("c", "alpha", "delta"):
+        with pytest.raises(ValueError, match="finite"):
+            MixingParams(**{"c": 1.0, "alpha": 1.0, "delta": 1.0, field: x})
+    for field in ("entropy_nats", "base_ball_measure", "a_norm"):
+        with pytest.raises(ValueError):
+            bundle(**{field: x})
+    k = kappa(bundle())
+    for i in (0, 2, 5, 6):  # kappa, alpha, the norm, the gap
+        args = [k, 2, 1.0, 1, 0, 1.0, 0.25]
+        args[i] = x
+        with pytest.raises(ValueError, match="finite"):
+            theorem1_rhs(*args)
+
+
 def test_theorem1_rhs():
     # frozen: kappa = 8 sqrt(2), l_f = 0, unit norm, gap 1/4 gives 4 sqrt(2)
     k = kappa(bundle())
