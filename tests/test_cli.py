@@ -111,14 +111,12 @@ def test_readme_exit_table_matches_the_exit_codes():
     assert set(codes) == {0, 1, EXIT_DISAGREE} | set(EXIT_CODES.values())
 
 
-NEAR_UNIFORM = '{"s":2,"transition":[[0.5,0.5],[0.500000001,0.499999999]]}'
-
-
 def test_telescope_keeps_the_gap_of_a_near_uniform_chain():
     # the row terms of phi cancel below rounding when summed as q ln(q/p);
     # a gap rounded to 0 bounds every Delta_n by 0, and these reach 5e5
+    markov = '{"s":2,"transition":[[0.5,0.5],[0.500000001,0.499999999]]}'
     f = '{"depth":3,"values":[1e15,-1e15,3e14,7,1e15,-2e15,5,1e15]}'
-    code, out, err = run_cli(["telescope", "--markov", NEAR_UNIFORM, "--f", f])
+    code, out, err = run_cli(["telescope", "--markov", markov, "--f", f])
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["per_step_hold"] and doc["telescoping_holds"]
