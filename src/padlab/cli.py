@@ -34,7 +34,7 @@ from .dynamics import (
 from .errors import _finite_real, _json_int, _json_number
 from .liegroup import GroupSpec, bch, exp, horospherical_factor, log
 from .matrix import PadicMatrix
-from .scalar import DEFAULT_PRECISION, PadicContext
+from .scalar import DEFAULT_PRECISION, PadicContext, _is_prime
 from .spectral import (
     ConstantsBundle,
     MixingParams,
@@ -80,6 +80,19 @@ class _ParseFailure(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _ParseFailure(message)
+
+
+def _int_flag(name: str, ok):
+    """argparse type of an integer flag that ok accepts; argparse names the
+    type in its message: "invalid prime value: '4'"."""
+    def convert(text: str) -> int:
+        n = int(text)
+        if not ok(n):
+            raise ValueError(text)
+        return n
+
+    convert.__name__ = name
+    return convert
 
 
 def _fmt_real(x: float) -> str:
@@ -407,9 +420,12 @@ def build_parser() -> _Parser:
     # the common flags belong to the subcommands alone: placed before the
     # subcommand they are not recognized, so the call exits 1
     common = _Parser(add_help=False)
-    common.add_argument("--p", type=int, default=3, help="residue prime (default 3)")
     common.add_argument(
-        "--precision", type=int, default=DEFAULT_PRECISION, help="working precision N"
+        "--p", type=_int_flag("prime", _is_prime), default=3, help="residue prime (default 3)"
+    )
+    common.add_argument(
+        "--precision", type=_int_flag("positive integer", lambda n: n >= 1),
+        default=DEFAULT_PRECISION, help="working precision N"
     )
     common.add_argument("--format", choices=("json", "text"), default="json")
 

@@ -8,6 +8,13 @@ on the valuations nu_i = v_p(lambda_i) of the stable eigenvalues: entropy,
 Bowen ball shapes, partition atoms, and the module character all reduce to
 the total contraction |nu| = sum nu_i.
 
+`decompose` writes Ad(a) in the algebra coordinates GroupSpec reads off the
+entries, splits its characteristic polynomial, and keeps each eigenvalue's
+`nullspace` vectors, a Z_p-basis of the eigenspace's integral points, as
+its eigenlines.  A decomposition inverts the lines' coordinate rows once,
+by `matrix._invert`: coordinates in the eigenbasis and lattice_defect both
+read that inverse.
+
 Both window conventions read one rule, `_window_levels`: the Bowen ball
 bowen_ball(dec, k, n) holds the points staying k-close for times 0..n, and
 oracle window m those for times 0..m-1, the ball of length m - 1.  Staying
@@ -34,8 +41,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -48,15 +56,14 @@ from .errors import (
 )
 from .liegroup import GroupSpec, exp, log
 from .matrix import (
-    Basis,
     PadicMatrix,
+    _dot,
     _invert,
     _vp,
     combine,
     fraction_val,
     hensel_roots,
     nullspace,
-    zp_module_basis,
 )
 from .scalar import PadicContext, PadicScalar
 
@@ -70,30 +77,27 @@ ORACLE_POINT_BUDGET = 1 << 25
 class HorosphericalDecomposition:
     """Eigenline data of Ad(a) on a group's algebra.
 
-    Stored: a, group, eigenvalues and the eigenbasis _coords, whose matrix i
-    is an integral, content-0 algebra element spanning an eigenline of
-    eigenvalue eigenvalues[i]; lines are sorted by (valuation, unit lift) of
-    the eigenvalue, repeated eigenvalues contiguous.  Derived: basis, the
-    eigenbasis matrices; nu[i] = v_p(eigenvalues[i]); classes[i], "STABLE",
-    "NEUTRAL" or "UNSTABLE" by the sign of nu[i], for output (the rules read
-    the sign); nu_total, the summed stable contraction; lattice_defect, the
-    eigenbasis' index, which is the Smith index of the eigenlattice sum inside
-    the full integral lattice (Basis pivots at globally minimal valuation),
-    never negative, as the lines are integral.
+    Stored: a, group, eigenvalues and basis, the eigenlines: matrix i is an
+    integral, content-0 algebra element spanning an eigenline of eigenvalue
+    eigenvalues[i]; lines are sorted by (valuation, unit lift) of
+    the eigenvalue, and each eigenvalue's lines are a Z_p-basis of its
+    eigenspace's integral points.  Derived: nu[i] = v_p(eigenvalues[i]);
+    classes[i], "STABLE", "NEUTRAL" or "UNSTABLE" by the sign of nu[i], for
+    output (the rules read the sign); nu_total, the summed stable
+    contraction; and, once, the inverse of the lines' algebra coordinates
+    (None if they are dependent at working precision), whose pivot
+    valuations sum to lattice_defect, the index of the eigenlattice sum in
+    the integral lattice (never negative, as the lines are integral).
     """
 
     a: PadicMatrix
     group: GroupSpec
     eigenvalues: tuple
-    _coords: Basis = field(repr=False, compare=False)
+    basis: tuple
 
     @property
     def ctx(self) -> PadicContext:
         return self.group.ctx
-
-    @property
-    def basis(self) -> tuple:
-        return self._coords.mats
 
     @property
     def nu(self) -> tuple:
@@ -107,13 +111,22 @@ class HorosphericalDecomposition:
     def nu_total(self) -> int:
         return sum(v for v in self.nu if v > 0)
 
+    @cached_property
+    def _inverse(self) -> tuple:
+        """(inverse, pivots) of the rows of the lines' algebra coordinates."""
+        rows = [self.group.algebra_coordinates(b) for b in self.basis]
+        return _invert(rows, self.ctx.zero(), self.ctx.one())
+
     @property
     def lattice_defect(self) -> int:
-        return self._coords.index
+        return sum(x.v for x in self._inverse[1])
 
-    def coordinates(self, x: PadicMatrix, verify: bool = False):
-        """Coordinates of x in the eigenbasis; None if verify finds x outside."""
-        return self._coords.coordinates(x, verify)
+    def coordinates(self, x: PadicMatrix) -> list:
+        """Coordinates of x in the eigenbasis; on sl, of x less its trace at
+        x_dd (see GroupSpec._read_off), so a residual off the algebra has some."""
+        coords, _ = self.group._read_off(x)
+        zero = self.ctx.zero()
+        return [_dot(coords, col, zero) for col in zip(*self._inverse[0])]
 
     def max_exponent(self) -> int:
         """max |v_p(lambda)| over all eigenlines (0 when none are hyperbolic)."""
@@ -130,13 +143,10 @@ class AdaptedBall:
     n: int
 
     def contains_algebra(self, x: PadicMatrix) -> bool:
-        coords = self.dec.coordinates(x, verify=True)
-        if coords is None:
+        if self.dec.group.algebra_coordinates(x) is None:
             return False
-        for c, lvl in zip(coords, self.levels):
-            if not c.is_zero and c.v < lvl:
-                return False
-        return True
+        coords = self.dec.coordinates(x)
+        return all(c.is_zero or c.v >= lvl for c, lvl in zip(coords, self.levels))
 
     def contains_group(self, g: PadicMatrix) -> bool:
         try:
@@ -148,11 +158,14 @@ class AdaptedBall:
 def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     """Diagonalize Ad(a) on spec's algebra and classify its eigenlines.
 
+    Each eigenvalue's lines are its `nullspace` vectors, as lie_basis
+    coordinates.
+
     Raises NotDiagonalizable when the characteristic polynomial of Ad(a) does
     not split over Q_p at working precision, an eigenspace comes up short, or
-    the eigenlines are too few or dependent at working precision,
-    NoHyperbolicity when every eigenvalue is a unit, and DomainError when a
-    fails to normalize the algebra.
+    the eigenlines are dependent at working precision, NoHyperbolicity when
+    every eigenvalue is a unit, and DomainError when a fails to normalize
+    the algebra.
     """
     ctx = spec.ctx
     if a.dim != spec.dim:
@@ -190,18 +203,11 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
                 f"eigenvalue with multiplicity {mult} has only "
                 f"{len(kernel)} independent eigenvectors"
             )
-        flats = [combine(spec.lie_basis, vec).flat() for vec in kernel]
-        for flat in zp_module_basis(flats):
-            eigenvalues.append(lam)
-            lines.append(PadicMatrix.from_flat(ctx, a.dim, flat))
-    # the eigenbasis question, asked once: too few lines or dependent ones
-    try:
-        if len(lines) != dim_g:
-            raise ValueError("eigenlines do not span the algebra")
-        eigen = Basis(ctx, a.dim, lines)
-    except ValueError as err:
-        raise NotDiagonalizable(f"no eigenbasis at working precision: {err}") from err
-    dec = HorosphericalDecomposition(a, spec, tuple(eigenvalues), eigen)
+        eigenvalues += [lam] * mult
+        lines += [combine(spec.lie_basis, vec) for vec in kernel]
+    dec = HorosphericalDecomposition(a, spec, tuple(eigenvalues), tuple(lines))
+    if dec._inverse[0] is None:
+        raise NotDiagonalizable("no eigenbasis at working precision: the eigenlines are dependent")
     if dec.nu_total == 0:
         raise NoHyperbolicity("every adjoint eigenvalue is a p-adic unit")
     return dec

@@ -415,7 +415,6 @@ class TelescopeReport:
 
     deltas: tuple[float, ...]
     per_step_bounds: tuple[float, ...]
-    sup_norms: tuple[float, ...]
     gap: float
     mean_f: float
     mu_f: float
@@ -469,7 +468,6 @@ def telescope_bound_check(f: CylinderFunction, measure: MarkovMeasure) -> Telesc
     unif_row = np.full(s, 1.0 / s)
     deltas: list[float] = []
     bounds: list[float] = []
-    norms: list[float] = []
     root = math.sqrt(2.0 * gap)
     cur = f.values
     for n in range(m):
@@ -487,14 +485,12 @@ def telescope_bound_check(f: CylinderFunction, measure: MarkovMeasure) -> Telesc
         delta = float(weights @ np.abs(averaged - conditional))
         sup = float(np.abs(cur).max())
         deltas.append(delta)
-        norms.append(sup)
         bounds.append(sup * root)
         cur = averaged
 
     report = TelescopeReport(
         deltas=tuple(deltas),
         per_step_bounds=tuple(bounds),
-        sup_norms=tuple(norms),
         gap=gap,
         mean_f=f.mean(),
         mu_f=mu_f,

@@ -52,13 +52,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import count
+from itertools import accumulate, count
 from math import comb, factorial
 from operator import add, mul
 from typing import NamedTuple
 
 from .errors import DomainError, NoConvergence, PrecisionExhausted
-from .matrix import Basis, PadicMatrix, _vp, combine
+from .matrix import PadicMatrix, _vp, combine
 from .scalar import PadicContext, PadicScalar
 
 
@@ -69,8 +69,9 @@ class GroupSpec:
     Stored: ctx, the ambient p-adic context; family, "sl" or "gl"; and dim,
     the ambient matrix size d.  Derived from them: lie_basis, the Z_p-basis
     of (algebra cap Mat_d(Z_p)) that the family fixes, and the coordinates
-    in it.  For sl it is E_ij (i < j), H_k = E_kk - E_(k+1)(k+1), E_ij
-    (i > j); for gl all E_ij, row-major.
+    in it, read off the entries.  For sl it is E_ij (i < j), H_k = E_kk -
+    E_(k+1)(k+1), E_ij (i > j, column by column); for gl all E_ij,
+    row-major.
     """
 
     ctx: PadicContext
@@ -107,13 +108,27 @@ class GroupSpec:
             + [mat({i * d + j: one}) for j in range(d) for i in range(j + 1, d)]
         )
 
-    @cached_property
-    def _coords(self) -> Basis:
-        return Basis(self.ctx, self.dim, self.lie_basis)
+    def _read_off(self, x: PadicMatrix) -> tuple[list, PadicScalar]:
+        """(coordinates, trace) of x, read off its entries: for gl the entries,
+        row-major, and the exact zero; for sl the entries above the diagonal,
+        the partial diagonal sums x_11 + ... + x_kk (k < d) and the entries
+        below, the coordinates of x less its trace at x_dd, and that trace."""
+        d = self.dim
+        if x.dim != d:
+            raise ValueError(f"a {d}x{d} and a {x.dim}x{x.dim} matrix")
+        if self.family == "gl":
+            return x.flat(), self.ctx.zero()
+        rows = x.rows
+        *sums, trace = accumulate(rows[k][k] for k in range(d))
+        above = [rows[i][j] for i in range(d) for j in range(i + 1, d)]
+        below = [rows[i][j] for j in range(d) for i in range(j + 1, d)]
+        return above + sums + below, trace
 
     def algebra_coordinates(self, x: PadicMatrix):
-        """Coordinates of x in lie_basis; None if x is (certifiably) outside."""
-        return self._coords.coordinates(x, verify=True)
+        """Coordinates of x in lie_basis (see _read_off); None if x is outside,
+        certifiably: an sl trace nonzero below p^N."""
+        coords, trace = self._read_off(x)
+        return None if trace.v is not None and trace.v < self.ctx.precision else coords
 
     def in_group(self, g: PadicMatrix) -> bool:
         """sl: det g = 1 at working precision (PrecisionExhausted when its

@@ -5,7 +5,9 @@ ultrametric.  Every elimination runs through one Gauss-Jordan kernel,
 `eliminate`, which always pivots on an entry of globally minimal valuation:
 dividing by a minimal-valuation entry keeps every elimination multiplier
 integral, so digit loss never amplifies.  The kernel takes a valuation
-function, so exact Fraction matrices use it too.
+function, so exact Fraction matrices use it too.  The same pivoting makes
+`nullspace` return a Z_p-basis of the integral kernel as it comes off the
+elimination, with no rescaling.
 
 A sum that cancels every certified digit is the zero O(p^c) (see
 padlab.scalar), and each reader of a zero says what it means.  A pivot
@@ -13,7 +15,7 @@ search skips O(p^c) as it skips the exact zero: where a rank is decided at
 working precision, "indistinguishable from zero" and "zero" force the same
 decision.  Everything that multiplies or sums skips only the exact zero, so
 O(p^c) carries its floor on: the row updates of `eliminate`, `_dot` (behind
-`@`, `char_poly`, `combine` and `Basis` coordinates) and `nullspace`.
+`@`, `char_poly` and `combine`) and `nullspace`.
 
 Characteristic polynomials use the Berkowitz algorithm: it is division-free,
 so coefficients of exact-rational inputs keep full certified digits.  Root
@@ -487,7 +489,7 @@ def _sort_roots(roots: list[tuple[PadicScalar, int]]) -> None:
     roots.sort(key=lambda rm: (rm[0].valuation(), 0 if rm[0].is_zero else rm[0].unit))
 
 
-# ---- coordinates in a basis of matrices --------------------------------------
+# ---- combinations of matrices ------------------------------------------------
 
 
 def combine(mats, coords) -> PadicMatrix:
@@ -498,68 +500,20 @@ def combine(mats, coords) -> PadicMatrix:
     return PadicMatrix.from_flat(ctx, mats[0].dim, [_dot(coords, e, zero) for e in entries])
 
 
-class Basis:
-    """Coordinates of matrices in a basis of linearly independent matrices.
-
-    Construction runs the kernel on the rows [b_j | e_j] with pivots sought
-    among the entry columns.  Its pivots pick len(mats) entry positions where
-    the basis is invertible; the carried identity block then holds the
-    inverse on those positions, row r divided by its pivot.
-    `index` is the sum of the pivot valuations, the valuation of the chosen
-    minor's determinant.  The basis matrices are dim x dim; the empty basis
-    (of sl_1) is allowed and still knows dim.
-    """
-
-    __slots__ = ("dim", "mats", "index", "_chosen", "_inverse", "_level")
-
-    def __init__(self, ctx: PadicContext, dim: int, mats) -> None:
-        self.dim = dim
-        self.mats = tuple(mats)
-        for b in self.mats:
-            self._check_size(b)
-        n = len(self.mats)
-        flat = [b.flat() for b in self.mats]
-        width = dim * dim
-        zero, one = ctx.zero(), ctx.one()
-        rows = [v + [one if i == j else zero for j in range(n)] for i, v in enumerate(flat)]
-        pivots = eliminate(rows, zero, width)
-        if len(pivots) < n:
-            raise ValueError("basis matrices are linearly dependent")
-        self._chosen = [c for _, c in pivots]
-        self._inverse = [[x / rows[r][c] for x in rows[r][width:]] for r, c in pivots]
-        self.index = sum(rows[r][c].v for r, c in pivots)
-        # a combination is only as sharp as the least certified basis entry
-        self._level = min([ctx.precision] + [e.digits for v in flat for e in v if e])
-
-    def coordinates(self, x: PadicMatrix, verify: bool):
-        """Coordinates of x; None if verify finds x outside the span.
-
-        x must be dim x dim (ValueError otherwise).
-
-        The check asks whether x raises the rank of the basis, so an entry
-        of x minus its reconstruction that is O(p^c) counts as zero: the two
-        can agree in every certified digit without being mirror images at
-        full precision.
-        """
-        self._check_size(x)
-        flat = x.flat()
-        picked = [flat[r] for r in self._chosen]
-        zero = x.ctx.zero()
-        out = [_dot(picked, col, zero) for col in zip(*self._inverse)]
-        if verify:
-            diff = combine(self.mats, out) - x if self.mats else -x
-            if diff.min_valuation() < self._level:
-                return None
-        return out
-
-    _check_size = PadicMatrix._check_size  # reads only self.dim
-
-
 # ---- kernels and Z_p module bases -------------------------------------------
 
 
 def nullspace(m: PadicMatrix) -> list[list[PadicScalar]]:
-    """Basis of ker(m) at working precision, content-normalized.
+    """Z_p-basis of ker(m) cap Z_p^n at working precision.
+
+    One vector per free (non-pivot) column of `eliminate`, in column order:
+    an exact 1 at its own free column, the exact zero at the other free
+    columns, and -a / pivot at each pivot column, a the pivot row's entry in
+    the free column.  Minimal pivoting keeps each pivot minimal in its final
+    row, so every entry is integral; and a kernel vector is fixed by its free
+    entries, so an integral one is the integral combination of these vectors
+    with those entries as coefficients (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4).
 
     Entries whose certified digits fully cancel during elimination are never
     pivots: the kernel at precision is exactly the set of directions the
@@ -580,7 +534,7 @@ def nullspace(m: PadicMatrix) -> list[list[PadicScalar]]:
             a = work[pr][j]
             if a:
                 vec[pc] = -(a / work[pr][pc])
-        basis.append(_content_normalize(vec))
+        basis.append(vec)
     return basis
 
 

@@ -37,16 +37,33 @@ from .errors import DivisionByZero, PrecisionExhausted
 DEFAULT_PRECISION = 12
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the primes up to 41 as witnesses, which decides
+    every n < 3.3e24 (Sorenson and Webster, Math. Comp. 86 (2017)); trial
+    division above that."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    if n >= 3317044064679887385961981:
+        return all(n % f for f in range(43, math.isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

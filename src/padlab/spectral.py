@@ -27,6 +27,7 @@ from .errors import (
     NegativeExponent,
     NegativeGap,
     SingularAtPrecision,
+    _finite_real,
 )
 from .matrix import PadicMatrix, _invert, fraction_val
 
@@ -212,21 +213,31 @@ def kappa(bundle: ConstantsBundle) -> float:
 
     Raises:
         DivergentSeries: ||a|| <= 1, where the geometric series diverges.
+        ValueError: the series term 1 - ||a||^(-delta) rounds to 0, or
+            kappa is not a finite double.
     """
     if bundle.a_norm <= 1:
         raise DivergentSeries(
             f"||a|| = {bundle.a_norm} <= 1: the decay series does not converge"
         )
     mix = bundle.mixing
-    series = 1.0 / (1.0 - bundle.a_norm ** (-mix.delta))
-    return (
-        math.sqrt(2.0)
-        * mix.c
-        * bundle.p ** (2.0 * mix.alpha)
-        / math.sqrt(bundle.base_ball_measure)
-        * series
-        * math.exp((3.0 * mix.alpha + bundle.d) * bundle.entropy_nats)
-    )
+    term = 1.0 - bundle.a_norm ** (-mix.delta)
+    if term == 0:
+        raise ValueError(f"the series term 1 - ||a||^(-delta) rounds to 0 at "
+                         f"||a|| = {bundle.a_norm}, delta = {mix.delta}")
+    series = 1.0 / term
+    try:
+        value = (
+            math.sqrt(2.0)
+            * mix.c
+            * bundle.p ** (2.0 * mix.alpha)
+            / math.sqrt(bundle.base_ball_measure)
+            * series
+            * math.exp((3.0 * mix.alpha + bundle.d) * bundle.entropy_nats)
+        )
+    except OverflowError:  # a power past the double range
+        value = math.inf
+    return _finite_real(value, "kappa")
 
 
 def theorem1_rhs(
@@ -244,7 +255,8 @@ def theorem1_rhs(
     entropy deficit from the maximal-entropy measure.
 
     Raises:
-        ValueError: a real input is NaN or infinite.
+        ValueError: a real input is NaN or infinite, or the bound is not a
+            finite double.
         NegativeGap: gap < 0.
     """
     if not all(map(math.isfinite, (kappa_value, alpha, f_l2_norm, gap))):
@@ -255,4 +267,8 @@ def theorem1_rhs(
         raise ValueError("smoothness level l_f must be >= 0")
     if f_l2_norm < 0:
         raise ValueError("norm must be >= 0")
-    return kappa_value * p ** ((2.0 * alpha + d / 2.0) * l_f) * f_l2_norm * math.sqrt(gap)
+    try:
+        value = kappa_value * p ** ((2.0 * alpha + d / 2.0) * l_f) * f_l2_norm * math.sqrt(gap)
+    except OverflowError:  # a power past the double range
+        value = math.inf
+    return _finite_real(value, "the bound")

@@ -8,13 +8,18 @@ entries of X, p^2 times [-3, 3], the last diagonal one then set so that the
 trace is 0 on sl.  The flow is a = u diag(p^e) u^-1, and the factor input is
 g = exp(X) at k = 2.
 
+A second family, the non-split one (`draw_non_split_flow`), draws 120 GL4
+flows from random.Random(5): their characteristic polynomials do not split
+over Q_p, but their adjoint spectra are rational.
+
 Each flow is decomposed at the default precision N = 12; |nu| must be the
 sum of |e_i - e_j| over i < j.  Each factorization F H of g is checked by
 F H = g mod p^8, which may also be undecidable at the digits F H carries.
 
-Run as a script, it prints, for each seed given (7 if none), the
-decompositions and the wrong |nu| among them, the refusals by error class and
-raising function, and the factorizations by the outcome of their check:
+Run as a script, it prints, for each seed given (7 if none) and then for the
+non-split family, the decompositions and the wrong |nu| among them, the
+refusals by error class and raising function, and the factorizations by the
+outcome of their check:
 
     PYTHONPATH=src python tests/conjugate_sweep.py 7 8
 """
@@ -31,7 +36,28 @@ from padlab.errors import PrecisionExhausted
 from padlab.liegroup import horospherical_factor
 
 FLOWS = 600
+NON_SPLIT_SEED, NON_SPLIT_FLOWS = 5, 120
 CHECK_DIGITS = 8
+
+
+def _conjugate(rng: random.Random, middle: list[list[Fraction]]) -> list[list[Fraction]]:
+    """u middle u^-1, for u upper unitriangular with the entries above its
+    diagonal drawn row by row in [-3, 3]."""
+    d = len(middle)
+    u = [[Fraction(int(i == j) if j <= i else rng.randint(-3, 3)) for j in range(d)]
+         for i in range(d)]
+    # back substitution for the unitriangular inverse
+    u_inv = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for j in range(d):
+        for i in reversed(range(j)):
+            u_inv[i][j] = -sum(u[i][k] * u_inv[k][j] for k in range(i + 1, j + 1))
+    um = [[sum(u[i][k] * middle[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    return [[sum(um[i][k] * u_inv[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+
+
+def _algebra_point(rng: random.Random, p: int, d: int) -> list[list[int]]:
+    """X with entries p^2 times [-3, 3], row by row."""
+    return [[p * p * rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
 
 
 def draw_flow(rng: random.Random):
@@ -43,19 +69,35 @@ def draw_flow(rng: random.Random):
         exps = [rng.randint(-2, 2) for _ in range(d)]
         if len(set(exps)) > 1 and (family == "gl" or sum(exps) == 0):
             break
-    u = [[Fraction(int(i == j) if j <= i else rng.randint(-3, 3)) for j in range(d)]
-         for i in range(d)]
-    # back substitution for the unitriangular inverse
-    u_inv = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for j in range(d):
-        for i in reversed(range(j)):
-            u_inv[i][j] = -sum(u[i][k] * u_inv[k][j] for k in range(i + 1, j + 1))
-    a = [[sum(u[i][k] * Fraction(p) ** exps[k] * u_inv[k][j] for k in range(d))
-          for j in range(d)] for i in range(d)]
-    x = [[p * p * rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+    a = _conjugate(rng, [[Fraction(p) ** e if i == j else Fraction(0) for j, e in enumerate(exps)]
+                         for i in range(d)])
+    x = _algebra_point(rng, p, d)
     if family == "sl":
         x[-1][-1] = -sum(x[i][i] for i in range(d - 1))
     return family, p, exps, a, x
+
+
+def draw_non_split_flow(rng: random.Random):
+    """A flow of the non-split family, in draw_flow's form.
+
+    p in {3, 5}; e_1 != e_2 in [-2, 2]; the GL4 flow
+    a = u blockdiag([[0, 2 p^(2 e_1)], [1, 0]], [[0, 2 p^(2 e_2)], [1, 0]]) u^-1.
+    2 is not a square mod 3 or 5, so the characteristic polynomial of a does
+    not split over Q_p, but every Ad(a) eigenvalue, +-1 or +-p^(e_i - e_j),
+    is rational.  The exponents are the valuations (e_1, e_1, e_2, e_2) of
+    a's eigenvalues +-sqrt(2) p^(e_i), so |nu| = 4 |e_1 - e_2|.
+    """
+    p = rng.choice([3, 5])
+    while True:
+        e1, e2 = rng.randint(-2, 2), rng.randint(-2, 2)
+        if e1 != e2:
+            break
+    middle = [[Fraction(0)] * 4 for _ in range(4)]
+    for k, e in enumerate((e1, e2)):
+        middle[2 * k][2 * k + 1] = 2 * Fraction(p) ** (2 * e)
+        middle[2 * k + 1][2 * k] = Fraction(1)
+    a = _conjugate(rng, middle)
+    return "gl", p, [e1, e1, e2, e2], a, _algebra_point(rng, p, 4)
 
 
 def _raiser(err: Exception) -> str:
@@ -92,10 +134,10 @@ def run_flow(flow) -> tuple:
     return ("decomposed", nu_ok, "PASS" if held else "FAIL")
 
 
-def sweep(seed: int, flows: int = FLOWS) -> Counter:
+def sweep(seed: int, flows: int = FLOWS, draw=draw_flow) -> Counter:
     """Outcome counts of the first `flows` flows of a seed."""
     rng = random.Random(seed)
-    return Counter(run_flow(draw_flow(rng)) for _ in range(flows))
+    return Counter(run_flow(draw(rng)) for _ in range(flows))
 
 
 def summary(counts: Counter) -> dict:
@@ -111,19 +153,25 @@ def summary(counts: Counter) -> dict:
     return out
 
 
+def _report(title: str, counts: Counter) -> None:
+    s = summary(counts)
+    print(f"{title}: {sum(counts.values())} flows, {s['decomposed']} decomposed, "
+          f"{s['wrong_nu']} with a wrong |nu|")
+    for (cls, where), n in sorted(s["refused"].items()):
+        print(f"  decompose refused: {cls} in {where}: {n}")
+    checks = s["factor"]
+    print(f"  factor: {sum(checks[k] for k in ('PASS', 'FAIL', 'UNDECIDED'))} returned; "
+          f"F H = g mod p^{CHECK_DIGITS}: PASS {checks['PASS']}, FAIL {checks['FAIL']}, "
+          f"UNDECIDED {checks['UNDECIDED']}")
+    for key, n in sorted((k, n) for k, n in checks.items() if isinstance(k, tuple)):
+        print(f"  factor refused: {key[0]} in {key[1]}: {n}")
+
+
 def main(argv: list[str]) -> int:
     for seed in map(int, argv or ["7"]):
-        s = summary(sweep(seed))
-        print(f"seed {seed}: {FLOWS} flows, {s['decomposed']} decomposed, "
-              f"{s['wrong_nu']} with a wrong |nu|")
-        for (cls, where), n in sorted(s["refused"].items()):
-            print(f"  decompose refused: {cls} in {where}: {n}")
-        checks = s["factor"]
-        print(f"  factor: {sum(checks[k] for k in ('PASS', 'FAIL', 'UNDECIDED'))} returned; "
-              f"F H = g mod p^{CHECK_DIGITS}: PASS {checks['PASS']}, FAIL {checks['FAIL']}, "
-              f"UNDECIDED {checks['UNDECIDED']}")
-        for key, n in sorted((k, n) for k, n in checks.items() if isinstance(k, tuple)):
-            print(f"  factor refused: {key[0]} in {key[1]}: {n}")
+        _report(f"seed {seed}", sweep(seed))
+    _report(f"non-split seed {NON_SPLIT_SEED}",
+            sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow))
     return 0
 
 

@@ -95,11 +95,23 @@ def test_dependent_eigenbasis_exits_2():
     # every eigenspace has its multiplicity, but the eigenlines are dependent
     # at working precision: no eigenbasis, not an invalid input
     code, out, err = run_cli([
+        "analyze", "--p", "3", "--group", "gl", "--dim", "4", "--element",
+        '[["2","-34/9","-37/3","202/9"],["1","-2","-10","-61"],["0","0","0","18"],'
+        '["0","0","1","0"]]'])
+    assert (code, out) == (2, "")
+    assert "no eigenbasis at working precision" in err
+
+
+def test_non_split_flow_decomposes():
+    # a's characteristic polynomial does not split over Q_5, Ad(a)'s does;
+    # the answer is the one the flow gives at --precision 24
+    code, out, err = run_cli([
         "analyze", "--p", "5", "--group", "gl", "--dim", "4", "--element",
         '[["0","2/625","-1244/625","-56/625"],["1","0","4","44/25"],'
         '["0","0","0","2/25"],["0","0","1","0"]]'])
-    assert (code, out) == (2, "")
-    assert "no eigenbasis at working precision" in err
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["nu_total"], doc["lattice_defect"]) == (4, 14)
 
 
 def test_readme_exit_table_matches_the_exit_codes():
@@ -148,6 +160,36 @@ def test_non_finite_reals_exit_1(argv):
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "")
     assert "real" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (KAPPA + ["--d", "3", "--base", "0.5", "--a-norm", "3", "--entropy-nats", "1000"],
+     "'kappa' must be a finite real"),
+    (["kappa"] + BUNDLE + ["--c", "1e308", "--base", "1e-300"], "'kappa' must be a finite real"),
+    (KAPPA + ["--delta", "1e-10", "--a-norm", "1.0000000001"], "rounds to 0"),
+    (["bound"] + BUNDLE + ["--lf", "100000", "--f-norm", "1", "--gap", "0.25"],
+     "'the bound' must be a finite real"),
+], ids=["kappa-exp-overflow", "kappa-inf", "series-term-zero", "bound-power-overflow"])
+def test_non_finite_constants_exit_1(argv, message):
+    # finite inputs whose constant overflows a double, or whose series term
+    # 1 - ||a||^(-delta) rounds to 0, are refused rather than printed as inf
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--p", "4"), ("--p", "1"), ("--p", "0"), ("--p", "-3"), ("--p", "two"),
+    ("--precision", "0"), ("--precision", "-1"),
+])
+def test_common_p_is_a_prime_and_precision_positive(flag, value):
+    # checked once, by the flag's type, for every subcommand: unchecked, xi
+    # would print 0.8 for --p 4 and divide by zero for --p 0
+    kind = "prime" if flag == "--p" else "positive integer"
+    for sub in sorted(SUBCOMMANDS):
+        code, out, err = run_cli([sub, flag, value])
+        assert (code, out) == (1, ""), sub
+        assert f"argument {flag}: invalid {kind} value: '{value}'" in err, sub
 
 
 def test_gap_file_takes_the_printed_string_or_a_json_number():

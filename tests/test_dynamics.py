@@ -41,7 +41,14 @@ from padlab.errors import (
 from padlab.liegroup import ball_membership
 from padlab.matrix import _invert, fraction_val
 
-from conjugate_sweep import draw_flow, summary, sweep
+from conjugate_sweep import (
+    NON_SPLIT_FLOWS,
+    NON_SPLIT_SEED,
+    draw_flow,
+    draw_non_split_flow,
+    summary,
+    sweep,
+)
 
 
 def sl_flow(p: int, diag):
@@ -71,14 +78,13 @@ def test_sl2_standard_flow():
 
 
 def test_coordinates_refuse_a_matrix_of_another_size():
-    # unchecked, the sl2 eigenbasis would read a 3x3 at its pivot positions
+    # unchecked, the sl2 read-off would take a 3x3's upper-left 2x2 entries
     # (diag(9, 9, -18) as [0, 9, 0]) and a 1x1 past its end
     _, dec = sl_flow(3, [Fraction(1, 3), 3])
     for rows in ([[9, 0, 0], [0, 9, 0], [0, 0, -18]], [[1]]):
         x = PadicMatrix.from_rationals(dec.ctx, rows)
-        for verify in (False, True):
-            with pytest.raises(ValueError, match="matrix"):
-                dec.coordinates(x, verify)
+        with pytest.raises(ValueError, match="matrix"):
+            dec.coordinates(x)
 
 
 def test_sl3_bicontracting_flow():
@@ -116,9 +122,9 @@ def test_unipotent_not_diagonalizable():
         decompose(shear, spec)
 
 
-# a gl4 flow at p = 5 whose eigenspaces have their full multiplicities but
-# whose eigenlines are dependent at working precision
-DEPENDENT_EIGENLINES = [
+# D12's repro: a gl4 flow at p = 5 whose Ad(a) splits over Q although its
+# characteristic polynomial does not
+NON_SPLIT_FLOW = [
     [0, Fraction(2, 625), Fraction(-1244, 625), Fraction(-56, 625)],
     [1, 0, 4, Fraction(44, 25)],
     [0, 0, 0, Fraction(2, 25)],
@@ -126,16 +132,31 @@ DEPENDENT_EIGENLINES = [
 ]
 
 
-def test_no_eigenbasis_at_working_precision_is_not_diagonalizable(monkeypatch):
+def test_non_split_flow_keeps_its_kernel_vectors_as_eigenlines():
     ctx = PadicContext(5)
+    dec = decompose(PadicMatrix.from_rationals(ctx, NON_SPLIT_FLOW), GroupSpec.gl(ctx, 4))
+    # the answer the same flow gives at working precision 24
+    assert (dec.nu_total, dec.lattice_defect) == (4, 14)
+    assert Counter(dec.nu) == {-1: 4, 0: 8, 1: 4}
+
+
+# a gl4 flow at p = 3 whose eigenlines are dependent at working precision;
+# at working precision 24 it decomposes with |nu| = 8
+DEPENDENT_EIGENLINES = [
+    [2, Fraction(-34, 9), Fraction(-37, 3), Fraction(202, 9)],
+    [1, -2, -10, -61],
+    [0, 0, 0, 18],
+    [0, 0, 1, 0],
+]
+
+
+def test_no_eigenbasis_at_working_precision_is_not_diagonalizable():
+    # every eigenspace has its multiplicity, but the eigenlines are dependent
+    # at working precision
+    ctx = PadicContext(3)
     a = PadicMatrix.from_rationals(ctx, DEPENDENT_EIGENLINES)
     with pytest.raises(NotDiagonalizable, match="no eigenbasis at working precision"):
         decompose(a, GroupSpec.gl(ctx, 4))
-    # too few lines get the same answer: here one line of each eigenspace is dropped
-    module_basis = dynamics.zp_module_basis
-    monkeypatch.setattr(dynamics, "zp_module_basis", lambda flats: module_basis(flats)[:-1])
-    with pytest.raises(NotDiagonalizable, match="no eigenbasis at working precision"):
-        sl_flow(3, [Fraction(1, 3), 3])
 
 
 def test_conjugated_flow_has_lattice_defect():
@@ -383,6 +404,15 @@ def test_conjugate_sweep_slice():
     s = summary(sweep(7, 60))
     assert (s["decomposed"], s["wrong_nu"]) == (58, 0)
     assert s["factor"]["FAIL"] == s["factor"]["UNDECIDED"] == 0
+
+
+def test_non_split_sweep():
+    # the non-split GL4 family of the conjugate sweep, whose characteristic
+    # polynomials do not split over Q_p: every decomposition has the right
+    # |nu|, and every refusal is NotDiagonalizable from decompose
+    s = summary(sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow))
+    assert (s["decomposed"], s["wrong_nu"]) == (32, 0)
+    assert set(s["refused"]) == {("NotDiagonalizable", "decompose")}
 
 
 def test_eigen_shift_equals_subtracting_a_scaled_identity(monkeypatch):

@@ -19,7 +19,7 @@ from padlab.liegroup import (
     ball_membership,
     horospherical_factor,
 )
-from padlab.matrix import Basis, combine
+from padlab.matrix import combine
 
 
 def random_deep_element(spec: GroupSpec, rng: random.Random, exact=None) -> PadicMatrix:
@@ -552,7 +552,7 @@ def test_group_spec_validation():
         GroupSpec(PadicContext(3), "custom", 2)  # only sl and gl have membership rules
 
 
-GROUP_CASES = [(family, d, p) for family in ("sl", "gl") for d in (1, 2, 3) for p in (2, 3, 5)]
+GROUP_CASES = [(family, d, p) for family in ("sl", "gl") for d in (1, 2, 3, 4) for p in (2, 3, 5)]
 
 
 @pytest.mark.parametrize("family,d,p", GROUP_CASES, ids=[f"{f}{d}-p{p}" for f, d, p in GROUP_CASES])
@@ -560,7 +560,10 @@ def test_algebra_coordinates_detect_outsiders(family, d, p):
     ctx = PadicContext(p)
     spec = getattr(GroupSpec, family)(ctx, d)
     assert len(spec.lie_basis) == d * d - (family == "sl")
-    assert Basis(ctx, d, spec.lie_basis).index == 0
+    # lie_basis[j] reads off as the unit vector e_j
+    for j, b in enumerate(spec.lie_basis):
+        assert spec.algebra_coordinates(b) == [ctx.one() if i == j else ctx.zero()
+                                               for i in range(len(spec.lie_basis))]
     rng = random.Random(1000 * p + 10 * d + (family == "sl"))
     for _ in range(5):
         # a seeded integral element of the algebra

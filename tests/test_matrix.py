@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from padlab import PadicContext, PadicMatrix, PadicScalar
 from padlab.errors import NotSplitAtPrecision, PrecisionExhausted, SingularAtPrecision
 from padlab.matrix import (
-    Basis,
     combine,
+    eliminate,
     hensel_roots,
     nullspace,
     poly_eval,
@@ -461,6 +461,42 @@ def test_nullspace_rank_two_of_three():
         assert x.is_zero or x.valuation() >= 10
 
 
+@st.composite
+def low_rank_matrices(draw):
+    """A d x d rational matrix B C of rank at most r < d, the entries of B and
+    C p-powers in [-3, 3] times integers in [-4, 4]."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(2, 5))
+    r = draw(st.integers(0, d - 1))
+    entry = st.builds(lambda e, n: Fraction(p) ** e * n, st.integers(-3, 3), st.integers(-4, 4))
+    b = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=d, max_size=d))
+    c = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=r, max_size=r))
+    return p, r, [[sum((b[i][k] * c[k][j] for k in range(r)), Fraction(0)) for j in range(d)]
+                  for i in range(d)]
+
+
+@settings(max_examples=150)
+@given(low_rank_matrices())
+def test_nullspace_is_a_zp_basis_of_the_integral_kernel(case):
+    # each vector has an exact 1 at its own free column, the exact zero at the
+    # other free columns, and integral entries: the integral kernel vectors
+    # are exactly the integral combinations
+    p, rank, rows = case
+    ctx = PadicContext(p)
+    m = PadicMatrix.from_rationals(ctx, rows)
+    work = [list(r) for r in m.rows]
+    pivot_cols = {c for _, c in eliminate(work, ctx.zero())}
+    free = [j for j in range(m.dim) if j not in pivot_cols]
+    basis = nullspace(m)
+    assert len(basis) == len(free) >= m.dim - rank
+    one, zero = (ctx.one().v, 1, ctx.precision), (None, 0, None)
+    for vec, j in zip(basis, free):
+        assert [(vec[i].v, vec[i].unit, vec[i].digits) for i in free] == [
+            one if i == j else zero for i in free
+        ]
+        assert all(x.valuation() >= 0 for x in vec)
+
+
 def test_zp_module_basis_unit_pivots():
     ctx = PadicContext(3)
     vin = [
@@ -484,30 +520,6 @@ def test_operands_of_different_sizes_raise():
         for op in (operator.add, operator.sub, operator.matmul):
             with pytest.raises(ValueError):
                 op(x, y)
-
-
-def test_basis_coordinates_and_index():
-    ctx = PadicContext(3)
-    e12 = PadicMatrix.from_rationals(ctx, [[0, 1], [0, 0]])
-    e21 = PadicMatrix.from_rationals(ctx, [[0, 0], [1, 0]])
-    basis = Basis(ctx, 2, (e12, e21.scale(ctx.from_rational(9))))
-    assert basis.index == 2  # the span holds 9 Z_3 E21, not Z_3 E21
-    x = PadicMatrix.from_rationals(ctx, [[0, 5], [18, 0]])
-    assert basis.coordinates(x, True) == [ctx.from_rational(5), ctx.from_rational(2)]
-    assert basis.coordinates(e21, True) == [ctx.zero(), ctx.from_rational(Fraction(1, 9))]
-    assert basis.coordinates(PadicMatrix.identity(ctx, 2), True) is None
-    with pytest.raises(ValueError):
-        Basis(ctx, 2, (e12, e12.scale(ctx.from_rational(3))))
-    # the empty basis spans only the zero matrix
-    empty = Basis(ctx, 1, ())
-    assert empty.index == 0
-    assert empty.coordinates(PadicMatrix.zeros(ctx, 1), True) == []
-    assert empty.coordinates(PadicMatrix.identity(ctx, 1), True) is None
-    # and, like every basis, knows its matrix size
-    with pytest.raises(ValueError, match="1x1 and a 3x3"):
-        empty.coordinates(PadicMatrix.zeros(ctx, 3), True)
-    with pytest.raises(ValueError, match="3x3 and a 2x2"):
-        Basis(ctx, 3, (e12,))
 
 
 def test_zp_module_basis_drops_dependent_rows():
@@ -594,21 +606,6 @@ def reference_combine(mats, coords) -> PadicMatrix:
     return acc
 
 
-def reference_coordinates(basis: Basis, x: PadicMatrix, verify: bool):
-    """Basis.coordinates rebuilding its output list for every chosen row."""
-    flat = x.flat()
-    out = [x.ctx.zero()] * len(basis._chosen)
-    for r, inv_row in zip(basis._chosen, basis._inverse):
-        s = flat[r]
-        if s:
-            out = [acc + s * c for acc, c in zip(out, inv_row)]
-    if verify:
-        diff = reference_combine(basis.mats, out) - x if basis.mats else -x
-        if diff.min_valuation() < basis._level:
-            return None
-    return out
-
-
 def outcome(call):
     """("ok", (v, unit, digits) of every entry) or ("raise", class, message)."""
     try:
@@ -623,7 +620,7 @@ def outcome(call):
 
 @st.composite
 def low_digit_cases(draw):
-    """(a, b, mats, coords, x) over one Q_p: d x d matrices whose entries are
+    """(a, b, mats, coords) over one Q_p: d x d matrices whose entries are
     exact zeros, zeros O(p^c) or p^v u with 3-12 certified digits."""
     p = draw(st.sampled_from([2, 3, 5]))
     d = draw(st.integers(2, 4))
@@ -650,26 +647,18 @@ def low_digit_cases(draw):
     )
     mats = draw(st.lists(matrix, min_size=1, max_size=4))
     coords = draw(st.lists(entries, min_size=len(mats), max_size=len(mats)))
-    return draw(matrix), draw(matrix), mats, coords, draw(matrix)
+    return draw(matrix), draw(matrix), mats, coords
 
 
 @settings(max_examples=200)
 @given(low_digit_cases())
 def test_dot_product_matches_the_reference_loops(case):
-    a, b, mats, coords, x = case
+    a, b, mats, coords = case
     assert outcome(lambda: a @ b) == outcome(lambda: reference_matmul(a, b))
     assert outcome(a.char_poly) == outcome(lambda: reference_char_poly(a))
-    # combine and coordinates finish one output entry before the next, where
-    # the reference adds one term to every entry at a time; each entry still
-    # sums its terms in the same order, and no sum refuses
+    # combine finishes one output entry before the next, where the reference
+    # adds one term to every entry at a time; each entry still sums its terms
+    # in the same order, and no sum refuses
     assert outcome(lambda: combine(mats, coords)) == outcome(
         lambda: reference_combine(mats, coords)
     )
-    try:
-        basis = Basis(a.ctx, a.dim, mats)
-    except ValueError:
-        return  # linearly dependent draws have no coordinates
-    for verify in (False, True):
-        assert outcome(lambda: basis.coordinates(x, verify)) == outcome(
-            lambda: reference_coordinates(basis, x, verify)
-        )

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from padlab import DEFAULT_PRECISION, PadicContext, PadicMatrix, PadicScalar
 from padlab.errors import DivisionByZero, PrecisionExhausted, SingularAtPrecision
 from padlab.matrix import _dot
+from padlab.scalar import _is_prime
 
 
 def vp(fr: Fraction, p: int):
@@ -77,6 +78,18 @@ def test_from_string_round_trip():
     assert ctx.from_string("7/9") == ctx.from_rational(7, 9)
     assert ctx.from_string(" -4 ") == ctx.from_rational(-4)
     assert ctx.from_string("0").is_zero
+
+
+def test_is_prime_matches_trial_division_and_refuses_strong_pseudoprimes():
+    for n in range(-3, 20000):
+        assert _is_prime(n) == (n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))), n
+    # the least strong pseudoprimes to the first 4, 5, 6, 7, 9 and 12 prime
+    # bases (OEIS A014233), and primes far past trial division's reach
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n), n
+    for n in (2**61 - 1, 10**24 + 7):
+        assert _is_prime(n), n
 
 
 def test_constructor_validation():
