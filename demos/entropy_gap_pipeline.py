@@ -18,7 +18,7 @@ from padlab.entropylab import (
     pinsker_check,
     telescope_bound_check,
 )
-from padlab.spectral import ConstantsBundle, MixingParams, kappa, theorem1_rhs
+from padlab.spectral import ConstantsBundle, kappa, theorem1_rhs
 
 # a biased chain on 3 = 3^1 symbols (p = 3, |nu| = 1)
 mu = MarkovMeasure.bernoulli([0.5, 0.25, 0.25])
@@ -43,7 +43,9 @@ print("per-step bounds hold:", report.per_step_hold)
 
 # the same gap drives the distance-from-Haar bound
 bundle = ConstantsBundle(
-    mixing=MixingParams(c=1.0, alpha=1.0, delta=1.0),
+    c=1.0,
+    alpha=1.0,
+    delta=1.0,
     p=3,
     d=3,
     entropy_nats=math.log(3),
@@ -52,10 +54,10 @@ bundle = ConstantsBundle(
     nu_total=1,
 )
 k = kappa(bundle)
-rhs = theorem1_rhs(k, 3, 1.0, 3, 0, 1.0, gap.entropy_side)
+rhs = theorem1_rhs(bundle, 0, 1.0, gap.entropy_side)
 print("kappa =", k)
 print("bound kappa ||f|| sqrt(gap) =", rhs)
 # the phi route is exactly zero on a uniform chain, so the bound collapses
 uniform_gap = entropy_gap(MarkovMeasure.uniform(3), 1, 3)
 print("a perfectly uniform chain gives bound 0:",
-      theorem1_rhs(k, 3, 1.0, 3, 0, 1.0, uniform_gap.phi_side))
+      theorem1_rhs(bundle, 0, 1.0, uniform_gap.phi_side))

@@ -12,7 +12,6 @@ import math
 from padlab import PadicContext, PadicMatrix
 from padlab.spectral import (
     ConstantsBundle,
-    MixingParams,
     cartan_valuations,
     equidistribution_bound,
     kappa,
@@ -31,14 +30,16 @@ ctx = PadicContext(3)
 g = PadicMatrix.from_rationals(ctx, [[9, 1], [3, 1]])
 exps = cartan_valuations(g)
 print("cartan exponents of [[9,1],[3,1]]:", exps)
-print("decay bound for that element:", oh_bound(3, 2, exps, 1, 1))
+print("decay bound for that element:", oh_bound(3, exps, 1, 1))
 
 # identity Cartan data leaves only the dimension factor
-print("trivial cartan, dims (2, 3):", oh_bound(3, 2, [0, 0], 2, 3), "= sqrt(6)")
+print("trivial cartan, dims (2, 3):", oh_bound(3, [0, 0], 2, 3), "= sqrt(6)")
 
 # the headline constant and the per-step equidistribution decay
 bundle = ConstantsBundle(
-    mixing=MixingParams(c=1.0, alpha=1.0, delta=1.0),
+    c=1.0,
+    alpha=1.0,
+    delta=1.0,
     p=2,
     d=1,
     entropy_nats=0.0,

@@ -68,7 +68,6 @@ from .dynamics import (
 )
 from .spectral import (
     ConstantsBundle,
-    MixingParams,
     ball_measure_at,
     cartan_valuations,
     equidistribution_bound,
@@ -97,7 +96,6 @@ __all__ = [
     "IrreducibilityError",
     "LevelTooSmall",
     "MarkovMeasure",
-    "MixingParams",
     "NegativeExponent",
     "NegativeGap",
     "NoConvergence",

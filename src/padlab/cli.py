@@ -37,7 +37,6 @@ from .matrix import PadicMatrix
 from .scalar import DEFAULT_PRECISION, PadicContext, _is_prime
 from .spectral import (
     ConstantsBundle,
-    MixingParams,
     cartan_valuations,
     kappa,
     oh_bound,
@@ -84,10 +83,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_flag(name: str, ok):
     """argparse type of an integer flag that ok accepts; argparse names the
-    type in its message: "invalid prime value: '4'"."""
+    type in its message: "invalid prime value: '4'".  A ValueError raised
+    by ok itself, such as a prime past the decidable bound, keeps its own
+    message."""
     def convert(text: str) -> int:
         n = int(text)
-        if not ok(n):
+        try:
+            accepted = ok(n)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+        if not accepted:
             raise ValueError(text)
         return n
 
@@ -330,7 +335,7 @@ def _cmd_oh(args) -> tuple[dict, int]:
         "cartan": cartan,
         "dim_kv": args.dimkv,
         "dim_kw": args.dimkw,
-        "value": _fmt_real(oh_bound(args.p, len(cartan), cartan, args.dimkv, args.dimkw)),
+        "value": _fmt_real(oh_bound(args.p, cartan, args.dimkv, args.dimkw)),
     }, 0
 
 
@@ -340,7 +345,9 @@ def _bundle_from_args(args) -> ConstantsBundle:
     else:
         h = args.nu_total * math.log(args.p)
     return ConstantsBundle(
-        mixing=MixingParams(args.c, args.alpha, args.delta),
+        c=args.c,
+        alpha=args.alpha,
+        delta=args.delta,
         p=args.p,
         d=args.d,
         entropy_nats=h,
@@ -372,12 +379,9 @@ def _cmd_bound(args) -> tuple[dict, int]:
         gap = _finite_real(gap_doc["entropy_side"], "entropy_side")
     # the lf shift is folded in here, on the caller side of the constant
     l_f = args.lf + (bundle.nu_total if args.lf_shift else 0)
-    kappa_value = kappa(bundle)
-    rhs = theorem1_rhs(
-        kappa_value, args.p, bundle.mixing.alpha, args.d, l_f, args.f_norm, gap
-    )
+    rhs = theorem1_rhs(bundle, l_f, args.f_norm, gap)
     return {
-        "kappa": _fmt_real(kappa_value),
+        "kappa": _fmt_real(kappa(bundle)),
         "l_f": l_f,
         "lf_shift_applied": args.lf_shift,
         "gap": _fmt_real(gap),
@@ -473,7 +477,8 @@ def build_parser() -> _Parser:
 
     sp = command("gap", _cmd_gap, "entropy gap identity")
     sp.add_argument("--markov", required=True, help="markov document: literal or path")
-    sp.add_argument("--nu", type=int, required=True, help="|nu| with s = p^|nu|")
+    sp.add_argument("--nu", type=_int_flag("nonnegative integer", lambda n: n >= 0),
+                    required=True, help="|nu| with s = p^|nu|")
 
     sp = command("pinsker", _cmd_pinsker, "Pinsker inequality check")
     sp.add_argument("--ref", required=True, help="reference vector: literal or path")

@@ -404,13 +404,14 @@ def _window_maps(dec, k, n, level, radius) -> list[tuple[int, np.ndarray]]:
 def _count_full(dec, k, n, level) -> BowenCounts:
     import numpy as np
 
-    dim_g = len(dec.group.lie_basis)
-    radius = dec.ctx.p ** (level - k)
+    p, dim_g = dec.ctx.p, len(dec.group.lie_basis)
+    # p^e >= 2^e passes the budget once e reaches its bit length, so a
+    # refusal neither builds nor prints a power of thousands of digits
+    e = (level - k) * dim_g
+    if e >= ORACLE_POINT_BUDGET.bit_length() or p**e > ORACLE_POINT_BUDGET:
+        raise BudgetExceeded(f"full oracle needs {p}^{e} points, budget {ORACLE_POINT_BUDGET}")
+    radius = p ** (level - k)
     total = radius**dim_g
-    if total > ORACLE_POINT_BUDGET:
-        raise BudgetExceeded(
-            f"full oracle needs {total} points, budget {ORACLE_POINT_BUDGET}"
-        )
     counts = [total] + [0] * (n - 1)  # window 1 is the whole level-k lattice
     if n > 1:
         (need, table), *later = _window_maps(dec, k, n, level, radius)

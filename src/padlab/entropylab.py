@@ -150,9 +150,9 @@ class MarkovMeasure:
 
     i.e. each row T[i, :] is the conditional law of the next-finer choice
     given that the coarser one was i, and pi is the stationary row vector
-    (pi T = pi).  pi comes from a direct solve of the bordered system
-    (T^T - I with its last row replaced by ones) pi = e_last, clipped at 0,
-    renormalized and accepted only at residual ||pi T - pi||_1 <= 1e-13.
+    (pi T = pi).  pi is the eigenvector of T^T for its eigenvalue of largest
+    real part, scaled to sum 1, clipped at 0, renormalized and accepted
+    only at residual ||pi T - pi||_1 <= 1e-13.
     When the uniform vector already meets that residual it is returned
     bit-for-bit.
 
@@ -186,10 +186,12 @@ class MarkovMeasure:
     def _find_stationary(self) -> ProbVector:
         matrix = self.transition
         s = self.s
-        # rho, the second eigenvalue modulus of the damped map (T + I)/2,
-        # sets the mixing rate; the damping folds periodic eigenvalues -1
-        # inside the unit circle without moving the fixed points
-        moduli = np.sort(np.abs(np.linalg.eigvals(matrix) + 1.0) / 2.0)
+        # one eigendecomposition gives both rho and pi.  rho, the second
+        # eigenvalue modulus of the damped map (T + I)/2, sets the mixing
+        # rate; the damping folds periodic eigenvalues -1 inside the unit
+        # circle without moving the fixed points
+        values, vectors = np.linalg.eig(matrix.T)
+        moduli = np.sort(np.abs(values + 1.0) / 2.0)
         rho = float(moduli[-2]) if s > 1 else 0.0
         if rho > _RHO_BUDGET:
             # rho within STATIONARY_TOL of 1 is a second eigenvalue 1: every
@@ -204,15 +206,8 @@ class MarkovMeasure:
         if np.abs(uniform @ matrix - uniform).sum() <= STATIONARY_TOL:
             # an exactly uniform fixed point is returned bit-for-bit
             return ProbVector(uniform.tolist())
-        bordered = matrix.T - np.eye(s)
-        bordered[-1, :] = 1.0
-        rhs = np.zeros(s)
-        rhs[-1] = 1.0
-        try:
-            x = np.linalg.solve(bordered, rhs)
-        except np.linalg.LinAlgError as err:
-            raise IrreducibilityError(f"stationary vector not unique: {err}") from err
-        x = np.clip(x, 0.0, None)
+        x = vectors[:, np.argmax(values.real)].real
+        x = np.clip(x / x.sum(), 0.0, None)
         x = x / x.sum()
         residual = np.abs(x @ matrix - x).sum()
         if residual > STATIONARY_TOL:
@@ -309,12 +304,19 @@ def entropy_gap(measure: MarkovMeasure, nu_total: int, p: int) -> GapIdentity:
     """Evaluate the gap identity |nu| ln p - h_mu = sum_i pi_i phi(unif, row_i).
 
     Raises:
+        ValueError: nu_total < 0 or p < 2.
         SymbolCountMismatch: the chain does not have p^nu_total symbols.
     """
-    if measure.s != p**nu_total:
+    if nu_total < 0 or p < 2:
+        raise ValueError(f"need |nu| >= 0 and p >= 2, got |nu| = {nu_total}, p = {p}")
+    # divide p out of s rather than build p^|nu|, which may have millions
+    # of digits; at most log_p(s) + 1 rounds
+    rest, e = measure.s, 0
+    while e < nu_total and rest % p == 0:
+        rest, e = rest // p, e + 1
+    if (rest, e) != (1, nu_total):
         raise SymbolCountMismatch(
-            f"chain has {measure.s} symbols, the split needs p^|nu| = "
-            f"{p}^{nu_total} = {p ** nu_total}"
+            f"chain has {measure.s} symbols, the split needs p^|nu| = {p}^{nu_total}"
         )
     side_a = nu_total * math.log(p) - entropy_rate(measure)
     side_b = _phi_side(measure)

@@ -70,7 +70,7 @@ class IrreducibilityError(PadlabError):
     """A Markov chain has no usable stationary vector.
 
     Either the stationary vector is not unique (more than one closed class),
-    or the chain mixes too slowly for the round budget, or the direct solve
+    or the chain mixes too slowly for the round budget, or the eigenvector
     misses the residual tolerance (see padlab.entropylab.MarkovMeasure).
     """
 

@@ -436,8 +436,6 @@ def ball_membership(g: PadicMatrix, spec: GroupSpec, k: int) -> bool:
 
 # ---- horospherical factorization ---------------------------------------------
 
-MAX_FACTOR_ROUNDS = 64
-
 
 class FactorResult(NamedTuple):
     """g = unstable @ bounded, with the number of peeling rounds used."""
@@ -456,7 +454,8 @@ def horospherical_factor(g: PadicMatrix, k: int, dec) -> FactorResult:
     each round.  Accumulates F = f_0 f_1 ... and H = ... h_1 h_0; stops once
     the residual is certified = e mod p^N, so F H = g mod p^N.  A residual
     that stops improving raises NoConvergence, or PrecisionExhausted when
-    an entry O(p^c), c < N, holds it back.
+    an entry O(p^c), c < N, holds it back; since every round raises the
+    residual's valuation, the peel ends within N - k + 1 rounds.
     """
     ctx = g.ctx
     n_prec = ctx.precision
@@ -469,7 +468,7 @@ def horospherical_factor(g: PadicMatrix, k: int, dec) -> FactorResult:
     h_acc = ident
     resid = g
     prev_v = None
-    for rounds in range(MAX_FACTOR_ROUNDS):
+    for rounds in count():
         y = resid - ident
         v_res = min(e.valuation() for e in y.flat())
         if v_res >= n_prec:
@@ -499,4 +498,3 @@ def horospherical_factor(g: PadicMatrix, k: int, dec) -> FactorResult:
         f_acc = f_acc @ f_i
         h_acc = h_i @ h_acc
         resid = f_i.inverse() @ resid @ h_i.inverse()
-    raise NoConvergence("factorization exceeded the round budget")

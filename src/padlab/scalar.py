@@ -38,19 +38,24 @@ DEFAULT_PRECISION = 12
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every witness above: Miller-Rabin with
+# them decides each n below it (Sorenson and Webster, Math. Comp. 86 (2017))
+_PRIME_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the primes up to 41 as witnesses, which decides
-    every n < 3.3e24 (Sorenson and Webster, Math. Comp. 86 (2017)); trial
-    division above that."""
+    """Miller-Rabin with the primes up to 41 as witnesses.
+
+    Raises:
+        ValueError: n >= _PRIME_BOUND, where those witnesses decide nothing.
+    """
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"primes are decided below {_PRIME_BOUND} only, got {n}")
     if n < 2:
         return False
     for q in _WITNESSES:
         if n % q == 0:
             return n == q
-    if n >= 3317044064679887385961981:
-        return all(n % f for f in range(43, math.isqrt(n) + 1, 2))
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

@@ -30,6 +30,7 @@ from .errors import (
     _finite_real,
 )
 from .matrix import PadicMatrix, _invert, fraction_val
+from .scalar import _is_prime
 
 
 def xi_pgl2(p: int, k: int) -> float:
@@ -87,7 +88,7 @@ def cartan_valuations(g: PadicMatrix) -> list[int]:
     return sorted(map(val, pivots), reverse=True)
 
 
-def oh_bound(p: int, m: int, cartan: list[int], dim_kv: int, dim_kw: int) -> float:
+def oh_bound(p: int, cartan: list[int], dim_kv: int, dim_kw: int) -> float:
     """Matrix-coefficient decay bound from Cartan data.
 
     sqrt(dim_kv * dim_kw) times the product of Xi(p^(k_i - k_{m+1-i})) over
@@ -96,10 +97,9 @@ def oh_bound(p: int, m: int, cartan: list[int], dim_kv: int, dim_kw: int) -> flo
     Raises:
         NegativeExponent: some paired difference is negative (list unsorted).
     """
+    m = len(cartan)
     if m < 2:
         raise ValueError(f"need m >= 2 Cartan entries, got {m}")
-    if len(cartan) != m:
-        raise ValueError(f"Cartan list has {len(cartan)} entries, expected {m}")
     if dim_kv < 1 or dim_kw < 1:
         raise ValueError("fixed-vector space dimensions must be >= 1")
     product = math.sqrt(dim_kv * dim_kw)
@@ -114,29 +114,21 @@ def oh_bound(p: int, m: int, cartan: list[int], dim_kv: int, dim_kw: int) -> flo
 
 
 @dataclass(frozen=True)
-class MixingParams:
-    """Exponential mixing rate data: |corr| <= c p^((l_f+l_h) alpha) ||a||^(-delta n)."""
-
-    c: float
-    alpha: float
-    delta: float
-
-    def __post_init__(self):
-        if not all(0 < x < math.inf for x in (self.c, self.alpha, self.delta)):
-            raise ValueError("mixing parameters must all be finite and strictly positive")
-
-
-@dataclass(frozen=True)
 class ConstantsBundle:
-    """Everything kappa and the equidistribution bound consume.
+    """The setup every constant below reads, validated once: each constant
+    takes the bundle and only its per-call levels.
 
+    (c, alpha, delta) is the exponential mixing rate,
+    |corr| <= c p^((l_f+l_h) alpha) ||a||^(-delta n); p is a prime;
     entropy_nats is |nu| ln p; base_ball_measure is the Haar mass of the
     level-2 congruence ball; a_norm the max-norm of a.  The bundle holds no
     smoothness level, so the shift of l_f to l_f + |nu| between plain and
     adapted balls is the caller's (``padlab bound --lf-shift`` makes it).
     """
 
-    mixing: MixingParams
+    c: float
+    alpha: float
+    delta: float
     p: int
     d: int
     entropy_nats: float
@@ -145,8 +137,10 @@ class ConstantsBundle:
     nu_total: int
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be a prime >= 2")
+        if not all(0 < x < math.inf for x in (self.c, self.alpha, self.delta)):
+            raise ValueError("c, alpha and delta must all be finite and strictly positive")
+        if not _is_prime(self.p):
+            raise ValueError(f"p must be prime, got {self.p}")
         if self.d < 1:
             raise ValueError("group dimension must be >= 1")
         if not 0 <= self.entropy_nats < math.inf:
@@ -159,22 +153,20 @@ class ConstantsBundle:
             raise ValueError("|nu| must be >= 0")
 
 
-def mixing_bound(
-    params: MixingParams, p: int, l_f: int, l_h: int, a_norm: float, n: int
-) -> float:
+def mixing_bound(bundle: ConstantsBundle, l_f: int, l_h: int, n: int) -> float:
     """Mixing envelope c p^((l_f + l_h) alpha) ||a||^(-delta n) at time n."""
     if n < 0:
         raise ValueError("time n must be >= 0")
-    if a_norm <= 1:
+    if bundle.a_norm <= 1:
         raise ValueError("||a|| must exceed 1 for decay")
-    return params.c * p ** ((l_f + l_h) * params.alpha) * a_norm ** (-params.delta * n)
+    return bundle.c * bundle.p ** ((l_f + l_h) * bundle.alpha) * bundle.a_norm ** (-bundle.delta * n)
 
 
-def ball_measure_at(k: int, base_ball_measure: float, d: int, p: int) -> float:
+def ball_measure_at(bundle: ConstantsBundle, k: int) -> float:
     """Haar mass of the level-k ball: each level splits into p^d translates."""
     if k < 2:
         raise ValueError(f"ball levels start at 2, got {k}")
-    return base_ball_measure * float(p) ** (-d * (k - 2))
+    return bundle.base_ball_measure * float(bundle.p) ** (-bundle.d * (k - 2))
 
 
 def test_vector_norm(bundle: ConstantsBundle, l_f: int) -> float:
@@ -198,11 +190,11 @@ def equidistribution_bound(bundle: ConstantsBundle, l_f: int, n: int) -> float:
         raise ValueError("smoothness level l_f must be >= 0")
     if n < 0:
         raise ValueError("time n must be >= 0")
-    mix = bundle.mixing
-    lead = mix.c / math.sqrt(bundle.base_ball_measure)
-    nu_power = float(bundle.p) ** ((mix.alpha + bundle.d / 2.0) * bundle.nu_total + 2.0 * mix.alpha)
-    lf_power = float(bundle.p) ** (l_f * (2.0 * mix.alpha + bundle.d / 2.0))
-    return lead * nu_power * lf_power * bundle.a_norm ** (-mix.delta * n)
+    alpha = bundle.alpha
+    lead = bundle.c / math.sqrt(bundle.base_ball_measure)
+    nu_power = float(bundle.p) ** ((alpha + bundle.d / 2.0) * bundle.nu_total + 2.0 * alpha)
+    lf_power = float(bundle.p) ** (l_f * (2.0 * alpha + bundle.d / 2.0))
+    return lead * nu_power * lf_power * bundle.a_norm ** (-bundle.delta * n)
 
 
 def kappa(bundle: ConstantsBundle) -> float:
@@ -220,55 +212,49 @@ def kappa(bundle: ConstantsBundle) -> float:
         raise DivergentSeries(
             f"||a|| = {bundle.a_norm} <= 1: the decay series does not converge"
         )
-    mix = bundle.mixing
-    term = 1.0 - bundle.a_norm ** (-mix.delta)
+    term = 1.0 - bundle.a_norm ** (-bundle.delta)
     if term == 0:
         raise ValueError(f"the series term 1 - ||a||^(-delta) rounds to 0 at "
-                         f"||a|| = {bundle.a_norm}, delta = {mix.delta}")
+                         f"||a|| = {bundle.a_norm}, delta = {bundle.delta}")
     series = 1.0 / term
     try:
         value = (
             math.sqrt(2.0)
-            * mix.c
-            * bundle.p ** (2.0 * mix.alpha)
+            * bundle.c
+            * bundle.p ** (2.0 * bundle.alpha)
             / math.sqrt(bundle.base_ball_measure)
             * series
-            * math.exp((3.0 * mix.alpha + bundle.d) * bundle.entropy_nats)
+            * math.exp((3.0 * bundle.alpha + bundle.d) * bundle.entropy_nats)
         )
     except OverflowError:  # a power past the double range
         value = math.inf
     return _finite_real(value, "kappa")
 
 
-def theorem1_rhs(
-    kappa_value: float,
-    p: int,
-    alpha: float,
-    d: int,
-    l_f: int,
-    f_l2_norm: float,
-    gap: float,
-) -> float:
+def theorem1_rhs(bundle: ConstantsBundle, l_f: int, f_l2_norm: float, gap: float) -> float:
     """Bound on |integral against Haar - integral against mu|.
 
-    kappa p^((2 alpha + d/2) l_f) ||f||_{L2} sqrt(gap), where gap is the
-    entropy deficit from the maximal-entropy measure.
+    kappa p^((2 alpha + d/2) l_f) ||f||_{L2} sqrt(gap), with kappa that of
+    the bundle and gap the entropy deficit from the maximal-entropy measure.
 
     Raises:
-        ValueError: a real input is NaN or infinite, or the bound is not a
-            finite double.
+        ValueError: the norm or the gap is NaN or infinite, or the bound is
+            not a finite double.
         NegativeGap: gap < 0.
+        DivergentSeries: ||a|| <= 1, as for kappa.
     """
-    if not all(map(math.isfinite, (kappa_value, alpha, f_l2_norm, gap))):
-        raise ValueError("kappa, alpha, the norm and the gap must be finite reals")
+    kappa_value = kappa(bundle)
+    if not all(map(math.isfinite, (f_l2_norm, gap))):
+        raise ValueError("the norm and the gap must be finite reals")
     if gap < 0:
         raise NegativeGap(f"entropy gap must be >= 0, got {gap}")
     if l_f < 0:
         raise ValueError("smoothness level l_f must be >= 0")
     if f_l2_norm < 0:
         raise ValueError("norm must be >= 0")
+    exponent = (2.0 * bundle.alpha + bundle.d / 2.0) * l_f
     try:
-        value = kappa_value * p ** ((2.0 * alpha + d / 2.0) * l_f) * f_l2_norm * math.sqrt(gap)
+        value = kappa_value * bundle.p ** exponent * f_l2_norm * math.sqrt(gap)
     except OverflowError:  # a power past the double range
         value = math.inf
     return _finite_real(value, "the bound")

@@ -25,7 +25,6 @@ from padlab.entropylab import (
 from padlab.liegroup import ball_membership, horospherical_factor
 from padlab.spectral import (
     ConstantsBundle,
-    MixingParams,
     equidistribution_bound,
     kappa,
     oh_bound,
@@ -339,14 +338,16 @@ def test_ac09_spectral_constants(capsys):
         assert abs(xi_pgl2(2, 2) - 0.833333) < 1e-6
         for dkv, dkw in ((1, 1), (1, 4), (2, 3), (5, 5)):
             for p, m in ((2, 2), (3, 3), (5, 4)):
-                assert oh_bound(p, m, [0] * m, dkv, dkw) == math.sqrt(dkv * dkw)
+                assert oh_bound(p, [0] * m, dkv, dkw) == math.sqrt(dkv * dkw)
         h = 4 * math.log(3)
         for c in (0.5, 1.0, 2.0):
             for alpha in (0.5, 1.0, 2.0):
                 for delta in (0.5, 1.0, 2.0):
                     for a_norm in (1.5, 2.0, 4.0):
                         bundle = ConstantsBundle(
-                            mixing=MixingParams(c=c, alpha=alpha, delta=delta),
+                            c=c,
+                            alpha=alpha,
+                            delta=delta,
                             p=3,
                             d=2,
                             entropy_nats=h,
@@ -369,7 +370,7 @@ def test_ac09_spectral_constants(capsys):
                             * math.exp((3.0 * alpha + 2.0) * h)
                         )
                         assert got == pytest.approx(by_factors, rel=1e-12)
-                        rhs = theorem1_rhs(got, 3, alpha, 2, 2, 1.5, 0.36)
+                        rhs = theorem1_rhs(bundle, 2, 1.5, 0.36)
                         by_hand = (
                             got * 3.0 ** ((2.0 * alpha + 1.0) * 2.0) * 1.5 * math.sqrt(0.36)
                         )

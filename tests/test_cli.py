@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,14 @@ def test_non_finite_constants_exit_1(argv, message):
     assert message in err
 
 
+def test_a_prime_past_the_decidable_bound_exits_1_at_once():
+    started = time.monotonic()
+    code, out, err = run_cli(["xi", "--p", "10000000000000000000000013", "--k", "1"])
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (1, "")
+    assert "argument --p: primes are decided below 3317044064679887385961981" in err
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--p", "4"), ("--p", "1"), ("--p", "0"), ("--p", "-3"), ("--p", "two"),
     ("--precision", "0"), ("--precision", "-1"),
@@ -267,6 +276,25 @@ def test_full_oracle_guards_only_conjugated_windows():
     argv[argv.index("19")], argv[argv.index("22")] = "60", "63"
     code, _, err = run_cli(argv + ["--mode", "FULL"])
     assert code == 10 and "64-bit" in err
+
+
+def test_a_full_count_past_the_budget_exits_10_without_building_it():
+    # 3^14988 points: printing that count passed int's 4300-digit limit
+    code, out, err = run_cli(["oracle", "--element", '[["1/3","0"],["0","3"]]', "--dim", "2",
+                              "--k", "4", "--n", "2", "--level", "5000", "--mode", "FULL"])
+    assert (code, out) == (10, "")
+    assert "needs 3^14988 points" in err
+
+
+@pytest.mark.parametrize("nu,message", [
+    ("100000", "chain has 2 symbols, the split needs p^|nu| = 2^100000"),
+    ("-1", "argument --nu: invalid nonnegative integer value: '-1'"),
+], ids=["huge", "negative"])
+def test_gap_decides_the_symbol_count_without_building_p_to_the_nu(nu, message):
+    code, out, err = run_cli(["gap", "--p", "2", "--nu", nu, "--markov",
+                              '{"transition":[[0.5,0.5],[0.5,0.5]]}'])
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 X2 = '[["0","9"],["0","0"]]'

@@ -213,7 +213,7 @@ def test_non_unique_stationary_is_refused(rows):
 
 
 def power_iteration_stationary(chains):
-    """The damped power iteration, the reference route for the direct solve.
+    """The damped power iteration, the reference route for the eigenvector.
 
     For each chain: x <- (x T + x)/2 from the uniform vector, returning
     x / sum(x) at the first round with ||x T - x||_1 <= STATIONARY_TOL, or
@@ -343,6 +343,13 @@ def test_entropy_gap_identity_sweep():
 def test_entropy_gap_symbol_mismatch():
     with pytest.raises(SymbolCountMismatch):
         entropy_gap(MarkovMeasure.uniform(3), 2, 3)
+    # s is divided by p, so a huge |nu| is refused without building p^|nu|
+    with pytest.raises(SymbolCountMismatch, match=r"2\^100000$"):
+        entropy_gap(MarkovMeasure.uniform(2), 100_000, 2)
+    with pytest.raises(SymbolCountMismatch):
+        entropy_gap(MarkovMeasure.uniform(12), 2, 2)
+    with pytest.raises(ValueError, match="nu"):
+        entropy_gap(MarkovMeasure.uniform(1), -1, 3)
 
 
 # ---- cylinder functions ------------------------------------------------------

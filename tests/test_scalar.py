@@ -8,6 +8,7 @@ the absolute precision the scalar claims.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,17 @@ def test_is_prime_matches_trial_division_and_refuses_strong_pseudoprimes():
         assert not _is_prime(n), n
     for n in (2**61 - 1, 10**24 + 7):
         assert _is_prime(n), n
+
+
+def test_a_prime_past_the_miller_rabin_bound_is_refused_at_once():
+    # the bound is itself the least strong pseudoprime to all 13 witnesses;
+    # trial division up to sqrt(n) used to run for hours past it
+    started = time.monotonic()
+    for n in (3317044064679887385961981, 10**25 + 13):
+        for check in (_is_prime, PadicContext):
+            with pytest.raises(ValueError, match="below 3317044064679887385961981"):
+                check(n)
+    assert time.monotonic() - started < 1.0
 
 
 def test_constructor_validation():
