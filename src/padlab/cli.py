@@ -108,6 +108,15 @@ def _fmt_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def _printable(p: int, e: int, what: str) -> None:
+    """Refuse p^e, or 1/p^e, whose decimal form would pass int's string
+    limit, from e alone: p^e has floor(e log10 p) + 1 digits, and log10 p
+    exceeds 1/4."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (e >= 4 * limit or e * math.log10(p) >= limit):
+        raise errors.BudgetExceeded(f"{what}{p}^{e} would print more than {limit} digits")
+
+
 def _load_json_arg(arg: str):
     """Parse an inline JSON literal, or read the file at the given path."""
     text = arg.strip()
@@ -226,10 +235,12 @@ def _cmd_factor(args) -> tuple[dict, int]:
 
 def _cmd_bowen(args) -> tuple[dict, int]:
     dec = _decomposition(args)
+    levels = list(bowen_ball(dec, args.k, args.n).levels)
+    _printable(args.p, (args.n - 1) * dec.nu_total, "volume ratio 1/")
     return {
         "k": args.k,
         "n": args.n,
-        "levels": list(bowen_ball(dec, args.k, args.n).levels),
+        "levels": levels,
         "volume_ratio": _fmt_rational(bowen_volume_ratio(dec, args.n)),
         "entropy_nats": _fmt_real(entropy(dec)),
     }, 0
@@ -238,6 +249,9 @@ def _cmd_bowen(args) -> tuple[dict, int]:
 def _cmd_oracle(args) -> tuple[dict, int]:
     dec = _decomposition(args)
     counts = bowen_count_oracle(dec, args.k, args.n, args.level, mode=args.mode)
+    # the first count is the largest, and each ratio's terms divide it
+    _printable(args.p, len(dec.group.lie_basis) * (args.level - args.k), "count ")
+    _printable(args.p, (args.n - 1) * dec.nu_total, "closed-form ratio 1/")
     closed = [bowen_volume_ratio(dec, m) for m in range(1, args.n + 1)]
     agree = list(counts.ratios) == closed
     return {

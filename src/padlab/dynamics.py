@@ -27,10 +27,15 @@ tests window membership by integer conjugation with a itself, never touching
 the eigendata, so agreement of the two is a meaningful check.  FULL
 conjugates the basis, not the points: for each window m >= 2 it builds once,
 on Python integers, the map from a point's digits to a^(m-1) X a^-(m-1)
-modulo the power of p that window m needs.  Window 1 is the whole lattice
-and costs no per-point work.  Window 2 tests every point, in fixed-size
-blocks, as a sum of a per-block high-digit row and one low-digit table; each
-later window tests only the points still alive after the one before.
+modulo need_m, the power of p that window m needs, and drops the rows that
+vanish, which every point passes.  A point's index splits into low and high
+digits.  Each window's low-digit table is built once per call as outer sums
+of its per-digit columns, reduced by conditional subtraction; each block of
+high indices gets every window's negated high sums from its few indices.
+No per-point division or int64 product is left.  Window 1 is the whole
+lattice and costs no per-point work.  Window 2 tests every point of a block,
+row by row, as low == -high; each later window gathers both sides at the
+(high, low) pairs still alive after the one before.
 
 FULL counting is the only part of this module that uses numpy, and it
 imports numpy on its first call: decompositions, FACTORED counts, Bowen
@@ -277,15 +282,16 @@ def bowen_count_oracle(
 
     mode FACTORED multiplies per-eigenline digit counts (valid when the
     eigenbasis spans the full integral lattice, lattice_defect == 0).  mode
-    FULL enumerates coordinate tuples as numpy integers and tests them
-    against per-window integer maps, built from a alone, without the
-    eigendata: window 1 is the whole lattice, window 2 runs over every point
-    in blocks of a fixed size, and each later window only over the points
-    still alive.  It assumes the algebra's standard basis splits the entry
-    lattice (true for the sl and gl families), refuses enumerations beyond
-    2^25 points, and, for n >= 2, refuses windows whose 64-bit sums
-    dim_g * p^(level - k) * p^(k + (n-1) shift) would pass 2^63, where p^shift
-    clears the p-power denominators of a and a^-1.
+    FULL enumerates every point by its digits and tests it against
+    per-window integer maps, built from a alone, without the eigendata:
+    window 1 is the whole lattice; window 2 compares, in blocks of a fixed
+    size, a low-digit table built once per window with each block's negated
+    high-digit sums; each later window compares the two only at the (high,
+    low) index pairs still alive.  It assumes the algebra's standard basis
+    splits the entry lattice (true for the sl and gl families), refuses
+    enumerations beyond 2^25 points, and, for n >= 2, refuses windows whose
+    64-bit sums dim_g * p^(level - k) * p^(k + (n-1) shift) would pass 2^63,
+    where p^shift clears the p-power denominators of a and a^-1.
     """
     # window n is the ball of times 0..n-1; the lattice must resolve its
     # deepest line
@@ -336,7 +342,8 @@ def _lift_mod(fr: Fraction, modulus: int) -> int:
 
 
 # points per block of the window-2 test: whatever the lattice size, the
-# kernel holds a few arrays of _BLOCK entries per matrix entry at once
+# kernel holds n - 1 low tables and one block's arrays, each of at most
+# _BLOCK entries per matrix entry
 _BLOCK = 1 << 16
 
 
@@ -401,6 +408,22 @@ def _window_maps(dec, k, n, level, radius) -> list[tuple[int, np.ndarray]]:
     return maps
 
 
+def _grid_sums(cols, radius: int, need: int) -> np.ndarray:
+    """Rows of sum_j digit_j(i) cols[:, j] mod need, i below radius^w for w
+    columns, digit 0 the least significant; cols is reduced mod need.
+
+    An outer sum, one digit at a time: each add stays below 2 need, so a
+    conditional subtract of need reduces it."""
+    import numpy as np
+
+    out = np.zeros((cols.shape[0], 1), dtype=np.int64)
+    for col in cols.T:
+        steps = np.arange(radius) * col[:, None] % need
+        out = (steps[:, :, None] + out[:, None, :]).reshape(len(col), radius * out.shape[1])
+        np.subtract(out, need, out=out, where=out >= need)
+    return out
+
+
 def _count_full(dec, k, n, level) -> BowenCounts:
     import numpy as np
 
@@ -414,31 +437,37 @@ def _count_full(dec, k, n, level) -> BowenCounts:
     total = radius**dim_g
     counts = [total] + [0] * (n - 1)  # window 1 is the whole level-k lattice
     if n > 1:
-        (need, table), *later = _window_maps(dec, k, n, level, radius)
+        # a row of W_m that vanishes mod need_m holds at every point
+        maps = _window_maps(dec, k, n, level, radius)
+        maps = [(need, table[table.any(axis=1)]) for need, table in maps]
         # a flat index is high * low_size + low, its first `width` digits in low
         width, low_size = 0, 1
         while width < dim_g and low_size * radius <= _BLOCK:
             width, low_size = width + 1, low_size * radius
-        low = table[:, :width] @ _digits(np.arange(low_size), radius, width)
-        low %= need
+        lows = [_grid_sums(table[:, :width], radius, need) for need, table in maps]
         n_high = total // low_size
         step = max(1, _BLOCK // low_size)
         for start in range(0, n_high, step):
-            high = np.arange(start, min(start + step, n_high))
-            # window 2's sum is low + high; it vanishes mod need exactly when
+            block = np.arange(start, min(start + step, n_high))
+            digits = _digits(block, radius, dim_g - width)
+            # window m's sum is low + high; it vanishes mod need exactly when
             # each low entry equals the negated high entry, both reduced
-            neg = -(table[:, width:] @ _digits(high, radius, dim_g - width)) % need
-            hit = neg[0, :, None] == low[0]
-            for row, low_row in zip(neg[1:], low[1:]):
+            negs = [-(table[:, width:] @ digits) % need for need, table in maps]
+            hit = np.ones((block.size, low_size), dtype=bool)
+            for row, low_row in zip(negs[0], lows[0]):
                 hit &= row[:, None] == low_row
-            alive = np.flatnonzero(hit) + start * low_size
-            counts[1] += alive.size
-            # later windows test only the points still alive
-            for m, (need_m, table_m) in enumerate(later, 2):
-                z = table_m @ _digits(alive, radius, dim_g)
-                z %= need_m
-                alive = alive[~z.any(axis=0)]
-                counts[m] += alive.size
+            counts[1] += int(np.count_nonzero(hit))
+            if n == 2:
+                continue
+            # later windows test only the (high, low) pairs still alive, high
+            # an offset into the block
+            high, low = np.divmod(np.flatnonzero(hit), low_size)
+            for m, (neg, low_m) in enumerate(zip(negs[1:], lows[1:]), 2):
+                keep = np.ones(high.size, dtype=bool)
+                for row, low_row in zip(neg, low_m):
+                    keep &= row[high] == low_row[low]
+                high, low = high[keep], low[keep]
+                counts[m] += int(high.size)
     return BowenCounts("FULL", level, tuple(counts))
 
 

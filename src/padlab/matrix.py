@@ -354,6 +354,23 @@ def _taylor_shift(coeffs: list[int], r0: int, mod: int) -> list[int]:
     return out
 
 
+def _residue_mult(coeffs: list[int], r0: int, p: int) -> int:
+    """Multiplicity of r0 as a root of coeffs mod p, which are not all
+    divisible by p: the first nonzero Taylor coefficient at r0, found by a
+    Horner evaluation, then synthetic divisions while the remainder is 0."""
+    if _int_poly_eval(coeffs, r0, p):
+        return 0
+    mult = 0
+    while True:
+        acc, quot = 0, []
+        for c in reversed(coeffs):
+            quot.append(acc)
+            acc = (acc * r0 + c) % p
+        if acc:
+            return mult
+        mult, coeffs = mult + 1, quot[:0:-1]
+
+
 def _newton_slopes(points: list[tuple[int, int]]) -> list[Fraction]:
     """Slopes of the lower convex hull edges of (i, v_p(c_i)) points, left to right."""
     hull: list[tuple[int, int]] = []
@@ -403,7 +420,7 @@ def _class_roots(
     gbar = [a % p for a in g]
     out = []
     for y0 in range(1 if k == 0 else 0, p):
-        mult = next(i for i, a in enumerate(_taylor_shift(gbar, y0, p)) if a)
+        mult = _residue_mult(gbar, y0, p)
         if mult == 1:
             out.append((c + p**k * _simple_lift(g, y0, p, m - s), k + m - s, 1))
         elif mult > 1:

@@ -16,7 +16,7 @@ import pytest
 
 import padlab
 from padlab import errors
-from padlab.cli import EXIT_CODES, EXIT_DISAGREE
+from padlab.cli import EXIT_CODES, EXIT_DISAGREE, _printable
 
 from cli_cases import A2, BUNDLE, EXIT_CASES, GOLDEN_CASES, GOLDEN_DIR, SUBCOMMANDS, run_cli
 
@@ -284,6 +284,35 @@ def test_a_full_count_past_the_budget_exits_10_without_building_it():
                               "--k", "4", "--n", "2", "--level", "5000", "--mode", "FULL"])
     assert (code, out) == (10, "")
     assert "needs 3^14988 points" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["oracle", "--element", '[["1/3","0"],["0","3"]]', "--dim", "2", "--k", "4", "--n", "2",
+      "--level", "5000", "--mode", "FACTORED"], "count 3^14988 would print more than 4300 digits"),
+    (["bowen", "--element", '[["1/3","0"],["0","3"]]', "--dim", "2", "--k", "4", "--n", "5000"],
+     "volume ratio 1/3^9998 would print more than 4300 digits"),
+], ids=["oracle-factored", "bowen"])
+def test_a_value_too_long_to_print_exits_10(argv, message):
+    # both computations succeed; printing them passed int's 4300-digit limit
+    started = time.monotonic()
+    code, out, err = run_cli(argv)
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (10, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 10007])
+def test_printable_refuses_exactly_the_powers_str_refuses(p):
+    limit = sys.get_int_max_str_digits()
+    e, first_too_long = 1, 10**limit
+    while p**e < first_too_long:
+        e += 1
+    str(p ** (e - 1))
+    with pytest.raises(ValueError):
+        str(p**e)
+    _printable(p, e - 1, "count ")
+    with pytest.raises(errors.BudgetExceeded, match=f"count {p}\\^{e} would print"):
+        _printable(p, e, "count ")
 
 
 @pytest.mark.parametrize("nu,message", [

@@ -582,11 +582,84 @@ def test_full_oracle_matches_reference_factored_and_closed_form(job):
     else:
         assert full == reference
     assert full.counts[0] == points
+    assert all(type(c) is int for c in full.counts)
     # an integral unipotent u keeps the level-k lattice, so the volume law
     # holds exactly for every conjugate
     assert full.ratios == tuple(bowen_volume_ratio(dec, m) for m in range(1, n + 1))
     if dec.lattice_defect == 0:
         assert full.counts == bowen_count_oracle(dec, k, n, level, "FACTORED").counts
+
+
+def _kernel_split(p, dim_g, digits):
+    """(width, low_size, step, n_high) of the FULL kernel: a flat index is
+    high * low_size + low, low holding its first `width` base-p^digits
+    digits, and each block `step` high indices."""
+    radius = p**digits
+    width = max(w for w in range(dim_g + 1) if radius**w <= _BLOCK)
+    low_size = radius**width
+    return width, low_size, max(1, _BLOCK // low_size), radius**dim_g // low_size
+
+
+def _conjugate_flow(family, p, diag):
+    """u diag(x, y) u^-1 with u = [[1, 1], [1, 2]]: no row of its window maps
+    vanishes, unlike a diagonal or triangular flow's."""
+    ctx = PadicContext(p)
+    spec = GroupSpec.sl(ctx, 2) if family == "sl" else GroupSpec.gl(ctx, 2)
+    x, y = map(Fraction, diag)
+    a = [[2 * x - y, y - x], [2 * x - 2 * y, 2 * y - x]]
+    return decompose(PadicMatrix.from_rationals(ctx, a), spec)
+
+
+def _full_agrees(dec, k, n, level):
+    """FULL against the reference kernel, FACTORED and the closed form."""
+    full = bowen_count_oracle(dec, k, n, level, "FULL")
+    assert all(type(c) is int for c in full.counts)
+    assert full == reference_count_full(dec, k, n, level)
+    assert dec.lattice_defect == 0
+    assert full.counts == bowen_count_oracle(dec, k, n, level, "FACTORED").counts
+    assert full.ratios == tuple(bowen_volume_ratio(dec, m) for m in range(1, n + 1))
+    return full.counts
+
+
+def test_full_oracle_in_a_single_block():
+    # 2^15 points: every digit is a low digit, and no high index is left
+    dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
+    width, _, _, n_high = _kernel_split(2, 3, 5)
+    assert (width, n_high) == (3, 1)
+    assert _full_agrees(dec, 4, 3, 9) == (2**15, 2**13, 2**11)
+
+
+def test_full_oracle_over_blocks_with_a_partial_last_block():
+    # 5^9 points: 125 high indices in blocks of 4, the last block of 1
+    dec = _conjugate_flow("sl", 5, [Fraction(1, 5), 5])
+    width, _, step, n_high = _kernel_split(5, 3, 3)
+    assert width == 2 and n_high > step and n_high % step != 0
+    assert _full_agrees(dec, 4, 2, 7) == (5**9, 5**7)
+
+
+def test_full_oracle_at_window_length_4():
+    # 2^21 points in 32 blocks; windows 3 and 4 test the survivors' pairs
+    dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
+    _, _, step, n_high = _kernel_split(2, 3, 7)
+    assert n_high // step == 32
+    assert _full_agrees(dec, 4, 4, 11) == (2**21, 2**19, 2**17, 2**15)
+
+
+def test_full_oracle_on_gl2():
+    # gl2 has four rows and four digits; diag(1, 3) has |nu| = 1
+    dec = _conjugate_flow("gl", 3, [1, 3])
+    width, _, step, n_high = _kernel_split(3, 4, 3)
+    assert (width, n_high // step) == (3, 9)
+    assert _full_agrees(dec, 3, 3, 6) == (3**12, 3**11, 3**10)
+
+
+def test_full_oracle_counts_every_point_when_no_row_constrains():
+    # a = 1 conjugates nothing, so every window map vanishes mod its need;
+    # FULL reads only a, whatever eigendata the decomposition carries
+    spec, dec = sl_flow(2, [Fraction(1, 2), 2])
+    fixed = dynamics.HorosphericalDecomposition(
+        PadicMatrix.identity(dec.ctx, 2), spec, dec.eigenvalues, dec.basis)
+    assert bowen_count_oracle(fixed, 4, 3, 11, "FULL").counts == (2**21,) * 3
 
 
 def test_full_oracle_working_set_is_bounded_by_the_block():
@@ -603,4 +676,22 @@ def test_full_oracle_working_set_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert full.counts == (2**21, 2**19)
+    assert peak < cap
+
+
+def test_full_oracle_working_set_holds_one_low_table_per_window():
+    # 2^21 points at n = 3: two low tables and one block's arrays, each at
+    # most _BLOCK int64 entries per matrix entry, on a flow whose window
+    # maps keep all four rows
+    dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
+    entries = 4
+    cap = 3 * _BLOCK * entries * 8
+    assert 2**21 * entries * 8 > cap  # an unchunked outer sum cannot fit
+    tracemalloc.start()
+    try:
+        full = bowen_count_oracle(dec, 4, 3, 11, "FULL")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert full.counts == (2**21, 2**19, 2**17)
     assert peak < cap

@@ -21,6 +21,8 @@ from padlab.matrix import (
     eliminate,
     hensel_roots,
     nullspace,
+    _residue_mult,
+    _taylor_shift,
     poly_eval,
     zp_module_basis,
 )
@@ -379,6 +381,23 @@ def test_hensel_random_split_products():
             coeffs.reverse()
             found = hensel_roots([ctx.from_rational(c) for c in coeffs])
             match_roots(found, [(r, 1) for r in roots_exact], p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_residue_mult_is_the_first_nonzero_taylor_index(p):
+    # random products of repeated linear factors and a random cofactor, mod p:
+    # the deflation count equals the Taylor shift's first nonzero index
+    rng = random.Random(p)
+    for _ in range(40):
+        coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 4))]
+        coeffs[-1] = rng.randrange(1, p)
+        for mult in [rng.randint(2, 4)] + [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]:
+            r = rng.randrange(p)
+            for _ in range(mult):
+                coeffs = [(a - r * b) % p for a, b in zip([0] + coeffs, coeffs + [0])]
+        for y0 in range(p):
+            taylor = _taylor_shift(coeffs, y0, p)
+            assert _residue_mult(coeffs, y0, p) == next(i for i, a in enumerate(taylor) if a)
 
 
 @st.composite
