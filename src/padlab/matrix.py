@@ -356,10 +356,9 @@ def _taylor_shift(coeffs: list[int], r0: int, mod: int) -> list[int]:
 
 def _residue_mult(coeffs: list[int], r0: int, p: int) -> int:
     """Multiplicity of r0 as a root of coeffs mod p, which are not all
-    divisible by p: the first nonzero Taylor coefficient at r0, found by a
-    Horner evaluation, then synthetic divisions while the remainder is 0."""
-    if _int_poly_eval(coeffs, r0, p):
-        return 0
+    divisible by p: the index of the first nonzero Taylor coefficient at r0.
+    Each Horner pass evaluates at r0 and leaves the quotient by x - r0,
+    which the next pass divides again while the remainder is 0."""
     mult = 0
     while True:
         acc, quot = 0, []
