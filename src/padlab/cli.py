@@ -10,6 +10,10 @@ goldens.
 Every failure mode maps to its own exit code (EXIT_CODES); cross-check
 commands (oracle, factor) exit with EXIT_DISAGREE when the two computations
 they compare do not agree.
+
+One table, COMMANDS, gives each subcommand's handler, summary and flags.
+main builds only the named subcommand's parser; any other first word gets
+the full parser, whose usage and errors list every subcommand.
 """
 
 from __future__ import annotations
@@ -168,16 +172,10 @@ def _context(args) -> PadicContext:
     return PadicContext(args.p, args.precision)
 
 
-def _group_spec(ctx: PadicContext, args) -> GroupSpec:
-    if args.group == "sl":
-        return GroupSpec.sl(ctx, args.dim)
-    return GroupSpec.gl(ctx, args.dim)
-
-
 def _decomposition(args):
     ctx = _context(args)
     a = _parse_matrix(ctx, getattr(args, "a", None) or args.element)
-    return decompose(a, _group_spec(ctx, args))
+    return decompose(a, GroupSpec(ctx, args.group, args.dim))
 
 
 # ---- subcommand handlers ------------------------------------------------
@@ -354,21 +352,10 @@ def _cmd_oh(args) -> tuple[dict, int]:
 
 
 def _bundle_from_args(args) -> ConstantsBundle:
-    if args.entropy_nats is not None:
-        h = args.entropy_nats
-    else:
-        h = args.nu_total * math.log(args.p)
-    return ConstantsBundle(
-        c=args.c,
-        alpha=args.alpha,
-        delta=args.delta,
-        p=args.p,
-        d=args.d,
-        entropy_nats=h,
-        base_ball_measure=args.base,
-        a_norm=args.a_norm,
-        nu_total=args.nu_total,
-    )
+    h = args.nu_total * math.log(args.p) if args.entropy_nats is None else args.entropy_nats
+    return ConstantsBundle(c=args.c, alpha=args.alpha, delta=args.delta, p=args.p, d=args.d,
+                           entropy_nats=h, base_ball_measure=args.base, a_norm=args.a_norm,
+                           nu_total=args.nu_total)
 
 
 def _cmd_kappa(args) -> tuple[dict, int]:
@@ -423,115 +410,124 @@ def _add_bundle_flags(sp):
     sp.add_argument("--delta", type=_finite_real, required=True)
     sp.add_argument("--d", type=int, required=True, help="group dimension")
     sp.add_argument("--base", type=_finite_real, required=True, help="m_G of the level-2 ball")
-    sp.add_argument("--a-norm", dest="a_norm", type=_finite_real, required=True)
-    sp.add_argument("--nu-total", dest="nu_total", type=int, default=0)
-    sp.add_argument("--entropy-nats", dest="entropy_nats", type=_finite_real, default=None)
-    sp.add_argument(
-        "--lf-shift",
-        dest="lf_shift",
-        action="store_true",
-        help="replace l_f by l_f + |nu| (bound); reported as lf_shift_applied",
-    )
+    sp.add_argument("--a-norm", type=_finite_real, required=True)
+    sp.add_argument("--nu-total", type=int, default=0)
+    sp.add_argument("--entropy-nats", type=_finite_real, default=None)
+    sp.add_argument("--lf-shift", action="store_true",
+                    help="replace l_f by l_f + |nu| (bound); reported as lf_shift_applied")
 
 
-def build_parser() -> _Parser:
-    # the common flags belong to the subcommands alone: placed before the
-    # subcommand they are not recognized, so the call exits 1
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--p", type=_int_flag("prime", _is_prime), default=3, help="residue prime (default 3)"
-    )
-    common.add_argument(
-        "--precision", type=_int_flag("positive integer", lambda n: n >= 1),
-        default=DEFAULT_PRECISION, help="working precision N"
-    )
-    common.add_argument("--format", choices=("json", "text"), default="json")
-
-    parser = _Parser(prog="padlab", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-
-    def command(name, handler, summary):
-        sp = sub.add_parser(name, parents=[common], help=summary)
-        sp.set_defaults(handler=handler)
-        return sp
-
-    sp = command("analyze", _cmd_analyze, "adjoint eigenspace report")
-    _add_matrix_group_flags(sp)
-
-    sp = command("exp", _cmd_exp, "matrix exponential")
+def _add_element_flag(sp):
     sp.add_argument("--element", required=True)
 
-    sp = command("log", _cmd_log, "matrix logarithm")
-    sp.add_argument("--element", required=True)
 
-    sp = command("bch", _cmd_bch, "Baker-Campbell-Hausdorff")
+def _add_bch_flags(sp):
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
     sp.add_argument("--mode", choices=("direct", "dynkin"), default="direct")
 
-    sp = command("factor", _cmd_factor, "horospherical factorization")
+
+def _add_factor_flags(sp):
     _add_matrix_group_flags(sp, with_a=True)
     sp.add_argument("--k", type=int, default=2, help="ball level of g")
 
-    sp = command("bowen", _cmd_bowen, "Bowen ball levels and volume")
+
+def _add_atoms_flags(sp):
     _add_matrix_group_flags(sp, element_help="hyperbolic element a")
     sp.add_argument("--k", type=int, required=True)
+
+
+def _add_bowen_flags(sp):
+    _add_atoms_flags(sp)
     sp.add_argument("--n", type=int, required=True)
 
-    sp = command("oracle", _cmd_oracle, "Bowen ball lattice count")
-    _add_matrix_group_flags(sp, element_help="hyperbolic element a")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+
+def _add_oracle_flags(sp):
+    _add_bowen_flags(sp)
     sp.add_argument("--level", type=int, required=True, help="truncation level")
     sp.add_argument("--mode", choices=("FULL", "FACTORED"), default="FULL")
 
-    sp = command("atoms", _cmd_atoms, "partition atom representatives")
-    _add_matrix_group_flags(sp, element_help="hyperbolic element a")
-    sp.add_argument("--k", type=int, required=True)
 
-    sp = command("gap", _cmd_gap, "entropy gap identity")
+def _add_gap_flags(sp):
     sp.add_argument("--markov", required=True, help="markov document: literal or path")
     sp.add_argument("--nu", type=_int_flag("nonnegative integer", lambda n: n >= 0),
                     required=True, help="|nu| with s = p^|nu|")
 
-    sp = command("pinsker", _cmd_pinsker, "Pinsker inequality check")
+
+def _add_pinsker_flags(sp):
     sp.add_argument("--ref", required=True, help="reference vector: literal or path")
     sp.add_argument("--obs", required=True, help="observed vector: literal or path")
 
-    sp = command("telescope", _cmd_telescope, "telescoping bound report")
+
+def _add_telescope_flags(sp):
     sp.add_argument("--markov", required=True)
     sp.add_argument("--f", default=None, help="cylinder function document")
 
-    sp = command("xi", _cmd_xi, "Harish-Chandra function value")
-    sp.add_argument("--k", type=int, required=True)
 
-    sp = command("oh", _cmd_oh, "matrix-coefficient decay bound")
+def _add_oh_flags(sp):
     sp.add_argument("--cartan", default=None, help="descending k-list, JSON literal")
     sp.add_argument("--element", default=None, help="matrix to take Cartan data from")
     sp.add_argument("--dimkv", type=int, default=1)
     sp.add_argument("--dimkw", type=int, default=1)
 
-    _add_bundle_flags(command("kappa", _cmd_kappa, "the headline constant"))
 
-    sp = command("bound", _cmd_bound, "entropy-gap rigidity bound")
+def _add_bound_flags(sp):
     _add_bundle_flags(sp)
     sp.add_argument("--lf", type=int, required=True, help="smoothness level of f")
-    sp.add_argument("--f-norm", dest="f_norm", type=_finite_real, required=True)
+    sp.add_argument("--f-norm", type=_finite_real, required=True)
     sp.add_argument("--gap", type=_finite_real, default=None)
-    sp.add_argument("--gap-file", dest="gap_file", default=None)
+    sp.add_argument("--gap-file", default=None)
 
+
+# name -> (handler, help summary, adder of the subcommand's own flags), in help order
+COMMANDS = {
+    "analyze": (_cmd_analyze, "adjoint eigenspace report", _add_matrix_group_flags),
+    "exp": (_cmd_exp, "matrix exponential", _add_element_flag),
+    "log": (_cmd_log, "matrix logarithm", _add_element_flag),
+    "bch": (_cmd_bch, "Baker-Campbell-Hausdorff", _add_bch_flags),
+    "factor": (_cmd_factor, "horospherical factorization", _add_factor_flags),
+    "bowen": (_cmd_bowen, "Bowen ball levels and volume", _add_bowen_flags),
+    "oracle": (_cmd_oracle, "Bowen ball lattice count", _add_oracle_flags),
+    "atoms": (_cmd_atoms, "partition atom representatives", _add_atoms_flags),
+    "gap": (_cmd_gap, "entropy gap identity", _add_gap_flags),
+    "pinsker": (_cmd_pinsker, "Pinsker inequality check", _add_pinsker_flags),
+    "telescope": (_cmd_telescope, "telescoping bound report", _add_telescope_flags),
+    "xi": (_cmd_xi, "Harish-Chandra function value",
+           lambda sp: sp.add_argument("--k", type=int, required=True)),
+    "oh": (_cmd_oh, "matrix-coefficient decay bound", _add_oh_flags),
+    "kappa": (_cmd_kappa, "the headline constant", _add_bundle_flags),
+    "bound": (_cmd_bound, "entropy-gap rigidity bound", _add_bound_flags),
+}
+
+
+def build_parser(only: str | None = None) -> _Parser:
+    """The padlab parser with every COMMANDS subcommand, or with only the one named."""
+    # --help prints the docstring up to its last paragraph, which is for readers of the code
+    parser = _Parser(prog="padlab", description=__doc__.rsplit("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    for name in (only,) if only else COMMANDS:
+        _, summary, add_flags = COMMANDS[name]
+        sp = sub.add_parser(name, help=summary)
+        # the common flags belong to the subcommands alone: placed before the
+        # subcommand they are not recognized, so the call exits 1
+        sp.add_argument("--p", type=_int_flag("prime", _is_prime), default=3,
+                        help="residue prime (default 3)")
+        sp.add_argument("--precision", type=_int_flag("positive integer", lambda n: n >= 1),
+                        default=DEFAULT_PRECISION, help="working precision N")
+        sp.add_argument("--format", choices=("json", "text"), default="json")
+        add_flags(sp)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if args.subcommand is None:
             parser.print_usage(sys.stderr)
             return 1
-        fields, code = args.handler(args)
+        fields, code = COMMANDS[args.subcommand][0](args)
     except _ParseFailure as err:
         # the top level takes no flag, so a leading common flag is misplaced
         flag = argv[0].split("=")[0] if argv else ""

@@ -369,10 +369,13 @@ def _window_maps(dec, k, n, level, radius) -> list[tuple[int, np.ndarray]]:
     """(need_m, W_m) for the windows m = 2..n, exact on Python integers.
 
     With a = p^-s_a a_num and a^-1 = p^-s_inv inv_num, shift = s_a + s_inv,
-    column j of the (d*d, dim_g) table W_m is a_num^(m-1) (p^k basis_j)
-    inv_num^(m-1), flattened and reduced mod need_m = p^(k + (m-1) shift).
-    The point with digits c_j lies in window m exactly when every entry of
-    W_m c vanishes mod need_m, which is a^(m-1) X a^-(m-1) in K_k.
+    column j of the table W_m is a_num^(m-1) (p^k basis_j) inv_num^(m-1),
+    flattened and reduced mod need_m = p^(k + (m-1) shift).  The point with
+    digits c_j lies in window m exactly when every entry of W_m c vanishes
+    mod need_m, which is a^(m-1) X a^-(m-1) in K_k.  On gl W_m has d*d rows;
+    on sl d*d - 1, without x_dd: a column's integer trace is
+    p^((m-1) shift) tr(basis_j) = 0, so x_dd vanishes with the other
+    diagonal entries.
     """
     import numpy as np
 
@@ -399,11 +402,11 @@ def _window_maps(dec, k, n, level, radius) -> list[tuple[int, np.ndarray]]:
         [[_lift_mod(x.as_rational() * p**k, modulus) for x in row] for row in b.rows]
         for b in spec.lie_basis
     ]
-    maps = []
+    maps, rows = [], dec.a.dim**2 - (spec.family == "sl")
     for m in range(2, n + 1):
         images = [_mul_mod(_mul_mod(a_int, z, modulus), inv_int, modulus) for z in images]
         need = p ** (k + (m - 1) * shift)
-        table = [[x % need for row in z for x in row] for z in images]
+        table = [[x % need for row in z for x in row][:rows] for z in images]
         maps.append((need, np.array(table, dtype=np.int64).T))
     return maps
 

@@ -21,7 +21,10 @@ Characteristic polynomials use the Berkowitz algorithm: it is division-free,
 so coefficients of exact-rational inputs keep full certified digits.  Root
 finding over Q_p splits roots by valuation along the Newton polygon, then
 descends over residue classes c + p^k Z_p, visiting at most degree x
-precision classes; `hensel_roots` states its two certified-digit rules.
+precision classes; `hensel_roots` states its two certified-digit rules.  A
+class's residue roots come from a scan of F_p below p = 64 and from
+splitting the reduced polynomial over F_p from there on (`_residue_roots`),
+so root finding takes time polynomial in log p.
 """
 
 from __future__ import annotations
@@ -370,6 +373,75 @@ def _residue_mult(coeffs: list[int], r0: int, p: int) -> int:
         mult, coeffs = mult + 1, quot[:0:-1]
 
 
+# ---- polynomials over F_p: ascending residues, no trailing zero; [] is 0 ----
+
+
+def _fp_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b over F_p."""
+    a, inv = list(a), pow(b[-1], -1, p)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(q))):
+        c = q[i] = a[i + len(b) - 1] * inv % p
+        for j, bj in enumerate(b):
+            a[i + j] = (a[i + j] - c * bj) % p
+    return q, _fp_trim(a[: len(b) - 1])
+
+
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p of a nonzero a and any b."""
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _fp_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """base^e modulo mod, of degree >= 1, over F_p by square-and-multiply."""
+    def mulmod(x, y):
+        prod = [0] * (len(x) + len(y))
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                prod[i + j] += xi * yj
+        return _fp_divmod(_fp_trim([c % p for c in prod]), mod, p)[1]
+
+    out, base = [1], _fp_divmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            out = mulmod(out, base)
+        base, e = mulmod(base, base), e >> 1
+    return out
+
+
+def _residue_roots(gbar: list[int], p: int) -> list[int]:
+    """The distinct roots in F_p of gbar, reduced mod an odd p and not 0,
+    ascending.  h = gcd(gbar, x^p - x) is the product of x - r over them; h
+    splits by Cantor-Zassenhaus, as gcd(h, (x + delta)^((p - 1)/2) - 1) keeps
+    the r with r + delta a nonzero square, for delta = 1, 2, ... until that
+    factor is proper."""
+    def split(f: list[int], delta: int) -> list[int]:
+        if len(f) <= 2:  # monic of degree 0 or 1
+            return [-f[0] % p] if len(f) == 2 else []
+        while True:
+            w = _fp_powmod([delta, 1], (p - 1) // 2, f, p) or [0]
+            d = _fp_gcd(f, _fp_trim([(w[0] - 1) % p] + w[1:]), p)
+            if 1 < len(d) < len(f):
+                return split(d, delta + 1) + split(_fp_divmod(f, d, p)[0], delta + 1)
+            delta += 1
+
+    g = _fp_trim(list(gbar))
+    if len(g) < 2:
+        return []
+    xp = _fp_powmod([0, 1], p, g, p) + [0, 0]
+    xp[1] -= 1
+    return sorted(split(_fp_gcd(g, _fp_trim([c % p for c in xp]), p), 1))
+
+
 def _newton_slopes(points: list[tuple[int, int]]) -> list[Fraction]:
     """Slopes of the lower convex hull edges of (i, v_p(c_i)) points, left to right."""
     hull: list[tuple[int, int]] = []
@@ -399,6 +471,11 @@ def _simple_lift(coeffs: list[int], r0: int, p: int, m_exp: int) -> int:
     return x
 
 
+# below this prime residues are scanned: p = 2 has no quadratic split, and a
+# scan of a few dozen residues is cheap
+_SPLIT_FROM = 64
+
+
 def _class_roots(
     f: list[int], c: int, k: int, mu: int, p: int, m: int
 ) -> list[tuple[int, int, int]]:
@@ -417,8 +494,12 @@ def _class_roots(
         return [(c, k, mu)]
     g = [a // p**s for a in g]
     gbar = [a % p for a in g]
+    if p < _SPLIT_FROM:
+        residues = range(1 if k == 0 else 0, p)
+    else:
+        residues = [y0 for y0 in _residue_roots(gbar, p) if y0 or k]
     out = []
-    for y0 in range(1 if k == 0 else 0, p):
+    for y0 in residues:
         mult = _residue_mult(gbar, y0, p)
         if mult == 1:
             out.append((c + p**k * _simple_lift(g, y0, p, m - s), k + m - s, 1))

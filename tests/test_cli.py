@@ -5,8 +5,10 @@ rendering, exact-rational strings, and the schema tag.  Any formatting
 drift shows up as a diff here before it reaches a downstream parser.
 """
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +18,8 @@ import pytest
 
 import padlab
 from padlab import errors
-from padlab.cli import EXIT_CODES, EXIT_DISAGREE, _printable
+from padlab import cli
+from padlab.cli import COMMANDS, EXIT_CODES, EXIT_DISAGREE, _printable, build_parser
 
 from cli_cases import A2, BUNDLE, EXIT_CASES, GOLDEN_CASES, GOLDEN_DIR, SUBCOMMANDS, run_cli
 
@@ -497,6 +500,84 @@ def test_common_flags_before_the_subcommand_exit_1(argv):
     assert (code, out) == (1, "")
     flag = argv[0].split("=")[0]
     assert f"{flag} follows the subcommand" in err
+
+
+@pytest.mark.parametrize("p,bound_s", [(100_003, 0.1), (2**61 - 1, 0.2)])
+def test_analyze_at_a_large_prime_splits_residues_instead_of_scanning(p, bound_s):
+    # a scan of all p residues per root class takes 0.3 s at p = 100,003 and
+    # does not end at 2^61 - 1; the split is polynomial in log p
+    start = time.perf_counter()
+    code, out, err = run_cli(["analyze", "--p", str(p), "--dim", "2",
+                              "--element", f'[["1/{p}","0"],["0","{p}"]]'])
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["valuations"], doc["nu_total"]) == ([-2, 0, 2], 2)
+    assert elapsed < bound_s
+
+
+def _subparser(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_one_subcommand_parser_prints_the_full_parsers_help(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    one = _subparser(build_parser(name), name)
+    assert one.format_help() == _subparser(build_parser(), name).format_help()
+
+
+def _parsed(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except cli._ParseFailure as err:
+        return f"refused: {err}"
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in GOLDEN_CASES]
+                         + [argv for argv, _ in EXIT_CASES if argv and argv[0] in COMMANDS])
+def test_one_subcommand_parser_parses_like_the_full_parser(argv):
+    assert _parsed(build_parser(argv[0]), argv) == _parsed(build_parser(), argv)
+
+
+def test_a_first_word_naming_no_subcommand_gets_the_full_parser(capsys):
+    # the usage line, the list of choices and the misplaced-flag message all
+    # need every subcommand, so these answers are the full parser's
+    assert run_cli([]) == (1, "", "usage: padlab [-h] SUBCOMMAND ...\n")
+    choices = ", ".join(f"'{name}'" for name in COMMANDS)
+    assert run_cli(["nope"]) == (
+        1, "", f"padlab: argument SUBCOMMAND: invalid choice: 'nope' (choose from {choices})\n")
+    assert run_cli(["--p", "5", "xi", "--k", "1"]) == (
+        1, "", "padlab: --p follows the subcommand, as --p, --precision and --format do: "
+        "padlab SUBCOMMAND --p ...\n")
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    out, err = capsys.readouterr()
+    assert (done.value.code, err) == (0, "")
+    assert out.startswith("usage: padlab [-h] SUBCOMMAND ...\n")
+    assert all(summary in out for _, summary, _ in COMMANDS.values())
+    assert "COMMANDS" not in out  # the docstring's last paragraph is for readers of the code
+
+
+def test_main_builds_only_the_named_subcommands_parser(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    code, out, _ = run_cli(["xi", "--k", "2"])
+    assert (code, built) == (0, ["xi"])
+    assert json.loads(out)["command"] == "xi"
+
+
+def test_readme_subcommand_list_matches_the_command_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("Fifteen subcommands:", 1)[1].split(". All share", 1)[0]
+    assert re.findall(r"`([a-z]+)`", listed) == list(COMMANDS)
 
 
 def test_every_error_class_has_one_exit_code():

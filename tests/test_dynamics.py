@@ -653,6 +653,16 @@ def test_full_oracle_on_gl2():
     assert _full_agrees(dec, 3, 3, 6) == (3**12, 3**11, 3**10)
 
 
+def test_full_oracle_on_sl_drops_the_trace_row():
+    # the x_dd row repeats the other diagonal rows' test on sl; no row of
+    # this conjugate's maps vanishes, so the kernel tests all three
+    dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
+    maps = dynamics._window_maps(dec, 4, 3, 9, 2**5)
+    assert [table.shape for _, table in maps] == [(3, 3), (3, 3)]
+    assert all(table.any(axis=1).all() for _, table in maps)
+    assert _full_agrees(dec, 4, 3, 9) == (2**15, 2**13, 2**11)
+
+
 def test_full_oracle_counts_every_point_when_no_row_constrains():
     # a = 1 conjugates nothing, so every window map vanishes mod its need;
     # FULL reads only a, whatever eigendata the decomposition carries
@@ -681,8 +691,8 @@ def test_full_oracle_working_set_is_bounded_by_the_block():
 
 def test_full_oracle_working_set_holds_one_low_table_per_window():
     # 2^21 points at n = 3: two low tables and one block's arrays, each at
-    # most _BLOCK int64 entries per matrix entry, on a flow whose window
-    # maps keep all four rows
+    # most _BLOCK int64 entries per matrix entry, on a flow none of whose
+    # window-map rows vanish (three rows on sl2)
     dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
     entries = 4
     cap = 3 * _BLOCK * entries * 8

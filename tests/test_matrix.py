@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padlab import PadicContext, PadicMatrix, PadicScalar
+from padlab import PadicContext, PadicMatrix, PadicScalar, matrix
 from padlab.errors import NotSplitAtPrecision, PrecisionExhausted, SingularAtPrecision
 from padlab.matrix import (
     combine,
@@ -22,6 +22,7 @@ from padlab.matrix import (
     hensel_roots,
     nullspace,
     _residue_mult,
+    _residue_roots,
     _taylor_shift,
     poly_eval,
     zp_module_basis,
@@ -398,6 +399,46 @@ def test_residue_mult_is_the_first_nonzero_taylor_index(p):
         for y0 in range(p):
             taylor = _taylor_shift(coeffs, y0, p)
             assert _residue_mult(coeffs, y0, p) == next(i for i, a in enumerate(taylor) if a)
+
+
+@pytest.mark.parametrize("p", [67, 101, 257, 499, 997])
+def test_residue_roots_are_the_roots_a_scan_finds(p):
+    # a random cofactor times repeated linear factors, root 0 among them;
+    # the split visits each root once, the scan every residue
+    rng = random.Random(p)
+    for _ in range(60):
+        coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 5))]
+        coeffs[-1] = rng.randrange(1, p)
+        for _ in range(rng.randint(0, 5)):
+            r = rng.choice([0, rng.randrange(p)])
+            for _ in range(rng.randint(1, 3)):
+                coeffs = [(a - r * b) % p for a, b in zip([0] + coeffs, coeffs + [0])]
+        assert _residue_roots(coeffs, p) == [y for y in range(p) if _residue_mult(coeffs, y, p)]
+
+
+@pytest.mark.parametrize("p", [67, 131, 997])
+def test_hensel_roots_split_residues_as_the_scan_does(p, monkeypatch):
+    # integer roots with repeats, near-collisions r, r + p^j and positive
+    # valuations: every class of the descent finds the scan's roots
+    rng = random.Random(p)
+    ctx = PadicContext(p, 8)
+    for _ in range(12):
+        roots = []
+        for _ in range(rng.randint(1, 4)):
+            r = rng.randrange(p**2) * p ** rng.randint(0, 1)
+            roots += [r] * rng.randint(1, 3) + [r + p ** rng.randint(1, 3)] * rng.randint(0, 1)
+        coeffs = [Fraction(1)]
+        for r in roots:
+            coeffs = [a - r * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+        poly = [ctx.from_rational(c) for c in coeffs]
+
+        def found():
+            return [(r.v, r.unit, r.abs_precision(), m) for r, m in hensel_roots(poly)]
+
+        split = found()
+        monkeypatch.setattr(matrix, "_SPLIT_FROM", math.inf)
+        assert found() == split
+        monkeypatch.undo()
 
 
 @st.composite
