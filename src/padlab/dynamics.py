@@ -29,13 +29,13 @@ conjugates the basis, not the points: for each window m >= 2 it builds once,
 on Python integers, the map from a point's digits to a^(m-1) X a^-(m-1)
 modulo need_m, the power of p that window m needs, and drops the rows that
 vanish, which every point passes.  A point's index splits into low and high
-digits.  Each window's low-digit table is built once per call as outer sums
-of its per-digit columns, reduced by conditional subtraction; each block of
-high indices gets every window's negated high sums from its few indices.
-No per-point division or int64 product is left.  Window 1 is the whole
-lattice and costs no per-point work.  Window 2 tests every point of a block,
-row by row, as low == -high; each later window gathers both sides at the
-(high, low) pairs still alive after the one before.
+digits.  Each window's low-digit table and negated high-digit table are built
+once per call by one rule, as outer sums of its per-digit columns reduced by
+conditional subtraction, so no per-point division or int64 product is left.
+Window 1 is the whole lattice and costs no per-point work.  Each block of
+high indices tests its points against windows 2..n in turn on one boolean
+array, row by row as low == -high: window m keeps the points of window m - 1
+that pass its rows.
 
 FULL counting is the only part of this module that uses numpy, and it
 imports numpy on its first call: decompositions, FACTORED counts, Bowen
@@ -284,14 +284,14 @@ def bowen_count_oracle(
     eigenbasis spans the full integral lattice, lattice_defect == 0).  mode
     FULL enumerates every point by its digits and tests it against
     per-window integer maps, built from a alone, without the eigendata:
-    window 1 is the whole lattice; window 2 compares, in blocks of a fixed
-    size, a low-digit table built once per window with each block's negated
-    high-digit sums; each later window compares the two only at the (high,
-    low) index pairs still alive.  It assumes the algebra's standard basis
-    splits the entry lattice (true for the sl and gl families), refuses
-    enumerations beyond 2^25 points, and, for n >= 2, refuses windows whose
-    64-bit sums dim_g * p^(level - k) * p^(k + (n-1) shift) would pass 2^63,
-    where p^shift clears the p-power denominators of a and a^-1.
+    window 1 is the whole lattice, and each window m >= 2 keeps, in blocks
+    of a fixed size, the points of window m - 1 whose low-digit sums equal
+    their negated high-digit sums, both tables built once per window and
+    call.  It assumes the algebra's standard basis splits the entry lattice
+    (true for the sl and gl families), refuses enumerations beyond 2^25
+    points, and, for n >= 2, refuses windows whose bound
+    dim_g * p^(level - k) * p^(k + (n-1) shift) on 64-bit values passes
+    2^63, where p^shift clears the p-power denominators of a and a^-1.
     """
     # window n is the ball of times 0..n-1; the lattice must resolve its
     # deepest line
@@ -341,22 +341,10 @@ def _lift_mod(fr: Fraction, modulus: int) -> int:
     return fr.numerator * pow(fr.denominator, -1, modulus) % modulus
 
 
-# points per block of the window-2 test: whatever the lattice size, the
-# kernel holds n - 1 low tables and one block's arrays, each of at most
-# _BLOCK entries per matrix entry
+# points per block of the window tests: the kernel holds n - 1 low tables
+# of at most _BLOCK entries per row, n - 1 high tables of one entry per high
+# index and row, and one block's boolean array of at most _BLOCK entries
 _BLOCK = 1 << 16
-
-
-def _digits(idx, radius: int, count: int) -> np.ndarray:
-    """Rows j < count: digit j of each flat index in base radius."""
-    import numpy as np
-
-    out = np.empty((count, idx.size), dtype=np.int64)
-    rest = idx.copy()
-    for j in range(count):
-        out[j] = rest % radius
-        rest //= radius
-    return out
 
 
 def _mul_mod(x, y, mod: int) -> list[list[int]]:
@@ -393,7 +381,8 @@ def _window_maps(dec, k, n, level, radius) -> list[tuple[int, np.ndarray]]:
             f"window conjugation needs p^{mod_exp} resolution, lattice has p^{level}"
         )
     modulus = p**mod_exp
-    # the sums W_m c have dim_g terms below radius * need_m <= radius * modulus
+    # the one int64 product, _grid_sums' digit times column, stays below
+    # radius * need_m <= radius * modulus, which this bound implies
     if len(spec.lie_basis) * radius * modulus > 1 << 63:
         raise BudgetExceeded("conjugation modulus too large for 64-bit counting")
     a_int = [[_lift_mod(x, modulus) for x in row] for row in a_num]
@@ -447,30 +436,20 @@ def _count_full(dec, k, n, level) -> BowenCounts:
         width, low_size = 0, 1
         while width < dim_g and low_size * radius <= _BLOCK:
             width, low_size = width + 1, low_size * radius
+        # window m's sum is low + high; it vanishes mod need exactly when
+        # each low entry equals the negated high entry, both reduced
         lows = [_grid_sums(table[:, :width], radius, need) for need, table in maps]
+        highs = [-_grid_sums(table[:, width:], radius, need) % need for need, table in maps]
         n_high = total // low_size
         step = max(1, _BLOCK // low_size)
         for start in range(0, n_high, step):
-            block = np.arange(start, min(start + step, n_high))
-            digits = _digits(block, radius, dim_g - width)
-            # window m's sum is low + high; it vanishes mod need exactly when
-            # each low entry equals the negated high entry, both reduced
-            negs = [-(table[:, width:] @ digits) % need for need, table in maps]
-            hit = np.ones((block.size, low_size), dtype=bool)
-            for row, low_row in zip(negs[0], lows[0]):
-                hit &= row[:, None] == low_row
-            counts[1] += int(np.count_nonzero(hit))
-            if n == 2:
-                continue
-            # later windows test only the (high, low) pairs still alive, high
-            # an offset into the block
-            high, low = np.divmod(np.flatnonzero(hit), low_size)
-            for m, (neg, low_m) in enumerate(zip(negs[1:], lows[1:]), 2):
-                keep = np.ones(high.size, dtype=bool)
-                for row, low_row in zip(neg, low_m):
-                    keep &= row[high] == low_row[low]
-                high, low = high[keep], low[keep]
-                counts[m] += int(high.size)
+            stop = min(start + step, n_high)
+            # window m keeps the points of window m - 1 that pass its rows
+            hit = np.ones((stop - start, low_size), dtype=bool)
+            for m, (high, low) in enumerate(zip(highs, lows), 2):
+                for high_row, low_row in zip(high, low):
+                    hit &= high_row[start:stop, None] == low_row
+                counts[m - 1] += int(np.count_nonzero(hit))
     return BowenCounts("FULL", level, tuple(counts))
 
 

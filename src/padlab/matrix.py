@@ -22,7 +22,7 @@ so coefficients of exact-rational inputs keep full certified digits.  Root
 finding over Q_p splits roots by valuation along the Newton polygon, then
 descends over residue classes c + p^k Z_p, visiting at most degree x
 precision classes; `hensel_roots` states its two certified-digit rules.  A
-class's residue roots come from a scan of F_p below p = 64 and from
+class's residue roots come from a scan of F_p below p = 200 and from
 splitting the reduced polynomial over F_p from there on (`_residue_roots`),
 so root finding takes time polynomial in log p.
 """
@@ -471,9 +471,10 @@ def _simple_lift(coeffs: list[int], r0: int, p: int, m_exp: int) -> int:
     return x
 
 
-# below this prime residues are scanned: p = 2 has no quadratic split, and a
-# scan of a few dozen residues is cheap
-_SPLIT_FROM = 64
+# below this prime residues are scanned: p = 2 has no quadratic split, and
+# `decompose` on sl2..gl3 flows with random unit eigenvalues ran about as
+# fast either way from p = 151 to 257, the scan ahead below, the split above
+_SPLIT_FROM = 200
 
 
 def _class_roots(
@@ -523,6 +524,10 @@ def hensel_roots(coeffs: list[PadicScalar]) -> list[tuple[PadicScalar, int]]:
         mu-fold root with Taylor coefficient c_mu that is
         ceil((m - v(c_mu)) / mu) digits.
 
+    Exact-zero low-order coefficients give an exact zero root of their
+    count; an O(p^c) among them raises NotSplitAtPrecision, as it leaves
+    open how many roots lie near 0.
+
     Args:
         coeffs: ascending coefficients, not all zero.
 
@@ -540,6 +545,11 @@ def hensel_roots(coeffs: list[PadicScalar]) -> list[tuple[PadicScalar, int]]:
     p = ctx.p
     lead_zeros = 0
     while coeffs[lead_zeros].is_zero:
+        if coeffs[lead_zeros]:
+            raise NotSplitAtPrecision(
+                f"coefficient {lead_zeros} is O({p}^{coeffs[lead_zeros].abs_precision()}): "
+                "the roots near 0 are not separated"
+            )
         lead_zeros += 1
     work = list(coeffs[lead_zeros:])
     while work and work[-1].is_zero:

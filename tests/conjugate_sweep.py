@@ -16,28 +16,45 @@ Each flow is decomposed at the default precision N = 12; |nu| must be the
 sum of |e_i - e_j| over i < j.  Each factorization F H of g is checked by
 F H = g mod p^8, which may also be undecidable at the digits F H carries.
 
+Each seed flow that decomposes also gets three Bowen oracle windows, FULL
+at n = 1, 2, 3 with the least ball level k and the least lattice level
+k + (n - 1) max|nu| + 1.  Their counts must give the closed-form volume
+ratios p^(-(m-1)|nu|), and equal FACTORED's when lattice_defect is 0.
+
 Run as a script, it prints, for each seed given (7 if none) and then for the
 non-split family, the decompositions and the wrong |nu| among them, the
 refusals by error class and raising function, and the factorizations by the
-outcome of their check:
+outcome of their check; for each seed, the oracle windows by outcome, and a
+SHA-256 of every window's counts or refusal message:
 
     PYTHONPATH=src python tests/conjugate_sweep.py 7 8
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
 
-from padlab import GroupSpec, PadicContext, PadicMatrix, PadlabError, decompose, exp
+from padlab import (
+    GroupSpec,
+    PadicContext,
+    PadicMatrix,
+    PadlabError,
+    bowen_count_oracle,
+    bowen_volume_ratio,
+    decompose,
+    exp,
+)
 from padlab.errors import PrecisionExhausted
 from padlab.liegroup import horospherical_factor
 
 FLOWS = 600
 NON_SPLIT_SEED, NON_SPLIT_FLOWS = 5, 120
 CHECK_DIGITS = 8
+ORACLE_LENGTHS = (1, 2, 3)
 
 
 def _conjugate(rng: random.Random, middle: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -108,21 +125,25 @@ def _raiser(err: Exception) -> str:
     return tb.tb_frame.f_code.co_name
 
 
+def _decompose(flow):
+    family, p, exps, a, _ = flow
+    ctx = PadicContext(p)
+    spec = GroupSpec.sl(ctx, len(exps)) if family == "sl" else GroupSpec.gl(ctx, len(exps))
+    return decompose(PadicMatrix.from_rationals(ctx, a), spec)
+
+
 def run_flow(flow) -> tuple:
     """One outcome: ("refused", error class, raising function) when decompose
     refuses, or ("decomposed", |nu| correct, factor outcome), the factor
     outcome being "PASS", "FAIL", "UNDECIDED" or (error class, raising
     function)."""
-    family, p, exps, a, x = flow
-    ctx = PadicContext(p)
-    d = len(exps)
-    spec = GroupSpec.sl(ctx, d) if family == "sl" else GroupSpec.gl(ctx, d)
+    _, p, exps, _, x = flow
     try:
-        dec = decompose(PadicMatrix.from_rationals(ctx, a), spec)
+        dec = _decompose(flow)
     except PadlabError as err:
         return ("refused", type(err).__name__, _raiser(err))
     nu_ok = dec.nu_total == sum(abs(e - f) for i, e in enumerate(exps) for f in exps[i + 1:])
-    g = exp(PadicMatrix.from_rationals(ctx, x))
+    g = exp(PadicMatrix.from_rationals(dec.ctx, x))
     try:
         res = horospherical_factor(g, 2, dec)
     except PadlabError as err:
@@ -138,6 +159,40 @@ def sweep(seed: int, flows: int = FLOWS, draw=draw_flow) -> Counter:
     """Outcome counts of the first `flows` flows of a seed."""
     rng = random.Random(seed)
     return Counter(run_flow(draw(rng)) for _ in range(flows))
+
+
+def oracle_window(dec, n: int) -> tuple:
+    """(outcome, text) of FULL at window length n, the least k and the least
+    level.  outcome is the error class of a refusal, or (closed form held,
+    FACTORED held or None when lattice_defect > 0); text is the refusal
+    message or the counts."""
+    k = max(2, dec.max_exponent() + 2)
+    level = k + (n - 1) * dec.max_exponent() + 1
+    try:
+        full = bowen_count_oracle(dec, k, n, level, "FULL")
+    except PadlabError as err:
+        return type(err).__name__, f"{type(err).__name__}: {err}"
+    closed = full.ratios == tuple(bowen_volume_ratio(dec, m) for m in range(1, n + 1))
+    factored = None if dec.lattice_defect else (
+        full.counts == bowen_count_oracle(dec, k, n, level, "FACTORED").counts)
+    return (closed, factored), repr(full.counts)
+
+
+def oracle_sweep(seed: int, flows: int = FLOWS) -> tuple[Counter, str]:
+    """Outcome counts of the oracle windows of a seed's decomposed flows, and
+    the SHA-256 of their lines "flow n text", flows numbered from 0."""
+    rng = random.Random(seed)
+    outcomes, digest = Counter(), hashlib.sha256()
+    for i in range(flows):
+        try:
+            dec = _decompose(draw_flow(rng))
+        except PadlabError:
+            continue
+        for n in ORACLE_LENGTHS:
+            outcome, text = oracle_window(dec, n)
+            outcomes[outcome] += 1
+            digest.update(f"{i} {n} {text}\n".encode())
+    return outcomes, digest.hexdigest()
 
 
 def summary(counts: Counter) -> dict:
@@ -167,9 +222,22 @@ def _report(title: str, counts: Counter) -> None:
         print(f"  factor refused: {key[0]} in {key[1]}: {n}")
 
 
+def _report_oracle(title: str, outcomes: Counter, digest: str) -> None:
+    counted = {o: n for o, n in outcomes.items() if isinstance(o, tuple)}
+    compared = sum(n for (_, factored), n in counted.items() if factored is not None)
+    print(f"{title}: {sum(outcomes.values())} windows at n in {set(ORACLE_LENGTHS)}, "
+          f"{sum(counted.values())} counted; closed form held "
+          f"{sum(n for (closed, _), n in counted.items() if closed)}; FACTORED held "
+          f"{sum(n for (_, factored), n in counted.items() if factored)} of {compared}")
+    for cls, n in sorted((o, n) for o, n in outcomes.items() if isinstance(o, str)):
+        print(f"  FULL refused: {cls}: {n}")
+    print(f"  sha256 of every window's counts or refusal: {digest}")
+
+
 def main(argv: list[str]) -> int:
     for seed in map(int, argv or ["7"]):
         _report(f"seed {seed}", sweep(seed))
+        _report_oracle(f"seed {seed} oracle", *oracle_sweep(seed))
     _report(f"non-split seed {NON_SPLIT_SEED}",
             sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow))
     return 0

@@ -106,6 +106,25 @@ def test_dependent_eigenbasis_exits_2():
     assert "no eigenbasis at working precision" in err
 
 
+def test_unseparated_roots_near_0_exit_2():
+    # at 2 digits the adjoint characteristic polynomial's three low-order
+    # coefficients are O(2^c): how many roots lie near 0 is undecided, a
+    # refusal of the flow at this precision, not an invalid input
+    code, out, err = run_cli([
+        "analyze", "--p", "2", "--precision", "2", "--group", "gl", "--dim", "2",
+        "--element", '[["-1/2","1"],["-1","-2"]]'])
+    assert (code, out) == (2, "")
+    assert "the roots near 0 are not separated" in err
+
+
+def test_hensel_roots_refuses_an_o_p_c_constant_and_keeps_exact_zero_roots():
+    ctx = padlab.PadicContext(3, 6)
+    with pytest.raises(errors.NotSplitAtPrecision, match="coefficient 0 is O\\(3\\^4\\)"):
+        padlab.hensel_roots([ctx.zero(4), ctx.one()])
+    roots = padlab.hensel_roots([ctx.zero(), ctx.zero(), ctx.one()])
+    assert [(r.is_zero, bool(r), m) for r, m in roots] == [(True, False, 2)]
+
+
 def test_non_split_flow_decomposes():
     # a's characteristic polynomial does not split over Q_5, Ad(a)'s does;
     # the answer is the one the flow gives at --precision 24

@@ -638,7 +638,8 @@ def test_full_oracle_over_blocks_with_a_partial_last_block():
 
 
 def test_full_oracle_at_window_length_4():
-    # 2^21 points in 32 blocks; windows 3 and 4 test the survivors' pairs
+    # 2^21 points in 32 blocks; windows 3 and 4 each narrow the block's
+    # boolean array that window 2 left
     dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
     _, _, step, n_high = _kernel_split(2, 3, 7)
     assert n_high // step == 32
@@ -663,6 +664,24 @@ def test_full_oracle_on_sl_drops_the_trace_row():
     assert _full_agrees(dec, 4, 3, 9) == (2**15, 2**13, 2**11)
 
 
+def test_full_oracle_on_gl3_splits_digits_unevenly():
+    # gl3 has nine digits in base 4: eight low and one high.  Of the map's
+    # nine rows two survive the drop of vanishing rows, and both read the
+    # high digit, so the high table of 4 entries decides with the low one
+    ctx = PadicContext(2)
+    u = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+    u_inv = [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
+    ud = [[Fraction(x * y) for x, y in zip(row, (1, 1, 2))] for row in u]
+    a = [[sum(ud[i][t] * u_inv[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
+    dec = decompose(PadicMatrix.from_rationals(ctx, a), GroupSpec.gl(ctx, 3))
+    assert _kernel_split(2, 9, 2)[::3] == (8, 4)
+    maps = dynamics._window_maps(dec, 3, 2, 5, 4)
+    assert [table.shape for _, table in maps] == [(9, 9)]
+    kept = maps[0][1][maps[0][1].any(axis=1)]
+    assert kept.shape == (2, 9) and kept[:, 8].all()
+    assert _full_agrees(dec, 3, 2, 5) == (2**18, 2**16)
+
+
 def test_full_oracle_counts_every_point_when_no_row_constrains():
     # a = 1 conjugates nothing, so every window map vanishes mod its need;
     # FULL reads only a, whatever eigendata the decomposition carries
@@ -673,8 +692,8 @@ def test_full_oracle_counts_every_point_when_no_row_constrains():
 
 
 def test_full_oracle_working_set_is_bounded_by_the_block():
-    # 2^21 points: the kernel holds the low table and one block's arrays,
-    # each at most _BLOCK int64 entries per matrix entry, never the lattice
+    # 2^21 points: the kernel holds a low table of _BLOCK/4 entries per row,
+    # a high table of 128 and one block's boolean array, never the lattice
     _, dec = sl_flow(2, [Fraction(1, 2), 2])
     entries = 4
     cap = 2 * _BLOCK * entries * 8
@@ -690,9 +709,9 @@ def test_full_oracle_working_set_is_bounded_by_the_block():
 
 
 def test_full_oracle_working_set_holds_one_low_table_per_window():
-    # 2^21 points at n = 3: two low tables and one block's arrays, each at
-    # most _BLOCK int64 entries per matrix entry, on a flow none of whose
-    # window-map rows vanish (three rows on sl2)
+    # 2^21 points at n = 3: two low and two high tables and one block's
+    # boolean array, on a flow none of whose window-map rows vanish (three
+    # rows on sl2)
     dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
     entries = 4
     cap = 3 * _BLOCK * entries * 8

@@ -419,7 +419,8 @@ def test_residue_roots_are_the_roots_a_scan_finds(p):
 @pytest.mark.parametrize("p", [67, 131, 997])
 def test_hensel_roots_split_residues_as_the_scan_does(p, monkeypatch):
     # integer roots with repeats, near-collisions r, r + p^j and positive
-    # valuations: every class of the descent finds the scan's roots
+    # valuations: every class of the descent finds the scan's roots, each
+    # route forced by the threshold whatever p is
     rng = random.Random(p)
     ctx = PadicContext(p, 8)
     for _ in range(12):
@@ -432,13 +433,11 @@ def test_hensel_roots_split_residues_as_the_scan_does(p, monkeypatch):
             coeffs = [a - r * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
         poly = [ctx.from_rational(c) for c in coeffs]
 
-        def found():
+        def found(split_from):
+            monkeypatch.setattr(matrix, "_SPLIT_FROM", split_from)
             return [(r.v, r.unit, r.abs_precision(), m) for r, m in hensel_roots(poly)]
 
-        split = found()
-        monkeypatch.setattr(matrix, "_SPLIT_FROM", math.inf)
-        assert found() == split
-        monkeypatch.undo()
+        assert found(3) == found(math.inf)
 
 
 @st.composite
