@@ -293,6 +293,14 @@ def bowen_count_oracle(
     dim_g * p^(level - k) * p^(k + (n-1) shift) on 64-bit values passes
     2^63, where p^shift clears the p-power denominators of a and a^-1.
     """
+    counter = _count_factored if check_oracle_args(dec, k, n, level, mode) == "FACTORED" else _count_full
+    return counter(dec, k, n, level)
+
+
+def check_oracle_args(dec: HorosphericalDecomposition, k: int, n: int, level: int, mode: str) -> str:
+    """The checks bowen_count_oracle makes of its arguments before it counts:
+    the window length, the ball and lattice levels, the mode and, for
+    FACTORED, the lattice defect.  Returns the mode, upper-cased."""
     # window n is the ball of times 0..n-1; the lattice must resolve its
     # deepest line
     deepest = max(_window_levels(dec, k, n - 1))
@@ -303,11 +311,13 @@ def bowen_count_oracle(
             f"lattice level {level} cannot resolve a length-{n} window at k={k}"
         )
     key = mode.strip().upper()
-    if key == "FACTORED":
-        return _count_factored(dec, k, n, level)
-    if key == "FULL":
-        return _count_full(dec, k, n, level)
-    raise ValueError(f"unknown oracle mode: {mode!r}")
+    if key not in ("FACTORED", "FULL"):
+        raise ValueError(f"unknown oracle mode: {mode!r}")
+    if key == "FACTORED" and dec.lattice_defect != 0:
+        raise DomainError(
+            "factored counting needs an eigenbasis spanning the full lattice"
+        )
+    return key
 
 
 @dataclass(frozen=True)
@@ -324,10 +334,6 @@ class BowenCounts:
 
 
 def _count_factored(dec, k, n, level) -> BowenCounts:
-    if dec.lattice_defect != 0:
-        raise DomainError(
-            "factored counting needs an eigenbasis spanning the full lattice"
-        )
     p = dec.ctx.p
     counts = tuple(
         math.prod(p ** max(0, level - req) for req in _window_levels(dec, k, m - 1))

@@ -16,14 +16,15 @@ exp, log and DYNKIN share one model.  The inputs (valuation >= k >= 2) become
 the integer matrices of their representatives p^v * unit, and each series
 coefficient c the weight p^D c mod p^M, with D the largest v_p of a kept
 denominator: the series is integer arithmetic mod p^M, nothing is absorbed,
-and the division by p^D at the end is the only one.  An output entry
-certified mod p^cert keeps min(N, cert - v) digits at valuation v; one = 0 mod
-p^cert is the zero O(p^cert).  M = cert + N + D for the largest cert, so every
-printed unit is exact on the representatives modulo p^(v + N).  cert is the
-least of the floor of the truncated tail and the first-order input error
-carried by the kept terms (Caruso, Roe and Vaccon, arXiv:1402.0743); A is the
-least v + digits over the input entries, and k the least valuation an input
-entry may have (c at an O(p^c)).
+and the division by p^D at the end is the only one (DYNKIN also divides by
+each s <= n_max, below).  An output entry certified mod p^cert keeps
+min(N, cert - v) digits at valuation v; one = 0 mod p^cert is the zero
+O(p^cert).  M = cert + N + D for the largest cert (DYNKIN widens it, below),
+so every printed unit is exact on the representatives modulo p^(v + N).  cert
+is the least of the floor of the truncated tail and the first-order input
+error carried by the kept terms (Caruso, Roe and Vaccon, arXiv:1402.0743); A
+is the least v + digits over the input entries, and k the least valuation an
+input entry may have (c at an O(p^c)).
 
   * exp and log keep the terms j < n of sum c_j X^j, c_j = 1/j! or
     (-1)^(j+1)/j, and certify each entry on its own.  With E the absolute
@@ -35,17 +36,31 @@ entry may have (c at an O(p^c)).
     bound.  An entry outside the support closure of X's zero pattern is
     exactly zero in every power.  A power = 0 mod p^M ends the series early,
     and the floor of the representatives' remaining tail replaces tail.
-  * DYNKIN certifies the whole output at once.  Scaling the block sums
-    U_m(deg) by deg! makes the program integral:
+  * DYNKIN certifies the whole output at once.  It carries the divided
+    powers U_m(deg), the sum of the terms of degree deg in m blocks before
+    their weight, and G_s = sum_(P+q=s) ad(x)^P ad(y)^q / (P! q!):
 
-        V_1(1) = x + y,   V_1(deg) = deg ad(x)^(deg-1) y,
-        V_m(deg) = sum_s C(deg, s) O'_s V_(m-1)(deg - s),
-        O'_s = sum_P C(s, P) ad(x)^P ad(y)^(s-P),
-        z = sum (-1)^(m-1) V_m(deg) / (m deg deg!)   (deg <= n_max),
+        U_1(1) = x + y,   U_1(2) = ad(x) y,
+        U_1(deg) = ad(x) U_1(deg - 1) / (deg - 1),
+        G_1 = ad(x) + ad(y),   s G_s = ad(x) G_(s-1) + G_(s-1) ad(y),
+        U_(m+1)(deg) = sum_s G_s U_m(deg - s),
+        z = sum (-1)^(m-1) U_m(deg) / (m deg)   (deg <= n_max),
 
-    and with b(n) = n k - v_p(n!) - floor(log_p n) - v_p(n) the floor of
-    every degree-n term, cert = min(A + min_(n <= n_max) (b(n) - k),
-    min_(n > n_max) b(n)).
+    so no binomial enters and D is the largest v_p(m deg).  The quotient by
+    s = p^e u is p-integral, so the division is exact on the residues mod
+    p^M, but it is known mod p^(M - e) only.  A run of divisions by j..s
+    loses v_p(s!/(j-1)!) <= (s - j) + floor(log_p s) digits, and its s - j
+    products with ad(x) or ad(y) gain k (s - j) >= 2 (s - j) back, so no
+    G_s or U_1(deg) loses more than L = floor(log_p n_max): M is widened by
+    L.  Every U_m(deg) but U_1(1) is a commutator, and so traceless: the
+    program runs on the d^2 - 1 coordinates other than (d, d), that entry
+    being minus the sum of the other diagonal entries.  ad(x), ad(y) and G_s
+    drop their (d, d) row and subtract their (d, d) column from the other
+    diagonal columns.  x + y is that traceless part plus t E_dd, t =
+    tr(x + y), so G_s (x + y) adds t G_s E_dd, a column built by the same
+    rule as G_s.  Nothing is divided by d, which p may divide.  With b(n) =
+    n k - v_p(n!) - floor(log_p n) - v_p(n) the floor of every degree-n
+    term, cert = min(A + min_(n <= n_max) (b(n) - k), min_(n > n_max) b(n)).
 """
 
 from __future__ import annotations
@@ -53,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, count
-from math import comb, factorial
+from math import factorial
 from operator import add, mul
 from typing import NamedTuple
 
@@ -313,30 +328,38 @@ def _dynkin_cutoff(p: int, k: int, target: int) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=128)
-def _dynkin_weights(p: int, n_max: int, room: int) -> tuple[int, int, dict]:
-    """_weights of (-1)^(m-1) / (m deg deg!), keyed by (m, deg)."""
+def _dynkin_weights(p: int, n_max: int, room: int) -> tuple[int, int, dict, dict]:
+    """_weights of (-1)^(m-1) / (m deg), keyed by (m, deg), and the division
+    by each s = p^e u <= n_max as the pair (p^e, u^-1 mod p^(room + D))."""
     keys = [(m, deg) for deg in range(1, n_max + 1) for m in range(1, deg + 1)]
-    big_d, mod, weights = _weights(p, [(-1) ** (m - 1) * m * deg * factorial(deg) for m, deg in keys], room)
-    return big_d, mod, dict(zip(keys, weights))
+    big_d, mod, weights = _weights(p, [(-1) ** (m - 1) * m * deg for m, deg in keys], room)
+    shifts = {s: p ** _vp(s, p) for s in range(1, n_max + 1)}
+    return big_d, mod, dict(zip(keys, weights)), {s: (e, pow(s // e, -1, mod)) for s, e in shifts.items()}
 
 
-def _ad_int(x: list[list[int]], mod: int) -> list[list[int]]:
-    """ad(x) on row-major flattened matrices: row (i, j), column (k, l) holds
-    (x E_kl - E_kl x)_ij."""
+def _ad_traceless(x: list[list[int]], mod: int) -> tuple[list[list[int]], list[int]]:
+    """ad(x) on traceless matrices, and the column ad(x) E_dd, in the
+    row-major coordinates other than (d, d).  Row (i, j), column (k, l) of
+    ad(x) holds (x E_kl - E_kl x)_ij; the row (d, d) is dropped, as the image
+    is traceless, and the column (d, d) is subtracted from the other diagonal
+    columns, as a traceless input's (d, d) entry is minus their sum."""
     d = len(x)
-    return [
-        [
-            ((x[i][k] if j == l else 0) - (x[l][j] if i == k else 0)) % mod
-            for k in range(d)
-            for l in range(d)
-        ]
+    last = d * d - 1
+    rows = [
+        [(x[i][k] if j == l else 0) - (x[l][j] if i == k else 0) for k in range(d) for l in range(d)]
         for i in range(d)
         for j in range(d)
-    ]
+    ][:last]
+    op = [[(a - r[last] if c % (d + 1) == 0 else a) % mod for c, a in enumerate(r[:last])] for r in rows]
+    return op, [r[last] % mod for r in rows]
 
 
 def _bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int) -> PadicMatrix:
-    """The Dynkin series on integer representatives; see the module docstring."""
+    """The Dynkin series on integer representatives mod p^(cert + N + D + L),
+    L = floor(log_p n_max): the divided powers U_m(deg), built from G_s, the
+    divisions by s costing at most L digits; every term but x + y in the
+    traceless coordinates, and the trace of x + y through the column G_s E_dd.
+    See the module docstring."""
     ctx, d = x.ctx, x.dim
     p, n_prec = ctx.p, ctx.precision
     n_max, loss, tail = _dynkin_cutoff(p, k, n_prec)
@@ -344,42 +367,63 @@ def _bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int) -> PadicMatrix:
         return PadicMatrix.zeros(ctx, d)
     least = min(e.abs_precision() for e in x.flat() + y.flat())
     cert = min(least + loss, tail)
-    big_d, mod, weights = _dynkin_weights(p, n_max, cert + n_prec)
+    big_d, mod, weights, divide = _dynkin_weights(p, n_max, cert + n_prec + _floor_log(p, n_max))
+    last = d * d - 1
     xi, yi = _reps(x), _reps(y)
-    adx, ady = _ad_int(xi, mod), _ad_int(yi, mod)
-    # O'_s = s! sum_{P+q=s} ad(x)^P ad(y)^q / (P! q!) is the s-th derivative
-    # of e^(t ad x) e^(t ad y) at 0, so O'_(s+1) = ad(x) O'_s + O'_s ad(y).
-    # wide[i] is row i of [O'_1 | O'_2 | ... | O'_(n_max - 1)].
+    x_flat, y_flat = sum(xi, []), sum(yi, [])
+    trace_y = sum(y_flat[:: d + 1])
+    trace = sum(x_flat[:: d + 1]) + trace_y
+    adx, ex = _ad_traceless(xi, mod)
+    ady, ey = _ad_traceless(yi, mod)
+    # G_s = sum_{P+q=s} ad(x)^P ad(y)^q / (P! q!) by s G_s = ad(x) G_(s-1) +
+    # G_(s-1) ad(y), and its column G_s E_dd by the same rule; dividing by
+    # s = p^e u is exact mod p^M and leaves G_s known mod p^(M - e).
+    # wide[i] is row i of [G_1 | G_2 | ... | G_(n_max - 1)], column[s] is G_s E_dd.
     ady_cols = list(zip(*ady))
     op = [[(a + b) % mod for a, b in zip(ra, rb)] for ra, rb in zip(adx, ady)]
+    column = {1: [(a + b) % mod for a, b in zip(ex, ey)]}
     wide = [list(r) for r in op]
-    for _ in range(2, n_max):
+    for s in range(2, n_max):
+        shift, inv = divide[s]
+        column[s] = [
+            (sum(map(mul, ra, column[s - 1])) + sum(map(mul, ro, ey))) % mod // shift * inv % mod
+            for ra, ro in zip(adx, op)
+        ]
         cols = list(zip(*op))
         op = [
-            [(sum(map(mul, ra, c)) + sum(map(mul, ro, cb))) % mod for c, cb in zip(cols, ady_cols)]
+            [
+                (sum(map(mul, ra, c)) + sum(map(mul, ro, cb))) % mod // shift * inv % mod
+                for c, cb in zip(cols, ady_cols)
+            ]
             for ra, ro in zip(adx, op)
         ]
         for w, r in zip(wide, op):
             w.extend(r)
-    # V_1(1) = x + y, V_1(deg) = deg ad(x)^(deg-1) y
-    layer = {1: [(u + w) % mod for ru, rw in zip(xi, yi) for u, w in zip(ru, rw)]}
-    vec = [w for r in yi for w in r]
-    for deg in range(2, n_max + 1):
-        vec = [sum(map(mul, r, vec)) % mod for r in adx]
-        layer[deg] = [deg * w % mod for w in vec]
-    terms = []
+    # U_1(1) = x + y less its trace at (d, d), U_1(2) = ad(x) y,
+    # U_1(deg) = ad(x) U_1(deg - 1) / (deg - 1)
+    first = [[(a + b) % mod for a, b in zip(x_flat[:last], y_flat)]]
+    first.append([(sum(map(mul, r, y_flat)) + trace_y * e) % mod for r, e in zip(adx, ex)])
+    for deg in range(3, n_max + 1):
+        shift, inv = divide[deg - 1]
+        first.append([sum(map(mul, r, first[-1])) % mod // shift * inv % mod for r in adx])
+    layer = dict(enumerate(first[:n_max], 1))
+    terms, lead = [], trace
     for m in range(1, n_max + 1):
         terms.extend((weights[m, deg], vm) for deg, vm in layer.items())
-        # V_(m+1)(deg) = sum_s C(deg, s) O'_s V_m(deg - s): one dot product per
-        # row of `wide` against the stacked, binomial-scaled V_m
-        nxt = {}
+        # U_(m+1)(deg) = sum_s G_s U_m(deg - s): one dot product per row of
+        # `wide` against U_m(deg - 1), ..., U_m(m) stacked; the trace of
+        # U_1(1) adds tr(x + y) G_(deg-1) E_dd
+        nxt, stacked = {}, []
         for deg in range(m + 1, n_max + 1):
-            stacked = [comb(deg, s) * u for s in range(1, deg - m + 1) for u in layer[deg - s]]
-            nxt[deg] = [sum(map(mul, w, stacked)) % mod for w in wide]
-        layer = nxt
+            stacked = layer[deg - 1] + stacked
+            nxt[deg] = [(sum(map(mul, w, stacked)) + lead * c) % mod for w, c in zip(wide, column[deg - 1])]
+        layer, lead = nxt, 0
     cs = [c for c, _ in terms]
-    total = [sum(map(mul, cs, col)) % mod for col in zip(*(v for _, v in terms))]
-    return PadicMatrix.from_flat(ctx, d, [_certified(t // p**big_d, cert, ctx) for t in total])
+    total = [sum(map(mul, cs, col)) for col in zip(*(v for _, v in terms))]
+    # (d, d): minus the other diagonal entries, plus the trace of x + y
+    scale = p**big_d
+    total.append(scale * trace - sum(total[:: d + 1]))
+    return PadicMatrix.from_flat(ctx, d, [_certified(t % mod // scale, cert, ctx) for t in total])
 
 
 def _certified(z: int, cert: int, ctx: PadicContext) -> PadicScalar:

@@ -323,6 +323,28 @@ def test_a_value_too_long_to_print_exits_10(argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("level", [10**6, 10**7])
+def test_an_unprintable_factored_count_exits_10_before_it_is_built(level):
+    # refused from its exponent: building 3^(3 (level - 4)) first takes
+    # seconds at 10^6 and over a minute at 10^7
+    started = time.monotonic()
+    code, out, err = run_cli(["oracle", "--element", '[["1/3","0"],["0","3"]]', "--dim", "2",
+                              "--k", "4", "--n", "2", "--level", str(level), "--mode", "FACTORED"])
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (10, "")
+    assert f"count 3^{3 * (level - 4)} would print more than 4300 digits" in err
+
+
+def test_factored_argument_faults_come_before_an_unprintable_count():
+    # the oracle's own checks still decide first: a ball level below the
+    # flow's minimum, and an eigenbasis short of the lattice (defect 3)
+    tail = ["--dim", "2", "--n", "2", "--level", str(10**7), "--mode", "FACTORED"]
+    code, _, err = run_cli(["oracle", "--element", '[["1/3","0"],["0","3"]]', "--k", "1"] + tail)
+    assert code == 6 and "below the adapted minimum" in err
+    code, _, err = run_cli(["oracle", "--element", '[["1/3","8/9"],["0","3"]]', "--k", "4"] + tail)
+    assert code == 5 and "spanning the full lattice" in err
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 10007])
 def test_printable_refuses_exactly_the_powers_str_refuses(p):
     limit = sys.get_int_max_str_digits()

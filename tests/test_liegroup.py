@@ -6,6 +6,8 @@ isometries, so round trips and norm preservation can be asserted exactly.
 
 import random
 from fractions import Fraction
+from math import comb, factorial
+from operator import mul
 
 import pytest
 
@@ -13,9 +15,15 @@ from padlab import GroupSpec, PadicContext, PadicMatrix, PadicScalar, bch, decom
 from padlab.errors import DomainError, PrecisionExhausted
 from padlab.liegroup import (
     FactorResult,
+    _bch_dynkin,
+    _certified,
+    _dynkin_cutoff,
     _floor_log,
+    _reps,
+    _require_deep,
     _series_plan,
     _tail_floor,
+    _weights,
     ball_membership,
     horospherical_factor,
 )
@@ -164,11 +172,137 @@ def test_dynkin_never_overstates_certified_digits(p):
     pairs += [(random_deep_element(sl3, rng), random_deep_element(sl3, rng))
               for _ in range(3)]
     pairs.append((PadicMatrix.zeros(ctx, 2), pairs[0][1]))
+    # gl pairs have a trace, carried apart from the traceless coordinates
+    pairs += [(random_deep_element(gl, rng), random_deep_element(gl, rng))
+              for gl in (GroupSpec.gl(ctx, 2), GroupSpec.gl(ctx, 3))
+              for _ in range(3)]
     checked = 0
     for x, y in pairs:
         ref = bch(_lift(x, deep), _lift(y, deep), mode="direct")
         checked += _check_claimed_digits(bch(x, y, mode="dynkin"), ref)
-    assert checked > 60
+    assert checked > 100
+
+
+# ---- DYNKIN against its reference program ------------------------------------
+
+
+def _reference_dynkin_weights(p: int, n_max: int, room: int) -> tuple[int, int, dict]:
+    """_weights of (-1)^(m-1) / (m deg deg!), keyed by (m, deg)."""
+    keys = [(m, deg) for deg in range(1, n_max + 1) for m in range(1, deg + 1)]
+    big_d, mod, weights = _weights(p, [(-1) ** (m - 1) * m * deg * factorial(deg) for m, deg in keys], room)
+    return big_d, mod, dict(zip(keys, weights))
+
+
+def _ad_int(x: list[list[int]], mod: int) -> list[list[int]]:
+    """ad(x) on row-major flattened matrices: row (i, j), column (k, l) holds
+    (x E_kl - E_kl x)_ij."""
+    d = len(x)
+    return [
+        [
+            ((x[i][k] if j == l else 0) - (x[l][j] if i == k else 0)) % mod
+            for k in range(d)
+            for l in range(d)
+        ]
+        for i in range(d)
+        for j in range(d)
+    ]
+
+
+def reference_bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int) -> PadicMatrix:
+    """DYNKIN scaled by deg! instead of divided, on all d^2 coordinates:
+
+        V_1(1) = x + y,   V_1(deg) = deg ad(x)^(deg-1) y,
+        V_m(deg) = sum_s C(deg, s) O'_s V_(m-1)(deg - s),
+        O'_s = sum_P C(s, P) ad(x)^P ad(y)^(s-P),
+        z = sum (-1)^(m-1) V_m(deg) / (m deg deg!)   (deg <= n_max),
+
+    mod p^(cert + N + D) with D the largest v_p(m deg deg!), and no division
+    before the last."""
+    ctx, d = x.ctx, x.dim
+    p, n_prec = ctx.p, ctx.precision
+    n_max, loss, tail = _dynkin_cutoff(p, k, n_prec)
+    if n_max < 1:
+        return PadicMatrix.zeros(ctx, d)
+    least = min(e.abs_precision() for e in x.flat() + y.flat())
+    cert = min(least + loss, tail)
+    big_d, mod, weights = _reference_dynkin_weights(p, n_max, cert + n_prec)
+    xi, yi = _reps(x), _reps(y)
+    adx, ady = _ad_int(xi, mod), _ad_int(yi, mod)
+    # O'_s = s! sum_{P+q=s} ad(x)^P ad(y)^q / (P! q!) is the s-th derivative
+    # of e^(t ad x) e^(t ad y) at 0, so O'_(s+1) = ad(x) O'_s + O'_s ad(y).
+    # wide[i] is row i of [O'_1 | O'_2 | ... | O'_(n_max - 1)].
+    ady_cols = list(zip(*ady))
+    op = [[(a + b) % mod for a, b in zip(ra, rb)] for ra, rb in zip(adx, ady)]
+    wide = [list(r) for r in op]
+    for _ in range(2, n_max):
+        cols = list(zip(*op))
+        op = [
+            [(sum(map(mul, ra, c)) + sum(map(mul, ro, cb))) % mod for c, cb in zip(cols, ady_cols)]
+            for ra, ro in zip(adx, op)
+        ]
+        for w, r in zip(wide, op):
+            w.extend(r)
+    # V_1(1) = x + y, V_1(deg) = deg ad(x)^(deg-1) y
+    layer = {1: [(u + w) % mod for ru, rw in zip(xi, yi) for u, w in zip(ru, rw)]}
+    vec = [w for r in yi for w in r]
+    for deg in range(2, n_max + 1):
+        vec = [sum(map(mul, r, vec)) % mod for r in adx]
+        layer[deg] = [deg * w % mod for w in vec]
+    terms = []
+    for m in range(1, n_max + 1):
+        terms.extend((weights[m, deg], vm) for deg, vm in layer.items())
+        # V_(m+1)(deg) = sum_s C(deg, s) O'_s V_m(deg - s): one dot product per
+        # row of `wide` against the stacked, binomial-scaled V_m
+        nxt = {}
+        for deg in range(m + 1, n_max + 1):
+            stacked = [comb(deg, s) * u for s in range(1, deg - m + 1) for u in layer[deg - s]]
+            nxt[deg] = [sum(map(mul, w, stacked)) % mod for w in wide]
+        layer = nxt
+    cs = [c for c, _ in terms]
+    total = [sum(map(mul, cs, col)) % mod for col in zip(*(v for _, v in terms))]
+    return PadicMatrix.from_flat(ctx, d, [_certified(t // p**big_d, cert, ctx) for t in total])
+
+
+def _dynkin_sweep() -> list:
+    """Pairs at valuation exactly k for sl and gl, d in {2, 3}, p in {2, 3, 5},
+    k in {2, 3, 4}, every other pair with entries certified to 3..12 digits;
+    and a gl2 pair at p = 2 with v_2(tr(x + y)) = 2, the least a trace has
+    at k = 2, so that halving it to split off the trace would lose a digit."""
+    pairs = []
+    for family in ("sl", "gl"):
+        for d in (2, 3):
+            for p in (2, 3, 5):
+                ctx = PadicContext(p)
+                spec = GroupSpec(ctx, family, d)
+                rng = random.Random(f"dynkin {family}{d} {p}")
+                for k in (2, 3, 4):
+                    scale = ctx.from_rational(p ** (k - 2))
+                    for i in range(4):
+                        x, y = (random_deep_element(spec, rng, 2).scale(scale) for _ in range(2))
+                        pairs.append((_fewer_digits(x, rng, 3), _fewer_digits(y, rng, 3)) if i % 2 else (x, y))
+    ctx = PadicContext(2)
+    pairs.append((PadicMatrix.from_rationals(ctx, [[4, 8], [-12, 8]]),
+                  PadicMatrix.from_rationals(ctx, [[-8, 16], [4, 16]])))
+    return pairs
+
+
+def test_dynkin_matches_its_reference_program():
+    # each entry's valuation, unit and absolute precision
+    zeros = short = 0
+    seen_k = set()
+    for x, y in _dynkin_sweep():
+        k = min(_require_deep(x, "bch"), _require_deep(y, "bch"))
+        got, want = _bch_dynkin(x, y, k), reference_bch_dynkin(x, y, k)
+        assert [(e.v, e.unit, e.abs_precision()) for e in got.flat()] == \
+            [(e.v, e.unit, e.abs_precision()) for e in want.flat()]
+        zeros += sum(e.is_zero for e in got.flat())
+        short += any(e.digits is not None and e.digits < x.ctx.precision for e in x.flat() + y.flat())
+        seen_k.add((x.ctx.p, k))
+    assert zeros > 20 and short > 60
+    assert seen_k == {(p, k) for p in (2, 3, 5) for k in (2, 3, 4)}
+    x, y = _dynkin_sweep()[-1]
+    trace = sum(r[i] for i, r in enumerate(_reps(x + y)))
+    assert trace % 4 == 0 and trace % 8 != 0
 
 
 _SERIES = {
