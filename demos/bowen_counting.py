@@ -5,7 +5,7 @@ Bowen balls of a diagonal flow, counted two ways
 The flow a = diag(1/3, 3) acts on sl2(Q_3) by conjugation; its eigenvalue
 valuations split the algebra into unstable, neutral, and stable lines.
 Bowen windows shrink only along the unstable line, and their volumes can be
-counted exactly by enumerating lattice points.
+counted exactly from the lattice of each window.
 """
 
 from fractions import Fraction
@@ -34,9 +34,9 @@ for n in (1, 2, 3):
     ball = bowen_ball(dec, 4, n)
     print(f"window n={n}: levels {ball.levels}  volume ratio {bowen_volume_ratio(dec, n)}")
 
-# FULL enumerates K_4/K_7 and tests each point against the window maps
-# built from a alone (conjugating the basis, never the eigendata); FACTORED
-# multiplies per-line digit counts instead and reaches any level
+# FULL counts K_4/K_7's window points by the index of their lattice, from
+# window maps built from a alone (conjugating the basis, never the
+# eigendata); FACTORED multiplies per-line digit counts instead
 full = bowen_count_oracle(dec, 4, 2, 7, "FULL")
 factored = bowen_count_oracle(dec, 4, 3, 9, "FACTORED")
 print("FULL lattice counts (level 7):", full.counts, "ratios", full.ratios)

@@ -18,7 +18,7 @@ Layers, from the ground up:
 
 Importing the package loads no numpy.  The entropylab names of __all__ are
 resolved on first access (PEP 562), which imports entropylab and numpy with
-it; FULL Bowen counting imports numpy on its first call.
+it; nothing else loads numpy.
 """
 
 import importlib

@@ -247,15 +247,15 @@ def _cmd_bowen(args) -> tuple[dict, int]:
 
 def _cmd_oracle(args) -> tuple[dict, int]:
     dec = _decomposition(args)
-    # the first count is the largest, and each ratio's terms divide it.
-    # FACTORED builds them whole, so they are refused first; FULL's pass its
-    # point budget or are refused by it
-    if check_oracle_args(dec, args.k, args.n, args.level, args.mode) == "FACTORED":
-        _printable(args.p, len(dec.group.lie_basis) * (args.level - args.k), "count ")
-        _printable(args.p, (args.n - 1) * dec.nu_total, "closed-form ratio 1/")
+    # the first count is the largest, and each ratio's terms divide it
+    check_oracle_args(dec, args.k, args.n, args.level, args.mode)
+    _printable(args.p, len(dec.group.lie_basis) * (args.level - args.k), "count ")
+    _printable(args.p, (args.n - 1) * dec.nu_total, "closed-form ratio 1/")
     counts = bowen_count_oracle(dec, args.k, args.n, args.level, mode=args.mode)
     closed = [bowen_volume_ratio(dec, m) for m in range(1, args.n + 1)]
-    agree = list(counts.ratios) == closed
+    # the bracket of bowen_count_oracle's docstring, equality at defect 0
+    least = Fraction(1, args.p**dec.lattice_defect)
+    agree = all(c * least <= r <= c for r, c in zip(counts.ratios, closed))
     return {
         "mode": counts.mode,
         "k": args.k,

@@ -22,24 +22,14 @@ in the level-k ball at time l costs the unstable line i l|nu_i| extra
 digits, so over times 0..n line i needs k + n max(0, -nu_i).
 
 The Bowen counting oracle deliberately has two routes.  FACTORED reads counts
-off the eigenvalue valuations.  FULL enumerates actual lattice points and
-tests window membership by integer conjugation with a itself, never touching
-the eigendata, so agreement of the two is a meaningful check.  FULL
-conjugates the basis, not the points: for each window m >= 2 it builds once,
-on Python integers, the map from a point's digits to a^(m-1) X a^-(m-1)
-modulo need_m, the power of p that window m needs, and drops the rows that
-vanish, which every point passes.  A point's index splits into low and high
-digits.  Each window's low-digit table and negated high-digit table are built
-once per call by one rule, as outer sums of its per-digit columns reduced by
-conditional subtraction, so no per-point division or int64 product is left.
-Window 1 is the whole lattice and costs no per-point work.  Each block of
-high indices tests its points against windows 2..n in turn on one boolean
-array, row by row as low == -high: window m keeps the points of window m - 1
-that pass its rows.
-
-FULL counting is the only part of this module that uses numpy, and it
-imports numpy on its first call: decompositions, FACTORED counts, Bowen
-balls and atoms load none.
+off the eigenvalue valuations.  FULL reads only a, never the eigendata, so
+agreement of the two is a meaningful check.  Window m's condition, a^l X a^-l
+in K_k for 0 <= l < m, is Z_p-linear in X, so its count is p^(dim_g (level -
+k)) over the index of one lattice.  FULL stacks the integer maps of X to
+a^l X a^-l, l = 1..m-1, at one modulus and reads the index off the pivot
+valuations of `eliminate`, which global minimal pivoting makes the
+elementary divisors over Z_(p) (Cohen, A Course in Computational Algebraic
+Number Theory, 2.4).
 """
 
 from __future__ import annotations
@@ -49,10 +39,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .errors import (
-    BudgetExceeded,
     DomainError,
     LevelTooSmall,
     NoHyperbolicity,
@@ -66,16 +54,12 @@ from .matrix import (
     _invert,
     _vp,
     combine,
+    eliminate,
     fraction_val,
     hensel_roots,
     nullspace,
 )
 from .scalar import PadicContext, PadicScalar
-
-if TYPE_CHECKING:
-    import numpy as np
-
-ORACLE_POINT_BUDGET = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -277,21 +261,21 @@ def bowen_count_oracle(
     """Count lattice points of successive Bowen windows modulo p^level.
 
     For window length m the count is #{X in K_k/K_level :
-    a^l X a^-l in K_k for 0 <= l < m}; counts are reported for m = 1..n and
-    count_n/count_1 must equal the volume ratio p^(-(n-1)|nu|).
+    a^l X a^-l in K_k for 0 <= l < m}; counts are reported for m = 1..n.
+    ratio_m = count_m/count_1 lies between closed_m p^-lattice_defect and
+    closed_m = p^(-(m-1)|nu|), so it equals closed_m when lattice_defect is
+    0: the adapted windows of the eigenlattice, of index p^lattice_defect,
+    lie in K_k's; and window m meets the unstable subspace U inside
+    Ad(a)^-(m-1) of U's integral points, of index p^((m-1)|nu|) in them.
 
     mode FACTORED multiplies per-eigenline digit counts (valid when the
     eigenbasis spans the full integral lattice, lattice_defect == 0).  mode
-    FULL enumerates every point by its digits and tests it against
-    per-window integer maps, built from a alone, without the eigendata:
-    window 1 is the whole lattice, and each window m >= 2 keeps, in blocks
-    of a fixed size, the points of window m - 1 whose low-digit sums equal
-    their negated high-digit sums, both tables built once per window and
-    call.  It assumes the algebra's standard basis splits the entry lattice
-    (true for the sl and gl families), refuses enumerations beyond 2^25
-    points, and, for n >= 2, refuses windows whose bound
-    dim_g * p^(level - k) * p^(k + (n-1) shift) on 64-bit values passes
-    2^63, where p^shift clears the p-power denominators of a and a^-1.
+    FULL takes window m's index from the elementary divisors of its stacked
+    window maps (see `_count_full`), built from a alone, without the
+    eigendata.  It assumes the algebra's standard basis splits the entry
+    lattice (true for the sl and gl families), and, for n >= 2, refuses a
+    level below k + (n-1) shift, where p^shift clears the p-power
+    denominators of a and a^-1.
     """
     counter = _count_factored if check_oracle_args(dec, k, n, level, mode) == "FACTORED" else _count_full
     return counter(dec, k, n, level)
@@ -347,32 +331,24 @@ def _lift_mod(fr: Fraction, modulus: int) -> int:
     return fr.numerator * pow(fr.denominator, -1, modulus) % modulus
 
 
-# points per block of the window tests: the kernel holds n - 1 low tables
-# of at most _BLOCK entries per row, n - 1 high tables of one entry per high
-# index and row, and one block's boolean array of at most _BLOCK entries
-_BLOCK = 1 << 16
-
-
 def _mul_mod(x, y, mod: int) -> list[list[int]]:
     """x y mod `mod`, on lists of Python integers."""
     cols = list(zip(*y))
     return [[sum(map(operator.mul, r, c)) % mod for c in cols] for r in x]
 
 
-def _window_maps(dec, k, n, level, radius) -> list[tuple[int, np.ndarray]]:
-    """(need_m, W_m) for the windows m = 2..n, exact on Python integers.
+def _window_maps(dec, k, n, level) -> list[tuple[int, list[list[int]]]]:
+    """(c_m, W_m) for the windows m = 2..n, exact on Python integers.
 
     With a = p^-s_a a_num and a^-1 = p^-s_inv inv_num, shift = s_a + s_inv,
     column j of the table W_m is a_num^(m-1) (p^k basis_j) inv_num^(m-1),
-    flattened and reduced mod need_m = p^(k + (m-1) shift).  The point with
-    digits c_j lies in window m exactly when every entry of W_m c vanishes
-    mod need_m, which is a^(m-1) X a^-(m-1) in K_k.  On gl W_m has d*d rows;
-    on sl d*d - 1, without x_dd: a column's integer trace is
+    flattened and reduced mod p^c_m, c_m = k + (m-1) shift.  The point
+    X = sum_j x_j p^k basis_j satisfies W_m x = 0 mod p^c_m exactly when
+    a^(m-1) X a^-(m-1) lies in K_k.  Rows that vanish mod p^c_m, which every point passes, are
+    dropped.  On sl so is the x_dd row: a column's integer trace is
     p^((m-1) shift) tr(basis_j) = 0, so x_dd vanishes with the other
     diagonal entries.
     """
-    import numpy as np
-
     p, spec = dec.ctx.p, dec.group
     a_frac = [[x.as_rational() for x in row] for row in dec.a.rows]
     a_num, s_a = _integerize(a_frac, p)
@@ -387,10 +363,6 @@ def _window_maps(dec, k, n, level, radius) -> list[tuple[int, np.ndarray]]:
             f"window conjugation needs p^{mod_exp} resolution, lattice has p^{level}"
         )
     modulus = p**mod_exp
-    # the one int64 product, _grid_sums' digit times column, stays below
-    # radius * need_m <= radius * modulus, which this bound implies
-    if len(spec.lie_basis) * radius * modulus > 1 << 63:
-        raise BudgetExceeded("conjugation modulus too large for 64-bit counting")
     a_int = [[_lift_mod(x, modulus) for x in row] for row in a_num]
     inv_int = [[_lift_mod(x, modulus) for x in row] for row in inv_num]
     images = [
@@ -400,63 +372,28 @@ def _window_maps(dec, k, n, level, radius) -> list[tuple[int, np.ndarray]]:
     maps, rows = [], dec.a.dim**2 - (spec.family == "sl")
     for m in range(2, n + 1):
         images = [_mul_mod(_mul_mod(a_int, z, modulus), inv_int, modulus) for z in images]
-        need = p ** (k + (m - 1) * shift)
-        table = [[x % need for row in z for x in row][:rows] for z in images]
-        maps.append((need, np.array(table, dtype=np.int64).T))
+        c_m = k + (m - 1) * shift
+        cols = [[x % p**c_m for row in z for x in row][:rows] for z in images]
+        maps.append((c_m, [list(row) for row in zip(*cols) if any(row)]))
     return maps
 
 
-def _grid_sums(cols, radius: int, need: int) -> np.ndarray:
-    """Rows of sum_j digit_j(i) cols[:, j] mod need, i below radius^w for w
-    columns, digit 0 the least significant; cols is reduced mod need.
-
-    An outer sum, one digit at a time: each add stays below 2 need, so a
-    conditional subtract of need reduces it."""
-    import numpy as np
-
-    out = np.zeros((cols.shape[0], 1), dtype=np.int64)
-    for col in cols.T:
-        steps = np.arange(radius) * col[:, None] % need
-        out = (steps[:, :, None] + out[:, None, :]).reshape(len(col), radius * out.shape[1])
-        np.subtract(out, need, out=out, where=out >= need)
-    return out
-
-
 def _count_full(dec, k, n, level) -> BowenCounts:
-    import numpy as np
+    """Window m's count p^(dim_g (level - k) - sum_i max(0, c_m - v_i)), the
+    v_i the pivot valuations of W_2..W_m stacked, each scaled to p^c_m.
 
-    p, dim_g = dec.ctx.p, len(dec.group.lie_basis)
-    # p^e >= 2^e passes the budget once e reaches its bit length, so a
-    # refusal neither builds nor prints a power of thousands of digits
-    e = (level - k) * dim_g
-    if e >= ORACLE_POINT_BUDGET.bit_length() or p**e > ORACLE_POINT_BUDGET:
-        raise BudgetExceeded(f"full oracle needs {p}^{e} points, budget {ORACLE_POINT_BUDGET}")
-    radius = p ** (level - k)
-    total = radius**dim_g
-    counts = [total] + [0] * (n - 1)  # window 1 is the whole level-k lattice
-    if n > 1:
-        # a row of W_m that vanishes mod need_m holds at every point
-        maps = _window_maps(dec, k, n, level, radius)
-        maps = [(need, table[table.any(axis=1)]) for need, table in maps]
-        # a flat index is high * low_size + low, its first `width` digits in low
-        width, low_size = 0, 1
-        while width < dim_g and low_size * radius <= _BLOCK:
-            width, low_size = width + 1, low_size * radius
-        # window m's sum is low + high; it vanishes mod need exactly when
-        # each low entry equals the negated high entry, both reduced
-        lows = [_grid_sums(table[:, :width], radius, need) for need, table in maps]
-        highs = [-_grid_sums(table[:, width:], radius, need) % need for need, table in maps]
-        n_high = total // low_size
-        step = max(1, _BLOCK // low_size)
-        for start in range(0, n_high, step):
-            stop = min(start + step, n_high)
-            # window m keeps the points of window m - 1 that pass its rows
-            hit = np.ones((stop - start, low_size), dtype=bool)
-            for m, (high, low) in enumerate(zip(highs, lows), 2):
-                for high_row, low_row in zip(high, low):
-                    hit &= high_row[start:stop, None] == low_row
-                counts[m - 1] += int(np.count_nonzero(hit))
-    return BowenCounts("FULL", level, tuple(counts))
+    Every entry is a multiple of p^k and c_m <= level, so no term passes
+    level - k; a rank short of dim_g leaves digits free."""
+    p, val = dec.ctx.p, fraction_val(dec.ctx.p)
+    e = len(dec.group.lie_basis) * (level - k)
+    exps = [e]  # window 1 is the whole level-k lattice
+    maps = _window_maps(dec, k, n, level) if n > 1 else []
+    for m, (c_m, _) in enumerate(maps, 1):
+        rows = [[Fraction(x * p ** (c_m - c)) for x in row]
+                for c, table in maps[:m] for row in table]
+        pivots = eliminate(rows, Fraction(0), val=val)
+        exps.append(e - sum(max(0, c_m - val(rows[i][j])) for i, j in pivots))
+    return BowenCounts("FULL", level, tuple(p**x for x in exps))
 
 
 def atom_representatives(dec: HorosphericalDecomposition, k: int) -> list[PadicMatrix]:

@@ -26,8 +26,8 @@ numbers only, never a bool or a numeric string.
 
 This module imports numpy, and nothing else in the package imports this
 module at load time: ``padlab`` resolves its names on first access, and the
-CLI imports it only in ``gap``, ``pinsker`` and ``telescope``.  Together with
-FULL Bowen counting, these are the calls that load numpy.
+CLI imports it only in ``gap``, ``pinsker`` and ``telescope``: the only
+calls that load numpy.
 """
 
 from __future__ import annotations

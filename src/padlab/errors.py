@@ -55,7 +55,7 @@ class LevelTooSmall(PadlabError):
 
 
 class BudgetExceeded(PadlabError):
-    """An enumeration would exceed its configured point budget."""
+    """A result would pass a configured size limit."""
 
 
 class SupportMismatch(PadlabError):

@@ -198,10 +198,6 @@ class PadicMatrix:
     def scale(self, c: PadicScalar) -> "PadicMatrix":
         return PadicMatrix(self.ctx, [[c * a for a in r] for r in self.rows])
 
-    def transpose(self) -> "PadicMatrix":
-        n = self.dim
-        return PadicMatrix(self.ctx, [[self.rows[j][i] for j in range(n)] for i in range(n)])
-
     def trace(self) -> PadicScalar:
         return sum((self.rows[i][i] for i in range(self.dim)), self.ctx.zero())
 

@@ -152,8 +152,8 @@ def test_ac03_horospherical_factorization(capsys):
 
 
 def test_ac04_bowen_counting_oracle(capsys):
-    # Brute-force lattice counts against the volume closed form, with zero
-    # tolerance on the exact rational ratios.  FULL enumeration for sl2 with
+    # Lattice counts from a alone against the volume closed form, with zero
+    # tolerance on the exact rational ratios.  FULL index counts for sl2 with
     # a = diag(1/p, p) (|nu| = 2, k = max nu + 2 = 4) at the minimal
     # resolving level k + (n-1) max(nu) + 1 for n = 1, 2, 3; FACTORED
     # product counts for sl3 with a = diag(1/p, 1, p) (|nu| = 4).  p in
@@ -187,7 +187,7 @@ def test_ac04_bowen_counting_oracle(capsys):
         ok = True
     finally:
         _verdict(capsys, "AC4", ok, started,
-                 "enumerated Bowen counts equal p^(-(n-1)|nu|) exactly: FULL "
+                 "Bowen counts from a alone equal p^(-(n-1)|nu|) exactly: FULL "
                  "sl2 and FACTORED sl3, p in {2,3}, n up to 3")
 
 

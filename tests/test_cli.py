@@ -294,26 +294,38 @@ def test_full_oracle_guards_only_conjugated_windows():
     code, factored, _ = run_cli(argv + ["--mode", "FACTORED"])
     assert code == 0
     assert json.loads(full)["counts"] == json.loads(factored)["counts"] == ["512", "128"]
-    # window 2 at need 2^62: 3 * 2^3 * 2^62 passes 2^63
+    # window 2 at need 2^62: an index count has no word-size limit
     argv[argv.index("19")], argv[argv.index("22")] = "60", "63"
-    code, _, err = run_cli(argv + ["--mode", "FULL"])
-    assert code == 10 and "64-bit" in err
+    code, full, err = run_cli(argv + ["--mode", "FULL"])
+    assert (code, err) == (0, "")
+    code, factored, _ = run_cli(argv + ["--mode", "FACTORED"])
+    assert code == 0
+    assert json.loads(full)["counts"] == json.loads(factored)["counts"] == ["512", "128"]
 
 
-def test_a_full_count_past_the_budget_exits_10_without_building_it():
-    # 3^14988 points: printing that count passed int's 4300-digit limit
-    code, out, err = run_cli(["oracle", "--element", '[["1/3","0"],["0","3"]]', "--dim", "2",
-                              "--k", "4", "--n", "2", "--level", "5000", "--mode", "FULL"])
-    assert (code, out) == (10, "")
-    assert "needs 3^14988 points" in err
+def test_full_oracle_brackets_the_closed_form_by_the_lattice_defect():
+    # the entry lattice's windows are not the eigenbasis's at defect 3: the
+    # ratio 1/8 lies between 1/2 * 2^-3 and 1/2
+    code, out, err = run_cli(["oracle", "--p", "2", "--group", "gl", "--dim", "2",
+                              "--element", '[["1/2","1/4"],["0","1"]]', "--k", "3", "--n", "2",
+                              "--level", "6", "--mode", "FULL"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["counts"], doc["ratios"], doc["closed_form"]) == (
+        ["4096", "512"], ["1", "1/8"], ["1", "1/2"])
+    assert doc["verdict"] == "AGREE"
+
+
+ORACLE_5000 = ["oracle", "--element", '[["1/3","0"],["0","3"]]', "--dim", "2", "--k", "4",
+               "--n", "2", "--level", "5000", "--mode"]
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["oracle", "--element", '[["1/3","0"],["0","3"]]', "--dim", "2", "--k", "4", "--n", "2",
-      "--level", "5000", "--mode", "FACTORED"], "count 3^14988 would print more than 4300 digits"),
+    (ORACLE_5000 + ["FACTORED"], "count 3^14988 would print more than 4300 digits"),
+    (ORACLE_5000 + ["FULL"], "count 3^14988 would print more than 4300 digits"),
     (["bowen", "--element", '[["1/3","0"],["0","3"]]', "--dim", "2", "--k", "4", "--n", "5000"],
      "volume ratio 1/3^9998 would print more than 4300 digits"),
-], ids=["oracle-factored", "bowen"])
+], ids=["oracle-factored", "oracle-full", "bowen"])
 def test_a_value_too_long_to_print_exits_10(argv, message):
     # both computations succeed; printing them passed int's 4300-digit limit
     started = time.monotonic()

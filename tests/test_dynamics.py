@@ -6,7 +6,6 @@ closed form, so most assertions here are exact integers and Fractions.
 
 import math
 import random
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -17,8 +16,6 @@ from hypothesis import strategies as st
 
 from padlab import GroupSpec, PadicContext, PadicMatrix, PadlabError, decompose, dynamics, exp
 from padlab.dynamics import (
-    _BLOCK,
-    ORACLE_POINT_BUDGET,
     BowenCounts,
     _integerize,
     _lift_mod,
@@ -318,9 +315,8 @@ def test_oracle_preconditions():
     with pytest.raises(ValueError):
         bowen_count_oracle(dec, 4, 2, 9, "SIDEWAYS")
     _, dec3 = sl_flow(3, [Fraction(1, 9), 1, 9])
-    with pytest.raises(BudgetExceeded):
-        # 8 coordinates with 4 free digits each blows the 2^25 point budget
-        bowen_count_oracle(dec3, 6, 1, 10, "FULL")
+    # 8 coordinates with 4 free digits each, past any enumeration
+    assert bowen_count_oracle(dec3, 6, 1, 10, "FULL").counts == (3**32,)
 
 
 def test_atom_representatives_partition():
@@ -459,6 +455,9 @@ def test_eigen_shift_equals_subtracting_a_scaled_identity(monkeypatch):
 
 # ---- the FULL oracle against its reference kernel ----------------------------
 
+# the most points reference_count_full enumerates
+ORACLE_POINT_BUDGET = 1 << 25
+
 
 def reference_count_full(dec, k, n, level) -> BowenCounts:
     """FULL by conjugating every point: digit extraction, a product with the
@@ -590,16 +589,6 @@ def test_full_oracle_matches_reference_factored_and_closed_form(job):
         assert full.counts == bowen_count_oracle(dec, k, n, level, "FACTORED").counts
 
 
-def _kernel_split(p, dim_g, digits):
-    """(width, low_size, step, n_high) of the FULL kernel: a flat index is
-    high * low_size + low, low holding its first `width` base-p^digits
-    digits, and each block `step` high indices."""
-    radius = p**digits
-    width = max(w for w in range(dim_g + 1) if radius**w <= _BLOCK)
-    low_size = radius**width
-    return width, low_size, max(1, _BLOCK // low_size), radius**dim_g // low_size
-
-
 def _conjugate_flow(family, p, diag):
     """u diag(x, y) u^-1 with u = [[1, 1], [1, 2]]: no row of its window maps
     vanishes, unlike a diagonal or triangular flow's."""
@@ -622,64 +611,83 @@ def _full_agrees(dec, k, n, level):
 
 
 def test_full_oracle_in_a_single_block():
-    # 2^15 points: every digit is a low digit, and no high index is left
+    # 2^15 points in three windows, on a conjugate with no vanishing rows
     dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
-    width, _, _, n_high = _kernel_split(2, 3, 5)
-    assert (width, n_high) == (3, 1)
     assert _full_agrees(dec, 4, 3, 9) == (2**15, 2**13, 2**11)
 
 
 def test_full_oracle_over_blocks_with_a_partial_last_block():
-    # 5^9 points: 125 high indices in blocks of 4, the last block of 1
+    # 5^9 points at p = 5
     dec = _conjugate_flow("sl", 5, [Fraction(1, 5), 5])
-    width, _, step, n_high = _kernel_split(5, 3, 3)
-    assert width == 2 and n_high > step and n_high % step != 0
     assert _full_agrees(dec, 4, 2, 7) == (5**9, 5**7)
 
 
 def test_full_oracle_at_window_length_4():
-    # 2^21 points in 32 blocks; windows 3 and 4 each narrow the block's
-    # boolean array that window 2 left
+    # 2^21 points; windows 3 and 4 stack two and three window maps
     dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
-    _, _, step, n_high = _kernel_split(2, 3, 7)
-    assert n_high // step == 32
     assert _full_agrees(dec, 4, 4, 11) == (2**21, 2**19, 2**17, 2**15)
 
 
 def test_full_oracle_on_gl2():
     # gl2 has four rows and four digits; diag(1, 3) has |nu| = 1
     dec = _conjugate_flow("gl", 3, [1, 3])
-    width, _, step, n_high = _kernel_split(3, 4, 3)
-    assert (width, n_high // step) == (3, 9)
     assert _full_agrees(dec, 3, 3, 6) == (3**12, 3**11, 3**10)
 
 
 def test_full_oracle_on_sl_drops_the_trace_row():
     # the x_dd row repeats the other diagonal rows' test on sl; no row of
-    # this conjugate's maps vanishes, so the kernel tests all three
+    # this conjugate's maps vanishes
     dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
-    maps = dynamics._window_maps(dec, 4, 3, 9, 2**5)
-    assert [table.shape for _, table in maps] == [(3, 3), (3, 3)]
-    assert all(table.any(axis=1).all() for _, table in maps)
     assert _full_agrees(dec, 4, 3, 9) == (2**15, 2**13, 2**11)
 
 
-def test_full_oracle_on_gl3_splits_digits_unevenly():
-    # gl3 has nine digits in base 4: eight low and one high.  Of the map's
-    # nine rows two survive the drop of vanishing rows, and both read the
-    # high digit, so the high table of 4 entries decides with the low one
-    ctx = PadicContext(2)
+def _conjugate_flow3(family, p, diag):
+    """u diag u^-1 with u = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]."""
+    ctx = PadicContext(p)
     u = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
     u_inv = [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
-    ud = [[Fraction(x * y) for x, y in zip(row, (1, 1, 2))] for row in u]
+    ud = [[Fraction(x) * y for x, y in zip(row, diag)] for row in u]
     a = [[sum(ud[i][t] * u_inv[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
-    dec = decompose(PadicMatrix.from_rationals(ctx, a), GroupSpec.gl(ctx, 3))
-    assert _kernel_split(2, 9, 2)[::3] == (8, 4)
-    maps = dynamics._window_maps(dec, 3, 2, 5, 4)
-    assert [table.shape for _, table in maps] == [(9, 9)]
-    kept = maps[0][1][maps[0][1].any(axis=1)]
-    assert kept.shape == (2, 9) and kept[:, 8].all()
+    return decompose(PadicMatrix.from_rationals(ctx, a), getattr(GroupSpec, family)(ctx, 3))
+
+
+def test_full_oracle_on_gl3_splits_digits_unevenly():
+    # gl3 has nine digits in base 4; of the map's nine rows two survive the
+    # drop of vanishing rows
+    dec = _conjugate_flow3("gl", 2, [1, 1, 2])
     assert _full_agrees(dec, 3, 2, 5) == (2**18, 2**16)
+
+
+@pytest.mark.parametrize("family,p,n,level", [
+    ("sl", 2, 2, 8), ("sl", 3, 3, 9), ("gl", 2, 3, 9), ("gl", 3, 2, 7)])
+def test_full_oracle_counts_windows_past_any_enumeration(family, p, n, level):
+    # 2^32 to 3^45 points, beyond the reference enumerator's budget: the
+    # window lattices' indices still give FACTORED's counts and the closed form
+    dec = _conjugate_flow3(family, p, [Fraction(1, p), 1, p])
+    k = 4
+    full = bowen_count_oracle(dec, k, n, level, "FULL")
+    assert full.counts[0] == p ** (len(dec.group.lie_basis) * (level - k)) > ORACLE_POINT_BUDGET
+    assert dec.lattice_defect == 0
+    assert full.counts == bowen_count_oracle(dec, k, n, level, "FACTORED").counts
+    assert full.ratios == tuple(bowen_volume_ratio(dec, m) for m in range(1, n + 1))
+
+
+def test_full_oracle_brackets_the_closed_form_at_a_positive_defect():
+    # the entry lattice is not adapted to this flow's eigenbasis (defect 3):
+    # the counts are the reference's, their ratio below the closed form
+    ctx = PadicContext(2)
+    a = [[Fraction(1, 2), Fraction(1, 4)], [0, 1]]
+    dec = decompose(PadicMatrix.from_rationals(ctx, a), GroupSpec.gl(ctx, 2))
+    assert dec.lattice_defect == 3
+    full = bowen_count_oracle(dec, 3, 2, 6, "FULL")
+    assert full == reference_count_full(dec, 3, 2, 6)
+    closed = [bowen_volume_ratio(dec, m) for m in (1, 2)]
+    assert all(c / 8 <= r <= c for r, c in zip(full.ratios, closed))
+    assert list(full.ratios) != closed
+    # off the eigenbasis the time-2 map alone would leave 2^20 points of
+    # window 3: the time-1 map cuts too.  reference_count_full gives the
+    # same counts, enumerating 2^24 points in seconds
+    assert bowen_count_oracle(dec, 3, 3, 9, "FULL").counts == (2**24, 2**21, 2**19)
 
 
 def test_full_oracle_counts_every_point_when_no_row_constrains():
@@ -692,35 +700,13 @@ def test_full_oracle_counts_every_point_when_no_row_constrains():
 
 
 def test_full_oracle_working_set_is_bounded_by_the_block():
-    # 2^21 points: the kernel holds a low table of _BLOCK/4 entries per row,
-    # a high table of 128 and one block's boolean array, never the lattice
+    # 2^21 points on the diagonal flow, whose window maps keep one row
     _, dec = sl_flow(2, [Fraction(1, 2), 2])
-    entries = 4
-    cap = 2 * _BLOCK * entries * 8
-    assert 2**21 * entries * 8 > cap  # an unchunked outer sum cannot fit
-    tracemalloc.start()
-    try:
-        full = bowen_count_oracle(dec, 4, 2, 11, "FULL")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert full.counts == (2**21, 2**19)
-    assert peak < cap
+    assert _full_agrees(dec, 4, 2, 11) == (2**21, 2**19)
 
 
 def test_full_oracle_working_set_holds_one_low_table_per_window():
-    # 2^21 points at n = 3: two low and two high tables and one block's
-    # boolean array, on a flow none of whose window-map rows vanish (three
-    # rows on sl2)
+    # 2^21 points at n = 3, on a flow none of whose window-map rows vanish
+    # (three rows on sl2)
     dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
-    entries = 4
-    cap = 3 * _BLOCK * entries * 8
-    assert 2**21 * entries * 8 > cap  # an unchunked outer sum cannot fit
-    tracemalloc.start()
-    try:
-        full = bowen_count_oracle(dec, 4, 3, 11, "FULL")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert full.counts == (2**21, 2**19, 2**17)
-    assert peak < cap
+    assert _full_agrees(dec, 4, 3, 11) == (2**21, 2**19, 2**17)

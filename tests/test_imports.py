@@ -1,10 +1,10 @@
 """Which calls load numpy: the import graph, checked in fresh interpreters.
 
-The package and its CLI import no numpy.  Only FULL Bowen counting and the
-Markov lab (entropylab: the gap, pinsker and telescope subcommands) load
-it, on first use.  The pytest process holds numpy already, so every check
-runs in a new interpreter, under ``-X importtime``, which lists each module
-the interpreter imports on stderr.
+The package and its CLI import no numpy.  Only the Markov lab (entropylab:
+the gap, pinsker and telescope subcommands) loads it, on first use.  The
+pytest process holds numpy already, so every check runs in a new
+interpreter, under ``-X importtime``, which lists each module the
+interpreter imports on stderr.
 """
 
 import os
@@ -52,12 +52,12 @@ def test_importing_the_package_loads_no_numpy(module):
     ("oh_cartan.json", False),
     ("analyze_sl2.json", False),
     ("oracle_factored_sl3.json", False),
-    ("oracle_full_sl2.json", True),
+    ("oracle_full_sl2.json", False),
     ("gap_uniform.json", True),
     ("pinsker.json", True),
     ("telescope.json", True),
 ])
-def test_numpy_loads_only_for_full_counting_and_the_markov_lab(golden, numpy):
+def test_numpy_loads_only_for_the_markov_lab(golden, numpy):
     proc = run_python("-m", "padlab", *GOLDEN_ARGV[golden])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN_DIR / golden).read_text()
