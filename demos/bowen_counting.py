@@ -35,8 +35,10 @@ for n in (1, 2, 3):
     print(f"window n={n}: levels {ball.levels}  volume ratio {bowen_volume_ratio(dec, n)}")
 
 # FULL counts K_4/K_7's window points by the index of their lattice, from
-# window maps built from a alone (conjugating the basis, never the
-# eigendata); FACTORED multiplies per-line digit counts instead
+# integer window maps built from a alone (a and a^-1 cleared of their
+# denominators conjugate the basis, never the eigendata), and refuses only a
+# level at which some window's count is undefined; FACTORED multiplies
+# per-line digit counts instead
 full = bowen_count_oracle(dec, 4, 2, 7, "FULL")
 factored = bowen_count_oracle(dec, 4, 3, 9, "FACTORED")
 print("FULL lattice counts (level 7):", full.counts, "ratios", full.ratios)

@@ -25,11 +25,12 @@ The Bowen counting oracle deliberately has two routes.  FACTORED reads counts
 off the eigenvalue valuations.  FULL reads only a, never the eigendata, so
 agreement of the two is a meaningful check.  Window m's condition, a^l X a^-l
 in K_k for 0 <= l < m, is Z_p-linear in X, so its count is p^(dim_g (level -
-k)) over the index of one lattice.  FULL stacks the integer maps of X to
-a^l X a^-l, l = 1..m-1, at one modulus and reads the index off the pivot
-valuations of `eliminate`, which global minimal pivoting makes the
-elementary divisors over Z_(p) (Cohen, A Course in Computational Algebraic
-Number Theory, 2.4).
+k)) over the index of one lattice.  FULL clears the denominators of a and
+a^-1, stacks the integer maps of X to a^l X a^-l, l = 1..m-1, scaled to one
+power of p, and reads the index off the pivot valuations of `eliminate`,
+which global minimal pivoting makes the elementary divisors over Z_(p)
+(Cohen, A Course in Computational Algebraic Number Theory, 2.4).  It refuses
+a level only when the window is no union of cosets of K_level.
 """
 
 from __future__ import annotations
@@ -245,16 +246,6 @@ def bowen_volume_ratio(dec: HorosphericalDecomposition, n: int) -> Fraction:
     return Fraction(1, dec.ctx.p ** ((n - 1) * dec.nu_total))
 
 
-def _integerize(mat: list[list[Fraction]], p: int) -> tuple[list[list[Fraction]], int]:
-    """Write mat = p^-s * M with M p-integral, minimizing s over p-powers.
-
-    Only the p-part of each denominator sets s: the prime-to-p part stays in
-    M and is inverted modulo the conjugation modulus (see `_lift_mod`).
-    """
-    s = max(_vp(x.denominator, p) for row in mat for x in row)
-    return [[x * p**s for x in row] for row in mat], s
-
-
 def bowen_count_oracle(
     dec: HorosphericalDecomposition, k: int, n: int, level: int, mode: str
 ) -> "BowenCounts":
@@ -273,9 +264,9 @@ def bowen_count_oracle(
     FULL takes window m's index from the elementary divisors of its stacked
     window maps (see `_count_full`), built from a alone, without the
     eigendata.  It assumes the algebra's standard basis splits the entry
-    lattice (true for the sl and gl families), and, for n >= 2, refuses a
-    level below k + (n-1) shift, where p^shift clears the p-power
-    denominators of a and a^-1.
+    lattice (true for the sl and gl families), and refuses a level at which
+    some window is no union of cosets of K_level, so that its count modulo
+    p^level is undefined (never at lattice_defect 0).
     """
     counter = _count_factored if check_oracle_args(dec, k, n, level, mode) == "FACTORED" else _count_full
     return counter(dec, k, n, level)
@@ -326,73 +317,52 @@ def _count_factored(dec, k, n, level) -> BowenCounts:
     return BowenCounts("FACTORED", level, counts)
 
 
-def _lift_mod(fr: Fraction, modulus: int) -> int:
-    """The p-integral rational fr modulo a power of p."""
-    return fr.numerator * pow(fr.denominator, -1, modulus) % modulus
-
-
 def _mul_mod(x, y, mod: int) -> list[list[int]]:
     """x y mod `mod`, on lists of Python integers."""
     cols = list(zip(*y))
     return [[sum(map(operator.mul, r, c)) % mod for c in cols] for r in x]
 
 
-def _window_maps(dec, k, n, level) -> list[tuple[int, list[list[int]]]]:
-    """(c_m, W_m) for the windows m = 2..n, exact on Python integers.
-
-    With a = p^-s_a a_num and a^-1 = p^-s_inv inv_num, shift = s_a + s_inv,
-    column j of the table W_m is a_num^(m-1) (p^k basis_j) inv_num^(m-1),
-    flattened and reduced mod p^c_m, c_m = k + (m-1) shift.  The point
-    X = sum_j x_j p^k basis_j satisfies W_m x = 0 mod p^c_m exactly when
-    a^(m-1) X a^-(m-1) lies in K_k.  Rows that vanish mod p^c_m, which every point passes, are
-    dropped.  On sl so is the x_dd row: a column's integer trace is
-    p^((m-1) shift) tr(basis_j) = 0, so x_dd vanishes with the other
-    diagonal entries.
-    """
-    p, spec = dec.ctx.p, dec.group
-    a_frac = [[x.as_rational() for x in row] for row in dec.a.rows]
-    a_num, s_a = _integerize(a_frac, p)
-    inv_frac, _ = _invert(a_frac, Fraction(0), Fraction(1), fraction_val(p))
-    if inv_frac is None:
-        raise DomainError("matrix is singular over the rationals")
-    inv_num, s_inv = _integerize(inv_frac, p)
-    shift = s_a + s_inv
-    mod_exp = k + (n - 1) * shift
-    if mod_exp > level:
-        raise LevelTooSmall(
-            f"window conjugation needs p^{mod_exp} resolution, lattice has p^{level}"
-        )
-    modulus = p**mod_exp
-    a_int = [[_lift_mod(x, modulus) for x in row] for row in a_num]
-    inv_int = [[_lift_mod(x, modulus) for x in row] for row in inv_num]
-    images = [
-        [[_lift_mod(x.as_rational() * p**k, modulus) for x in row] for row in b.rows]
-        for b in spec.lie_basis
-    ]
-    maps, rows = [], dec.a.dim**2 - (spec.family == "sl")
-    for m in range(2, n + 1):
-        images = [_mul_mod(_mul_mod(a_int, z, modulus), inv_int, modulus) for z in images]
-        c_m = k + (m - 1) * shift
-        cols = [[x % p**c_m for row in z for x in row][:rows] for z in images]
-        maps.append((c_m, [list(row) for row in zip(*cols) if any(row)]))
-    return maps
+def _clear(mat: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(D, D mat), D the least common denominator of mat's entries."""
+    den = math.lcm(*(x.denominator for row in mat for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in mat]
 
 
 def _count_full(dec, k, n, level) -> BowenCounts:
-    """Window m's count p^(dim_g (level - k) - sum_i max(0, c_m - v_i)), the
-    v_i the pivot valuations of W_2..W_m stacked, each scaled to p^c_m.
+    """Window m's count p^(dim_g (level - k) - sum_i max(0, c_m - v_i)).
 
-    Every entry is a multiple of p^k and c_m <= level, so no term passes
-    level - k; a rank short of dim_g leaves digits free."""
+    With a = A/D, a^-1 = B/E for integer A, B and shift = v_p(D E), a^l X
+    a^-l lies in K_k exactly when A^l (X/p^k) B^l vanishes mod p^(l shift).
+    The rows of these maps on the lie_basis coordinates, l = 1..m-1, each
+    scaled to p^c_m with c_m = (m-1) shift, have the elementary divisors v_i
+    over Z_(p) as pivot valuations; reducing them mod p^((n-1) shift) changes
+    no term.  A term past level - k leaves the count mod p^level undefined.
+    """
     p, val = dec.ctx.p, fraction_val(dec.ctx.p)
-    e = len(dec.group.lie_basis) * (level - k)
-    exps = [e]  # window 1 is the whole level-k lattice
-    maps = _window_maps(dec, k, n, level) if n > 1 else []
-    for m, (c_m, _) in enumerate(maps, 1):
-        rows = [[Fraction(x * p ** (c_m - c)) for x in row]
-                for c, table in maps[:m] for row in table]
-        pivots = eliminate(rows, Fraction(0), val=val)
-        exps.append(e - sum(max(0, c_m - val(rows[i][j])) for i, j in pivots))
+    exps = [len(dec.group.lie_basis) * (level - k)]  # window 1 is all of K_k
+    if n == 1:
+        return BowenCounts("FULL", level, (p ** exps[0],))
+    a_frac = [[x.as_rational() for x in row] for row in dec.a.rows]
+    inv_frac, _ = _invert(a_frac, Fraction(0), Fraction(1), val)
+    if inv_frac is None:
+        raise DomainError("matrix is singular over the rationals")
+    (den_a, a_int), (den_inv, inv_int) = _clear(a_frac), _clear(inv_frac)
+    shift = _vp(den_a * den_inv, p)
+    mod = p ** ((n - 1) * shift)
+    images = [[[int(x.as_rational()) for x in row] for row in b.rows] for b in dec.group.lie_basis]
+    blocks = []
+    for m in range(2, n + 1):
+        images = [_mul_mod(_mul_mod(a_int, z, mod), inv_int, mod) for z in images]
+        blocks.append(list(zip(*(sum(z, []) for z in images))))
+        c_m = (m - 1) * shift
+        stack = [[Fraction(x % p ** (l * shift) * p ** (c_m - l * shift)) for x in row]
+                 for l, block in enumerate(blocks, 1) for row in block]
+        stack = [row for row in stack if any(row)]  # rows every point passes
+        terms = [max(0, c_m - val(stack[i][j])) for i, j in eliminate(stack, Fraction(0), val=val)]
+        if max(terms, default=0) > level - k:
+            raise LevelTooSmall(f"window {m} needs p^{k + max(terms)} resolution, lattice has p^{level}")
+        exps.append(exps[0] - sum(terms))
     return BowenCounts("FULL", level, tuple(p**x for x in exps))
 
 

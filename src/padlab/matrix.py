@@ -68,7 +68,10 @@ def eliminate(rows, zero, width=None, val=_scalar_val) -> list[tuple[int, int]]:
     outright.  Pivot rows are not normalized, and a pivot entry keeps its
     value through later steps.  So the rows become T @ rows with det T = 1,
     and the pivots multiply to the determinant of the pivoted minor, up to
-    the sign of the pivot permutation.
+    the sign of the pivot permutation.  T need not be p-integral, as a step
+    clears its column in earlier pivot rows too: the output keeps the pivot
+    valuations (the elementary divisors) but not the rows' Z_(p)-module, so
+    FULL re-eliminates its whole stack for every window.
 
     Args:
         rows: list of mutable entry lists of one ring (PadicScalar or Fraction).
@@ -197,9 +200,6 @@ class PadicMatrix:
 
     def scale(self, c: PadicScalar) -> "PadicMatrix":
         return PadicMatrix(self.ctx, [[c * a for a in r] for r in self.rows])
-
-    def trace(self) -> PadicScalar:
-        return sum((self.rows[i][i] for i in range(self.dim)), self.ctx.zero())
 
     def flat(self) -> list[PadicScalar]:
         """Row-major entry list (the coordinate vector in the E_ij basis)."""

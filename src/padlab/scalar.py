@@ -203,20 +203,6 @@ class PadicScalar:
         p, v = self.ctx.p, self.v
         return Fraction(self.unit * p**v) if v >= 0 else Fraction(self.unit, p**-v)
 
-    def lift_at(self, abs_prec: int) -> int:
-        """Integer representative of x modulo p^abs_prec (requires v >= 0 side
-        handled by the caller: the lift is of p^v*unit, so v must be >= 0
-        whenever abs_prec > 0)."""
-        if self.abs_precision() < abs_prec:
-            raise PrecisionExhausted(
-                f"need {abs_prec} absolute digits, have {self.abs_precision()}"
-            )
-        if self.v is None:
-            return 0
-        if self.v < 0:
-            raise ValueError("lift of a non-integral scalar")
-        return self.unit * self.ctx.p**self.v % self.ctx.p**abs_prec
-
     def _cap(self, c) -> "PadicScalar":
         """x + O(p^c): x known modulo p^c at most."""
         if self.abs_precision() <= c:

@@ -280,8 +280,8 @@ def test_full_oracle_accepts_negative_entries():
     assert code == 0 and json.loads(factored)["counts"] == doc["counts"]
 
 
-def test_full_oracle_guards_only_conjugated_windows():
-    # n = 1 conjugates nothing, so no modulus bound applies
+def test_full_oracle_counts_at_window_length_1_and_at_deep_levels():
+    # n = 1 conjugates nothing: one digit past k is enough
     base = ["oracle", "--p", "5", "--element", '[["1/25","0"],["0","25"]]', "--dim", "2"]
     code, out, err = run_cli(base + ["--k", "9", "--n", "1", "--level", "10", "--mode", "FULL"])
     assert (code, err) == (0, "")
@@ -301,6 +301,21 @@ def test_full_oracle_guards_only_conjugated_windows():
     code, factored, _ = run_cli(argv + ["--mode", "FACTORED"])
     assert code == 0
     assert json.loads(full)["counts"] == json.loads(factored)["counts"] == ["512", "128"]
+
+
+def test_full_oracle_counts_a_window_defined_at_a_level_below_its_denominators():
+    # a and a^-1 have denominators 5^2 and 5^3, yet window 3's lattice holds
+    # 5^2 Z^4: its count is defined modulo 5^5 already, and FULL gives FACTORED's
+    argv = ["oracle", "--p", "5", "--group", "gl", "--dim", "2",
+            "--element", '[["1/25","-8/25"],["0","1/5"]]', "--k", "3", "--n", "3",
+            "--level", "6", "--mode"]
+    code, out, err = run_cli(argv + ["FULL"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["verdict"] == "AGREE"
+    assert doc["counts"] == ["244140625", "48828125", "9765625"]
+    code, factored, _ = run_cli(argv + ["FACTORED"])
+    assert code == 0 and json.loads(factored)["counts"] == doc["counts"]
 
 
 def test_full_oracle_brackets_the_closed_form_by_the_lattice_defect():

@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 from padlab import GroupSpec, PadicContext, PadicMatrix, PadlabError, decompose, dynamics, exp
 from padlab.dynamics import (
     BowenCounts,
-    _integerize,
-    _lift_mod,
     atom_representatives,
     bowen_ball,
     bowen_count_oracle,
@@ -36,13 +34,14 @@ from padlab.errors import (
     PrecisionExhausted,
 )
 from padlab.liegroup import ball_membership
-from padlab.matrix import _invert, fraction_val
+from padlab.matrix import _invert, _vp, fraction_val
 
 from conjugate_sweep import (
     NON_SPLIT_FLOWS,
     NON_SPLIT_SEED,
     draw_flow,
     draw_non_split_flow,
+    oracle_sweep,
     summary,
     sweep,
 )
@@ -402,6 +401,13 @@ def test_conjugate_sweep_slice():
     assert s["factor"]["FAIL"] == s["factor"]["UNDECIDED"] == 0
 
 
+def test_oracle_sweep_slice():
+    # the oracle windows of the same 60 flows, n = 1, 2, 3: FULL counts every
+    # one, each in the closed form's bracket and equal to FACTORED's counts
+    outcomes, _ = oracle_sweep(7, 60)
+    assert outcomes == Counter({(True, True): 174})
+
+
 def test_non_split_sweep():
     # the non-split GL4 family of the conjugate sweep, whose characteristic
     # polynomials do not split over Q_p: every decomposition has the right
@@ -457,6 +463,21 @@ def test_eigen_shift_equals_subtracting_a_scaled_identity(monkeypatch):
 
 # the most points reference_count_full enumerates
 ORACLE_POINT_BUDGET = 1 << 25
+
+
+def _integerize(mat: list[list[Fraction]], p: int) -> tuple[list[list[Fraction]], int]:
+    """Write mat = p^-s * M with M p-integral, minimizing s over p-powers.
+
+    Only the p-part of each denominator sets s: the prime-to-p part stays in
+    M and is inverted modulo the conjugation modulus (see `_lift_mod`).
+    """
+    s = max(_vp(x.denominator, p) for row in mat for x in row)
+    return [[x * p**s for x in row] for row in mat], s
+
+
+def _lift_mod(fr: Fraction, modulus: int) -> int:
+    """The p-integral rational fr modulo a power of p."""
+    return fr.numerator * pow(fr.denominator, -1, modulus) % modulus
 
 
 def reference_count_full(dec, k, n, level) -> BowenCounts:
@@ -635,8 +656,8 @@ def test_full_oracle_on_gl2():
 
 
 def test_full_oracle_on_sl_drops_the_trace_row():
-    # the x_dd row repeats the other diagonal rows' test on sl; no row of
-    # this conjugate's maps vanishes
+    # the x_dd row is minus the sum of the other diagonal rows on sl, so it
+    # changes no elementary divisor; no row of this conjugate's maps vanishes
     dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
     assert _full_agrees(dec, 4, 3, 9) == (2**15, 2**13, 2**11)
 
@@ -688,6 +709,27 @@ def test_full_oracle_brackets_the_closed_form_at_a_positive_defect():
     # window 3: the time-1 map cuts too.  reference_count_full gives the
     # same counts, enumerating 2^24 points in seconds
     assert bowen_count_oracle(dec, 3, 3, 9, "FULL").counts == (2**24, 2**21, 2**19)
+
+
+def test_full_oracle_refuses_exactly_below_the_resolution_of_a_window():
+    # a = [[1/2, 2^-10], [0, 1]], a^-1 = [[2, -2^-9], [0, 1]]: with x = X/2^3,
+    # window 2 asks z = 0 mod 2^9 and x - w + z/2^9 - 2^9 y = 0 mod 2^10, a
+    # lattice of index 2^19 that holds 2^19 Z^4 and not 2^18 Z^4.  So the
+    # count is defined from level 3 + 19 on, far past the deepest line's 4
+    ctx = PadicContext(2)
+    a = [[Fraction(1, 2), Fraction(1, 1024)], [0, 1]]
+    dec = decompose(PadicMatrix.from_rationals(ctx, a), GroupSpec.gl(ctx, 2))
+    assert dec.lattice_defect == 27
+    with pytest.raises(LevelTooSmall, match=r"p\^22 resolution"):
+        bowen_count_oracle(dec, 3, 2, 21, "FULL")
+    full = bowen_count_oracle(dec, 3, 2, 22, "FULL")
+    assert full.counts == (2**76, 2**57)
+    # 2^76 points are past the reference enumerator, which refuses both levels
+    for level in (21, 22):
+        with pytest.raises(BudgetExceeded):
+            reference_count_full(dec, 3, 2, level)
+    closed = [bowen_volume_ratio(dec, m) for m in (1, 2)]
+    assert all(c / 2**27 <= r <= c for r, c in zip(full.ratios, closed))
 
 
 def test_full_oracle_counts_every_point_when_no_row_constrains():

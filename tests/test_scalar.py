@@ -283,20 +283,6 @@ def test_congruent_mod():
         weak.congruent_mod(strong, 5)
 
 
-def test_lift_at():
-    ctx = PadicContext(3)
-    x = ctx.from_rational(7, 2)
-    # 7/2 = 7 * inverse(2) mod 3^k for every k up to the precision
-    for k in (1, 4, 12):
-        lifted = x.lift_at(k)
-        assert (2 * lifted - 7) % 3**k == 0
-    assert ctx.zero().lift_at(12) == 0
-    with pytest.raises(PrecisionExhausted):
-        PadicScalar(ctx, 0, 1, 3).lift_at(6)
-    with pytest.raises(ValueError):
-        ctx.from_rational(1, 3).lift_at(2)
-
-
 def test_eq_and_hash_follow_representation():
     ctx = PadicContext(7)
     a = ctx.from_rational(3, 4)
