@@ -11,7 +11,8 @@ Every failure mode maps to its own exit code (EXIT_CODES); cross-check
 commands (oracle, factor) exit with EXIT_DISAGREE when the two computations
 they compare do not agree.
 
-One table, COMMANDS, gives each subcommand's handler, summary and flags.
+One table, COMMANDS, gives each subcommand's handler, summary and flags,
+the flags as (name, add_argument options) pairs after the common ones.
 main builds only the named subcommand's parser; any other first word gets
 the full parser, whose usage and errors list every subcommand.
 """
@@ -395,112 +396,78 @@ def _cmd_bound(args) -> tuple[dict, int]:
     }, 0
 
 
-# ---- parser wiring -------------------------------------------------------
+# ---- flag table ----------------------------------------------------------
+# a flag is (name, add_argument options); groups shared by several rows are named once
 
+_COMMON_FLAGS = (
+    ("--p", dict(type=_int_flag("prime", _is_prime), default=3, help="residue prime (default 3)")),
+    ("--precision", dict(type=_int_flag("positive integer", lambda n: n >= 1),
+                         default=DEFAULT_PRECISION, help="working precision N")),
+    ("--format", dict(choices=("json", "text"), default="json")),
+)
+_MATRIX = ("--element", dict(required=True, help="matrix: JSON literal or file path"))
+_GROUP_FLAGS = (("--group", dict(choices=("sl", "gl"), default="sl")),
+                ("--dim", dict(type=int, required=True)))
+_FLOW_FLAGS = (("--element", dict(required=True, help="hyperbolic element a")), *_GROUP_FLAGS)
+_ATOMS_FLAGS = (*_FLOW_FLAGS, ("--k", dict(type=int, required=True)))
+_BOWEN_FLAGS = (*_ATOMS_FLAGS, ("--n", dict(type=int, required=True)))
+_BUNDLE_FLAGS = (
+    ("--c", dict(type=_finite_real, required=True, help="mixing constant c")),
+    ("--alpha", dict(type=_finite_real, required=True)),
+    ("--delta", dict(type=_finite_real, required=True)),
+    ("--d", dict(type=int, required=True, help="group dimension")),
+    ("--base", dict(type=_finite_real, required=True, help="m_G of the level-2 ball")),
+    ("--a-norm", dict(type=_finite_real, required=True)),
+    ("--nu-total", dict(type=int, default=0)),
+    ("--entropy-nats", dict(type=_finite_real, default=None)),
+    ("--lf-shift", dict(action="store_true",
+                        help="replace l_f by l_f + |nu| (bound); reported as lf_shift_applied")),
+)
 
-def _add_matrix_group_flags(
-    sp, with_a: bool = False, element_help: str = "matrix: JSON literal or file path"
-):
-    sp.add_argument("--element", required=True, help=element_help)
-    if with_a:
-        sp.add_argument("--a", required=True, help="hyperbolic element a")
-    sp.add_argument("--group", choices=("sl", "gl"), default="sl")
-    sp.add_argument("--dim", type=int, required=True)
-
-
-def _add_bundle_flags(sp):
-    sp.add_argument("--c", type=_finite_real, required=True, help="mixing constant c")
-    sp.add_argument("--alpha", type=_finite_real, required=True)
-    sp.add_argument("--delta", type=_finite_real, required=True)
-    sp.add_argument("--d", type=int, required=True, help="group dimension")
-    sp.add_argument("--base", type=_finite_real, required=True, help="m_G of the level-2 ball")
-    sp.add_argument("--a-norm", type=_finite_real, required=True)
-    sp.add_argument("--nu-total", type=int, default=0)
-    sp.add_argument("--entropy-nats", type=_finite_real, default=None)
-    sp.add_argument("--lf-shift", action="store_true",
-                    help="replace l_f by l_f + |nu| (bound); reported as lf_shift_applied")
-
-
-def _add_element_flag(sp):
-    sp.add_argument("--element", required=True)
-
-
-def _add_bch_flags(sp):
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--mode", choices=("direct", "dynkin"), default="direct")
-
-
-def _add_factor_flags(sp):
-    _add_matrix_group_flags(sp, with_a=True)
-    sp.add_argument("--k", type=int, default=2, help="ball level of g")
-
-
-def _add_atoms_flags(sp):
-    _add_matrix_group_flags(sp, element_help="hyperbolic element a")
-    sp.add_argument("--k", type=int, required=True)
-
-
-def _add_bowen_flags(sp):
-    _add_atoms_flags(sp)
-    sp.add_argument("--n", type=int, required=True)
-
-
-def _add_oracle_flags(sp):
-    _add_bowen_flags(sp)
-    sp.add_argument("--level", type=int, required=True, help="truncation level")
-    sp.add_argument("--mode", choices=("FULL", "FACTORED"), default="FULL")
-
-
-def _add_gap_flags(sp):
-    sp.add_argument("--markov", required=True, help="markov document: literal or path")
-    sp.add_argument("--nu", type=_int_flag("nonnegative integer", lambda n: n >= 0),
-                    required=True, help="|nu| with s = p^|nu|")
-
-
-def _add_pinsker_flags(sp):
-    sp.add_argument("--ref", required=True, help="reference vector: literal or path")
-    sp.add_argument("--obs", required=True, help="observed vector: literal or path")
-
-
-def _add_telescope_flags(sp):
-    sp.add_argument("--markov", required=True)
-    sp.add_argument("--f", default=None, help="cylinder function document")
-
-
-def _add_oh_flags(sp):
-    sp.add_argument("--cartan", default=None, help="descending k-list, JSON literal")
-    sp.add_argument("--element", default=None, help="matrix to take Cartan data from")
-    sp.add_argument("--dimkv", type=int, default=1)
-    sp.add_argument("--dimkw", type=int, default=1)
-
-
-def _add_bound_flags(sp):
-    _add_bundle_flags(sp)
-    sp.add_argument("--lf", type=int, required=True, help="smoothness level of f")
-    sp.add_argument("--f-norm", type=_finite_real, required=True)
-    sp.add_argument("--gap", type=_finite_real, default=None)
-    sp.add_argument("--gap-file", default=None)
-
-
-# name -> (handler, help summary, adder of the subcommand's own flags), in help order
+# name -> (handler, help summary, the subcommand's own flags), in help order
 COMMANDS = {
-    "analyze": (_cmd_analyze, "adjoint eigenspace report", _add_matrix_group_flags),
-    "exp": (_cmd_exp, "matrix exponential", _add_element_flag),
-    "log": (_cmd_log, "matrix logarithm", _add_element_flag),
-    "bch": (_cmd_bch, "Baker-Campbell-Hausdorff", _add_bch_flags),
-    "factor": (_cmd_factor, "horospherical factorization", _add_factor_flags),
-    "bowen": (_cmd_bowen, "Bowen ball levels and volume", _add_bowen_flags),
-    "oracle": (_cmd_oracle, "Bowen ball lattice count", _add_oracle_flags),
-    "atoms": (_cmd_atoms, "partition atom representatives", _add_atoms_flags),
-    "gap": (_cmd_gap, "entropy gap identity", _add_gap_flags),
-    "pinsker": (_cmd_pinsker, "Pinsker inequality check", _add_pinsker_flags),
-    "telescope": (_cmd_telescope, "telescoping bound report", _add_telescope_flags),
-    "xi": (_cmd_xi, "Harish-Chandra function value",
-           lambda sp: sp.add_argument("--k", type=int, required=True)),
-    "oh": (_cmd_oh, "matrix-coefficient decay bound", _add_oh_flags),
-    "kappa": (_cmd_kappa, "the headline constant", _add_bundle_flags),
-    "bound": (_cmd_bound, "entropy-gap rigidity bound", _add_bound_flags),
+    "analyze": (_cmd_analyze, "adjoint eigenspace report", (_MATRIX, *_GROUP_FLAGS)),
+    "exp": (_cmd_exp, "matrix exponential", (("--element", dict(required=True)),)),
+    "log": (_cmd_log, "matrix logarithm", (("--element", dict(required=True)),)),
+    "bch": (_cmd_bch, "Baker-Campbell-Hausdorff", (
+        ("--x", dict(required=True)), ("--y", dict(required=True)),
+        ("--mode", dict(choices=("direct", "dynkin"), default="direct")),
+    )),
+    "factor": (_cmd_factor, "horospherical factorization", (
+        _MATRIX, ("--a", dict(required=True, help="hyperbolic element a")), *_GROUP_FLAGS,
+        ("--k", dict(type=int, default=2, help="ball level of g")),
+    )),
+    "bowen": (_cmd_bowen, "Bowen ball levels and volume", _BOWEN_FLAGS),
+    "oracle": (_cmd_oracle, "Bowen ball lattice count", (
+        *_BOWEN_FLAGS, ("--level", dict(type=int, required=True, help="truncation level")),
+        ("--mode", dict(choices=("FULL", "FACTORED"), default="FULL")),
+    )),
+    "atoms": (_cmd_atoms, "partition atom representatives", _ATOMS_FLAGS),
+    "gap": (_cmd_gap, "entropy gap identity", (
+        ("--markov", dict(required=True, help="markov document: literal or path")),
+        ("--nu", dict(type=_int_flag("nonnegative integer", lambda n: n >= 0),
+                      required=True, help="|nu| with s = p^|nu|")),
+    )),
+    "pinsker": (_cmd_pinsker, "Pinsker inequality check", (
+        ("--ref", dict(required=True, help="reference vector: literal or path")),
+        ("--obs", dict(required=True, help="observed vector: literal or path")),
+    )),
+    "telescope": (_cmd_telescope, "telescoping bound report", (
+        ("--markov", dict(required=True)),
+        ("--f", dict(default=None, help="cylinder function document")),
+    )),
+    "xi": (_cmd_xi, "Harish-Chandra function value", (("--k", dict(type=int, required=True)),)),
+    "oh": (_cmd_oh, "matrix-coefficient decay bound", (
+        ("--cartan", dict(default=None, help="descending k-list, JSON literal")),
+        ("--element", dict(default=None, help="matrix to take Cartan data from")),
+        ("--dimkv", dict(type=int, default=1)), ("--dimkw", dict(type=int, default=1)),
+    )),
+    "kappa": (_cmd_kappa, "the headline constant", _BUNDLE_FLAGS),
+    "bound": (_cmd_bound, "entropy-gap rigidity bound", (
+        *_BUNDLE_FLAGS, ("--lf", dict(type=int, required=True, help="smoothness level of f")),
+        ("--f-norm", dict(type=_finite_real, required=True)),
+        ("--gap", dict(type=_finite_real, default=None)), ("--gap-file", dict(default=None)),
+    )),
 }
 
 
@@ -510,16 +477,12 @@ def build_parser(only: str | None = None) -> _Parser:
     parser = _Parser(prog="padlab", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name in (only,) if only else COMMANDS:
-        _, summary, add_flags = COMMANDS[name]
+        _, summary, flags = COMMANDS[name]
         sp = sub.add_parser(name, help=summary)
         # the common flags belong to the subcommands alone: placed before the
         # subcommand they are not recognized, so the call exits 1
-        sp.add_argument("--p", type=_int_flag("prime", _is_prime), default=3,
-                        help="residue prime (default 3)")
-        sp.add_argument("--precision", type=_int_flag("positive integer", lambda n: n >= 1),
-                        default=DEFAULT_PRECISION, help="working precision N")
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-        add_flags(sp)
+        for flag, options in (*_COMMON_FLAGS, *flags):
+            sp.add_argument(flag, **options)
     return parser
 
 

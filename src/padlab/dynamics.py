@@ -172,8 +172,16 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     ad_mat = PadicMatrix(
         ctx, [[cols[j][i] for j in range(dim_g)] for i in range(dim_g)]
     )
+    chi = ad_mat.char_poly()
+    # det Ad(a) = 1 and the spectrum {lambda_i / lambda_j} is closed under
+    # inversion, so c_j = (-1)^n c_(n-j), n = dim_g.  Berkowitz can cancel every
+    # certified digit of a low coefficient (c_0 = (-1)^n may come out O(p^-c)):
+    # read it off its mirror image where that is certified further
+    for j in range((dim_g + 1) // 2):
+        if chi[dim_g - j].abs_precision() > chi[j].abs_precision():
+            chi[j] = -chi[dim_g - j] if dim_g % 2 else chi[dim_g - j]
     try:
-        roots = hensel_roots(ad_mat.char_poly())
+        roots = hensel_roots(chi)
     except NotSplitAtPrecision as err:
         raise NotDiagonalizable(f"adjoint spectrum does not split: {err}") from err
 

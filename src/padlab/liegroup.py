@@ -537,8 +537,15 @@ def horospherical_factor(g: PadicMatrix, k: int, dec) -> FactorResult:
         rest = [zero if v < 0 else c for c, v in zip(coords, dec.nu)]
         v_part = combine(dec.basis, plus)
         w_part = combine(dec.basis, rest)
-        f_i = exp(v_part)
-        h_i = exp(w_part)
+        peeled = []
+        for name, part in (("unstable", v_part), ("neutral-stable", w_part)):
+            try:
+                peeled.append(exp(part))
+            except DomainError as err:
+                # a deep residual's eigen-coordinates have denominators up to p^lattice_defect
+                raise DomainError(f"round {rounds + 1}, {name} part: {err}; "
+                                  f"the flow's lattice_defect is {dec.lattice_defect}") from err
+        f_i, h_i = peeled
         f_acc = f_acc @ f_i
         h_acc = h_i @ h_acc
         resid = f_i.inverse() @ resid @ h_i.inverse()

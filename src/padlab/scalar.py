@@ -243,10 +243,7 @@ class PadicScalar:
         while s % p == 0:
             s //= p
             t += 1
-        digits = cert - m - t
-        if digits > n:
-            digits = n
-        return PadicScalar._raw(ctx, m + t, s % pn, digits)
+        return PadicScalar._raw(ctx, m + t, s % pn, cert - m - t)
 
     def __neg__(self) -> "PadicScalar":
         if self.v is None:

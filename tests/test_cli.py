@@ -106,15 +106,29 @@ def test_dependent_eigenbasis_exits_2():
     assert "no eigenbasis at working precision" in err
 
 
-def test_unseparated_roots_near_0_exit_2():
-    # at 2 digits the adjoint characteristic polynomial's three low-order
-    # coefficients are O(2^c): how many roots lie near 0 is undecided, a
-    # refusal of the flow at this precision, not an invalid input
+def test_coefficients_without_joint_certified_digits_exit_2():
+    # at 2 digits the adjoint characteristic polynomial's coefficients of x
+    # and x^3 are known modulo 2^-2 only and that of x^2 is O(2^-3): no
+    # Newton slope leaves a certified digit, a refusal of the flow at this
+    # precision, not an invalid input
     code, out, err = run_cli([
         "analyze", "--p", "2", "--precision", "2", "--group", "gl", "--dim", "2",
         "--element", '[["-1/2","1"],["-1","-2"]]'])
     assert (code, out) == (2, "")
-    assert "the roots near 0 are not separated" in err
+    assert "coefficients carry no joint certified digits" in err
+
+
+def test_low_adjoint_coefficients_are_read_off_the_high_ones():
+    # Berkowitz leaves this flow's constant coefficient O(2^-4), though it is
+    # exactly -1: det Ad(a) = 1 and the Ad spectrum is closed under
+    # inversion, so the low half of the polynomial mirrors the high half
+    code, out, err = run_cli([
+        "analyze", "--p", "2", "--group", "sl", "--dim", "3",
+        "--element", '[["4","15/4","-21/2"],["0","1/4","3/2"],["0","0","1"]]'])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["nu_total"], doc["lattice_defect"]) == (8, 0)
+    assert doc["eigenvalues"] == ["1/16", "1/4", "1/4", "1", "1", "4", "4", "16"]
 
 
 def test_hensel_roots_refuses_an_o_p_c_constant_and_keeps_exact_zero_roots():
@@ -135,6 +149,21 @@ def test_non_split_flow_decomposes():
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert (doc["nu_total"], doc["lattice_defect"]) == (4, 14)
+
+
+def test_factor_names_the_lattice_defect_when_a_part_leaves_exps_ball():
+    # g lies in K_2, but the unstable coordinates of the deep residual carry
+    # denominators up to p^lattice_defect: the refusal names the round, the
+    # part's valuation and the flow's defect
+    code, out, err = run_cli([
+        "factor", "--p", "5", "--group", "gl", "--dim", "4", "--a",
+        '[["0","2/625","-1244/625","-56/625"],["1","0","4","44/25"],'
+        '["0","0","0","2/25"],["0","0","1","0"]]',
+        "--element", '[["1","25","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","0","1"]]',
+        "--k", "2"])
+    assert (code, out) == (5, "")
+    assert err == ("padlab: DomainError: round 2, unstable part: exp needs ||.|| <= p^-2, "
+                   "got valuation 1; the flow's lattice_defect is 14\n")
 
 
 def test_readme_exit_table_matches_the_exit_codes():
@@ -594,6 +623,20 @@ def test_one_subcommand_parser_prints_the_full_parsers_help(name, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     one = _subparser(build_parser(name), name)
     assert one.format_help() == _subparser(build_parser(), name).format_help()
+
+
+def _help_texts() -> str:
+    """padlab --help, then each subcommand's --help, each under its own header."""
+    parser = build_parser()
+    texts = [("padlab", parser.format_help())]
+    texts += [(f"padlab {name}", _subparser(parser, name).format_help()) for name in COMMANDS]
+    return "".join(f"==> {title} --help <==\n{text}" for title, text in texts)
+
+
+def test_help_texts_match_their_golden(monkeypatch):
+    # the flags, their order, defaults, choices and help lines, at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _help_texts() == (GOLDEN_DIR / "help.txt").read_text()
 
 
 def _parsed(parser, argv):

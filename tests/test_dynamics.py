@@ -393,11 +393,11 @@ def test_conjugated_flows_decompose_or_refuse(case):
 
 
 def test_conjugate_sweep_slice():
-    # the first 60 flows of seed 7 of the conjugate sweep: every decomposition
-    # has the right |nu|, and no returned factorization fails F H = g mod p^8
-    # or leaves it open
+    # the first 60 flows of seed 7 of the conjugate sweep: every one
+    # decomposes with the right |nu|, and no returned factorization fails
+    # F H = g mod p^8 or leaves it open
     s = summary(sweep(7, 60))
-    assert (s["decomposed"], s["wrong_nu"]) == (58, 0)
+    assert (s["decomposed"], s["wrong_nu"]) == (60, 0)
     assert s["factor"]["FAIL"] == s["factor"]["UNDECIDED"] == 0
 
 
@@ -405,7 +405,7 @@ def test_oracle_sweep_slice():
     # the oracle windows of the same 60 flows, n = 1, 2, 3: FULL counts every
     # one, each in the closed form's bracket and equal to FACTORED's counts
     outcomes, _ = oracle_sweep(7, 60)
-    assert outcomes == Counter({(True, True): 174})
+    assert outcomes == Counter({(True, True): 180})
 
 
 def test_non_split_sweep():
@@ -413,7 +413,7 @@ def test_non_split_sweep():
     # polynomials do not split over Q_p: every decomposition has the right
     # |nu|, and every refusal is NotDiagonalizable from decompose
     s = summary(sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow))
-    assert (s["decomposed"], s["wrong_nu"]) == (32, 0)
+    assert (s["decomposed"], s["wrong_nu"]) == (39, 0)
     assert set(s["refused"]) == {("NotDiagonalizable", "decompose")}
 
 
@@ -632,13 +632,15 @@ def _full_agrees(dec, k, n, level):
 
 
 def test_full_oracle_in_a_single_block():
-    # 2^15 points in three windows, on a conjugate with no vanishing rows
+    # 2^15 points in three windows, on a conjugate with no vanishing rows; the
+    # x_dd row is minus the sum of the other diagonal rows on sl, so it
+    # changes no elementary divisor
     dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
     assert _full_agrees(dec, 4, 3, 9) == (2**15, 2**13, 2**11)
 
 
-def test_full_oracle_over_blocks_with_a_partial_last_block():
-    # 5^9 points at p = 5
+def test_full_oracle_at_p_5():
+    # 5^9 points in two windows
     dec = _conjugate_flow("sl", 5, [Fraction(1, 5), 5])
     assert _full_agrees(dec, 4, 2, 7) == (5**9, 5**7)
 
@@ -653,13 +655,6 @@ def test_full_oracle_on_gl2():
     # gl2 has four rows and four digits; diag(1, 3) has |nu| = 1
     dec = _conjugate_flow("gl", 3, [1, 3])
     assert _full_agrees(dec, 3, 3, 6) == (3**12, 3**11, 3**10)
-
-
-def test_full_oracle_on_sl_drops_the_trace_row():
-    # the x_dd row is minus the sum of the other diagonal rows on sl, so it
-    # changes no elementary divisor; no row of this conjugate's maps vanishes
-    dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
-    assert _full_agrees(dec, 4, 3, 9) == (2**15, 2**13, 2**11)
 
 
 def _conjugate_flow3(family, p, diag):
@@ -741,13 +736,13 @@ def test_full_oracle_counts_every_point_when_no_row_constrains():
     assert bowen_count_oracle(fixed, 4, 3, 11, "FULL").counts == (2**21,) * 3
 
 
-def test_full_oracle_working_set_is_bounded_by_the_block():
+def test_full_oracle_on_a_diagonal_flow_whose_window_maps_keep_one_row():
     # 2^21 points on the diagonal flow, whose window maps keep one row
     _, dec = sl_flow(2, [Fraction(1, 2), 2])
     assert _full_agrees(dec, 4, 2, 11) == (2**21, 2**19)
 
 
-def test_full_oracle_working_set_holds_one_low_table_per_window():
+def test_full_oracle_at_a_deep_level_where_no_window_map_row_vanishes():
     # 2^21 points at n = 3, on a flow none of whose window-map rows vanish
     # (three rows on sl2)
     dec = _conjugate_flow("sl", 2, [Fraction(1, 2), 2])
