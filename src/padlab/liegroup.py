@@ -58,9 +58,25 @@ input entry may have (c at an O(p^c)).
     drop their (d, d) row and subtract their (d, d) column from the other
     diagonal columns.  x + y is that traceless part plus t E_dd, t =
     tr(x + y), so G_s (x + y) adds t G_s E_dd, a column built by the same
-    rule as G_s.  Nothing is divided by d, which p may divide.  With b(n) =
-    n k - v_p(n!) - floor(log_p n) - v_p(n) the floor of every degree-n
-    term, cert = min(A + min_(n <= n_max) (b(n) - k), min_(n > n_max) b(n)).
+    rule as G_s.  Nothing is divided by d, which p may divide.
+
+    DYNKIN's certificate and degrees.  With b(n) = n k - v_p(n!) -
+    floor(log_p n) - v_p(n) the floor of every degree-n term and n_N the
+    largest n with b(n) <= N,
+
+        cert = min(A + min_(n <= n_N) (b(n) - k), min_(n > n_N) b(n)),
+
+    and the degrees kept are 1 .. n_max, n_max the largest n <= n_N with
+    b'(n) = n k - v_p(n!) - floor(log_p n) < cert.  b' has no v_p(n): it
+    bounds the degree-n component z_n, the sum of the degree-n terms, which
+    never carries Dynkin's extra 1/n.  In the associative expansion z =
+    sum_m (-1)^(m-1)/m (e^x e^y - 1)^m the coefficient of a degree-n word is
+    a sum of terms 1/(m prod a_i! b_i!), each of v_p >= -v_p(n!) -
+    floor(log_p n), because multinomials are integers and m <= n; and each
+    word has norm at most p^(-n k).  So v(z_n) >= b'(n): every degree
+    dropped lies at or past cert (past n_N, b' >= b >= tail >= cert), and
+    only the digits of a unit beyond its certificate depend on it.  With no
+    degree kept (k > N, or cert <= k), every entry is O(p^cert).
 """
 
 from __future__ import annotations
@@ -307,7 +323,9 @@ def _term_floor(p: int, k: int, n: int) -> int:
     ||x||, ||y|| <= p^-k: the term is a nested commutator of n letters over
     m * n * prod P_i! q_i! with m <= n blocks, and sum_i v_p(P_i! q_i!) <=
     v_p(n!) because multinomial coefficients are integers.  An error of p^A
-    in one letter moves the term by at most p^(A + b(n) - k).
+    in one letter moves the term by at most p^(A + b(n) - k).  It bounds
+    loss and tail; the degrees kept are decided by b'(n) = b(n) + v_p(n),
+    the floor of their sum z_n (_kept_degrees).
     """
     return n * k - _vp_factorial(p, n) - _floor_log(p, n) - _vp(n, p)
 
@@ -318,13 +336,25 @@ def _dynkin_cutoff(p: int, k: int, target: int) -> tuple[int, int, int]:
 
     n_max is the largest degree whose term floor b(n) still touches the
     target; loss is the least b(n) - k over n <= n_max, the most an input
-    error can move a kept term by; tail is the least b(n) beyond n_max, the
-    floor of the truncated terms.  Beyond the scan window the linear growth
-    n*(k - 1/(p-1)) - 2 log_p n dominates any target we accept.
+    error can move a term of those degrees by; tail is the least b(n) beyond
+    n_max, the floor of the terms past them.  The certificate is built from
+    loss and tail; _kept_degrees then drops the degrees that cannot reach it.
+    Beyond the scan window the linear growth n*(k - 1/(p-1)) - 2 log_p n
+    dominates any target we accept.
     """
     floors = [_term_floor(p, k, n) for n in range(1, 8 * target + 33)]
     n_max = max((n for n, b in enumerate(floors, 1) if b <= target), default=0)
     return n_max, min(floors[:n_max], default=k) - k, min(floors[n_max:])
+
+
+@lru_cache(maxsize=128)
+def _kept_degrees(p: int, k: int, n_max: int, cert: int) -> int:
+    """The largest degree n <= n_max with b'(n) = n*k - v_p(n!) -
+    floor(log_p n) < cert, 0 if there is none: every other z_n is 0 mod
+    p^cert.  No degree past n_max is lost, as b'(n) >= b(n) >= tail >= cert
+    there."""
+    return max((n for n in range(1, n_max + 1) if n * k - _vp_factorial(p, n) - _floor_log(p, n) < cert),
+               default=0)
 
 
 @lru_cache(maxsize=128)
@@ -355,18 +385,20 @@ def _ad_traceless(x: list[list[int]], mod: int) -> tuple[list[list[int]], list[i
 
 
 def _bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int) -> PadicMatrix:
-    """The Dynkin series on integer representatives mod p^(cert + N + D + L),
-    L = floor(log_p n_max): the divided powers U_m(deg), built from G_s, the
-    divisions by s costing at most L digits; every term but x + y in the
+    """The Dynkin series over the degrees that can reach cert, on integer
+    representatives mod p^(cert + N + D + L), L = floor(log_p n_max) for the
+    largest kept degree n_max: the divided powers U_m(deg), built from G_s,
+    the divisions by s costing at most L digits; every term but x + y in the
     traceless coordinates, and the trace of x + y through the column G_s E_dd.
     See the module docstring."""
     ctx, d = x.ctx, x.dim
     p, n_prec = ctx.p, ctx.precision
     n_max, loss, tail = _dynkin_cutoff(p, k, n_prec)
-    if n_max < 1:
-        return PadicMatrix.zeros(ctx, d)
     least = min(e.abs_precision() for e in x.flat() + y.flat())
     cert = min(least + loss, tail)
+    n_max = _kept_degrees(p, k, n_max, cert)
+    if n_max < 1:
+        return PadicMatrix.from_flat(ctx, d, [ctx.zero(cert)] * (d * d))
     big_d, mod, weights, divide = _dynkin_weights(p, n_max, cert + n_prec + _floor_log(p, n_max))
     last = d * d - 1
     xi, yi = _reps(x), _reps(y)

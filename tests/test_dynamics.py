@@ -631,7 +631,7 @@ def _full_agrees(dec, k, n, level):
     return full.counts
 
 
-def test_full_oracle_in_a_single_block():
+def test_full_oracle_at_p_2():
     # 2^15 points in three windows, on a conjugate with no vanishing rows; the
     # x_dd row is minus the sum of the other diagonal rows on sl, so it
     # changes no elementary divisor

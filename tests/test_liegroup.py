@@ -19,10 +19,12 @@ from padlab.liegroup import (
     _certified,
     _dynkin_cutoff,
     _floor_log,
+    _kept_degrees,
     _reps,
     _require_deep,
     _series_plan,
     _tail_floor,
+    _vp_factorial,
     _weights,
     ball_membership,
     horospherical_factor,
@@ -176,6 +178,11 @@ def test_dynkin_never_overstates_certified_digits(p):
     pairs += [(random_deep_element(gl, rng), random_deep_element(gl, rng))
               for gl in (GroupSpec.gl(ctx, 2), GroupSpec.gl(ctx, 3))
               for _ in range(3)]
+    if p == 2:
+        # at k = 2 DYNKIN keeps 12 of the 16 degrees whose term floor is <= N
+        pairs += [(random_deep_element(spec, rng, 2), random_deep_element(spec, rng, 2))
+                  for spec in (sl3, GroupSpec.gl(ctx, 3))
+                  for _ in range(3)]
     checked = 0
     for x, y in pairs:
         ref = bch(_lift(x, deep), _lift(y, deep), mode="direct")
@@ -208,7 +215,7 @@ def _ad_int(x: list[list[int]], mod: int) -> list[list[int]]:
     ]
 
 
-def reference_bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int) -> PadicMatrix:
+def reference_bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int, n_max: int | None = None) -> PadicMatrix:
     """DYNKIN scaled by deg! instead of divided, on all d^2 coordinates:
 
         V_1(1) = x + y,   V_1(deg) = deg ad(x)^(deg-1) y,
@@ -217,14 +224,16 @@ def reference_bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int) -> PadicMatrix:
         z = sum (-1)^(m-1) V_m(deg) / (m deg deg!)   (deg <= n_max),
 
     mod p^(cert + N + D) with D the largest v_p(m deg deg!), and no division
-    before the last."""
+    before the last.  n_max defaults to the program's kept degrees."""
     ctx, d = x.ctx, x.dim
     p, n_prec = ctx.p, ctx.precision
-    n_max, loss, tail = _dynkin_cutoff(p, k, n_prec)
-    if n_max < 1:
-        return PadicMatrix.zeros(ctx, d)
+    cutoff, loss, tail = _dynkin_cutoff(p, k, n_prec)
     least = min(e.abs_precision() for e in x.flat() + y.flat())
     cert = min(least + loss, tail)
+    if n_max is None:
+        n_max = _kept_degrees(p, k, cutoff, cert)
+    if n_max < 1:
+        return PadicMatrix.from_flat(ctx, d, [ctx.zero(cert)] * (d * d))
     big_d, mod, weights = _reference_dynkin_weights(p, n_max, cert + n_prec)
     xi, yi = _reps(x), _reps(y)
     adx, ady = _ad_int(xi, mod), _ad_int(yi, mod)
@@ -303,6 +312,54 @@ def test_dynkin_matches_its_reference_program():
     x, y = _dynkin_sweep()[-1]
     trace = sum(r[i] for i, r in enumerate(_reps(x + y)))
     assert trace % 4 == 0 and trace % 8 != 0
+
+
+def test_dynkin_drops_only_degrees_past_its_certificate():
+    # against the reference at the term-floor cutoff max{n : b(n) <= N}, which
+    # keeps every degree: each entry's valuation and absolute precision, and
+    # its unit in every certified digit
+    ctx = PadicContext(2)
+    rng = random.Random("dynkin full cutoff")
+    pairs = _dynkin_sweep() + [
+        tuple(random_deep_element(spec, rng, 2) for _ in range(2))
+        for spec in (GroupSpec.sl(ctx, 3), GroupSpec.gl(ctx, 3))
+        for _ in range(3)
+    ]
+    dropped = 0
+    for x, y in pairs:
+        k = min(_require_deep(x, "bch"), _require_deep(y, "bch"))
+        p = x.ctx.p
+        cutoff, loss, tail = _dynkin_cutoff(p, k, x.ctx.precision)
+        cert = min(min(e.abs_precision() for e in x.flat() + y.flat()) + loss, tail)
+        dropped += _kept_degrees(p, k, cutoff, cert) < cutoff
+        got, want = _bch_dynkin(x, y, k), reference_bch_dynkin(x, y, k, cutoff)
+        for e, f in zip(got.flat(), want.flat()):
+            assert (e.v, e.abs_precision()) == (f.v, f.abs_precision())
+            if not e.is_zero:
+                assert e.unit % p**e.digits == f.unit % p**f.digits
+    assert dropped > 20
+
+
+def _degree_floor(p: int, k: int, n: int) -> int:
+    """b'(n) = n k - v_p(n!) - floor(log_p n), the floor of z_n."""
+    return n * k - _vp_factorial(p, n) - _floor_log(p, n)
+
+
+def test_dynkin_kept_degrees_never_exceed_the_term_floor_cutoff():
+    # at full precision, p = 2 and k = 2 keeps 12 of the cutoff's 16 degrees;
+    # over a grid of (p, k, least) the kept n_max is the largest of all
+    # degrees with b'(n) < cert, and never past the cutoff
+    assert _dynkin_cutoff(2, 2, 12)[0] == 16
+    assert _kept_degrees(2, 2, 16, 13) == 12
+    for p in (2, 3, 5, 7):
+        for k in range(2, 15):
+            cutoff, loss, tail = _dynkin_cutoff(p, k, 12)
+            for least in range(k, k + 14):
+                cert = min(least + loss, tail)
+                kept = _kept_degrees(p, k, cutoff, cert)
+                assert kept <= cutoff
+                assert kept == max((n for n in range(1, 8 * 12 + 33) if _degree_floor(p, k, n) < cert),
+                                   default=0)
 
 
 _SERIES = {
@@ -632,6 +689,26 @@ def test_dynkin_precision_follows_the_least_input_digits():
     # the lower corner vanishes mod 3^7: the zero O(3^7), not the exact zero
     corner = bch(x, PadicMatrix.from_rationals(ctx, [[0, 9], [0, 0]]), mode="dynkin").rows[1][0]
     assert corner.is_zero and corner.abs_precision() == 7
+
+
+def test_dynkin_with_no_degree_kept_returns_its_certificate():
+    # no degree reaches p^cert: every entry is O(p^cert), never the exact zero.
+    # At p = 3 the entries sit at 3^13, past N = 12, so b(1) = 13 > N; the
+    # true entries are +-3^13 and 3^13
+    ctx = PadicContext(3)
+    x = PadicMatrix.from_rationals(ctx, [[3**13, 0], [0, -3**13]])
+    y = PadicMatrix.from_rationals(ctx, [[0, 3**13], [0, 0]])
+    z = bch(x, y, mode="dynkin")
+    assert all(e.is_zero and e.abs_precision() == 13 for e in z.flat())
+    # at p = 2 one digit at valuation 2 gives cert = 3 - 1 = 2 = b'(1), so
+    # no degree is kept: the entries at 2^2 are known as O(2^2) only
+    ctx = PadicContext(2)
+    zero = ctx.zero()
+    x = PadicMatrix(ctx, [[PadicScalar(ctx, 2, 1, 1), zero],
+                          [zero, PadicScalar(ctx, 2, 2**12 - 1, 1)]])
+    y = PadicMatrix.from_rationals(ctx, [[0, 4], [0, 0]])
+    z = bch(x, y, mode="dynkin")
+    assert all(e.is_zero and e.abs_precision() == 2 for e in z.flat())
 
 
 def test_bch_nilpotent_is_exact():
