@@ -19,8 +19,8 @@ denominator: the series is integer arithmetic mod p^M, nothing is absorbed,
 and the division by p^D at the end is the only one (DYNKIN also divides by
 each s <= n_max, below).  An output entry certified mod p^cert keeps
 min(N, cert - v) digits at valuation v; one = 0 mod p^cert is the zero
-O(p^cert).  M = cert + N + D for the largest cert (DYNKIN widens it, below),
-so every printed unit is exact on the representatives modulo p^(v + N).  cert
+O(p^cert).  M = cert + N + D for the largest cert, in all three series, so
+every printed unit is exact on the representatives modulo p^(v + N).  cert
 is the least of the floor of the truncated tail and the first-order input
 error carried by the kept terms (Caruso, Roe and Vaccon, arXiv:1402.0743); A
 is the least v + digits over the input entries, and k the least valuation an
@@ -46,19 +46,28 @@ input entry may have (c at an O(p^c)).
         U_(m+1)(deg) = sum_s G_s U_m(deg - s),
         z = sum (-1)^(m-1) U_m(deg) / (m deg)   (deg <= n_max),
 
-    so no binomial enters and D is the largest v_p(m deg).  The quotient by
-    s = p^e u is p-integral, so the division is exact on the residues mod
-    p^M, but it is known mod p^(M - e) only.  A run of divisions by j..s
-    loses v_p(s!/(j-1)!) <= (s - j) + floor(log_p s) digits, and its s - j
+    so no binomial enters and D is the largest v_p(m deg).  Every U_m(deg)
+    but U_1(1) is a commutator, and so traceless: the program runs on the
+    d^2 - 1 coordinates other than (d, d), that entry being minus the sum of
+    the other diagonal entries.  ad(x), ad(y) and G_s drop their (d, d) row
+    and subtract their (d, d) column from the other diagonal columns.  x + y
+    is that traceless part plus t E_dd, t = tr(x + y), so G_s (x + y) adds
+    t G_s E_dd, a column built by the same rule as G_s.  Nothing is divided
+    by d, which p may divide.
+
+    DYNKIN's modulus needs no widening.  The quotient by s = p^e u is
+    p-integral, so the division is exact on the residues mod p^M, but it is
+    known mod p^(M - e) only.  A run of divisions by j..s loses
+    v_p(s!/(j-1)!) <= (s - j) + floor(log_p s) digits, and its s - j
     products with ad(x) or ad(y) gain k (s - j) >= 2 (s - j) back, so no
-    G_s or U_1(deg) loses more than L = floor(log_p n_max): M is widened by
-    L.  Every U_m(deg) but U_1(1) is a commutator, and so traceless: the
-    program runs on the d^2 - 1 coordinates other than (d, d), that entry
-    being minus the sum of the other diagonal entries.  ad(x), ad(y) and G_s
-    drop their (d, d) row and subtract their (d, d) column from the other
-    diagonal columns.  x + y is that traceless part plus t E_dd, t =
-    tr(x + y), so G_s (x + y) adds t G_s E_dd, a column built by the same
-    rule as G_s.  Nothing is divided by d, which p may divide.
+    G_s, G_s E_dd or U_1(deg) loses more than L = floor(log_p n_max).
+    U_m(deg) is a sum of products of m - 1 operators G_s and one U_1, each
+    of valuation >= k, so it loses at most max(0, L - k (m - 1)) digits, and
+    so does the trace term t G_(deg-1) E_dd of U_2, as v(t) >= k.  D >= 2 L,
+    as the key (p^L, p^L) is kept, v_p(deg) <= L and v_p(m) <= min(L,
+    k (m - 1)), so the weight p^(D - v_p(m deg)) has at least L - v_p(m) >=
+    max(0, L - k (m - 1)) spare digits: every weighted term is exact mod
+    p^M, and M = cert + N + D as for exp and log.
 
     DYNKIN's certificate and degrees.  With b(n) = n k - v_p(n!) -
     floor(log_p n) - v_p(n) the floor of every degree-n term and n_N the
@@ -323,38 +332,25 @@ def _term_floor(p: int, k: int, n: int) -> int:
     ||x||, ||y|| <= p^-k: the term is a nested commutator of n letters over
     m * n * prod P_i! q_i! with m <= n blocks, and sum_i v_p(P_i! q_i!) <=
     v_p(n!) because multinomial coefficients are integers.  An error of p^A
-    in one letter moves the term by at most p^(A + b(n) - k).  It bounds
-    loss and tail; the degrees kept are decided by b'(n) = b(n) + v_p(n),
-    the floor of their sum z_n (_kept_degrees).
+    in one letter moves the term by at most p^(A + b(n) - k).  cert is
+    built from b, and the degrees kept from b'(n) = b(n) + v_p(n), the floor
+    of their sum z_n (_dynkin_plan).  Nothing is charged for the divisions
+    by s: the weights absorb the digits they cost (module docstring).
     """
     return n * k - _vp_factorial(p, n) - _floor_log(p, n) - _vp(n, p)
 
 
 @lru_cache(maxsize=128)
-def _dynkin_cutoff(p: int, k: int, target: int) -> tuple[int, int, int]:
-    """(n_max, loss, tail) for the Dynkin series at ||x||, ||y|| <= p^-k.
-
-    n_max is the largest degree whose term floor b(n) still touches the
-    target; loss is the least b(n) - k over n <= n_max, the most an input
-    error can move a term of those degrees by; tail is the least b(n) beyond
-    n_max, the floor of the terms past them.  The certificate is built from
-    loss and tail; _kept_degrees then drops the degrees that cannot reach it.
-    Beyond the scan window the linear growth n*(k - 1/(p-1)) - 2 log_p n
-    dominates any target we accept.
-    """
-    floors = [_term_floor(p, k, n) for n in range(1, 8 * target + 33)]
-    n_max = max((n for n, b in enumerate(floors, 1) if b <= target), default=0)
-    return n_max, min(floors[:n_max], default=k) - k, min(floors[n_max:])
-
-
-@lru_cache(maxsize=128)
-def _kept_degrees(p: int, k: int, n_max: int, cert: int) -> int:
-    """The largest degree n <= n_max with b'(n) = n*k - v_p(n!) -
-    floor(log_p n) < cert, 0 if there is none: every other z_n is 0 mod
-    p^cert.  No degree past n_max is lost, as b'(n) >= b(n) >= tail >= cert
-    there."""
-    return max((n for n in range(1, n_max + 1) if n * k - _vp_factorial(p, n) - _floor_log(p, n) < cert),
-               default=0)
+def _dynkin_plan(p: int, k: int, n_prec: int, least: int) -> tuple[int, int]:
+    """(n_max, cert) at ||x||, ||y|| <= p^-k and least input absolute
+    precision p^least (module docstring): n_N is the largest n with b(n) <=
+    N, and n_max the largest n <= n_N with b'(n) < cert, 0 if there is none.
+    Past the scan window the linear growth n*(k - 1/(p-1)) - 2 log_p n
+    dominates any N we accept."""
+    floors = [_term_floor(p, k, n) for n in range(1, 8 * n_prec + 33)]
+    n_n = max((n for n, b in enumerate(floors, 1) if b <= n_prec), default=0)
+    cert = min(least + min(floors[:n_n], default=k) - k, min(floors[n_n:]))
+    return max((n for n, b in enumerate(floors[:n_n], 1) if b + _vp(n, p) < cert), default=0), cert
 
 
 @lru_cache(maxsize=128)
@@ -386,20 +382,17 @@ def _ad_traceless(x: list[list[int]], mod: int) -> tuple[list[list[int]], list[i
 
 def _bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int) -> PadicMatrix:
     """The Dynkin series over the degrees that can reach cert, on integer
-    representatives mod p^(cert + N + D + L), L = floor(log_p n_max) for the
-    largest kept degree n_max: the divided powers U_m(deg), built from G_s,
-    the divisions by s costing at most L digits; every term but x + y in the
-    traceless coordinates, and the trace of x + y through the column G_s E_dd.
-    See the module docstring."""
+    representatives mod p^(cert + N + D): the divided powers U_m(deg), built
+    from G_s, the at most floor(log_p n_max) digits that the divisions by s
+    cost being absorbed by the weights; every term but x + y in the traceless
+    coordinates, and the trace of x + y through the column G_s E_dd.  See the
+    module docstring."""
     ctx, d = x.ctx, x.dim
     p, n_prec = ctx.p, ctx.precision
-    n_max, loss, tail = _dynkin_cutoff(p, k, n_prec)
-    least = min(e.abs_precision() for e in x.flat() + y.flat())
-    cert = min(least + loss, tail)
-    n_max = _kept_degrees(p, k, n_max, cert)
+    n_max, cert = _dynkin_plan(p, k, n_prec, min(e.abs_precision() for e in x.flat() + y.flat()))
     if n_max < 1:
         return PadicMatrix.from_flat(ctx, d, [ctx.zero(cert)] * (d * d))
-    big_d, mod, weights, divide = _dynkin_weights(p, n_max, cert + n_prec + _floor_log(p, n_max))
+    big_d, mod, weights, divide = _dynkin_weights(p, n_max, cert + n_prec)
     last = d * d - 1
     xi, yi = _reps(x), _reps(y)
     x_flat, y_flat = sum(xi, []), sum(yi, [])
@@ -479,14 +472,11 @@ def bch(x: PadicMatrix, y: PadicMatrix, mode: str = "direct") -> PadicMatrix:
     if x.dim != y.dim:
         raise ValueError(f"bch of a {x.dim}x{x.dim} and a {y.dim}x{y.dim} matrix")
     key = mode.strip().lower()
-    if key == "direct":
-        _require_deep(x, "bch")
-        _require_deep(y, "bch")
-        return log(exp(x) @ exp(y))
-    if key != "dynkin":
+    if key not in ("direct", "dynkin"):
         raise ValueError(f"unknown bch mode: {mode!r}")
-    kx = _require_deep(x, "bch")
-    ky = _require_deep(y, "bch")
+    kx, ky = _require_deep(x, "bch"), _require_deep(y, "bch")
+    if key == "direct":
+        return log(exp(x) @ exp(y))
     if kx == float("inf"):
         return y.copy()
     if ky == float("inf"):

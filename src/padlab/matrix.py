@@ -522,7 +522,9 @@ def hensel_roots(coeffs: list[PadicScalar]) -> list[tuple[PadicScalar, int]]:
 
     Exact-zero low-order coefficients give an exact zero root of their
     count; an O(p^c) among them raises NotSplitAtPrecision, as it leaves
-    open how many roots lie near 0.
+    open how many roots lie near 0.  Exact-zero high-order coefficients are
+    trimmed; an O(p^c) among them raises too, as a nonzero one would add
+    roots of valuation below every other.
 
     Args:
         coeffs: ascending coefficients, not all zero.
@@ -534,22 +536,17 @@ def hensel_roots(coeffs: list[PadicScalar]) -> list[tuple[PadicScalar, int]]:
         the obstruction is a fractional Newton slope (ramified factor) or a
         residue class without enough roots (a factor irreducible over Q_p).
     """
-    nonzero = [c for c in coeffs if not c.is_zero]
+    nonzero = [i for i, c in enumerate(coeffs) if not c.is_zero]
     if not nonzero:
         raise ValueError("zero polynomial")
-    ctx = nonzero[0].ctx
+    lead_zeros, top = nonzero[0], nonzero[-1]
+    ctx = coeffs[top].ctx
     p = ctx.p
-    lead_zeros = 0
-    while coeffs[lead_zeros].is_zero:
-        if coeffs[lead_zeros]:
-            raise NotSplitAtPrecision(
-                f"coefficient {lead_zeros} is O({p}^{coeffs[lead_zeros].abs_precision()}): "
-                "the roots near 0 are not separated"
-            )
-        lead_zeros += 1
-    work = list(coeffs[lead_zeros:])
-    while work and work[-1].is_zero:
-        work.pop()
+    for i, c in enumerate(coeffs):
+        if c.is_zero and c and not lead_zeros < i < top:
+            raise NotSplitAtPrecision(f"coefficient {i} is O({p}^{c.abs_precision()}): the roots near "
+                                      f"{0 if i < lead_zeros else 'infinity'} are not separated")
+    work = list(coeffs[lead_zeros:top + 1])
     deg = len(work) - 1
     out: list[tuple[PadicScalar, int]] = []
     if lead_zeros:

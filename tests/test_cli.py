@@ -401,6 +401,14 @@ def test_factored_argument_faults_come_before_an_unprintable_count():
     assert code == 5 and "spanning the full lattice" in err
 
 
+@pytest.mark.parametrize("command,extra", [("bowen", []), ("oracle", ["--level", "7"])])
+def test_an_empty_window_exits_5(command, extra):
+    code, out, err = run_cli([command, "--element", '[["1/3","0"],["0","3"]]', "--dim", "2",
+                              "--k", "4", "--n", "0"] + extra)
+    assert (code, out) == (5, "")
+    assert "window length must be >= 1" in err
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 10007])
 def test_printable_refuses_exactly_the_powers_str_refuses(p):
     limit = sys.get_int_max_str_digits()

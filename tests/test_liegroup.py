@@ -17,13 +17,13 @@ from padlab.liegroup import (
     FactorResult,
     _bch_dynkin,
     _certified,
-    _dynkin_cutoff,
+    _dynkin_plan,
     _floor_log,
-    _kept_degrees,
     _reps,
     _require_deep,
     _series_plan,
     _tail_floor,
+    _term_floor,
     _vp_factorial,
     _weights,
     ball_membership,
@@ -174,6 +174,7 @@ def test_dynkin_never_overstates_certified_digits(p):
     pairs += [(random_deep_element(sl3, rng), random_deep_element(sl3, rng))
               for _ in range(3)]
     pairs.append((PadicMatrix.zeros(ctx, 2), pairs[0][1]))
+    pairs.append((pairs[0][0], PadicMatrix.zeros(ctx, 2)))
     # gl pairs have a trace, carried apart from the traceless coordinates
     pairs += [(random_deep_element(gl, rng), random_deep_element(gl, rng))
               for gl in (GroupSpec.gl(ctx, 2), GroupSpec.gl(ctx, 3))
@@ -227,11 +228,9 @@ def reference_bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int, n_max: int | No
     before the last.  n_max defaults to the program's kept degrees."""
     ctx, d = x.ctx, x.dim
     p, n_prec = ctx.p, ctx.precision
-    cutoff, loss, tail = _dynkin_cutoff(p, k, n_prec)
-    least = min(e.abs_precision() for e in x.flat() + y.flat())
-    cert = min(least + loss, tail)
+    kept, cert = _dynkin_plan(p, k, n_prec, min(e.abs_precision() for e in x.flat() + y.flat()))
     if n_max is None:
-        n_max = _kept_degrees(p, k, cutoff, cert)
+        n_max = kept
     if n_max < 1:
         return PadicMatrix.from_flat(ctx, d, [ctx.zero(cert)] * (d * d))
     big_d, mod, weights = _reference_dynkin_weights(p, n_max, cert + n_prec)
@@ -314,6 +313,12 @@ def test_dynkin_matches_its_reference_program():
     assert trace % 4 == 0 and trace % 8 != 0
 
 
+def _cutoff(p: int, k: int, n_prec: int) -> int:
+    """n_N = max{n : b(n) <= N}, the term-floor cutoff, which keeps every
+    degree whose terms can touch N digits."""
+    return max((n for n in range(1, 8 * n_prec + 33) if _term_floor(p, k, n) <= n_prec), default=0)
+
+
 def test_dynkin_drops_only_degrees_past_its_certificate():
     # against the reference at the term-floor cutoff max{n : b(n) <= N}, which
     # keeps every degree: each entry's valuation and absolute precision, and
@@ -329,9 +334,9 @@ def test_dynkin_drops_only_degrees_past_its_certificate():
     for x, y in pairs:
         k = min(_require_deep(x, "bch"), _require_deep(y, "bch"))
         p = x.ctx.p
-        cutoff, loss, tail = _dynkin_cutoff(p, k, x.ctx.precision)
-        cert = min(min(e.abs_precision() for e in x.flat() + y.flat()) + loss, tail)
-        dropped += _kept_degrees(p, k, cutoff, cert) < cutoff
+        cutoff = _cutoff(p, k, x.ctx.precision)
+        least = min(e.abs_precision() for e in x.flat() + y.flat())
+        dropped += _dynkin_plan(p, k, x.ctx.precision, least)[0] < cutoff
         got, want = _bch_dynkin(x, y, k), reference_bch_dynkin(x, y, k, cutoff)
         for e, f in zip(got.flat(), want.flat()):
             assert (e.v, e.abs_precision()) == (f.v, f.abs_precision())
@@ -346,17 +351,19 @@ def _degree_floor(p: int, k: int, n: int) -> int:
 
 
 def test_dynkin_kept_degrees_never_exceed_the_term_floor_cutoff():
-    # at full precision, p = 2 and k = 2 keeps 12 of the cutoff's 16 degrees;
-    # over a grid of (p, k, least) the kept n_max is the largest of all
-    # degrees with b'(n) < cert, and never past the cutoff
-    assert _dynkin_cutoff(2, 2, 12)[0] == 16
-    assert _kept_degrees(2, 2, 16, 13) == 12
+    # at full precision (least = 2 + N), p = 2 and k = 2 keeps 12 of the
+    # cutoff's 16 degrees; over a grid of (p, k, least) cert is the module
+    # docstring's, and the kept n_max is the largest of all degrees with
+    # b'(n) < cert, and never past the cutoff
+    assert _cutoff(2, 2, 12) == 16
+    assert _dynkin_plan(2, 2, 12, 14) == (12, 13)
     for p in (2, 3, 5, 7):
         for k in range(2, 15):
-            cutoff, loss, tail = _dynkin_cutoff(p, k, 12)
+            cutoff = _cutoff(p, k, 12)
+            floors = [_term_floor(p, k, n) for n in range(1, 8 * 12 + 33)]
             for least in range(k, k + 14):
-                cert = min(least + loss, tail)
-                kept = _kept_degrees(p, k, cutoff, cert)
+                kept, cert = _dynkin_plan(p, k, 12, least)
+                assert cert == min(least + min(floors[:cutoff], default=k) - k, min(floors[cutoff:]))
                 assert kept <= cutoff
                 assert kept == max((n for n in range(1, 8 * 12 + 33) if _degree_floor(p, k, n) < cert),
                                    default=0)
@@ -709,6 +716,21 @@ def test_dynkin_with_no_degree_kept_returns_its_certificate():
     y = PadicMatrix.from_rationals(ctx, [[0, 4], [0, 0]])
     z = bch(x, y, mode="dynkin")
     assert all(e.is_zero and e.abs_precision() == 2 for e in z.flat())
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="D11: DIRECT's exp(x)_00 - 1 cancels to the exact zero by the mirror-image rule")
+def test_direct_bch_agrees_with_dynkin_past_n_digits():
+    # at p = 3 DYNKIN certifies 3^12 and -3^12 at (0, 0) and (1, 1) to 12
+    # digits; DIRECT, which claims the exact zero there, must agree with them
+    # modulo the smaller claim of each entry
+    ctx = PadicContext(3)
+    x = PadicMatrix.from_rationals(ctx, [[3**12, 0], [0, -3**12]])
+    y = PadicMatrix.from_rationals(ctx, [[0, 3**12], [0, 0]])
+    dynkin, direct = bch(x, y, mode="dynkin"), bch(x, y, mode="direct")
+    for i in (0, 1):
+        assert dynkin.rows[i][i].congruent_mod(ctx.from_rational((-1) ** i * 3**12), 24)
+    _agree(direct, dynkin)
 
 
 def test_bch_nilpotent_is_exact():

@@ -365,6 +365,16 @@ def test_hensel_refuses_unramified_extension():
         hensel_roots(ascending(ctx, 1, 1, 1))  # x^2 + x + 1 irreducible mod 2
 
 
+def test_hensel_refuses_an_o_p_c_leading_coefficient():
+    # 3^6 x^2 + x - 6 agrees with these coefficients and has a second root,
+    # of valuation -6; only an exact zero top coefficient is trimmed
+    ctx = PadicContext(3)
+    with pytest.raises(NotSplitAtPrecision, match="coefficient 2 is O\\(3\\^5\\): the roots near infinity"):
+        hensel_roots([ctx.from_rational(-6), ctx.one(), ctx.zero(5)])
+    roots = hensel_roots([ctx.from_rational(-6), ctx.one(), ctx.zero()])
+    assert [(r.as_rational(), m) for r, m in roots] == [(6, 1)]
+
+
 def test_hensel_random_split_products():
     # random monic products of distinct-residue linear factors fully recover
     for p in (3, 5):

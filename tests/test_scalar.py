@@ -223,6 +223,15 @@ def test_full_cancellation_is_the_zero_at_its_floor():
     assert (c - d).abs_precision() == 10
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="D11: the mirror-image rule reads the unit 3^12 - 1 as -1")
+def test_a_sum_that_cancels_every_digit_is_not_the_exact_zero():
+    # 1 + (3^12 - 1) = 3^12, known only as O(3^12) at N = 12
+    ctx = PadicContext(3, 12)
+    s = ctx.from_rational(1) + ctx.from_rational(3**12 - 1)
+    assert s.is_zero and s and s.abs_precision() == 12
+
+
 def test_inexact_zero_rules():
     ctx = PadicContext(3)
     o4 = ctx.zero(4)
