@@ -8,12 +8,24 @@ on the valuations nu_i = v_p(lambda_i) of the stable eigenvalues: entropy,
 Bowen ball shapes, partition atoms, and the module character all reduce to
 the total contraction |nu| = sum nu_i.
 
-`decompose` writes Ad(a) in the algebra coordinates GroupSpec reads off the
-entries, splits its characteristic polynomial, and keeps each eigenvalue's
-`nullspace` vectors, a Z_p-basis of the eigenspace's integral points, as
-its eigenlines.  A decomposition inverts the lines' coordinate rows once,
-by `matrix._invert`: coordinates in the eigenbasis and lattice_defect both
-read that inverse.
+`decompose` has two paths, and the input picks one.  When a diagonalizes
+over Q_p at working precision, a = U diag(lambda) U^-1 with chi_a split and
+each root lambda owning as many `nullspace` vectors of a - lambda as its
+multiplicity, the lines come from that d x d eigendata: Ad(a) maps
+(U e_i)(e_j U^-1) to lambda_i / lambda_j times itself and fixes each
+U H_k U^-1 (Fulton and Harris, Representation Theory, Lecture 15).  Lines
+whose eigenvalues differ by a zero form one eigenspace, and
+`zp_module_basis` saturates their coordinate rows.  Otherwise, as on flows
+whose chi_a does not split over Q_p, `decompose` writes the dim_g x dim_g
+matrix Ad(a) in the algebra coordinates GroupSpec reads off the entries,
+splits its characteristic polynomial and keeps each root's `nullspace`
+vectors.  The eigendata path refuses nothing: where one of its steps fails,
+the Ad path runs and raises what it always raised.  Either way an
+eigenvalue's lines are a Z_p-basis of its eigenspace's integral points, each
+with an exact 1 at a coordinate of its own and the exact zero at the other
+lines' own coordinates, so a diagonal flow gets the same lines on both.  A
+decomposition inverts the lines' coordinate rows once, by `matrix._invert`:
+coordinates in the eigenbasis and lattice_defect both read that inverse.
 
 Both window conventions read one rule, `_window_levels`: the Bowen ball
 bowen_ball(dec, k, n) holds the points staying k-close for times 0..n, and
@@ -53,19 +65,22 @@ from .matrix import (
     PadicMatrix,
     _dot,
     _invert,
+    _sort_roots,
     _vp,
     combine,
     eliminate,
     fraction_val,
     hensel_roots,
     nullspace,
+    zp_module_basis,
 )
 from .scalar import PadicContext, PadicScalar
 
 
 @dataclass(frozen=True)
 class HorosphericalDecomposition:
-    """Eigenline data of Ad(a) on a group's algebra.
+    """Eigenline data of Ad(a) on a group's algebra, read off a's own
+    eigendata or off Ad(a) itself (see `decompose`).
 
     Stored: a, group, eigenvalues and basis, the eigenlines: matrix i is an
     integral, content-0 algebra element spanning an eigenline of eigenvalue
@@ -148,67 +163,135 @@ class AdaptedBall:
 def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     """Diagonalize Ad(a) on spec's algebra and classify its eigenlines.
 
-    Each eigenvalue's lines are its `nullspace` vectors, as lie_basis
-    coordinates.
+    The input picks the path (module docstring): the lines come from a's own
+    eigendata (`_eigendata_lines`) when a diagonalizes over Q_p at working
+    precision, and otherwise from Ad(a), whose eigenvalues are the roots of
+    its characteristic polynomial and whose lines are each root's
+    `nullspace` vectors, as lie_basis coordinates.  a is inverted first, so
+    a singular flow raises SingularAtPrecision whichever path it would take.
 
-    Raises NotDiagonalizable when the characteristic polynomial of Ad(a) does
-    not split over Q_p at working precision, an eigenspace comes up short, or
-    the eigenlines are dependent at working precision, NoHyperbolicity when
-    every eigenvalue is a unit, and DomainError when a fails to normalize
+    Raises SingularAtPrecision when a has no inverse at working precision;
+    NotDiagonalizable when the characteristic polynomial of Ad(a) does not
+    split over Q_p at working precision, an eigenspace comes up short, or
+    the eigenlines are dependent at working precision; NoHyperbolicity when
+    every eigenvalue is a unit; and DomainError when a fails to normalize
     the algebra.
     """
     ctx = spec.ctx
     if a.dim != spec.dim:
         raise ValueError(f"a {a.dim}x{a.dim} flow on a group of {spec.dim}x{spec.dim} matrices")
-    dim_g = len(spec.lie_basis)
     a_inv = a.inverse()
-    cols = []
-    for b in spec.lie_basis:
-        image = a @ b @ a_inv
-        co = spec.algebra_coordinates(image)
-        if co is None:
-            raise DomainError("a does not normalize the algebra")
-        cols.append(co)
-    ad_mat = PadicMatrix(
-        ctx, [[cols[j][i] for j in range(dim_g)] for i in range(dim_g)]
-    )
-    chi = ad_mat.char_poly()
-    # det Ad(a) = 1 and the spectrum {lambda_i / lambda_j} is closed under
-    # inversion, so c_j = (-1)^n c_(n-j), n = dim_g.  Berkowitz can cancel every
-    # certified digit of a low coefficient (c_0 = (-1)^n may come out O(p^-c)):
-    # read it off its mirror image where that is certified further
-    for j in range((dim_g + 1) // 2):
-        if chi[dim_g - j].abs_precision() > chi[j].abs_precision():
-            chi[j] = -chi[dim_g - j] if dim_g % 2 else chi[dim_g - j]
-    try:
-        roots = hensel_roots(chi)
-    except NotSplitAtPrecision as err:
-        raise NotDiagonalizable(f"adjoint spectrum does not split: {err}") from err
+    eigenvalues, lines = _eigendata_lines(a, spec) or ([], [])
+    if not lines:  # the Ad path, inline: its refusals raise from decompose
+        dim_g = len(spec.lie_basis)
+        cols = []
+        for b in spec.lie_basis:
+            image = a @ b @ a_inv
+            co = spec.algebra_coordinates(image)
+            if co is None:
+                raise DomainError("a does not normalize the algebra")
+            cols.append(co)
+        ad_mat = PadicMatrix(
+            ctx, [[cols[j][i] for j in range(dim_g)] for i in range(dim_g)]
+        )
+        chi = ad_mat.char_poly()
+        # det Ad(a) = 1 and the spectrum {lambda_i / lambda_j} is closed under
+        # inversion, so c_j = (-1)^n c_(n-j), n = dim_g.  Berkowitz can cancel
+        # every certified digit of a low coefficient (c_0 = (-1)^n may come out
+        # O(p^-c)): read it off its mirror image where that is certified further
+        for j in range((dim_g + 1) // 2):
+            if chi[dim_g - j].abs_precision() > chi[j].abs_precision():
+                chi[j] = -chi[dim_g - j] if dim_g % 2 else chi[dim_g - j]
+        try:
+            roots = hensel_roots(chi)
+        except NotSplitAtPrecision as err:
+            raise NotDiagonalizable(f"adjoint spectrum does not split: {err}") from err
 
-    eigenvalues: list[PadicScalar] = []
-    lines: list[PadicMatrix] = []
-    for lam, mult in roots:
-        # Ad(a) - lam, subtracted on the diagonal alone.  Entries of Ad carry
-        # fewer than full digits, so subtracting an exact eigenvalue can
-        # cancel every certified digit; the kernel never pivots on such an
-        # O(p^c)
-        shifted = PadicMatrix(ctx, ad_mat.rows)
-        for i in range(dim_g):
-            shifted.rows[i][i] -= lam
-        kernel = nullspace(shifted)
-        if len(kernel) != mult:
-            raise NotDiagonalizable(
-                f"eigenvalue with multiplicity {mult} has only "
-                f"{len(kernel)} independent eigenvectors"
-            )
-        eigenvalues += [lam] * mult
-        lines += [combine(spec.lie_basis, vec) for vec in kernel]
+        for lam, mult in roots:
+            # Ad(a) - lam, subtracted on the diagonal alone.  Entries of Ad
+            # carry fewer than full digits, so subtracting an exact eigenvalue
+            # can cancel every certified digit; the kernel never pivots on
+            # such an O(p^c)
+            shifted = PadicMatrix(ctx, ad_mat.rows)
+            for i in range(dim_g):
+                shifted.rows[i][i] -= lam
+            kernel = nullspace(shifted)
+            if len(kernel) != mult:
+                raise NotDiagonalizable(
+                    f"eigenvalue with multiplicity {mult} has only "
+                    f"{len(kernel)} independent eigenvectors"
+                )
+            eigenvalues += [lam] * mult
+            lines += [combine(spec.lie_basis, vec) for vec in kernel]
     dec = HorosphericalDecomposition(a, spec, tuple(eigenvalues), tuple(lines))
     if dec._inverse[0] is None:
         raise NotDiagonalizable("no eigenbasis at working precision: the eigenlines are dependent")
     if dec.nu_total == 0:
         raise NoHyperbolicity("every adjoint eigenvalue is a p-adic unit")
     return dec
+
+
+def _eigendata_lines(a: PadicMatrix, spec: GroupSpec):
+    """(eigenvalues, lines) of Ad(a) read off a = U diag(lambda) U^-1, or None
+    when a does not diagonalize over Q_p at working precision: chi_a does not
+    split, some a - lambda has too few kernel vectors, U is singular, or an
+    eigenspace's lines are dependent.
+
+    U's columns are the `nullspace` vectors of each a - lambda.  The line
+    (U e_i)(e_j U^-1) has eigenvalue lambda_i / lambda_j, and on sl the lines
+    U H_k U^-1 take the place of i = j, with eigenvalue 1.  Lines whose
+    eigenvalues differ by a zero form one eigenspace, and `zp_module_basis`
+    saturates its coordinate rows to a Z_p-basis of its integral points.
+    The eigenspace keeps the value with the fewest digits: two values that
+    differ by a zero agree only to the lesser precision of the two, and that
+    value claims no digit that one of the lines lacks.
+    """
+    ctx, d = spec.ctx, spec.dim
+    try:
+        roots = hensel_roots(a.char_poly())
+    except NotSplitAtPrecision:
+        return None
+    lams, cols = [], []
+    for lam, mult in roots:
+        shifted = a.copy()
+        for i in range(d):
+            shifted.rows[i][i] -= lam
+        kernel = nullspace(shifted)
+        if len(kernel) != mult:
+            return None
+        lams += [lam] * mult
+        cols += kernel
+    u_inv, _ = _invert([list(r) for r in zip(*cols)], ctx.zero(), ctx.one())
+    if u_inv is None:
+        return None
+    one = ctx.one()
+
+    def line(i, j):
+        return PadicMatrix(ctx, [[x * y for y in u_inv[j]] for x in cols[i]])
+
+    pairs = [(one if i == j else lams[i] / lams[j], line(i, j))
+             for i in range(d) for j in range(d) if i != j or spec.family == "gl"]
+    if spec.family == "sl":
+        pairs += [(one, line(k, k) - line(k + 1, k + 1)) for k in range(d - 1)]
+    groups: list[list] = []  # [eigenvalue, its lines]
+    for mu, x in pairs:
+        group = next((g for g in groups if (g[0] - mu).is_zero), None)
+        if group is None:
+            groups.append([mu, [x]])
+            continue
+        group[1].append(x)
+        if mu.digits < group[0].digits:
+            group[0] = mu
+    _sort_roots(groups)
+    eigenvalues, lines = [], []
+    for mu, members in groups:
+        rows = [spec.algebra_coordinates(x) for x in members]
+        basis = [] if None in rows else zp_module_basis(rows)
+        if len(basis) < len(members):
+            return None
+        eigenvalues += [mu] * len(basis)
+        lines += [combine(spec.lie_basis, vec) for vec in basis]
+    return eigenvalues, lines
 
 
 def entropy(dec: HorosphericalDecomposition) -> float:

@@ -638,33 +638,27 @@ def nullspace(m: PadicMatrix) -> list[list[PadicScalar]]:
     return basis
 
 
-def _content_normalize(vec: list[PadicScalar]) -> list[PadicScalar]:
-    """Scale a vector by a power of p so its minimal entry valuation is 0."""
-    vals = [a.v for a in vec if not a.is_zero]
-    if not vals:
-        return vec
-    shift = min(vals)
-    if shift == 0:
-        return vec
-    ctx = vec[0].ctx
-    c = PadicScalar._raw(ctx, -shift, 1, ctx.precision)
-    return [c * a for a in vec]
-
-
 def zp_module_basis(vectors: list[list[PadicScalar]]) -> list[list[PadicScalar]]:
     """Z_p-basis of (Q_p-span of the inputs) cap (integral lattice).
 
-    The kernel's pivot rows, each scaled to content 0.  Minimal pivoting
-    guarantees each pivot ends at the minimal valuation of its final row, so
-    after scaling the pivots are units: the coordinates of any integral vector
-    of the span (its pivot-column entries over the unit pivots) are integral,
-    which is the Z_p-basis property.
+    The pivot rows of `eliminate`, in pivot-column order, each divided by its
+    pivot: an exact 1 at its own pivot column and the exact zero at the
+    other pivot columns, the form `nullspace` gives.  Minimal pivoting keeps
+    each pivot minimal in its final row, so every entry is integral; and an
+    integral vector of the span is the combination of these rows with its
+    own pivot-column entries as coefficients, which is the Z_p-basis
+    property.
     """
     if not vectors:
         return []
     width = len(vectors[0])
     if any(len(v) != width for v in vectors):
         raise ValueError("ragged vector list")
+    ctx = vectors[0][0].ctx
     work = [list(v) for v in vectors]
-    pivots = eliminate(work, vectors[0][0].ctx.zero())
-    return [_content_normalize(work[r]) for r, _ in pivots]
+    basis = []
+    for r, c in sorted(eliminate(work, ctx.zero()), key=operator.itemgetter(1)):
+        inv = work[r][c].inverse()
+        basis.append([x * inv for x in work[r]])
+        basis[-1][c] = ctx.one()
+    return basis

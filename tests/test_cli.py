@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ import padlab
 from padlab import errors
 from padlab import cli
 from padlab.cli import COMMANDS, EXIT_CODES, EXIT_DISAGREE, _printable, build_parser
+from padlab.matrix import fraction_val
 
 from cli_cases import A2, BUNDLE, EXIT_CASES, GOLDEN_CASES, GOLDEN_DIR, SUBCOMMANDS, run_cli
 
@@ -86,13 +88,36 @@ def test_analyze_conjugated_sl3_flow(element):
 
 
 def test_readme_precision_refusal_example():
-    # the README's example of exit 7 from well-formed input: the peeling
-    # residual is held back by an entry known only modulo 3^8
+    # the README's example of exit 7 from well-formed input: a's eigenvalue 1
+    # is a double root of its characteristic polynomial, certified to 6 of 12
+    # digits, and the peeling residual is held back by an entry known only
+    # modulo 2^8
+    code, out, err = run_cli(["factor", "--p", "2", "--group", "gl", "--dim", "3",
+                              "--a", '[["2","1","2"],["0","1","0"],["0","0","1"]]',
+                              "--element", '[["1","4","0"],["0","1","0"],["0","0","1"]]',
+                              "--k", "2"])
+    assert (code, out) == (7, "")
+    assert "PrecisionExhausted: residual entry is O(2^8)" in err
+
+
+def test_simple_eigenvalues_factor_to_full_precision():
+    # the README's former exit-7 example: on lines from a's own eigendata,
+    # whose simple eigenvalues carry every digit, it factors, and F H = g
+    # mod 3^12 on the printed rationals
+    g = [[10, 9], [0, 1]]
     code, out, err = run_cli(["factor", "--p", "3", "--group", "gl", "--dim", "2",
                               "--a", '[["1/3","8/3"],["0","3"]]',
-                              "--element", '[["10","9"],["0","1"]]', "--k", "2"])
-    assert (code, out) == (7, "")
-    assert "PrecisionExhausted" in err
+                              "--element", json.dumps([[str(x) for x in row] for row in g]),
+                              "--k", "2"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["remultiplication"] == "PASS"
+    f, h = ([[Fraction(x) for x in row] for row in doc[key]] for key in ("unstable", "bounded"))
+    val = fraction_val(3)
+    for i in range(2):
+        for j in range(2):
+            diff = sum(f[i][k] * h[k][j] for k in range(2)) - g[i][j]
+            assert diff == 0 or val(diff) >= 12
 
 
 def test_dependent_eigenbasis_exits_2():

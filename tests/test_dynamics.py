@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from padlab import GroupSpec, PadicContext, PadicMatrix, PadlabError, decompose, dynamics, exp
@@ -417,9 +417,125 @@ def test_non_split_sweep():
     assert set(s["refused"]) == {("NotDiagonalizable", "decompose")}
 
 
+def _char_poly_sizes(monkeypatch) -> list:
+    """The sizes of the matrices whose characteristic polynomials are taken
+    from here on: d alone on the eigendata path, d then dim_g on the Ad path."""
+    sizes, char_poly = [], PadicMatrix.char_poly
+
+    def wrapper(m):
+        sizes.append(m.dim)
+        return char_poly(m)
+
+    monkeypatch.setattr(PadicMatrix, "char_poly", wrapper)
+    return sizes
+
+
+def test_split_flow_takes_the_eigendata_path(monkeypatch):
+    # a gl3 conjugate of diag(1/3, 1, 3): chi_a splits with simple roots, so
+    # no 9 x 9 Ad(a) is built, and every eigenvalue carries all 12 digits
+    sizes = _char_poly_sizes(monkeypatch)
+    ctx = PadicContext(3)
+    a = [[Fraction(1, 3), 1, 2], [0, 1, -1], [0, 0, 3]]
+    dec = decompose(PadicMatrix.from_rationals(ctx, a), GroupSpec.gl(ctx, 3))
+    assert sizes == [3]
+    assert dec.nu == (-2, -1, -1, 0, 0, 0, 1, 1, 2)
+    assert {lam.digits for lam in dec.eigenvalues} == {12}
+
+
+def test_non_split_flow_takes_the_ad_path(monkeypatch):
+    # the first non-split sweep flow that decomposes: chi_a does not split
+    # over Q_3 or Q_5, so the 16 x 16 Ad(a) is built and its roots taken
+    rng = random.Random(NON_SPLIT_SEED)
+    sizes = _char_poly_sizes(monkeypatch)
+    while True:
+        _, p, exps, a, _ = draw_non_split_flow(rng)
+        ctx = PadicContext(p)
+        sizes.clear()
+        try:
+            dec = decompose(PadicMatrix.from_rationals(ctx, a), GroupSpec.gl(ctx, 4))
+        except NotDiagonalizable:
+            continue
+        break
+    assert sizes == [4, 16]
+    assert dec.nu_total == 4 * abs(exps[0] - exps[2])
+
+
+def _lines_per_eigenvalue(dec, other) -> list:
+    """For each eigenvalue of dec, its lines in dec and the lines of `other`
+    whose eigenvalue differs from it by a zero."""
+    return [(dec.eigenvalues.count(lam), sum((lam - mu).is_zero for mu in other.eigenvalues))
+            for lam in dict.fromkeys(dec.eigenvalues)]
+
+
+def test_eigendata_path_agrees_with_the_ad_path_on_the_sweep_slice(monkeypatch):
+    # the first 60 flows of seed 7, then conjugates by unitriangular matrices
+    # with p in their denominators, whose lines only saturation makes a
+    # Z_p-basis, on both paths: the same |nu| per line, the same lattice
+    # defect and the same count of lines per eigenvalue
+    rng = random.Random(7)
+    flows = [(family, p, a) for family, p, _, a, _ in (draw_flow(rng) for _ in range(60))]
+    flows += [("sl", 3, [[Fraction(1, 3), Fraction(8, 9)], [0, 3]]),
+              ("gl", 3, [[Fraction(1, 3), Fraction(8, 3)], [0, 3]])]
+    flows += [(family, 2, [[Fraction(1, 2), Fraction(1, 4), Fraction(-1, 16)],
+                           [0, 1, Fraction(1, 4)], [0, 0, 2]]) for family in ("sl", "gl")]
+
+    def decompose_all():
+        return [decompose(PadicMatrix.from_rationals(PadicContext(p), a),
+                          GroupSpec(PadicContext(p), family, len(a))) for family, p, a in flows]
+
+    eigendata = decompose_all()
+    monkeypatch.setattr(dynamics, "_eigendata_lines", lambda a, spec: None)
+    adjoint = decompose_all()
+    assert [dec.lattice_defect for dec in eigendata[-4:]] == [3, 0, 20, 20]
+    for eig, ad in zip(eigendata, adjoint):
+        assert (eig.nu, eig.lattice_defect) == (ad.nu, ad.lattice_defect)
+        for ours, theirs in _lines_per_eigenvalue(eig, ad):
+            assert ours == theirs
+
+
+@st.composite
+def unit_scaled_flows(draw):
+    """(p, family, u D u^-1): D = diag(c_i p^e_i) not scalar, the c_i units
+    in [-4, 4] or p^8 away from one of an equal exponent, u unipotent."""
+    family, d = draw(st.sampled_from([("sl", 2), ("sl", 3), ("gl", 2), ("gl", 3)]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    exps = _flow_exponents(draw, family, d)
+    units = [draw(st.sampled_from([c for c in range(-4, 5) if c % p])) for _ in range(d)]
+    # c_i = c_j + p^8 beside an equal exponent makes a cluster of eigenvalues
+    # that a 12-digit char poly cannot tell apart
+    for i in range(1, d):
+        j = draw(st.integers(0, i))
+        if j < i and exps[j] == exps[i]:
+            units[i] = units[j] + p**8
+    return p, family, _unipotent_conjugate(draw, [c * Fraction(p) ** e for c, e in zip(units, exps)])
+
+
+@settings(max_examples=80)
+@given(unit_scaled_flows())
+@example((2, "gl", [[1, 0, 0], [0, 1 + 2**8, 0], [0, 0, 2]]))
+def test_eigendata_eigenvalues_claim_no_digit_they_lack(case):
+    # every eigenvalue at 12 digits agrees with the eigenvalues of a 48-digit
+    # decomposition at each digit it claims, as many of them as it has lines;
+    # a cluster that 12 digits cannot split may be refused, which claims none
+    p, family, a = case
+    decs = []
+    for precision in (12, 48):
+        ctx = PadicContext(p, precision)
+        try:
+            decs.append(decompose(PadicMatrix.from_rationals(ctx, a), GroupSpec(ctx, family, len(a))))
+        except (PrecisionExhausted, NotDiagonalizable):
+            reject()
+    low, high = decs
+    for lam in dict.fromkeys(low.eigenvalues):
+        agree = [mu for mu in high.eigenvalues if mu.v == lam.v and mu.digits >= lam.digits
+                 and (mu.unit - lam.unit) % p**lam.digits == 0]
+        assert len(agree) == low.eigenvalues.count(lam)
+
+
 def test_eigen_shift_equals_subtracting_a_scaled_identity(monkeypatch):
-    # decompose subtracts each eigenvalue on the diagonal of Ad(a) alone; on
-    # the flows of the sweep slice that must give Ad(a) - lam I entry for
+    # the Ad path subtracts each eigenvalue on the diagonal of Ad(a) alone; on
+    # the non-split flows, whose characteristic polynomials do not split, so
+    # that decompose takes that path, it must give Ad(a) - lam I entry for
     # entry, in value, valuation and digits: an exact zero times lam is the
     # exact zero, and x plus the exact zero is x
     char_poly, roots_of, kernel = PadicMatrix.char_poly, dynamics.hensel_roots, dynamics.nullspace
@@ -441,18 +557,19 @@ def test_eigen_shift_equals_subtracting_a_scaled_identity(monkeypatch):
     def entries(m):
         return [[(x.unit, x.v, x.digits) for x in row] for row in m.rows]
 
-    rng = random.Random(7)
+    rng = random.Random(NON_SPLIT_SEED)
     shifts = 0
-    for _ in range(60):
-        family, p, exps, a, _ = draw_flow(rng)
+    for _ in range(NON_SPLIT_FLOWS):
+        _, p, _, a, _ = draw_non_split_flow(rng)
         ctx = PadicContext(p)
-        spec = GroupSpec.sl(ctx, len(exps)) if family == "sl" else GroupSpec.gl(ctx, len(exps))
         seen = {"ad": [], "roots": [], "shifted": []}
         try:
-            decompose(PadicMatrix.from_rationals(ctx, a), spec)
+            decompose(PadicMatrix.from_rationals(ctx, a), GroupSpec.gl(ctx, 4))
         except PadlabError:
             pass
-        (ad,) = seen["ad"]
+        # chi_a does not split, so Ad(a) is built: 16 x 16 on gl4
+        flow, ad = seen["ad"]
+        assert (flow.dim, ad.dim) == (4, 16)
         for (lam, _), shifted in zip(seen["roots"], seen["shifted"]):
             assert entries(shifted) == entries(ad - PadicMatrix.identity(ctx, ad.dim).scale(lam))
             shifts += 1

@@ -564,6 +564,26 @@ def test_nullspace_is_a_zp_basis_of_the_integral_kernel(case):
         assert all(x.valuation() >= 0 for x in vec)
 
 
+@settings(max_examples=100)
+@given(low_rank_matrices())
+def test_zp_module_basis_takes_the_nullspace_form(case):
+    # one row per pivot of `eliminate`, in pivot-column order: an exact 1 at
+    # its own pivot column, the exact zero at the other pivot columns, and
+    # integral entries
+    p, rank, rows = case
+    ctx = PadicContext(p)
+    vectors = PadicMatrix.from_rationals(ctx, rows).rows
+    pivot_cols = sorted(c for _, c in eliminate([list(r) for r in vectors], ctx.zero()))
+    basis = zp_module_basis(vectors)
+    assert len(basis) == len(pivot_cols) <= rank
+    one, zero = (ctx.one().v, 1, ctx.precision), (None, 0, None)
+    for vec, j in zip(basis, pivot_cols):
+        assert [(vec[i].v, vec[i].unit, vec[i].digits) for i in pivot_cols] == [
+            one if i == j else zero for i in pivot_cols
+        ]
+        assert all(x.valuation() >= 0 for x in vec)
+
+
 def test_zp_module_basis_unit_pivots():
     ctx = PadicContext(3)
     vin = [
