@@ -23,9 +23,11 @@ vectors.  The eigendata path refuses nothing: where one of its steps fails,
 the Ad path runs and raises what it always raised.  Either way an
 eigenvalue's lines are a Z_p-basis of its eigenspace's integral points, each
 with an exact 1 at a coordinate of its own and the exact zero at the other
-lines' own coordinates, so a diagonal flow gets the same lines on both.  A
-decomposition inverts the lines' coordinate rows once, by `matrix._invert`:
-coordinates in the eigenbasis and lattice_defect both read that inverse.
+lines' own coordinates, so a diagonal flow gets the same lines on both, each
+written on the entries by `GroupSpec.element`.  A decomposition takes the
+pivots of its lines' coordinate rows at decompose, by `eliminate`: they decide
+whether the lines are independent and sum to lattice_defect.  The inverse,
+which coordinates in the eigenbasis read, is built on first use.
 
 Both window conventions read one rule, `_window_levels`: the Bowen ball
 bowen_ball(dec, k, n) holds the points staying k-close for times 0..n, and
@@ -76,6 +78,8 @@ from .matrix import (
 )
 from .scalar import PadicContext, PadicScalar
 
+_DEPENDENT = "no eigenbasis at working precision: the eigenlines are dependent"
+
 
 @dataclass(frozen=True)
 class HorosphericalDecomposition:
@@ -89,10 +93,12 @@ class HorosphericalDecomposition:
     eigenspace's integral points.  Derived: nu[i] = v_p(eigenvalues[i]);
     classes[i], "STABLE", "NEUTRAL" or "UNSTABLE" by the sign of nu[i], for
     output (the rules read the sign); nu_total, the summed stable
-    contraction; and, once, the inverse of the lines' algebra coordinates
-    (None if they are dependent at working precision), whose pivot
-    valuations sum to lattice_defect, the index of the eigenlattice sum in
-    the integral lattice (never negative, as the lines are integral).
+    contraction; and, once each, the pivots of `eliminate` on the rows of
+    the lines' algebra coordinates, whose valuations sum to lattice_defect,
+    the index of the eigenlattice sum in the integral lattice (never
+    negative, as the lines are integral), and on the first `coordinates`
+    call the inverse of those rows.  lattice_defect and coordinates raise
+    NotDiagonalizable when the lines are dependent at working precision.
     """
 
     a: PadicMatrix
@@ -116,22 +122,37 @@ class HorosphericalDecomposition:
     def nu_total(self) -> int:
         return sum(v for v in self.nu if v > 0)
 
+    def _rows(self) -> list:
+        """The lines' algebra coordinates, one fresh row per line."""
+        return [self.group.algebra_coordinates(b) for b in self.basis]
+
     @cached_property
-    def _inverse(self) -> tuple:
-        """(inverse, pivots) of the rows of the lines' algebra coordinates."""
-        rows = [self.group.algebra_coordinates(b) for b in self.basis]
-        return _invert(rows, self.ctx.zero(), self.ctx.one())
+    def _pivots(self) -> list:
+        """The pivot entries of `eliminate` on _rows, those `_invert` picks:
+        its pivot search and row updates never read the identity block."""
+        rows = self._rows()
+        return [rows[r][c] for r, c in eliminate(rows, self.ctx.zero())]
 
     @property
     def lattice_defect(self) -> int:
-        return sum(x.v for x in self._inverse[1])
+        if len(self._pivots) < len(self.basis):
+            raise NotDiagonalizable(_DEPENDENT)
+        return sum(x.v for x in self._pivots)
+
+    @cached_property
+    def _inverse(self) -> list:
+        """The inverse of _rows, built on the first `coordinates` call."""
+        inverse, _ = _invert(self._rows(), self.ctx.zero(), self.ctx.one())
+        if inverse is None:
+            raise NotDiagonalizable(_DEPENDENT)
+        return inverse
 
     def coordinates(self, x: PadicMatrix) -> list:
         """Coordinates of x in the eigenbasis; on sl, of x less its trace at
         x_dd (see GroupSpec._read_off), so a residual off the algebra has some."""
         coords, _ = self.group._read_off(x)
         zero = self.ctx.zero()
-        return [_dot(coords, col, zero) for col in zip(*self._inverse[0])]
+        return [_dot(coords, col, zero) for col in zip(*self._inverse)]
 
     def max_exponent(self) -> int:
         """max |v_p(lambda)| over all eigenlines (0 when none are hyperbolic)."""
@@ -222,10 +243,10 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
                     f"{len(kernel)} independent eigenvectors"
                 )
             eigenvalues += [lam] * mult
-            lines += [combine(spec.lie_basis, vec) for vec in kernel]
+            lines += [spec.element(vec) for vec in kernel]
     dec = HorosphericalDecomposition(a, spec, tuple(eigenvalues), tuple(lines))
-    if dec._inverse[0] is None:
-        raise NotDiagonalizable("no eigenbasis at working precision: the eigenlines are dependent")
+    if len(dec._pivots) < len(lines):
+        raise NotDiagonalizable(_DEPENDENT)
     if dec.nu_total == 0:
         raise NoHyperbolicity("every adjoint eigenvalue is a p-adic unit")
     return dec
@@ -275,7 +296,8 @@ def _eigendata_lines(a: PadicMatrix, spec: GroupSpec):
         pairs += [(one, line(k, k) - line(k + 1, k + 1)) for k in range(d - 1)]
     groups: list[list] = []  # [eigenvalue, its lines]
     for mu, x in pairs:
-        group = next((g for g in groups if (g[0] - mu).is_zero), None)
+        # nonzero values of other valuations differ by their lower one's certified leading digit
+        group = next((g for g in groups if g[0].v == mu.v and (g[0] - mu).is_zero), None)
         if group is None:
             groups.append([mu, [x]])
             continue
@@ -290,7 +312,7 @@ def _eigendata_lines(a: PadicMatrix, spec: GroupSpec):
         if len(basis) < len(members):
             return None
         eigenvalues += [mu] * len(basis)
-        lines += [combine(spec.lie_basis, vec) for vec in basis]
+        lines += [spec.element(vec) for vec in basis]
     return eigenvalues, lines
 
 

@@ -109,9 +109,9 @@ class GroupSpec:
     Stored: ctx, the ambient p-adic context; family, "sl" or "gl"; and dim,
     the ambient matrix size d.  Derived from them: lie_basis, the Z_p-basis
     of (algebra cap Mat_d(Z_p)) that the family fixes, and the coordinates
-    in it, read off the entries.  For sl it is E_ij (i < j), H_k = E_kk -
-    E_(k+1)(k+1), E_ij (i > j, column by column); for gl all E_ij,
-    row-major.
+    in it, read off the entries and written back on them by `element`.  For
+    sl it is E_ij (i < j), H_k = E_kk - E_(k+1)(k+1), E_ij (i > j, column by
+    column); for gl all E_ij, row-major.
     """
 
     ctx: PadicContext
@@ -163,6 +163,25 @@ class GroupSpec:
         above = [rows[i][j] for i in range(d) for j in range(i + 1, d)]
         below = [rows[i][j] for j in range(d) for i in range(j + 1, d)]
         return above + sums + below, trace
+
+    def element(self, coords) -> PadicMatrix:
+        """The algebra element with these lie_basis coordinates, the inverse
+        of _read_off: for gl the entries, row-major; for sl the entries above
+        the diagonal, x_kk = s_k - s_(k-1) from the partial sums s (s_0 and
+        s_d the exact zero, so x_dd = -s_(d-1)), then the entries below.
+        Entry for entry, `combine(lie_basis, coords)`, without its products."""
+        ctx, d = self.ctx, self.dim
+        if self.family == "gl":
+            return PadicMatrix.from_flat(ctx, d, coords)
+        zero, m = ctx.zero(), d * (d - 1) // 2
+        sums = [zero, *coords[m:m + d - 1], zero]
+        rows = [[zero] * d for _ in range(d)]
+        above, below = iter(coords[:m]), iter(coords[m + d - 1:])
+        for i in range(d):
+            rows[i][i] = sums[i + 1] - sums[i]
+            for j in range(i + 1, d):
+                rows[i][j], rows[j][i] = next(above), next(below)
+        return PadicMatrix(ctx, rows)
 
     def algebra_coordinates(self, x: PadicMatrix):
         """Coordinates of x in lie_basis (see _read_off); None if x is outside,

@@ -25,8 +25,10 @@ FACTORED's when lattice_defect is 0.
 
 Run as a script, it prints, for each seed given (7 if none) and then for the
 non-split family, the decompositions and the wrong |nu| among them, the
-refusals by error class and raising function, and the factorizations by the
-outcome of their check; for each seed, the oracle windows by outcome, and a
+refusals by error class and raising function, the factorizations by the
+outcome of their check, and a SHA-256 of every decomposition (each
+eigenvalue and line entry as v, unit and digits, and the lattice_defect) or
+refusal message; for each seed, the oracle windows by outcome, and a
 SHA-256 of every window's counts or refusal message:
 
     PYTHONPATH=src python tests/conjugate_sweep.py 7 8
@@ -134,33 +136,48 @@ def _decompose(flow):
     return decompose(PadicMatrix.from_rationals(ctx, a), spec)
 
 
+def decomposition_text(dec) -> str:
+    """Every eigenvalue, then every line entry row by row, as v,unit,digits,
+    and the lattice_defect last."""
+    entries = [*dec.eigenvalues, *(x for b in dec.basis for x in b.flat())]
+    return " ".join([*(f"{x.v},{x.unit},{x.digits}" for x in entries), str(dec.lattice_defect)])
+
+
 def run_flow(flow) -> tuple:
-    """One outcome: ("refused", error class, raising function) when decompose
-    refuses, or ("decomposed", |nu| correct, factor outcome), the factor
-    outcome being "PASS", "FAIL", "UNDECIDED" or (error class, raising
-    function)."""
+    """(outcome, text).  The outcome is ("refused", error class, raising
+    function) when decompose refuses, or ("decomposed", |nu| correct, factor
+    outcome), the factor outcome being "PASS", "FAIL", "UNDECIDED" or (error
+    class, raising function); the text is the refusal message or the
+    decomposition_text."""
     _, p, exps, _, x = flow
     try:
         dec = _decompose(flow)
     except PadlabError as err:
-        return ("refused", type(err).__name__, _raiser(err))
+        return ("refused", type(err).__name__, _raiser(err)), f"{type(err).__name__}: {err}"
+    text = decomposition_text(dec)
     nu_ok = dec.nu_total == sum(abs(e - f) for i, e in enumerate(exps) for f in exps[i + 1:])
     g = exp(PadicMatrix.from_rationals(dec.ctx, x))
     try:
         res = horospherical_factor(g, 2, dec)
     except PadlabError as err:
-        return ("decomposed", nu_ok, (type(err).__name__, _raiser(err)))
+        return ("decomposed", nu_ok, (type(err).__name__, _raiser(err))), text
     try:
         held = (res.unstable @ res.bounded).congruent_mod(g, CHECK_DIGITS)
     except PrecisionExhausted:
-        return ("decomposed", nu_ok, "UNDECIDED")
-    return ("decomposed", nu_ok, "PASS" if held else "FAIL")
+        return ("decomposed", nu_ok, "UNDECIDED"), text
+    return ("decomposed", nu_ok, "PASS" if held else "FAIL"), text
 
 
-def sweep(seed: int, flows: int = FLOWS, draw=draw_flow) -> Counter:
-    """Outcome counts of the first `flows` flows of a seed."""
+def sweep(seed: int, flows: int = FLOWS, draw=draw_flow) -> tuple[Counter, str]:
+    """Outcome counts of the first `flows` flows of a seed, and the SHA-256
+    of their lines "flow text" (see run_flow), flows numbered from 0."""
     rng = random.Random(seed)
-    return Counter(run_flow(draw(rng)) for _ in range(flows))
+    outcomes, digest = Counter(), hashlib.sha256()
+    for i in range(flows):
+        outcome, text = run_flow(draw(rng))
+        outcomes[outcome] += 1
+        digest.update(f"{i} {text}\n".encode())
+    return outcomes, digest.hexdigest()
 
 
 def oracle_window(dec, n: int) -> tuple:
@@ -212,7 +229,7 @@ def summary(counts: Counter) -> dict:
     return out
 
 
-def _report(title: str, counts: Counter) -> None:
+def _report(title: str, counts: Counter, digest: str) -> None:
     s = summary(counts)
     print(f"{title}: {sum(counts.values())} flows, {s['decomposed']} decomposed, "
           f"{s['wrong_nu']} with a wrong |nu|")
@@ -224,6 +241,7 @@ def _report(title: str, counts: Counter) -> None:
           f"UNDECIDED {checks['UNDECIDED']}")
     for key, n in sorted((k, n) for k, n in checks.items() if isinstance(k, tuple)):
         print(f"  factor refused: {key[0]} in {key[1]}: {n}")
+    print(f"  sha256 of every decomposition or refusal: {digest}")
 
 
 def _report_oracle(title: str, outcomes: Counter, digest: str) -> None:
@@ -240,10 +258,10 @@ def _report_oracle(title: str, outcomes: Counter, digest: str) -> None:
 
 def main(argv: list[str]) -> int:
     for seed in map(int, argv or ["7"]):
-        _report(f"seed {seed}", sweep(seed))
+        _report(f"seed {seed}", *sweep(seed))
         _report_oracle(f"seed {seed} oracle", *oracle_sweep(seed))
     _report(f"non-split seed {NON_SPLIT_SEED}",
-            sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow))
+            *sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow))
     return 0
 
 

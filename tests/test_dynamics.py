@@ -396,7 +396,7 @@ def test_conjugate_sweep_slice():
     # the first 60 flows of seed 7 of the conjugate sweep: every one
     # decomposes with the right |nu|, and no returned factorization fails
     # F H = g mod p^8 or leaves it open
-    s = summary(sweep(7, 60))
+    s = summary(sweep(7, 60)[0])
     assert (s["decomposed"], s["wrong_nu"]) == (60, 0)
     assert s["factor"]["FAIL"] == s["factor"]["UNDECIDED"] == 0
 
@@ -412,7 +412,7 @@ def test_non_split_sweep():
     # the non-split GL4 family of the conjugate sweep, whose characteristic
     # polynomials do not split over Q_p: every decomposition has the right
     # |nu|, and every refusal is NotDiagonalizable from decompose
-    s = summary(sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow))
+    s = summary(sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow)[0])
     assert (s["decomposed"], s["wrong_nu"]) == (39, 0)
     assert set(s["refused"]) == {("NotDiagonalizable", "decompose")}
 
@@ -467,30 +467,81 @@ def _lines_per_eigenvalue(dec, other) -> list:
             for lam in dict.fromkeys(dec.eigenvalues)]
 
 
-def test_eigendata_path_agrees_with_the_ad_path_on_the_sweep_slice(monkeypatch):
-    # the first 60 flows of seed 7, then conjugates by unitriangular matrices
-    # with p in their denominators, whose lines only saturation makes a
-    # Z_p-basis, on both paths: the same |nu| per line, the same lattice
-    # defect and the same count of lines per eigenvalue
+def _decompose_slice_and_conjugates() -> list:
+    """Decompositions of the first 60 flows of seed 7, then of conjugates by
+    unitriangular matrices with p in their denominators, whose lines only
+    saturation makes a Z_p-basis (lattice defects 3, 0, 20 and 20)."""
     rng = random.Random(7)
     flows = [(family, p, a) for family, p, _, a, _ in (draw_flow(rng) for _ in range(60))]
     flows += [("sl", 3, [[Fraction(1, 3), Fraction(8, 9)], [0, 3]]),
               ("gl", 3, [[Fraction(1, 3), Fraction(8, 3)], [0, 3]])]
     flows += [(family, 2, [[Fraction(1, 2), Fraction(1, 4), Fraction(-1, 16)],
                            [0, 1, Fraction(1, 4)], [0, 0, 2]]) for family in ("sl", "gl")]
+    return [decompose(PadicMatrix.from_rationals(PadicContext(p), a),
+                      GroupSpec(PadicContext(p), family, len(a))) for family, p, a in flows]
 
-    def decompose_all():
-        return [decompose(PadicMatrix.from_rationals(PadicContext(p), a),
-                          GroupSpec(PadicContext(p), family, len(a))) for family, p, a in flows]
 
-    eigendata = decompose_all()
+def test_eigendata_path_agrees_with_the_ad_path_on_the_sweep_slice(monkeypatch):
+    # the sweep slice and the four conjugates on both paths: the same |nu| per
+    # line, the same lattice defect and the same count of lines per eigenvalue
+    eigendata = _decompose_slice_and_conjugates()
     monkeypatch.setattr(dynamics, "_eigendata_lines", lambda a, spec: None)
-    adjoint = decompose_all()
+    adjoint = _decompose_slice_and_conjugates()
     assert [dec.lattice_defect for dec in eigendata[-4:]] == [3, 0, 20, 20]
     for eig, ad in zip(eigendata, adjoint):
         assert (eig.nu, eig.lattice_defect) == (ad.nu, ad.lattice_defect)
         for ours, theirs in _lines_per_eigenvalue(eig, ad):
             assert ours == theirs
+
+
+def test_lattice_defect_sums_the_pivots_of_the_inverse():
+    # the pivots decompose takes from its lines' coordinate rows alone are
+    # those the [A | I] inverse picks: their valuations sum alike
+    for dec in _decompose_slice_and_conjugates():
+        rows = [dec.group.algebra_coordinates(b) for b in dec.basis]
+        inverse, pivots = _invert(rows, dec.ctx.zero(), dec.ctx.one())
+        assert inverse is not None
+        assert dec.lattice_defect == sum(x.v for x in pivots)
+
+
+def test_decompose_inverts_no_eigenbasis_until_coordinates_are_read(monkeypatch):
+    # decompose and lattice_defect take pivots alone: the only inverse is the
+    # 3 x 3 U^-1; the first coordinates call builds the 9 x 9 inverse, and
+    # later calls reuse it
+    sizes, invert = [], dynamics._invert
+
+    def counted(rows, *args):
+        sizes.append(len(rows))
+        return invert(rows, *args)
+
+    monkeypatch.setattr(dynamics, "_invert", counted)
+    ctx = PadicContext(3)
+    a = [[Fraction(1, 3), 1, 2], [0, 1, -1], [0, 0, 3]]
+    dec = decompose(PadicMatrix.from_rationals(ctx, a), GroupSpec.gl(ctx, 3))
+    assert dec.lattice_defect == 0
+    assert sizes == [3]
+    x = PadicMatrix.from_rationals(ctx, [[9, 3, 0], [0, 9, 27], [1, 0, 0]])
+    first = dec.coordinates(x)
+    assert sizes == [3, 9]
+    assert dec.coordinates(x) == first
+    assert dec.coordinates(dec.basis[0])[0] == ctx.one()
+    assert sizes == [3, 9]
+
+
+def test_dependent_lines_refuse_their_defect_and_coordinates():
+    # a decomposition built from the sl2 lines (E12, H, E12), dependent:
+    # neither the lattice defect nor a coordinate exists
+    ctx = PadicContext(3)
+    spec = GroupSpec.sl(ctx, 2)
+    e12, h, _ = spec.lie_basis
+    lams = tuple(ctx.from_rational(x) for x in (Fraction(1, 9), 1, 9))
+    dec = dynamics.HorosphericalDecomposition(
+        PadicMatrix.from_rationals(ctx, [[Fraction(1, 3), 0], [0, 3]]), spec, lams, (e12, h, e12))
+    message = "no eigenbasis at working precision: the eigenlines are dependent"
+    with pytest.raises(NotDiagonalizable, match=message):
+        dec.lattice_defect
+    with pytest.raises(NotDiagonalizable, match=message):
+        dec.coordinates(h)
 
 
 @st.composite

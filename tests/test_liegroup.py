@@ -10,6 +10,8 @@ from math import comb, factorial
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padlab import GroupSpec, PadicContext, PadicMatrix, PadicScalar, bch, decompose, exp, log
 from padlab.errors import DomainError, PrecisionExhausted
@@ -795,8 +797,9 @@ def test_algebra_coordinates_detect_outsiders(family, d, p):
     assert len(spec.lie_basis) == d * d - (family == "sl")
     # lie_basis[j] reads off as the unit vector e_j
     for j, b in enumerate(spec.lie_basis):
-        assert spec.algebra_coordinates(b) == [ctx.one() if i == j else ctx.zero()
-                                               for i in range(len(spec.lie_basis))]
+        unit_vector = [ctx.one() if i == j else ctx.zero() for i in range(len(spec.lie_basis))]
+        assert spec.algebra_coordinates(b) == unit_vector
+        assert _fields(spec.element(unit_vector).flat()) == _fields(b.flat())
     rng = random.Random(1000 * p + 10 * d + (family == "sl"))
     for _ in range(5):
         # a seeded integral element of the algebra
@@ -807,6 +810,7 @@ def test_algebra_coordinates_detect_outsiders(family, d, p):
         assert coords is not None and len(coords) == len(spec.lie_basis)
         if spec.lie_basis:
             assert combine(spec.lie_basis, coords).congruent_mod(x, ctx.precision)
+        assert spec.element(coords).congruent_mod(x, ctx.precision)
     # nonzero trace lies outside sl_d, for d = 1 outside the empty basis
     trace_one = PadicMatrix.zeros(ctx, d).rows
     trace_one[0][0] = ctx.one()
@@ -815,6 +819,54 @@ def test_algebra_coordinates_detect_outsiders(family, d, p):
     # a matrix of another size is refused, by the empty basis of sl_1 too
     with pytest.raises(ValueError, match=f"{d}x{d} and a {d + 2}x{d + 2}"):
         spec.algebra_coordinates(PadicMatrix.zeros(ctx, d + 2))
+
+
+def _fields(xs) -> list:
+    return [(x.v, x.unit, x.digits) for x in xs]
+
+
+@st.composite
+def algebra_points(draw):
+    """(spec, coordinates): sl or gl, d = 1..4, p in {2, 3, 5}; each
+    coordinate the exact zero, an O(p^c), or p^v u certified to some digits."""
+    family, d, p = draw(st.sampled_from(GROUP_CASES))
+    ctx = PadicContext(p)
+    spec = getattr(GroupSpec, family)(ctx, d)
+    n = ctx.precision
+    scalars = st.one_of(
+        st.just(ctx.zero()),
+        st.integers(-4, n + 2).map(ctx.zero),
+        st.builds(lambda v, u, r, k: PadicScalar(ctx, v, u * p + r, k), st.integers(-4, 6),
+                  st.integers(0, p ** (n - 1) - 1), st.integers(1, p - 1), st.integers(1, n)),
+    )
+    dim_g = len(spec.lie_basis)
+    return spec, draw(st.lists(scalars, min_size=dim_g, max_size=dim_g))
+
+
+@settings(max_examples=400)
+@given(algebra_points())
+def test_element_writes_the_coordinates_on_the_entries(case):
+    # element is combine over lie_basis in value, valuation and digits, and
+    # algebra_coordinates reads its coordinates back: on gl and off the sl
+    # diagonal exactly; an sl partial sum s_k, re-added from the diagonal
+    # differences, claims the digits of the coarsest s_1 .. s_k and agrees
+    # with s_k at every digit both claim (it may claim more: D11's mirror-image
+    # rule makes 1 + (O(2^12) - 1) the exact zero)
+    spec, coords = case
+    x = spec.element(coords)
+    if spec.lie_basis:
+        assert _fields(x.flat()) == _fields(combine(spec.lie_basis, coords).flat())
+    else:
+        assert _fields(x.flat()) == _fields([spec.ctx.zero()])
+    back = spec.algebra_coordinates(x)
+    start = spec.dim * (spec.dim - 1) // 2
+    sums = range(start, start + spec.dim - 1) if spec.family == "sl" else range(0)
+    for i, (y, c) in enumerate(zip(back, coords, strict=True)):
+        if i not in sums:
+            assert _fields([y]) == _fields([c])
+            continue
+        assert y.abs_precision() >= min(z.abs_precision() for z in coords[start:i + 1])
+        assert y.congruent_mod(c, min(y.abs_precision(), c.abs_precision()))
 
 
 # ---- horospherical factorization --------------------------------------------
