@@ -61,10 +61,12 @@ from .errors import (
     NoHyperbolicity,
     NotDiagonalizable,
     NotSplitAtPrecision,
+    SingularAtPrecision,
 )
 from .liegroup import GroupSpec, exp, log
 from .matrix import (
     PadicMatrix,
+    _SINGULAR,
     _dot,
     _invert,
     _sort_roots,
@@ -97,14 +99,22 @@ class HorosphericalDecomposition:
     the lines' algebra coordinates, whose valuations sum to lattice_defect,
     the index of the eigenlattice sum in the integral lattice (never
     negative, as the lines are integral), and on the first `coordinates`
-    call the inverse of those rows.  lattice_defect and coordinates raise
-    NotDiagonalizable when the lines are dependent at working precision.
+    call the inverse of those rows.  Construction raises ValueError unless
+    there are dim_g lines and as many eigenvalues; lattice_defect and
+    coordinates raise NotDiagonalizable when the lines are dependent at
+    working precision.
     """
 
     a: PadicMatrix
     group: GroupSpec
     eigenvalues: tuple
     basis: tuple
+
+    def __post_init__(self) -> None:
+        dim_g = len(self.group.lie_basis)
+        if len(self.basis) != dim_g or len(self.eigenvalues) != dim_g:
+            raise ValueError(f"{len(self.basis)} lines and {len(self.eigenvalues)} eigenvalues "
+                             f"on an algebra of dimension {dim_g}")
 
     @property
     def ctx(self) -> PadicContext:
@@ -188,8 +198,11 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     eigendata (`_eigendata_lines`) when a diagonalizes over Q_p at working
     precision, and otherwise from Ad(a), whose eigenvalues are the roots of
     its characteristic polynomial and whose lines are each root's
-    `nullspace` vectors, as lie_basis coordinates.  a is inverted first, so
-    a singular flow raises SingularAtPrecision whichever path it would take.
+    `nullspace` vectors, as lie_basis coordinates.  a is tested first, by the
+    pivot count of `eliminate` on its rows, the pivots `a.inverse()` would
+    take, so a singular flow raises SingularAtPrecision whichever path it
+    would take, before any eigenvalue is divided; a^-1 is built on the Ad
+    path alone.
 
     Raises SingularAtPrecision when a has no inverse at working precision;
     NotDiagonalizable when the characteristic polynomial of Ad(a) does not
@@ -201,10 +214,11 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     ctx = spec.ctx
     if a.dim != spec.dim:
         raise ValueError(f"a {a.dim}x{a.dim} flow on a group of {spec.dim}x{spec.dim} matrices")
-    a_inv = a.inverse()
+    if len(eliminate([list(r) for r in a.rows], a.ctx.zero())) < a.dim:
+        raise SingularAtPrecision(_SINGULAR)
     eigenvalues, lines = _eigendata_lines(a, spec) or ([], [])
     if not lines:  # the Ad path, inline: its refusals raise from decompose
-        dim_g = len(spec.lie_basis)
+        dim_g, a_inv = len(spec.lie_basis), a.inverse()
         cols = []
         for b in spec.lie_basis:
             image = a @ b @ a_inv
@@ -212,7 +226,7 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
             if co is None:
                 raise DomainError("a does not normalize the algebra")
             cols.append(co)
-        ad_mat = PadicMatrix(
+        ad_mat = PadicMatrix._own(
             ctx, [[cols[j][i] for j in range(dim_g)] for i in range(dim_g)]
         )
         chi = ad_mat.char_poly()
@@ -288,7 +302,7 @@ def _eigendata_lines(a: PadicMatrix, spec: GroupSpec):
     one = ctx.one()
 
     def line(i, j):
-        return PadicMatrix(ctx, [[x * y for y in u_inv[j]] for x in cols[i]])
+        return PadicMatrix._own(ctx, [[x * y for y in u_inv[j]] for x in cols[i]])
 
     pairs = [(one if i == j else lams[i] / lams[j], line(i, j))
              for i in range(d) for j in range(d) if i != j or spec.family == "gl"]

@@ -181,7 +181,7 @@ class GroupSpec:
             rows[i][i] = sums[i + 1] - sums[i]
             for j in range(i + 1, d):
                 rows[i][j], rows[j][i] = next(above), next(below)
-        return PadicMatrix(ctx, rows)
+        return PadicMatrix._own(ctx, rows)
 
     def algebra_coordinates(self, x: PadicMatrix):
         """Coordinates of x in lie_basis (see _read_off); None if x is outside,

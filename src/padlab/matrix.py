@@ -65,13 +65,15 @@ def eliminate(rows, zero, width=None, val=_scalar_val) -> list[tuple[int, int]]:
     all) not yet pivoted, the first entry of minimal valuation in row-major
     order, and clears its column in every other row: row -= (f / pivot) *
     pivot_row, skipping exact zeros; the pivot column is set to `zero`
-    outright.  Pivot rows are not normalized, and a pivot entry keeps its
-    value through later steps.  So the rows become T @ rows with det T = 1,
-    and the pivots multiply to the determinant of the pivoted minor, up to
-    the sign of the pivot permutation.  T need not be p-integral, as a step
-    clears its column in earlier pivot rows too: the output keeps the pivot
-    valuations (the elementary divisors) but not the rows' Z_(p)-module, so
-    FULL re-eliminates its whole stack for every window.
+    outright.  A step inverts its pivot once and takes each -(f / pivot) as
+    f times that negated inverse.  Pivot rows are not normalized, and a
+    pivot entry keeps its value through later steps.  So the rows become
+    T @ rows with det T = 1, and the pivots multiply to the determinant of
+    the pivoted minor, up to the sign of the pivot permutation.  T need not
+    be p-integral, as a step clears its column in earlier pivot rows too:
+    the output keeps the pivot valuations (the elementary divisors) but not
+    the rows' Z_(p)-module, so FULL re-eliminates its whole stack for every
+    window.
 
     Args:
         rows: list of mutable entry lists of one ring (PadicScalar or Fraction).
@@ -103,15 +105,19 @@ def eliminate(rows, zero, width=None, val=_scalar_val) -> list[tuple[int, int]]:
         pivots.append((pi, pj))
         prow = rows[pi]
         pivot = prow[pj]
+        neg_inv = -(pivot.inverse() if isinstance(pivot, PadicScalar) else 1 / pivot)
         cols = [j for j, b in enumerate(prow) if j != pj and b]
         for i, row in enumerate(rows):
             f = row[pj]
             if i == pi or not f:
                 continue
-            mult = -(f / pivot)
+            mult = f * neg_inv
             for j in cols:
                 row[j] = row[j] + mult * prow[j]
             row[pj] = zero
+
+
+_SINGULAR = "no pivot left: singular at working precision"
 
 
 def _invert(rows, zero, one, val=_scalar_val):
@@ -146,6 +152,14 @@ class PadicMatrix:
             if len(r) != self.dim:
                 raise ValueError("matrix must be square")
 
+    @classmethod
+    def _own(cls, ctx: PadicContext, rows) -> "PadicMatrix":
+        """The matrix on rows, square lists built for it and used by nothing
+        else: it takes them without copying or checking."""
+        self = object.__new__(cls)
+        self.ctx, self.rows, self.dim = ctx, rows, len(rows)
+        return self
+
     # ---- constructors ----------------------------------------------------
 
     @classmethod
@@ -164,15 +178,15 @@ class PadicMatrix:
     @classmethod
     def identity(cls, ctx: PadicContext, dim: int) -> "PadicMatrix":
         one, zero = ctx.one(), ctx.zero()
-        return cls(ctx, [[one if i == j else zero for j in range(dim)] for i in range(dim)])
+        return cls._own(ctx, [[one if i == j else zero for j in range(dim)] for i in range(dim)])
 
     @classmethod
     def zeros(cls, ctx: PadicContext, dim: int) -> "PadicMatrix":
         zero = ctx.zero()
-        return cls(ctx, [[zero] * dim for _ in range(dim)])
+        return cls._own(ctx, [[zero] * dim for _ in range(dim)])
 
     def copy(self) -> "PadicMatrix":
-        return PadicMatrix(self.ctx, [list(r) for r in self.rows])
+        return PadicMatrix._own(self.ctx, [list(r) for r in self.rows])
 
     # ---- ring operations --------------------------------------------------
 
@@ -182,7 +196,7 @@ class PadicMatrix:
 
     def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_size(other)
-        return PadicMatrix(
+        return PadicMatrix._own(
             self.ctx, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
@@ -190,16 +204,16 @@ class PadicMatrix:
         return self + (-other)
 
     def __neg__(self) -> "PadicMatrix":
-        return PadicMatrix(self.ctx, [[-a for a in r] for r in self.rows])
+        return PadicMatrix._own(self.ctx, [[-a for a in r] for r in self.rows])
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_size(other)
         zero = self.ctx.zero()
         cols = list(zip(*other.rows))
-        return PadicMatrix(self.ctx, [[_dot(ri, cj, zero) for cj in cols] for ri in self.rows])
+        return PadicMatrix._own(self.ctx, [[_dot(ri, cj, zero) for cj in cols] for ri in self.rows])
 
     def scale(self, c: PadicScalar) -> "PadicMatrix":
-        return PadicMatrix(self.ctx, [[c * a for a in r] for r in self.rows])
+        return PadicMatrix._own(self.ctx, [[c * a for a in r] for r in self.rows])
 
     def flat(self) -> list[PadicScalar]:
         """Row-major entry list (the coordinate vector in the E_ij basis)."""
@@ -208,7 +222,9 @@ class PadicMatrix:
     @classmethod
     def from_flat(cls, ctx: PadicContext, dim: int, entries) -> "PadicMatrix":
         entries = list(entries)
-        return cls(ctx, [entries[i * dim : (i + 1) * dim] for i in range(dim)])
+        if len(entries) != dim * dim:
+            raise ValueError(f"{len(entries)} entries for a {dim}x{dim} matrix")
+        return cls._own(ctx, [entries[i * dim : (i + 1) * dim] for i in range(dim)])
 
     # ---- norm and congruence ----------------------------------------------
 
@@ -284,8 +300,8 @@ class PadicMatrix:
         ctx = self.ctx
         rows, _ = _invert(self.rows, ctx.zero(), ctx.one())
         if rows is None:
-            raise SingularAtPrecision("no pivot left: singular at working precision")
-        return PadicMatrix(ctx, rows)
+            raise SingularAtPrecision(_SINGULAR)
+        return PadicMatrix._own(ctx, rows)
 
     def char_poly(self) -> list[PadicScalar]:
         """det(xI - A) by Berkowitz, ascending: coeffs[k] multiplies x^k."""

@@ -24,6 +24,10 @@ digits when leading digits cancel.  `+` never raises:
 
 Dividing by O(p^c) raises PrecisionExhausted, and so does reading O(p^c),
 c < N, as a rational (`as_rational`) or deciding a congruence it leaves open.
+
+No code mutates a scalar once it is built, so values are shared freely:
+each context builds its exact zero and its one once, and `zero()` and
+`one()` return those two objects.
 """
 
 from __future__ import annotations
@@ -85,6 +89,8 @@ class PadicContext:
     p: int
     precision: int = DEFAULT_PRECISION
     modulus: int = field(init=False, repr=False, compare=False)
+    _zero: "PadicScalar" = field(init=False, repr=False, compare=False)
+    _one: "PadicScalar" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
@@ -92,14 +98,18 @@ class PadicContext:
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
         object.__setattr__(self, "modulus", self.p**self.precision)
+        object.__setattr__(self, "_zero", PadicScalar._raw(self, None, 0, None))
+        object.__setattr__(self, "_one", PadicScalar._raw(self, 0, 1, self.precision))
 
     def zero(self, cap=None) -> "PadicScalar":
         """The zero O(p^cap), known modulo p^cap; the exact zero if cap is
         None or +inf."""
-        return PadicScalar._raw(self, None, 0, None if cap == math.inf else cap)
+        if cap is None or cap == math.inf:
+            return self._zero
+        return PadicScalar._raw(self, None, 0, cap)
 
     def one(self) -> "PadicScalar":
-        return PadicScalar._raw(self, 0, 1, self.precision)
+        return self._one
 
     def from_rational(self, a, b=1) -> "PadicScalar":
         """Embed the rational a/b exactly (b != 0), with full certified digits."""
@@ -128,6 +138,10 @@ class PadicContext:
             num, den = s.split("/", 1)
             return self.from_rational(int(num.strip()), int(den.strip()))
         return self.from_rational(int(s))
+
+
+# a scalar without __init__'s checks, for fields canonical by construction
+_new = object.__new__
 
 
 class PadicScalar:
@@ -217,61 +231,87 @@ class PadicScalar:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("mixed p-adic contexts")
 
+    # +, unary -, * and inverse build their results inline, and + and *
+    # check the contexts inline: they are most of the work of every layer.
+    # p^N fixes the prime p and N, so equal moduli mean equal contexts
+
     def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check_ctx(other)
-        if self.v is None:
-            return other if self.digits is None else other._cap(self.digits)
-        if other.v is None:
-            return self if other.digits is None else self._cap(other.digits)
         ctx = self.ctx
-        pn, n = ctx.modulus, ctx.precision
-        # exact cancellation: mirror-image full-precision representations
-        if (
-            self.v == other.v
-            and (self.unit + other.unit) % pn == 0
-            and self.digits == n
-            and other.digits == n
-        ):
-            return ctx.zero()
-        m = self.v if self.v <= other.v else other.v
-        cert = min(self.v + self.digits, other.v + other.digits)  # joint absolute precision
-        p = ctx.p
-        s = (self.unit * p ** (self.v - m) + other.unit * p ** (other.v - m)) % pn
-        if s % p ** (cert - m) == 0:
-            return PadicScalar._raw(ctx, None, 0, cert)
-        t = 0
-        while s % p == 0:
-            s //= p
-            t += 1
-        return PadicScalar._raw(ctx, m + t, s % pn, cert - m - t)
+        if other.ctx is not ctx and other.ctx.modulus != ctx.modulus:
+            raise ValueError("mixed p-adic contexts")
+        sv, ov = self.v, other.v
+        if sv is None:
+            return other if self.digits is None else other._cap(self.digits)
+        if ov is None:
+            return self if other.digits is None else self._cap(other.digits)
+        pn = ctx.modulus
+        if sv == ov:
+            s = (self.unit + other.unit) % pn
+            sd, od = self.digits, other.digits
+            n = ctx.precision
+            # exact cancellation: mirror-image full-precision representations
+            if s == 0 and sd == n and od == n:
+                return ctx._zero
+            # cert: the joint certified digits, counted from p^sv
+            cert = sd if sd <= od else od
+            p = ctx.p
+            if s % p**cert == 0:
+                return PadicScalar._raw(ctx, None, 0, sv + cert)
+            t = 0
+            while s % p == 0:
+                s //= p
+                t += 1
+            out = _new(PadicScalar)
+            out.ctx, out.v, out.digits = ctx, sv + t, cert - t
+            out.unit = s
+            return out
+        # the lower valuation's unit leads the sum, and nothing cancels
+        if sv < ov:
+            lo, hi, shift = self, other, ov - sv
+        else:
+            lo, hi, shift = other, self, sv - ov
+        cert = hi.digits + shift
+        if lo.digits < cert:
+            cert = lo.digits
+        out = _new(PadicScalar)
+        out.ctx, out.v, out.digits = ctx, lo.v, cert
+        out.unit = (lo.unit + hi.unit * ctx.p**shift) % pn
+        return out
 
     def __neg__(self) -> "PadicScalar":
         if self.v is None:
             return self
-        return PadicScalar._raw(self.ctx, self.v, self.ctx.modulus - self.unit, self.digits)
+        out = _new(PadicScalar)
+        out.ctx, out.v, out.digits = self.ctx, self.v, self.digits
+        out.unit = self.ctx.modulus - self.unit
+        return out
 
     def __sub__(self, other: "PadicScalar") -> "PadicScalar":
         return self + (-other)
 
     def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check_ctx(other)
+        ctx = self.ctx
+        if other.ctx is not ctx and other.ctx.modulus != ctx.modulus:
+            raise ValueError("mixed p-adic contexts")
         if self.v is None or other.v is None:
             if self.digits is None or other.digits is None:
                 return self if self.digits is None else other  # the exact zero
-            return PadicScalar._raw(self.ctx, None, 0, self.valuation() + other.valuation())
-        d = self.digits if self.digits <= other.digits else other.digits
-        return PadicScalar._raw(
-            self.ctx, self.v + other.v, self.unit * other.unit % self.ctx.modulus, d
-        )
+            return PadicScalar._raw(ctx, None, 0, self.valuation() + other.valuation())
+        sd, od = self.digits, other.digits
+        out = _new(PadicScalar)
+        out.ctx, out.v, out.digits = ctx, self.v + other.v, sd if sd <= od else od
+        out.unit = self.unit * other.unit % ctx.modulus
+        return out
 
     def inverse(self) -> "PadicScalar":
         if self.v is None:
             if self.digits is None:
                 raise DivisionByZero("inverse of exact zero")
             raise PrecisionExhausted(f"division by O({self.ctx.p}^{self.digits})")
-        return PadicScalar._raw(
-            self.ctx, -self.v, pow(self.unit, -1, self.ctx.modulus), self.digits
-        )
+        out = _new(PadicScalar)
+        out.ctx, out.v, out.digits = self.ctx, -self.v, self.digits
+        out.unit = pow(self.unit, -1, self.ctx.modulus)
+        return out
 
     def __truediv__(self, other: "PadicScalar") -> "PadicScalar":
         return self * other.inverse()

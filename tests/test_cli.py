@@ -611,6 +611,21 @@ def test_oh_of_a_singular_element_with_negative_entries_exits_8():
     assert "SingularAtPrecision" in err
 
 
+@pytest.mark.parametrize("dim,element", [
+    (3, '[["0","0","0"],["0","1","0"],["0","0","3"]]'),
+    (3, '[["1","2","0"],["2","4","0"],["0","0","3"]]'),
+    # 531445 = 4 + 3^12: singular only at working precision
+    (2, '[["1","2"],["2","531445"]]'),
+], ids=["zero-row", "dependent-rows", "singular-at-precision"])
+def test_singular_flow_exits_8_before_any_eigenvalue_is_divided(dim, element):
+    # decompose counts a's pivots first; an eigenvalue 0 divided on the
+    # eigendata path would raise DivisionByZero or PrecisionExhausted instead
+    code, out, err = run_cli(["analyze", "--p", "3", "--group", "gl", "--dim", str(dim),
+                              "--element", element])
+    assert (code, out) == (8, "")
+    assert "SingularAtPrecision: no pivot left: singular at working precision" in err
+
+
 def test_oh_of_an_element_with_divisors_at_the_entry_precision_exits_0():
     # 1/729 is certified modulo 3^6 only, and the divisors are still [6, -6]
     code, out, _ = run_cli(["oh", "--p", "3", "--element", '[["729","0"],["0","1/729"]]'])

@@ -396,25 +396,31 @@ def test_conjugate_sweep_slice():
     # the first 60 flows of seed 7 of the conjugate sweep: every one
     # decomposes with the right |nu|, and no returned factorization fails
     # F H = g mod p^8 or leaves it open
-    s = summary(sweep(7, 60)[0])
+    counts, digest = sweep(7, 60)
+    s = summary(counts)
     assert (s["decomposed"], s["wrong_nu"]) == (60, 0)
     assert s["factor"]["FAIL"] == s["factor"]["UNDECIDED"] == 0
+    # every decomposition, bit for bit (see tests/conjugate_sweep.py)
+    assert digest == "1616de664fc5ebceaffde7b9183962c99a505632bcd453ea4143731aeb4b25ec"
 
 
 def test_oracle_sweep_slice():
     # the oracle windows of the same 60 flows, n = 1, 2, 3: FULL counts every
     # one, each in the closed form's bracket and equal to FACTORED's counts
-    outcomes, _ = oracle_sweep(7, 60)
+    outcomes, digest = oracle_sweep(7, 60)
     assert outcomes == Counter({(True, True): 180})
+    assert digest == "644ae417710dfb25bb4cad165724f5f29e90bd6cf4b1eed5b6f2a9a6e208e80b"
 
 
 def test_non_split_sweep():
     # the non-split GL4 family of the conjugate sweep, whose characteristic
     # polynomials do not split over Q_p: every decomposition has the right
     # |nu|, and every refusal is NotDiagonalizable from decompose
-    s = summary(sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow)[0])
+    counts, digest = sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow)
+    s = summary(counts)
     assert (s["decomposed"], s["wrong_nu"]) == (39, 0)
     assert set(s["refused"]) == {("NotDiagonalizable", "decompose")}
+    assert digest == "80ec28f9abf9aad00835098018dab46002c775c1842f69c2defdd5b5d1a0e8fa"
 
 
 def _char_poly_sizes(monkeypatch) -> list:
@@ -542,6 +548,23 @@ def test_dependent_lines_refuse_their_defect_and_coordinates():
         dec.lattice_defect
     with pytest.raises(NotDiagonalizable, match=message):
         dec.coordinates(h)
+
+
+def test_a_decomposition_needs_dim_g_lines_and_as_many_eigenvalues():
+    # the sl2 lines (E12, H) span no eigenbasis of the 3-dimensional algebra:
+    # they used to give lattice_defect 0 and coordinates(E21) = [0, 0, 0]
+    ctx = PadicContext(3)
+    spec = GroupSpec.sl(ctx, 2)
+    e12, h, e21 = spec.lie_basis
+    a = PadicMatrix.from_rationals(ctx, [[Fraction(1, 3), 0], [0, 3]])
+    lams = tuple(ctx.from_rational(x) for x in (Fraction(1, 9), 1, 9))
+    with pytest.raises(ValueError, match="2 lines and 2 eigenvalues on an algebra of dimension 3"):
+        dynamics.HorosphericalDecomposition(a, spec, lams[:2], (e12, h))
+    with pytest.raises(ValueError, match="3 lines and 2 eigenvalues"):
+        dynamics.HorosphericalDecomposition(a, spec, lams[:2], (e12, h, e21))
+    with pytest.raises(ValueError, match="2 lines and 3 eigenvalues"):
+        dynamics.HorosphericalDecomposition(a, spec, lams, (e12, h))
+    assert dynamics.HorosphericalDecomposition(a, spec, lams, (e12, h, e21)).lattice_defect == 0
 
 
 @st.composite

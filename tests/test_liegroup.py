@@ -33,6 +33,8 @@ from padlab.liegroup import (
 )
 from padlab.matrix import combine
 
+from bch_digest import digest, draw_pairs
+
 
 def random_deep_element(spec: GroupSpec, rng: random.Random, exact=None) -> PadicMatrix:
     """Algebra element with every coefficient at valuation >= 2 (and the
@@ -345,6 +347,16 @@ def test_dynkin_drops_only_degrees_past_its_certificate():
             if not e.is_zero:
                 assert e.unit % p**e.digits == f.unit % p**f.digits
     assert dropped > 20
+
+
+def test_bch_digests_are_pinned():
+    # both modes on the 1,296 seeded pairs of tests/bch_digest.py, bit for
+    # bit: a change that means to alter these outputs updates the digests
+    pairs = draw_pairs()
+    assert digest(pairs, "dynkin")[1] == (
+        "52936738ea69036381f5c50c121e96c5987d38ac3853459b41cebc3974448b24")
+    assert digest(pairs, "direct")[1] == (
+        "270db4082852b59c63200bed7ecaf5ee17abeca49c03be6974d6c5c59101b38a")
 
 
 def _degree_floor(p: int, k: int, n: int) -> int:

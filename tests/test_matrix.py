@@ -205,6 +205,10 @@ def test_trace_transpose_flat():
     shifted = m.scale(ctx.from_rational(1, 25))
     assert shifted.min_valuation() == -2
     assert shifted.max_norm() == Fraction(25)
+    # from_flat takes its rows unchecked, so it counts the entries itself
+    for count in (3, 5):
+        with pytest.raises(ValueError, match=f"{count} entries for a 2x2 matrix"):
+            PadicMatrix.from_flat(ctx, 2, (m.flat() * 2)[:count])
 
 
 def test_congruent_mod_matrices():

@@ -7,6 +7,7 @@ the absolute precision the scalar claims.
 """
 
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -120,9 +121,13 @@ def test_constructor_validation():
 
 def test_mixed_context_rejected():
     a = PadicContext(3).from_rational(1)
-    b = PadicContext(5).from_rational(1)
-    with pytest.raises(ValueError):
-        a + b
+    for other in (PadicContext(5), PadicContext(3, 6), PadicContext(2, 19)):
+        b = other.from_rational(1)
+        for op in (operator.add, operator.mul, operator.sub, operator.truediv):
+            with pytest.raises(ValueError, match="mixed p-adic contexts"):
+                op(a, b)
+    # an equal context built apart is the same context
+    assert a + PadicContext(3).from_rational(1) == PadicContext(3).from_rational(2)
 
 
 # ---- ring operations vs the oracle ----------------------------------------
@@ -394,3 +399,119 @@ def test_inexact_zero_rules_hold_under_perturbation(case):
         moved = [_moved(x, value, deep, rng) for x, value in inputs]
         for got, again in zip(claimed, _apply(op, moved)):
             _holds(got, again)
+
+
+# ---- the kernel against its reference -----------------------------------------
+#
+# The scalar kernel as it stood before `+`, unary `-` and `*` built their
+# results inline and `+` took a branch of its own at unequal valuations.  It
+# shares `_cap` and `inverse` with the kernel, which that change left alone.
+
+
+def reference_add(x: PadicScalar, y: PadicScalar) -> PadicScalar:
+    x._check_ctx(y)
+    if x.v is None:
+        return y if x.digits is None else y._cap(x.digits)
+    if y.v is None:
+        return x if y.digits is None else x._cap(y.digits)
+    ctx = x.ctx
+    pn, n = ctx.modulus, ctx.precision
+    # exact cancellation: mirror-image full-precision representations
+    if x.v == y.v and (x.unit + y.unit) % pn == 0 and x.digits == n and y.digits == n:
+        return ctx.zero()
+    m = min(x.v, y.v)
+    cert = min(x.v + x.digits, y.v + y.digits)  # joint absolute precision
+    p = ctx.p
+    s = (x.unit * p ** (x.v - m) + y.unit * p ** (y.v - m)) % pn
+    if s % p ** (cert - m) == 0:
+        return PadicScalar._raw(ctx, None, 0, cert)
+    t = 0
+    while s % p == 0:
+        s //= p
+        t += 1
+    return PadicScalar._raw(ctx, m + t, s % pn, cert - m - t)
+
+
+def reference_neg(x: PadicScalar) -> PadicScalar:
+    if x.v is None:
+        return x
+    return PadicScalar._raw(x.ctx, x.v, x.ctx.modulus - x.unit, x.digits)
+
+
+def reference_sub(x: PadicScalar, y: PadicScalar) -> PadicScalar:
+    return reference_add(x, reference_neg(y))
+
+
+def reference_mul(x: PadicScalar, y: PadicScalar) -> PadicScalar:
+    x._check_ctx(y)
+    if x.v is None or y.v is None:
+        if x.digits is None or y.digits is None:
+            return x if x.digits is None else y  # the exact zero
+        return PadicScalar._raw(x.ctx, None, 0, x.valuation() + y.valuation())
+    return PadicScalar._raw(
+        x.ctx, x.v + y.v, x.unit * y.unit % x.ctx.modulus, min(x.digits, y.digits)
+    )
+
+
+def reference_truediv(x: PadicScalar, y: PadicScalar) -> PadicScalar:
+    return reference_mul(x, y.inverse())
+
+
+@st.composite
+def kernel_operands(draw):
+    """(x, y) at p in {2, 3, 5} and N in 1..12: each the exact zero, O(p^c) or
+    p^v u with all N or fewer digits; y at x's valuation, or x's full-digit
+    mirror image, or cancelling some of x's leading digits, or drawn alone."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 12))
+    ctx, pn = PadicContext(p, n), p**n
+
+    def digits():
+        return draw(st.sampled_from([n, draw(st.integers(1, n))]))
+
+    def nonzero(v):
+        return PadicScalar(ctx, v, draw(st.integers(1, pn - 1).filter(lambda u: u % p)), digits())
+
+    def operand():
+        kind = draw(st.sampled_from(["exact zero", "O(p^c)", "nonzero", "nonzero"]))
+        if kind == "exact zero":
+            return ctx.zero()
+        if kind == "O(p^c)":
+            return ctx.zero(draw(st.integers(-4, n + 4)))
+        return nonzero(draw(st.integers(-4, 4)))
+
+    x = operand()
+    shape = draw(st.sampled_from(["alone", "equal valuation", "mirror image", "cancelling"]))
+    if x.is_zero or shape == "alone":
+        return x, operand()
+    if shape == "equal valuation":
+        return x, nonzero(x.v)
+    if shape == "mirror image":
+        return PadicScalar(ctx, x.v, x.unit, n), PadicScalar(ctx, x.v, pn - x.unit, n)
+    unit = (p ** draw(st.integers(1, n)) * draw(st.integers(1, pn)) - x.unit) % pn
+    return x, PadicScalar(ctx, x.v, unit or pn - x.unit, digits())
+
+
+def _fields(z: PadicScalar) -> tuple:
+    return z.ctx, z.v, z.unit, z.digits, z.is_zero and not z
+
+
+def _outcome(op, *args):
+    try:
+        return _fields(op(*args))
+    except PrecisionExhausted as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=1500)
+@given(kernel_operands())
+def test_the_kernel_matches_its_reference_field_for_field(pair):
+    # v, unit, digits and the exact zero alike, on every operation
+    x, y = pair
+    assert _fields(x + y) == _fields(reference_add(x, y))
+    assert _fields(y + x) == _fields(reference_add(y, x))
+    assert _fields(x - y) == _fields(reference_sub(x, y))
+    assert _fields(x * y) == _fields(reference_mul(x, y))
+    assert _fields(-x) == _fields(reference_neg(x))
+    if y:
+        assert _outcome(operator.truediv, x, y) == _outcome(reference_truediv, x, y)
