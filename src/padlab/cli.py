@@ -250,7 +250,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
     dec = _decomposition(args)
     # the first count is the largest, and each ratio's terms divide it
     check_oracle_args(dec, args.k, args.n, args.level, args.mode)
-    _printable(args.p, len(dec.group.lie_basis) * (args.level - args.k), "count ")
+    _printable(args.p, dec.group.dim_g * (args.level - args.k), "count ")
     _printable(args.p, (args.n - 1) * dec.nu_total, "closed-form ratio 1/")
     counts = bowen_count_oracle(dec, args.k, args.n, args.level, mode=args.mode)
     closed = [bowen_volume_ratio(dec, m) for m in range(1, args.n + 1)]

@@ -8,26 +8,28 @@ on the valuations nu_i = v_p(lambda_i) of the stable eigenvalues: entropy,
 Bowen ball shapes, partition atoms, and the module character all reduce to
 the total contraction |nu| = sum nu_i.
 
-`decompose` has two paths, and the input picks one.  When a diagonalizes
-over Q_p at working precision, a = U diag(lambda) U^-1 with chi_a split and
-each root lambda owning as many `nullspace` vectors of a - lambda as its
-multiplicity, the lines come from that d x d eigendata: Ad(a) maps
-(U e_i)(e_j U^-1) to lambda_i / lambda_j times itself and fixes each
-U H_k U^-1 (Fulton and Harris, Representation Theory, Lecture 15).  Lines
-whose eigenvalues differ by a zero form one eigenspace, and
-`zp_module_basis` saturates their coordinate rows.  Otherwise, as on flows
-whose chi_a does not split over Q_p, `decompose` writes the dim_g x dim_g
-matrix Ad(a) in the algebra coordinates GroupSpec reads off the entries,
-splits its characteristic polynomial and keeps each root's `nullspace`
-vectors.  The eigendata path refuses nothing: where one of its steps fails,
-the Ad path runs and raises what it always raised.  Either way an
-eigenvalue's lines are a Z_p-basis of its eigenspace's integral points, each
-with an exact 1 at a coordinate of its own and the exact zero at the other
-lines' own coordinates, so a diagonal flow gets the same lines on both, each
-written on the entries by `GroupSpec.element`.  A decomposition takes the
-pivots of its lines' coordinate rows at decompose, by `eliminate`: they decide
-whether the lines are independent and sum to lattice_defect.  The inverse,
-which coordinates in the eigenbasis read, is built on first use.
+`decompose` has two paths, and the input picks one; both read eigenvectors
+off one routine, `_eigenvectors`: the roots of a characteristic polynomial
+and, for each, the `nullspace` vectors of the matrix less the root, as many
+as its multiplicity.  When a diagonalizes over Q_p at working precision,
+a = U diag(lambda) U^-1 with U the eigenvectors of a, the lines come from
+that d x d eigendata: Ad(a) maps (U e_i)(e_j U^-1) to lambda_i / lambda_j
+times itself and fixes each U H_k U^-1 (Fulton and Harris, Representation
+Theory, Lecture 15).  Lines whose eigenvalues differ by a zero form one
+eigenspace, and `zp_module_basis` saturates their coordinate rows.
+Otherwise, as on flows whose chi_a does not split over Q_p, `decompose`
+writes the dim_g x dim_g matrix Ad(a) in the algebra coordinates GroupSpec
+reads off the entries and takes its eigenvectors.  The eigendata path
+refuses nothing: where one of its steps fails, the Ad path runs and raises
+what it always raised.  Either way an eigenvalue's lines are a Z_p-basis of
+its eigenspace's integral points, each with an exact 1 at a coordinate of
+its own and the exact zero at the other lines' own coordinates, so a
+diagonal flow gets the same lines on both.  A decomposition keeps each line
+as that lie_basis coordinate row and takes the pivots of the rows at
+decompose, by `eliminate`: they decide whether the lines are independent
+and sum to lattice_defect.  The lines written on the entries by
+`GroupSpec.element`, and the inverse of the rows, which coordinates in the
+eigenbasis read, are built on first use.
 
 Both window conventions read one rule, `_window_levels`: the Bowen ball
 bowen_ball(dec, k, n) holds the points staying k-close for times 0..n, and
@@ -63,7 +65,7 @@ from .errors import (
     NotSplitAtPrecision,
     SingularAtPrecision,
 )
-from .liegroup import GroupSpec, exp, log
+from .liegroup import GroupSpec, exp
 from .matrix import (
     PadicMatrix,
     _SINGULAR,
@@ -88,33 +90,41 @@ class HorosphericalDecomposition:
     """Eigenline data of Ad(a) on a group's algebra, read off a's own
     eigendata or off Ad(a) itself (see `decompose`).
 
-    Stored: a, group, eigenvalues and basis, the eigenlines: matrix i is an
-    integral, content-0 algebra element spanning an eigenline of eigenvalue
-    eigenvalues[i]; lines are sorted by (valuation, unit lift) of
-    the eigenvalue, and each eigenvalue's lines are a Z_p-basis of its
-    eigenspace's integral points.  Derived: nu[i] = v_p(eigenvalues[i]);
-    classes[i], "STABLE", "NEUTRAL" or "UNSTABLE" by the sign of nu[i], for
-    output (the rules read the sign); nu_total, the summed stable
-    contraction; and, once each, the pivots of `eliminate` on the rows of
-    the lines' algebra coordinates, whose valuations sum to lattice_defect,
-    the index of the eigenlattice sum in the integral lattice (never
-    negative, as the lines are integral), and on the first `coordinates`
-    call the inverse of those rows.  Construction raises ValueError unless
-    there are dim_g lines and as many eigenvalues; lattice_defect and
-    coordinates raise NotDiagonalizable when the lines are dependent at
-    working precision.
+    Stored: a, group, eigenvalues and lines, the eigenlines as lie_basis
+    coordinate rows: row i spans an eigenline of eigenvalue eigenvalues[i]
+    in the `nullspace` form, integral with an exact 1 at a coordinate of
+    its own; lines are sorted by (valuation, unit lift) of the eigenvalue,
+    and each eigenvalue's lines are a Z_p-basis of its eigenspace's
+    integral points.  Derived: basis, each row written on the entries by
+    `GroupSpec.element`, once; nu[i] = v_p(eigenvalues[i]); classes[i],
+    "STABLE", "NEUTRAL" or "UNSTABLE" by the sign of nu[i], for output (the
+    rules read the sign); nu_total, the summed stable contraction; and,
+    once each, the pivots of `eliminate` on the rows, whose valuations sum
+    to lattice_defect, the index of the eigenlattice sum in the integral
+    lattice (never negative, as the lines are integral), and on the first
+    `coordinates` call the inverse of the rows.  Construction raises
+    ValueError unless there are dim_g rows of dim_g coordinates each and
+    dim_g eigenvalues; lattice_defect and coordinates raise
+    NotDiagonalizable when the lines are dependent at working precision.
     """
 
     a: PadicMatrix
     group: GroupSpec
     eigenvalues: tuple
-    basis: tuple
+    lines: tuple
 
     def __post_init__(self) -> None:
-        dim_g = len(self.group.lie_basis)
-        if len(self.basis) != dim_g or len(self.eigenvalues) != dim_g:
-            raise ValueError(f"{len(self.basis)} lines and {len(self.eigenvalues)} eigenvalues "
+        dim_g = self.group.dim_g
+        if len(self.lines) != dim_g or len(self.eigenvalues) != dim_g:
+            raise ValueError(f"{len(self.lines)} lines and {len(self.eigenvalues)} eigenvalues "
                              f"on an algebra of dimension {dim_g}")
+        for row in self.lines:
+            if len(row) != dim_g:
+                raise ValueError(f"a line of {len(row)} coordinates on an algebra of dimension {dim_g}")
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(self.group.element(row) for row in self.lines)
 
     @property
     def ctx(self) -> PadicContext:
@@ -132,27 +142,23 @@ class HorosphericalDecomposition:
     def nu_total(self) -> int:
         return sum(v for v in self.nu if v > 0)
 
-    def _rows(self) -> list:
-        """The lines' algebra coordinates, one fresh row per line."""
-        return [self.group.algebra_coordinates(b) for b in self.basis]
-
     @cached_property
     def _pivots(self) -> list:
-        """The pivot entries of `eliminate` on _rows, those `_invert` picks:
-        its pivot search and row updates never read the identity block."""
-        rows = self._rows()
+        """The pivot entries of `eliminate` on a copy of lines, those `_invert`
+        picks: its pivot search and row updates never read the identity block."""
+        rows = [list(r) for r in self.lines]
         return [rows[r][c] for r, c in eliminate(rows, self.ctx.zero())]
 
     @property
     def lattice_defect(self) -> int:
-        if len(self._pivots) < len(self.basis):
+        if len(self._pivots) < len(self.lines):
             raise NotDiagonalizable(_DEPENDENT)
         return sum(x.v for x in self._pivots)
 
     @cached_property
     def _inverse(self) -> list:
-        """The inverse of _rows, built on the first `coordinates` call."""
-        inverse, _ = _invert(self._rows(), self.ctx.zero(), self.ctx.one())
+        """The inverse of lines, built on the first `coordinates` call."""
+        inverse, _ = _invert(self.lines, self.ctx.zero(), self.ctx.one())
         if inverse is None:
             raise NotDiagonalizable(_DEPENDENT)
         return inverse
@@ -184,25 +190,19 @@ class AdaptedBall:
         coords = self.dec.coordinates(x)
         return all(c.is_zero or c.v >= lvl for c, lvl in zip(coords, self.levels))
 
-    def contains_group(self, g: PadicMatrix) -> bool:
-        try:
-            return self.contains_algebra(log(g))
-        except DomainError:
-            return False
-
 
 def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     """Diagonalize Ad(a) on spec's algebra and classify its eigenlines.
 
     The input picks the path (module docstring): the lines come from a's own
     eigendata (`_eigendata_lines`) when a diagonalizes over Q_p at working
-    precision, and otherwise from Ad(a), whose eigenvalues are the roots of
-    its characteristic polynomial and whose lines are each root's
-    `nullspace` vectors, as lie_basis coordinates.  a is tested first, by the
-    pivot count of `eliminate` on its rows, the pivots `a.inverse()` would
-    take, so a singular flow raises SingularAtPrecision whichever path it
-    would take, before any eigenvalue is divided; a^-1 is built on the Ad
-    path alone.
+    precision, and otherwise from Ad(a)'s `_eigenvectors`; either way they
+    are stored as the lie_basis coordinate rows the path computed, and
+    nothing is written on the entries.  a is tested first, by the pivot
+    count of `eliminate` on its rows, the pivots `a.inverse()` would take,
+    so a singular flow raises SingularAtPrecision whichever path it would
+    take, before any eigenvalue is divided; a^-1 is built on the Ad path
+    alone.
 
     Raises SingularAtPrecision when a has no inverse at working precision;
     NotDiagonalizable when the characteristic polynomial of Ad(a) does not
@@ -211,14 +211,13 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     every eigenvalue is a unit; and DomainError when a fails to normalize
     the algebra.
     """
-    ctx = spec.ctx
     if a.dim != spec.dim:
         raise ValueError(f"a {a.dim}x{a.dim} flow on a group of {spec.dim}x{spec.dim} matrices")
     if len(eliminate([list(r) for r in a.rows], a.ctx.zero())) < a.dim:
         raise SingularAtPrecision(_SINGULAR)
     eigenvalues, lines = _eigendata_lines(a, spec) or ([], [])
     if not lines:  # the Ad path, inline: its refusals raise from decompose
-        dim_g, a_inv = len(spec.lie_basis), a.inverse()
+        dim_g, a_inv = spec.dim_g, a.inverse()
         cols = []
         for b in spec.lie_basis:
             image = a @ b @ a_inv
@@ -226,9 +225,7 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
             if co is None:
                 raise DomainError("a does not normalize the algebra")
             cols.append(co)
-        ad_mat = PadicMatrix._own(
-            ctx, [[cols[j][i] for j in range(dim_g)] for i in range(dim_g)]
-        )
+        ad_mat = PadicMatrix._own(spec.ctx, [[cols[j][i] for j in range(dim_g)] for i in range(dim_g)])
         chi = ad_mat.char_poly()
         # det Ad(a) = 1 and the spectrum {lambda_i / lambda_j} is closed under
         # inversion, so c_j = (-1)^n c_(n-j), n = dim_g.  Berkowitz can cancel
@@ -238,27 +235,10 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
             if chi[dim_g - j].abs_precision() > chi[j].abs_precision():
                 chi[j] = -chi[dim_g - j] if dim_g % 2 else chi[dim_g - j]
         try:
-            roots = hensel_roots(chi)
+            eigenvalues, lines = _eigenvectors(ad_mat, chi)
         except NotSplitAtPrecision as err:
             raise NotDiagonalizable(f"adjoint spectrum does not split: {err}") from err
-
-        for lam, mult in roots:
-            # Ad(a) - lam, subtracted on the diagonal alone.  Entries of Ad
-            # carry fewer than full digits, so subtracting an exact eigenvalue
-            # can cancel every certified digit; the kernel never pivots on
-            # such an O(p^c)
-            shifted = PadicMatrix(ctx, ad_mat.rows)
-            for i in range(dim_g):
-                shifted.rows[i][i] -= lam
-            kernel = nullspace(shifted)
-            if len(kernel) != mult:
-                raise NotDiagonalizable(
-                    f"eigenvalue with multiplicity {mult} has only "
-                    f"{len(kernel)} independent eigenvectors"
-                )
-            eigenvalues += [lam] * mult
-            lines += [spec.element(vec) for vec in kernel]
-    dec = HorosphericalDecomposition(a, spec, tuple(eigenvalues), tuple(lines))
+    dec = HorosphericalDecomposition(a, spec, tuple(eigenvalues), tuple(map(tuple, lines)))
     if len(dec._pivots) < len(lines):
         raise NotDiagonalizable(_DEPENDENT)
     if dec.nu_total == 0:
@@ -266,36 +246,53 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     return dec
 
 
+def _eigenvectors(m: PadicMatrix, chi: list) -> tuple[list, list]:
+    """(eigenvalues, vectors) of m, chi its characteristic polynomial: each
+    root lambda of chi as often as its multiplicity, and the `nullspace`
+    vectors of m - lambda.  Raises NotSplitAtPrecision when chi does not
+    split over Q_p at working precision, and NotDiagonalizable when some
+    m - lambda has fewer kernel vectors than lambda's multiplicity."""
+    lams, vecs = [], []
+    for lam, mult in hensel_roots(chi):
+        # m - lam, subtracted on the diagonal alone.  Entries of Ad(a) carry
+        # fewer than full digits, so subtracting an exact eigenvalue can
+        # cancel every certified digit; the kernel never pivots on such an
+        # O(p^c)
+        shifted = m.copy()
+        for i in range(m.dim):
+            shifted.rows[i][i] -= lam
+        kernel = nullspace(shifted)
+        if len(kernel) != mult:
+            raise NotDiagonalizable(
+                f"eigenvalue with multiplicity {mult} has only "
+                f"{len(kernel)} independent eigenvectors"
+            )
+        lams += [lam] * mult
+        vecs += kernel
+    return lams, vecs
+
+
 def _eigendata_lines(a: PadicMatrix, spec: GroupSpec):
-    """(eigenvalues, lines) of Ad(a) read off a = U diag(lambda) U^-1, or None
-    when a does not diagonalize over Q_p at working precision: chi_a does not
-    split, some a - lambda has too few kernel vectors, U is singular, or an
+    """(eigenvalues, lines) of Ad(a) read off a = U diag(lambda) U^-1, the
+    lines as lie_basis coordinate rows, or None when a does not
+    diagonalize over Q_p at working precision: chi_a does not split, some
+    a - lambda has too few kernel vectors, U is singular, or an
     eigenspace's lines are dependent.
 
-    U's columns are the `nullspace` vectors of each a - lambda.  The line
-    (U e_i)(e_j U^-1) has eigenvalue lambda_i / lambda_j, and on sl the lines
-    U H_k U^-1 take the place of i = j, with eigenvalue 1.  Lines whose
-    eigenvalues differ by a zero form one eigenspace, and `zp_module_basis`
-    saturates its coordinate rows to a Z_p-basis of its integral points.
+    U's columns are the `_eigenvectors` of a.  The line (U e_i)(e_j U^-1)
+    has eigenvalue lambda_i / lambda_j, and on sl the lines U H_k U^-1 take
+    the place of i = j, with eigenvalue 1.  Lines whose eigenvalues differ
+    by a zero form one eigenspace, and `zp_module_basis` saturates its
+    coordinate rows to a Z_p-basis of its integral points, the rows kept.
     The eigenspace keeps the value with the fewest digits: two values that
     differ by a zero agree only to the lesser precision of the two, and that
     value claims no digit that one of the lines lacks.
     """
     ctx, d = spec.ctx, spec.dim
     try:
-        roots = hensel_roots(a.char_poly())
-    except NotSplitAtPrecision:
+        lams, cols = _eigenvectors(a, a.char_poly())
+    except (NotSplitAtPrecision, NotDiagonalizable):
         return None
-    lams, cols = [], []
-    for lam, mult in roots:
-        shifted = a.copy()
-        for i in range(d):
-            shifted.rows[i][i] -= lam
-        kernel = nullspace(shifted)
-        if len(kernel) != mult:
-            return None
-        lams += [lam] * mult
-        cols += kernel
     u_inv, _ = _invert([list(r) for r in zip(*cols)], ctx.zero(), ctx.one())
     if u_inv is None:
         return None
@@ -326,7 +323,7 @@ def _eigendata_lines(a: PadicMatrix, spec: GroupSpec):
         if len(basis) < len(members):
             return None
         eigenvalues += [mu] * len(basis)
-        lines += [spec.element(vec) for vec in basis]
+        lines += basis
     return eigenvalues, lines
 
 
@@ -467,7 +464,7 @@ def _count_full(dec, k, n, level) -> BowenCounts:
     no term.  A term past level - k leaves the count mod p^level undefined.
     """
     p, val = dec.ctx.p, fraction_val(dec.ctx.p)
-    exps = [len(dec.group.lie_basis) * (level - k)]  # window 1 is all of K_k
+    exps = [dec.group.dim_g * (level - k)]  # window 1 is all of K_k
     if n == 1:
         return BowenCounts("FULL", level, (p ** exps[0],))
     a_frac = [[x.as_rational() for x in row] for row in dec.a.rows]

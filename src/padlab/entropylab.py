@@ -373,10 +373,6 @@ class CylinderFunction:
             idx += w * self.s**t
         return float(self.values[idx])
 
-    @property
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max()) if self.values.size else 0.0
-
     def mean(self) -> float:
         """Uniform average over all words: the Haar integral."""
         return float(self.values.mean())

@@ -107,10 +107,12 @@ class GroupSpec:
     """An algebraic matrix group with the integral basis of its algebra.
 
     Stored: ctx, the ambient p-adic context; family, "sl" or "gl"; and dim,
-    the ambient matrix size d.  Derived from them: lie_basis, the Z_p-basis
-    of (algebra cap Mat_d(Z_p)) that the family fixes, and the coordinates
-    in it, read off the entries and written back on them by `element`.  For
-    sl it is E_ij (i < j), H_k = E_kk - E_(k+1)(k+1), E_ij (i > j, column by
+    the ambient matrix size d.  Derived from them: dim_g, the algebra's
+    dimension; the coordinates in the Z_p-basis of (algebra cap Mat_d(Z_p))
+    that the family fixes, read off the entries by `_read_off` and written
+    back on them by `element`, the two that state the basis order; and
+    lie_basis, `element` of each unit coordinate vector.  For sl the basis
+    is E_ij (i < j), H_k = E_kk - E_(k+1)(k+1), E_ij (i > j, column by
     column); for gl all E_ij, row-major.
     """
 
@@ -132,21 +134,14 @@ class GroupSpec:
         """GL(d): the full matrix algebra."""
         return cls(ctx, "gl", d)
 
+    @property
+    def dim_g(self) -> int:
+        return self.dim * self.dim - 1 if self.family == "sl" else self.dim * self.dim
+
     @cached_property
     def lie_basis(self) -> tuple:
-        ctx, d = self.ctx, self.dim
-        one, zero = ctx.one(), ctx.zero()
-
-        def mat(entries: dict) -> PadicMatrix:  # keyed by flat index, zero elsewhere
-            return PadicMatrix.from_flat(ctx, d, [entries.get(m, zero) for m in range(d * d)])
-
-        if self.family == "gl":
-            return tuple(mat({m: one}) for m in range(d * d))
-        return tuple(
-            [mat({i * d + j: one}) for i in range(d) for j in range(i + 1, d)]
-            + [mat({k * (d + 1): one, (k + 1) * (d + 1): -one}) for k in range(d - 1)]
-            + [mat({i * d + j: one}) for j in range(d) for i in range(j + 1, d)]
-        )
+        one, zero, dim_g = self.ctx.one(), self.ctx.zero(), self.dim_g
+        return tuple(self.element([one if i == m else zero for i in range(dim_g)]) for m in range(dim_g))
 
     def _read_off(self, x: PadicMatrix) -> tuple[list, PadicScalar]:
         """(coordinates, trace) of x, read off its entries: for gl the entries,
@@ -169,8 +164,11 @@ class GroupSpec:
         of _read_off: for gl the entries, row-major; for sl the entries above
         the diagonal, x_kk = s_k - s_(k-1) from the partial sums s (s_0 and
         s_d the exact zero, so x_dd = -s_(d-1)), then the entries below.
-        Entry for entry, `combine(lie_basis, coords)`, without its products."""
+        Entry for entry, `combine(lie_basis, coords)`, without its products.
+        Raises ValueError unless there are dim_g coordinates."""
         ctx, d = self.ctx, self.dim
+        if len(coords) != self.dim_g:
+            raise ValueError(f"{len(coords)} coordinates on an algebra of dimension {self.dim_g}")
         if self.family == "gl":
             return PadicMatrix.from_flat(ctx, d, coords)
         zero, m = ctx.zero(), d * (d - 1) // 2

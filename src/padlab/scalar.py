@@ -227,13 +227,9 @@ class PadicScalar:
 
     # ---- arithmetic ------------------------------------------------------
 
-    def _check_ctx(self, other: "PadicScalar") -> None:
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ValueError("mixed p-adic contexts")
-
-    # +, unary -, * and inverse build their results inline, and + and *
-    # check the contexts inline: they are most of the work of every layer.
-    # p^N fixes the prime p and N, so equal moduli mean equal contexts
+    # +, unary -, * and inverse build their results inline, as they are most
+    # of the work of every layer, and +, * and congruent_mod check contexts by
+    # modulus: p^N fixes the prime p and N, so equal moduli mean equal contexts
 
     def __add__(self, other: "PadicScalar") -> "PadicScalar":
         ctx = self.ctx
@@ -334,7 +330,8 @@ class PadicScalar:
     def congruent_mod(self, other: "PadicScalar", k: int) -> bool:
         """Certify x = y (mod p^k).  True/False when decidable at the stored
         precision, PrecisionExhausted when the certified digits cannot tell."""
-        self._check_ctx(other)
+        if other.ctx is not self.ctx and other.ctx.modulus != self.ctx.modulus:
+            raise ValueError("mixed p-adic contexts")
         if self.v is None or other.v is None:
             # x - y is O(p^c) (c the least cap) plus the nonzero operand, if any
             c = min(self.abs_precision(), other.abs_precision())

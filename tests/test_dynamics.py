@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from padlab import GroupSpec, PadicContext, PadicMatrix, PadlabError, decompose, dynamics, exp
+from padlab import GroupSpec, PadicContext, PadicMatrix, PadlabError, decompose, dynamics
 from padlab.dynamics import (
     BowenCounts,
     atom_representatives,
@@ -228,8 +228,6 @@ def test_bowen_ball_levels_and_membership():
     # stable direction only needs level k
     assert ball.contains_algebra(e21.scale(ctx.from_rational(3**4)))
     assert not ball.contains_algebra(e21.scale(ctx.from_rational(3**3)))
-    assert ball.contains_group(exp(deep))
-    assert not ball.contains_group(exp(shallow))
 
     with pytest.raises(LevelTooSmall):
         bowen_ball(dec, 3, 2)  # needs k >= max |nu| + 2 = 4
@@ -504,10 +502,23 @@ def test_lattice_defect_sums_the_pivots_of_the_inverse():
     # the pivots decompose takes from its lines' coordinate rows alone are
     # those the [A | I] inverse picks: their valuations sum alike
     for dec in _decompose_slice_and_conjugates():
-        rows = [dec.group.algebra_coordinates(b) for b in dec.basis]
-        inverse, pivots = _invert(rows, dec.ctx.zero(), dec.ctx.one())
+        inverse, pivots = _invert(dec.lines, dec.ctx.zero(), dec.ctx.one())
         assert inverse is not None
         assert dec.lattice_defect == sum(x.v for x in pivots)
+
+
+def test_basis_writes_the_stored_lines_on_the_entries(monkeypatch):
+    # a decomposition stores its lines as lie_basis coordinate rows, on both
+    # paths, and basis[i] is group.element(lines[i]) field for field
+    def fields(m):
+        return [(x.v, x.unit, x.digits) for x in m.flat()]
+
+    decs = _decompose_slice_and_conjugates()
+    monkeypatch.setattr(dynamics, "_eigendata_lines", lambda a, spec: None)
+    for dec in decs + _decompose_slice_and_conjugates():
+        assert all(type(row) is tuple and len(row) == dec.group.dim_g for row in dec.lines)
+        for b, row in zip(dec.basis, dec.lines, strict=True):
+            assert fields(b) == fields(dec.group.element(row))
 
 
 def test_decompose_inverts_no_eigenbasis_until_coordinates_are_read(monkeypatch):
@@ -539,7 +550,7 @@ def test_dependent_lines_refuse_their_defect_and_coordinates():
     # neither the lattice defect nor a coordinate exists
     ctx = PadicContext(3)
     spec = GroupSpec.sl(ctx, 2)
-    e12, h, _ = spec.lie_basis
+    e12, h, _ = _unit_rows(spec)
     lams = tuple(ctx.from_rational(x) for x in (Fraction(1, 9), 1, 9))
     dec = dynamics.HorosphericalDecomposition(
         PadicMatrix.from_rationals(ctx, [[Fraction(1, 3), 0], [0, 3]]), spec, lams, (e12, h, e12))
@@ -547,7 +558,13 @@ def test_dependent_lines_refuse_their_defect_and_coordinates():
     with pytest.raises(NotDiagonalizable, match=message):
         dec.lattice_defect
     with pytest.raises(NotDiagonalizable, match=message):
-        dec.coordinates(h)
+        dec.coordinates(spec.lie_basis[1])
+
+
+def _unit_rows(spec):
+    """The lie_basis coordinate rows of lie_basis itself."""
+    one, zero = spec.ctx.one(), spec.ctx.zero()
+    return [tuple(one if i == m else zero for i in range(spec.dim_g)) for m in range(spec.dim_g)]
 
 
 def test_a_decomposition_needs_dim_g_lines_and_as_many_eigenvalues():
@@ -555,7 +572,7 @@ def test_a_decomposition_needs_dim_g_lines_and_as_many_eigenvalues():
     # they used to give lattice_defect 0 and coordinates(E21) = [0, 0, 0]
     ctx = PadicContext(3)
     spec = GroupSpec.sl(ctx, 2)
-    e12, h, e21 = spec.lie_basis
+    e12, h, e21 = _unit_rows(spec)
     a = PadicMatrix.from_rationals(ctx, [[Fraction(1, 3), 0], [0, 3]])
     lams = tuple(ctx.from_rational(x) for x in (Fraction(1, 9), 1, 9))
     with pytest.raises(ValueError, match="2 lines and 2 eigenvalues on an algebra of dimension 3"):
@@ -564,6 +581,10 @@ def test_a_decomposition_needs_dim_g_lines_and_as_many_eigenvalues():
         dynamics.HorosphericalDecomposition(a, spec, lams[:2], (e12, h, e21))
     with pytest.raises(ValueError, match="2 lines and 3 eigenvalues"):
         dynamics.HorosphericalDecomposition(a, spec, lams, (e12, h))
+    # a line is a row of dim_g lie_basis coordinates
+    for bad in (e12[:2], e12 + (ctx.zero(),)):
+        with pytest.raises(ValueError, match=f"a line of {len(bad)} coordinates on an algebra of dimension 3"):
+            dynamics.HorosphericalDecomposition(a, spec, lams, (bad, h, e21))
     assert dynamics.HorosphericalDecomposition(a, spec, lams, (e12, h, e21)).lattice_defect == 0
 
 
@@ -923,7 +944,7 @@ def test_full_oracle_counts_every_point_when_no_row_constrains():
     # FULL reads only a, whatever eigendata the decomposition carries
     spec, dec = sl_flow(2, [Fraction(1, 2), 2])
     fixed = dynamics.HorosphericalDecomposition(
-        PadicMatrix.identity(dec.ctx, 2), spec, dec.eigenvalues, dec.basis)
+        PadicMatrix.identity(dec.ctx, 2), spec, dec.eigenvalues, dec.lines)
     assert bowen_count_oracle(fixed, 4, 3, 11, "FULL").counts == (2**21,) * 3
 
 

@@ -360,7 +360,6 @@ def test_cylinder_function_basics():
     assert f.value([0, 0]) == 1.0
     assert f.value([1, 0]) == 2.0  # coordinate 0 is the least significant
     assert f.value([0, 1]) == 3.0
-    assert f.sup_norm == 4.0
     assert f.mean() == 2.5
     g = f.average_first(1)
     assert g.depth == 1

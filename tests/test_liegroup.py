@@ -799,6 +799,24 @@ def test_group_spec_validation():
         GroupSpec(PadicContext(3), "custom", 2)  # only sl and gl have membership rules
 
 
+def reference_lie_basis(spec: GroupSpec) -> tuple:
+    """lie_basis as it was built by hand before `element` built it: E_ij
+    (i < j), H_k, E_ij (i > j, column by column) on sl, all E_ij on gl."""
+    ctx, d = spec.ctx, spec.dim
+    one, zero = ctx.one(), ctx.zero()
+
+    def mat(entries: dict) -> PadicMatrix:  # keyed by flat index, zero elsewhere
+        return PadicMatrix.from_flat(ctx, d, [entries.get(m, zero) for m in range(d * d)])
+
+    if spec.family == "gl":
+        return tuple(mat({m: one}) for m in range(d * d))
+    return tuple(
+        [mat({i * d + j: one}) for i in range(d) for j in range(i + 1, d)]
+        + [mat({k * (d + 1): one, (k + 1) * (d + 1): -one}) for k in range(d - 1)]
+        + [mat({i * d + j: one}) for j in range(d) for i in range(j + 1, d)]
+    )
+
+
 GROUP_CASES = [(family, d, p) for family in ("sl", "gl") for d in (1, 2, 3, 4) for p in (2, 3, 5)]
 
 
@@ -806,12 +824,13 @@ GROUP_CASES = [(family, d, p) for family in ("sl", "gl") for d in (1, 2, 3, 4) f
 def test_algebra_coordinates_detect_outsiders(family, d, p):
     ctx = PadicContext(p)
     spec = getattr(GroupSpec, family)(ctx, d)
-    assert len(spec.lie_basis) == d * d - (family == "sl")
-    # lie_basis[j] reads off as the unit vector e_j
-    for j, b in enumerate(spec.lie_basis):
+    assert len(spec.lie_basis) == spec.dim_g == d * d - (family == "sl")
+    # lie_basis[j] is the hand-built basis matrix field for field (digits
+    # None marks the exact zero), and reads off as the unit vector e_j
+    for j, (b, want) in enumerate(zip(spec.lie_basis, reference_lie_basis(spec), strict=True)):
+        assert _fields(b.flat()) == _fields(want.flat())
         unit_vector = [ctx.one() if i == j else ctx.zero() for i in range(len(spec.lie_basis))]
         assert spec.algebra_coordinates(b) == unit_vector
-        assert _fields(spec.element(unit_vector).flat()) == _fields(b.flat())
     rng = random.Random(1000 * p + 10 * d + (family == "sl"))
     for _ in range(5):
         # a seeded integral element of the algebra
@@ -835,6 +854,15 @@ def test_algebra_coordinates_detect_outsiders(family, d, p):
 
 def _fields(xs) -> list:
     return [(x.v, x.unit, x.digits) for x in xs]
+
+
+@pytest.mark.parametrize("family,d,count", [("sl", 3, 7), ("sl", 3, 9), ("gl", 2, 3), ("gl", 2, 5)])
+def test_element_needs_dim_g_coordinates(family, d, count):
+    # sl3 took 7 coordinates to a bare StopIteration and 9 to a matrix that
+    # dropped one; every family now refuses a wrong count
+    spec = getattr(GroupSpec, family)(PadicContext(3), d)
+    with pytest.raises(ValueError, match=f"{count} coordinates on an algebra of dimension {spec.dim_g}"):
+        spec.element([spec.ctx.one()] * count)
 
 
 @st.composite

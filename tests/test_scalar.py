@@ -121,13 +121,15 @@ def test_constructor_validation():
 
 def test_mixed_context_rejected():
     a = PadicContext(3).from_rational(1)
+    ops = (operator.add, operator.mul, operator.sub, operator.truediv, lambda x, y: x.congruent_mod(y, 1))
     for other in (PadicContext(5), PadicContext(3, 6), PadicContext(2, 19)):
         b = other.from_rational(1)
-        for op in (operator.add, operator.mul, operator.sub, operator.truediv):
+        for op in ops:
             with pytest.raises(ValueError, match="mixed p-adic contexts"):
                 op(a, b)
     # an equal context built apart is the same context
     assert a + PadicContext(3).from_rational(1) == PadicContext(3).from_rational(2)
+    assert a.congruent_mod(PadicContext(3).from_rational(1), 12)
 
 
 # ---- ring operations vs the oracle ----------------------------------------
@@ -409,7 +411,8 @@ def test_inexact_zero_rules_hold_under_perturbation(case):
 
 
 def reference_add(x: PadicScalar, y: PadicScalar) -> PadicScalar:
-    x._check_ctx(y)
+    if x.ctx != y.ctx:
+        raise ValueError("mixed p-adic contexts")
     if x.v is None:
         return y if x.digits is None else y._cap(x.digits)
     if y.v is None:
@@ -443,7 +446,8 @@ def reference_sub(x: PadicScalar, y: PadicScalar) -> PadicScalar:
 
 
 def reference_mul(x: PadicScalar, y: PadicScalar) -> PadicScalar:
-    x._check_ctx(y)
+    if x.ctx != y.ctx:
+        raise ValueError("mixed p-adic contexts")
     if x.v is None or y.v is None:
         if x.digits is None or y.digits is None:
             return x if x.digits is None else y  # the exact zero
