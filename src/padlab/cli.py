@@ -271,6 +271,10 @@ def _cmd_oracle(args) -> tuple[dict, int]:
 
 def _cmd_atoms(args) -> tuple[dict, int]:
     dec = _decomposition(args)
+    # p^|nu| representatives, held to int's string limit before any is built
+    limit = sys.get_int_max_str_digits()
+    if limit and args.p**dec.nu_total > limit:
+        raise errors.BudgetExceeded(f"{args.p}^{dec.nu_total} atom representatives, more than {limit}")
     reps = atom_representatives(dec, args.k)
     return {
         "k": args.k,

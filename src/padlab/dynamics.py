@@ -19,15 +19,16 @@ Theory, Lecture 15).  Lines whose eigenvalues differ by a zero form one
 eigenspace, and `zp_module_basis` saturates their coordinate rows.
 Otherwise, as on flows whose chi_a does not split over Q_p, `decompose`
 writes the dim_g x dim_g matrix Ad(a) in the algebra coordinates GroupSpec
-reads off the entries and takes its eigenvectors.  The eigendata path
-refuses nothing: where one of its steps fails, the Ad path runs and raises
-what it always raised.  Either way an eigenvalue's lines are a Z_p-basis of
+reads off the entries and takes its eigenvectors.  `_eigenvectors` on a
+alone picks the path: once it returns, the Ad path never runs, and a
+singular U or an eigenspace that saturates short is refused as dependent
+lines.  Either way an eigenvalue's lines are a Z_p-basis of
 its eigenspace's integral points, each with an exact 1 at a coordinate of
 its own and the exact zero at the other lines' own coordinates, so a
 diagonal flow gets the same lines on both.  A decomposition keeps each line
-as that lie_basis coordinate row and takes the pivots of the rows at
-decompose, by `eliminate`: they decide whether the lines are independent
-and sum to lattice_defect.  The lines written on the entries by
+as that lie_basis coordinate row and takes the pivots of the rows by
+`eliminate` when it is built: it refuses dependent lines, and the pivot
+valuations sum to lattice_defect.  The lines written on the entries by
 `GroupSpec.element`, and the inverse of the rows, which coordinates in the
 eigenbasis read, are built on first use.
 
@@ -104,8 +105,8 @@ class HorosphericalDecomposition:
     lattice (never negative, as the lines are integral), and on the first
     `coordinates` call the inverse of the rows.  Construction raises
     ValueError unless there are dim_g rows of dim_g coordinates each and
-    dim_g eigenvalues; lattice_defect and coordinates raise
-    NotDiagonalizable when the lines are dependent at working precision.
+    dim_g eigenvalues, and NotDiagonalizable when the lines are dependent
+    at working precision, which `eliminate` on the rows decides.
     """
 
     a: PadicMatrix
@@ -121,6 +122,8 @@ class HorosphericalDecomposition:
         for row in self.lines:
             if len(row) != dim_g:
                 raise ValueError(f"a line of {len(row)} coordinates on an algebra of dimension {dim_g}")
+        if len(self._pivots) < dim_g:
+            raise NotDiagonalizable(_DEPENDENT)
 
     @cached_property
     def basis(self) -> tuple:
@@ -151,17 +154,13 @@ class HorosphericalDecomposition:
 
     @property
     def lattice_defect(self) -> int:
-        if len(self._pivots) < len(self.lines):
-            raise NotDiagonalizable(_DEPENDENT)
         return sum(x.v for x in self._pivots)
 
     @cached_property
     def _inverse(self) -> list:
-        """The inverse of lines, built on the first `coordinates` call."""
-        inverse, _ = _invert(self.lines, self.ctx.zero(), self.ctx.one())
-        if inverse is None:
-            raise NotDiagonalizable(_DEPENDENT)
-        return inverse
+        """The inverse of lines, built on the first `coordinates` call; it
+        exists, as `_invert` takes the pivots the construction checked."""
+        return _invert(self.lines, self.ctx.zero(), self.ctx.one())[0]
 
     def coordinates(self, x: PadicMatrix) -> list:
         """Coordinates of x in the eigenbasis; on sl, of x less its trace at
@@ -184,32 +183,27 @@ class AdaptedBall:
     k: int
     n: int
 
-    def contains_algebra(self, x: PadicMatrix) -> bool:
-        if self.dec.group.algebra_coordinates(x) is None:
-            return False
-        coords = self.dec.coordinates(x)
-        return all(c.is_zero or c.v >= lvl for c, lvl in zip(coords, self.levels))
-
 
 def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     """Diagonalize Ad(a) on spec's algebra and classify its eigenlines.
 
     The input picks the path (module docstring): the lines come from a's own
-    eigendata (`_eigendata_lines`) when a diagonalizes over Q_p at working
-    precision, and otherwise from Ad(a)'s `_eigenvectors`; either way they
-    are stored as the lie_basis coordinate rows the path computed, and
-    nothing is written on the entries.  a is tested first, by the pivot
-    count of `eliminate` on its rows, the pivots `a.inverse()` would take,
-    so a singular flow raises SingularAtPrecision whichever path it would
-    take, before any eigenvalue is divided; a^-1 is built on the Ad path
-    alone.
+    eigendata (`_eigendata_lines`) when `_eigenvectors` finds a
+    diagonalizable over Q_p at working precision, and otherwise from
+    Ad(a)'s `_eigenvectors`; either way they are stored as the lie_basis
+    coordinate rows the path computed, and nothing is written on the
+    entries.  a is tested first, by the pivot count of `eliminate` on its
+    rows, the pivots `a.inverse()` would take, so a singular flow raises
+    SingularAtPrecision whichever path it would take, before any eigenvalue
+    is divided; a^-1 is built on the Ad path alone.
 
     Raises SingularAtPrecision when a has no inverse at working precision;
-    NotDiagonalizable when the characteristic polynomial of Ad(a) does not
-    split over Q_p at working precision, an eigenspace comes up short, or
-    the eigenlines are dependent at working precision; NoHyperbolicity when
-    every eigenvalue is a unit; and DomainError when a fails to normalize
-    the algebra.
+    NotDiagonalizable, on the Ad path, when the characteristic polynomial
+    of Ad(a) does not split over Q_p at working precision or an eigenspace
+    comes up short, and on either path when the eigenlines are dependent
+    at working precision (`_eigendata_lines` or the construction of the
+    decomposition decides); NoHyperbolicity when every eigenvalue is a
+    unit; and DomainError when a fails to normalize the algebra.
     """
     if a.dim != spec.dim:
         raise ValueError(f"a {a.dim}x{a.dim} flow on a group of {spec.dim}x{spec.dim} matrices")
@@ -239,8 +233,6 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
         except NotSplitAtPrecision as err:
             raise NotDiagonalizable(f"adjoint spectrum does not split: {err}") from err
     dec = HorosphericalDecomposition(a, spec, tuple(eigenvalues), tuple(map(tuple, lines)))
-    if len(dec._pivots) < len(lines):
-        raise NotDiagonalizable(_DEPENDENT)
     if dec.nu_total == 0:
         raise NoHyperbolicity("every adjoint eigenvalue is a p-adic unit")
     return dec
@@ -275,9 +267,9 @@ def _eigenvectors(m: PadicMatrix, chi: list) -> tuple[list, list]:
 def _eigendata_lines(a: PadicMatrix, spec: GroupSpec):
     """(eigenvalues, lines) of Ad(a) read off a = U diag(lambda) U^-1, the
     lines as lie_basis coordinate rows, or None when a does not
-    diagonalize over Q_p at working precision: chi_a does not split, some
-    a - lambda has too few kernel vectors, U is singular, or an
-    eigenspace's lines are dependent.
+    diagonalize over Q_p at working precision: chi_a does not split, or
+    some a - lambda has too few kernel vectors.  Raises NotDiagonalizable
+    when U is singular or an eigenspace's lines are dependent.
 
     U's columns are the `_eigenvectors` of a.  The line (U e_i)(e_j U^-1)
     has eigenvalue lambda_i / lambda_j, and on sl the lines U H_k U^-1 take
@@ -295,7 +287,7 @@ def _eigendata_lines(a: PadicMatrix, spec: GroupSpec):
         return None
     u_inv, _ = _invert([list(r) for r in zip(*cols)], ctx.zero(), ctx.one())
     if u_inv is None:
-        return None
+        raise NotDiagonalizable(_DEPENDENT)
     one = ctx.one()
 
     def line(i, j):
@@ -321,7 +313,7 @@ def _eigendata_lines(a: PadicMatrix, spec: GroupSpec):
         rows = [spec.algebra_coordinates(x) for x in members]
         basis = [] if None in rows else zp_module_basis(rows)
         if len(basis) < len(members):
-            return None
+            raise NotDiagonalizable(_DEPENDENT)
         eigenvalues += [mu] * len(basis)
         lines += basis
     return eigenvalues, lines

@@ -10,7 +10,12 @@ g = exp(X) at k = 2.
 
 A second family, the non-split one (`draw_non_split_flow`), draws 120 GL4
 flows from random.Random(5): their characteristic polynomials do not split
-over Q_p, but their adjoint spectra are rational.
+over Q_p, but their adjoint spectra are rational.  A third, the dense one
+(`draw_dense_flow`), draws 600 flows from random.Random(11) as the seed
+flows are drawn, but with every entry of u in [-3, 3], drawn again until
+det u != 0: such a u need not lie in GL_d(Z_p), so the eigenlines may
+span a lattice of positive index (lattice_defect > 0) or be dependent at
+working precision.
 
 Each flow is decomposed at the default precision N = 12; |nu| must be the
 sum of |e_i - e_j| over i < j.  Each factorization F H of g is checked by
@@ -24,12 +29,12 @@ volume ratios closed_m = p^(-(m-1)|nu|), and their counts must equal
 FACTORED's when lattice_defect is 0.
 
 Run as a script, it prints, for each seed given (7 if none) and then for the
-non-split family, the decompositions and the wrong |nu| among them, the
-refusals by error class and raising function, the factorizations by the
-outcome of their check, and a SHA-256 of every decomposition (each
-eigenvalue and line entry as v, unit and digits, and the lattice_defect) or
-refusal message; for each seed, the oracle windows by outcome, and a
-SHA-256 of every window's counts or refusal message:
+non-split and the dense families, the decompositions and the wrong |nu|
+among them, the refusals by error class and raising function, the
+factorizations by the outcome of their check, and a SHA-256 of every
+decomposition (each eigenvalue and line entry as v, unit and digits, and the
+lattice_defect) or refusal message; for each seed, the oracle windows by
+outcome, and a SHA-256 of every window's counts or refusal message:
 
     PYTHONPATH=src python tests/conjugate_sweep.py 7 8
 """
@@ -57,21 +62,46 @@ from padlab.liegroup import horospherical_factor
 
 FLOWS = 600
 NON_SPLIT_SEED, NON_SPLIT_FLOWS = 5, 120
+DENSE_SEED = 11
 CHECK_DIGITS = 8
 ORACLE_LENGTHS = (1, 2, 3)
 
 
-def _conjugate(rng: random.Random, middle: list[list[Fraction]]) -> list[list[Fraction]]:
-    """u middle u^-1, for u upper unitriangular with the entries above its
-    diagonal drawn row by row in [-3, 3]."""
-    d = len(middle)
-    u = [[Fraction(int(i == j) if j <= i else rng.randint(-3, 3)) for j in range(d)]
-         for i in range(d)]
-    # back substitution for the unitriangular inverse
-    u_inv = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for j in range(d):
-        for i in reversed(range(j)):
-            u_inv[i][j] = -sum(u[i][k] * u_inv[k][j] for k in range(i + 1, j + 1))
+def _inverse(u: list[list[Fraction]]):
+    """u^-1 over Q by Gauss-Jordan elimination, or None when det u = 0."""
+    d = len(u)
+    aug = [row + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(u)]
+    for c in range(d):
+        r = next((r for r in range(c, d) if aug[r][c]), None)
+        if r is None:
+            return None
+        aug[c], aug[r] = aug[r], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(d):
+            if i != c and aug[i][c]:
+                aug[i] = [x - aug[i][c] * y for x, y in zip(aug[i], aug[c])]
+    return [row[d:] for row in aug]
+
+
+def _unitriangular(rng: random.Random, d: int) -> list[list[Fraction]]:
+    """Upper unitriangular u, the entries above its diagonal drawn row by row
+    in [-3, 3]."""
+    return [[Fraction(int(i == j) if j <= i else rng.randint(-3, 3)) for j in range(d)]
+            for i in range(d)]
+
+
+def _dense(rng: random.Random, d: int) -> list[list[Fraction]]:
+    """u with every entry drawn row by row in [-3, 3], drawn again until
+    det u != 0."""
+    while True:
+        u = [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
+        if _inverse(u) is not None:
+            return u
+
+
+def _conjugate(u: list[list[Fraction]], middle: list[list[Fraction]]) -> list[list[Fraction]]:
+    """u middle u^-1, exactly."""
+    d, u_inv = len(middle), _inverse(u)
     um = [[sum(u[i][k] * middle[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
     return [[sum(um[i][k] * u_inv[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
 
@@ -81,8 +111,9 @@ def _algebra_point(rng: random.Random, p: int, d: int) -> list[list[int]]:
     return [[p * p * rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
 
 
-def draw_flow(rng: random.Random):
-    """(family, p, exponents, a as Fraction rows, X as int rows)."""
+def draw_flow(rng: random.Random, conjugator=_unitriangular):
+    """(family, p, exponents, a as Fraction rows, X as int rows), u drawn by
+    `conjugator`."""
     family = rng.choice(["sl", "gl"])
     d = rng.choice([2, 3])
     p = rng.choice([2, 3, 5])
@@ -90,12 +121,17 @@ def draw_flow(rng: random.Random):
         exps = [rng.randint(-2, 2) for _ in range(d)]
         if len(set(exps)) > 1 and (family == "gl" or sum(exps) == 0):
             break
-    a = _conjugate(rng, [[Fraction(p) ** e if i == j else Fraction(0) for j, e in enumerate(exps)]
-                         for i in range(d)])
+    a = _conjugate(conjugator(rng, d), [[Fraction(p) ** e if i == j else Fraction(0)
+                                         for j, e in enumerate(exps)] for i in range(d)])
     x = _algebra_point(rng, p, d)
     if family == "sl":
         x[-1][-1] = -sum(x[i][i] for i in range(d - 1))
     return family, p, exps, a, x
+
+
+def draw_dense_flow(rng: random.Random):
+    """A flow of the dense family: draw_flow with u drawn by `_dense`."""
+    return draw_flow(rng, _dense)
 
 
 def draw_non_split_flow(rng: random.Random):
@@ -117,7 +153,7 @@ def draw_non_split_flow(rng: random.Random):
     for k, e in enumerate((e1, e2)):
         middle[2 * k][2 * k + 1] = 2 * Fraction(p) ** (2 * e)
         middle[2 * k + 1][2 * k] = Fraction(1)
-    a = _conjugate(rng, middle)
+    a = _conjugate(_unitriangular(rng, 4), middle)
     return "gl", p, [e1, e1, e2, e2], a, _algebra_point(rng, p, 4)
 
 
@@ -262,6 +298,7 @@ def main(argv: list[str]) -> int:
         _report_oracle(f"seed {seed} oracle", *oracle_sweep(seed))
     _report(f"non-split seed {NON_SPLIT_SEED}",
             *sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow))
+    _report(f"dense seed {DENSE_SEED}", *sweep(DENSE_SEED, FLOWS, draw_dense_flow))
     return 0
 
 

@@ -459,6 +459,27 @@ def test_gap_decides_the_symbol_count_without_building_p_to_the_nu(nu, message):
     assert message in err
 
 
+def test_atoms_refuses_more_representatives_than_ints_string_limit_at_once():
+    # diag(1/729, 729) has 3^12 = 531441 representatives, past the 4300 of
+    # sys.get_int_max_str_digits(): refused before any is built
+    started = time.monotonic()
+    code, out, err = run_cli(["atoms", "--p", "3", "--element", '[["1/729","0"],["0","729"]]',
+                              "--dim", "2", "--k", "14"])
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (10, "")
+    assert "BudgetExceeded: 3^12 atom representatives, more than 4300" in err
+
+
+@pytest.mark.parametrize("limit,want", [(9, 0), (8, 10), (0, 0)])
+def test_atoms_budget_is_ints_string_limit_and_none_at_0(limit, want, monkeypatch):
+    # diag(1/3, 3) has 3^2 = 9 representatives; a limit of 0 is no limit
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    code, _, err = run_cli(["atoms", "--element", A2, "--dim", "2", "--k", "4"])
+    assert code == want
+    assert err == ("" if want == 0 else f"padlab: BudgetExceeded: 3^2 atom representatives, "
+                                         f"more than {limit}\n")
+
+
 X2 = '[["0","9"],["0","0"]]'
 X3 = '[["0","9","0"],["0","0","0"],["0","0","0"]]'
 I3 = '[["1","0","0"],["0","1","0"],["0","0","1"]]'
@@ -564,6 +585,23 @@ def test_telescope_without_a_cylinder_function_exits_1():
     code, out, err = run_cli(["telescope", "--markov", "{" + CHAIN + "}"])
     assert (code, out) == (1, "")
     assert "no cylinder function" in err
+
+
+def test_telescope_cylinder_document_without_values_exits_1():
+    code, out, err = run_cli(["telescope", "--markov", "{" + CHAIN + "}", "--f", '{"depth":1}'])
+    assert (code, out) == (1, "")
+    assert "cylinder document needs 'depth' and 'values'" in err
+
+
+@pytest.mark.parametrize("element,message", [
+    ("[]", "matrix literal must be a nonempty array of rows"),
+    ("[1]", "matrix rows must be arrays"),
+    ('[["1","2"]]', "matrix must be square"),
+], ids=["empty", "row-not-array", "not-square"])
+def test_malformed_matrix_literals_exit_1(element, message):
+    code, out, err = run_cli(["analyze", "--dim", "2", "--element", element])
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_bound_reads_the_entropy_side_of_a_gap_report():

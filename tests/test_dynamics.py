@@ -32,13 +32,16 @@ from padlab.errors import (
     NoHyperbolicity,
     NotDiagonalizable,
     PrecisionExhausted,
+    SingularAtPrecision,
 )
 from padlab.liegroup import ball_membership
 from padlab.matrix import _invert, _vp, fraction_val
 
 from conjugate_sweep import (
+    DENSE_SEED,
     NON_SPLIT_FLOWS,
     NON_SPLIT_SEED,
+    draw_dense_flow,
     draw_flow,
     draw_non_split_flow,
     oracle_sweep,
@@ -214,20 +217,10 @@ def test_stable_lines_contract_under_conjugation():
 
 
 def test_bowen_ball_levels_and_membership():
-    spec, dec = sl_flow(3, [Fraction(1, 3), 3])
-    ctx = spec.ctx
+    _, dec = sl_flow(3, [Fraction(1, 3), 3])
     ball = bowen_ball(dec, 4, 2)
+    # the unstable line needs k + n |nu|, the others level k
     assert ball.levels == (8, 4, 4)
-
-    e12 = PadicMatrix.from_rationals(ctx, [[0, 1], [0, 0]])
-    e21 = PadicMatrix.from_rationals(ctx, [[0, 0], [1, 0]])
-    deep = e12.scale(ctx.from_rational(3**8))
-    shallow = e12.scale(ctx.from_rational(3**7))
-    assert ball.contains_algebra(deep)
-    assert not ball.contains_algebra(shallow)
-    # stable direction only needs level k
-    assert ball.contains_algebra(e21.scale(ctx.from_rational(3**4)))
-    assert not ball.contains_algebra(e21.scale(ctx.from_rational(3**3)))
 
     with pytest.raises(LevelTooSmall):
         bowen_ball(dec, 3, 2)  # needs k >= max |nu| + 2 = 4
@@ -240,6 +233,8 @@ def test_bowen_volume_ratio_closed_form():
     assert bowen_volume_ratio(dec, 1) == 1
     assert bowen_volume_ratio(dec, 2) == Fraction(1, 9)
     assert bowen_volume_ratio(dec, 3) == Fraction(1, 81)
+    with pytest.raises(DomainError, match="window length must be >= 1"):
+        bowen_volume_ratio(dec, 0)
     _, dec3 = sl_flow(2, [Fraction(1, 4), 1, 4])
     assert bowen_volume_ratio(dec3, 2) == Fraction(1, 2**8)
 
@@ -413,12 +408,54 @@ def test_oracle_sweep_slice():
 def test_non_split_sweep():
     # the non-split GL4 family of the conjugate sweep, whose characteristic
     # polynomials do not split over Q_p: every decomposition has the right
-    # |nu|, and every refusal is NotDiagonalizable from decompose
+    # |nu|, and every refusal is NotDiagonalizable, from the Ad path in
+    # decompose or, for dependent lines, from the decomposition's construction
     counts, digest = sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow)
     s = summary(counts)
     assert (s["decomposed"], s["wrong_nu"]) == (39, 0)
-    assert set(s["refused"]) == {("NotDiagonalizable", "decompose")}
+    assert s["refused"] == {("NotDiagonalizable", "decompose"): 63,
+                            ("NotDiagonalizable", "__post_init__"): 18}
     assert digest == "80ec28f9abf9aad00835098018dab46002c775c1842f69c2defdd5b5d1a0e8fa"
+
+
+def test_dense_sweep_slice():
+    # the first 255 flows of the dense family, whose conjugators need not lie
+    # in GL_d(Z_p): every decomposition has the right |nu|; the refusals are
+    # the dependent lines that the construction (flows 22 and 109) and the
+    # eigendata path (flow 254, an eigenspace that saturates short) find, a
+    # flow singular at working precision (18), and two (56, 228) whose chi_a
+    # keeps no certified digit of its constant coefficient, so that a does
+    # not diagonalize at working precision and the Ad path runs and refuses
+    counts, digest = sweep(DENSE_SEED, 255, draw_dense_flow)
+    s = summary(counts)
+    assert (s["decomposed"], s["wrong_nu"]) == (249, 0)
+    assert s["refused"] == {("NotDiagonalizable", "__post_init__"): 2,
+                            ("NotDiagonalizable", "_eigendata_lines"): 1,
+                            ("NotDiagonalizable", "decompose"): 2,
+                            ("SingularAtPrecision", "decompose"): 1}
+    assert s["factor"] == {"PASS": 143, ("DomainError", "horospherical_factor"): 55,
+                           ("PrecisionExhausted", "horospherical_factor"): 51}
+    assert digest == "dde2b1e77209806267ac58a4b9249f8c91caa149e0eaf0910e9a416a088b6956"
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([draw_flow, draw_dense_flow]), st.integers(0, 2**32 - 1))
+def test_decompose_returns_a_usable_decomposition_or_refuses_as_documented(draw, seed):
+    # flows of both conjugator families, p in {2, 3, 5}: a decomposition
+    # answers its lattice defect and the coordinates of every lie_basis
+    # element, and a refusal is one of the three decompose documents for a
+    # flow that normalizes the algebra
+    family, p, exps, a, _ = draw(random.Random(seed))
+    ctx = PadicContext(p)
+    spec = GroupSpec(ctx, family, len(exps))
+    try:
+        dec = decompose(PadicMatrix.from_rationals(ctx, a), spec)
+    except PadlabError as err:
+        assert type(err) in (SingularAtPrecision, NotDiagonalizable, NoHyperbolicity)
+        return
+    assert dec.lattice_defect >= 0
+    for b in spec.lie_basis:
+        assert len(dec.coordinates(b)) == spec.dim_g
 
 
 def _char_poly_sizes(monkeypatch) -> list:
@@ -545,20 +582,17 @@ def test_decompose_inverts_no_eigenbasis_until_coordinates_are_read(monkeypatch)
     assert sizes == [3, 9]
 
 
-def test_dependent_lines_refuse_their_defect_and_coordinates():
-    # a decomposition built from the sl2 lines (E12, H, E12), dependent:
-    # neither the lattice defect nor a coordinate exists
+def test_a_decomposition_refuses_dependent_lines():
+    # the sl2 lines (E12, H, E12) are dependent: no decomposition is built,
+    # so no lattice defect or coordinate is ever asked of them
     ctx = PadicContext(3)
     spec = GroupSpec.sl(ctx, 2)
     e12, h, _ = _unit_rows(spec)
     lams = tuple(ctx.from_rational(x) for x in (Fraction(1, 9), 1, 9))
-    dec = dynamics.HorosphericalDecomposition(
-        PadicMatrix.from_rationals(ctx, [[Fraction(1, 3), 0], [0, 3]]), spec, lams, (e12, h, e12))
-    message = "no eigenbasis at working precision: the eigenlines are dependent"
-    with pytest.raises(NotDiagonalizable, match=message):
-        dec.lattice_defect
-    with pytest.raises(NotDiagonalizable, match=message):
-        dec.coordinates(spec.lie_basis[1])
+    a = PadicMatrix.from_rationals(ctx, [[Fraction(1, 3), 0], [0, 3]])
+    with pytest.raises(NotDiagonalizable,
+                       match="no eigenbasis at working precision: the eigenlines are dependent"):
+        dynamics.HorosphericalDecomposition(a, spec, lams, (e12, h, e12))
 
 
 def _unit_rows(spec):

@@ -139,6 +139,8 @@ def test_markov_validation():
         MarkovMeasure([[1.5, -0.5], [0.5, 0.5]])  # negative
     with pytest.raises(ValueError):
         MarkovMeasure([[math.nan, 1.0], [0.5, 0.5]])  # not finite
+    with pytest.raises(ValueError, match="empty transition matrix"):
+        MarkovMeasure(np.zeros((0, 0)))
 
 
 def test_uniform_chain_is_bit_exact():
@@ -372,6 +374,8 @@ def test_cylinder_function_basics():
         CylinderFunction(-1, 2, [])
     with pytest.raises(ValueError):
         CylinderFunction(0, 2, [math.inf])
+    with pytest.raises(ValueError, match="need at least one symbol"):
+        CylinderFunction(1, 0, [])
 
 
 def test_cylinder_functions_compare_and_hash_by_identity():
@@ -424,6 +428,8 @@ def test_f_sequence_indicator():
     assert seq[1].depth == 0
     assert seq[1].values[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert seq[3].values[0] == seq[1].values[0]
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        f_sequence(f, -1)
 
 
 def test_f_sequence_matches_direct_average():

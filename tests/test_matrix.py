@@ -273,6 +273,8 @@ def test_hensel_zero_roots():
     # sorted by valuation, so the exact zero (infinite valuation) comes last
     assert roots[0][0] == ctx.one() and roots[0][1] == 1
     assert roots[1][0].is_zero and roots[1][1] == 2
+    with pytest.raises(ValueError, match="zero polynomial"):
+        hensel_roots(ascending(ctx, 0, 0))
 
 
 def test_hensel_triple_root():
@@ -611,6 +613,13 @@ def test_operands_of_different_sizes_raise():
         for op in (operator.add, operator.sub, operator.matmul):
             with pytest.raises(ValueError):
                 op(x, y)
+
+
+def test_zp_module_basis_of_no_vectors_and_of_ragged_ones():
+    ctx = PadicContext(3)
+    assert zp_module_basis([]) == []
+    with pytest.raises(ValueError, match="ragged vector list"):
+        zp_module_basis([[ctx.one(), ctx.one()], [ctx.one()]])
 
 
 def test_zp_module_basis_drops_dependent_rows():

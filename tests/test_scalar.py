@@ -115,6 +115,8 @@ def test_constructor_validation():
         PadicScalar(ctx, 0, 1, digits=13)
     with pytest.raises(ValueError):
         PadicContext(4)
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        PadicContext(3, 0)
     with pytest.raises(DivisionByZero):
         ctx.from_rational(1, 0)
 
@@ -291,6 +293,8 @@ def test_congruent_mod():
     assert ctx.zero().congruent_mod(ctx.from_rational(3**4), 4)
     assert not ctx.zero().congruent_mod(ctx.from_rational(3**4), 5)
     assert ctx.zero().congruent_mod(ctx.zero(), 40)
+    # certified valuations 1 and 2, both below 5, differ
+    assert not ctx.from_rational(3).congruent_mod(ctx.from_rational(9), 5)
 
     # not enough certified digits to decide
     weak = PadicScalar(ctx, 0, 1, 3)
