@@ -15,8 +15,10 @@ as its multiplicity.  When a diagonalizes over Q_p at working precision,
 a = U diag(lambda) U^-1 with U the eigenvectors of a, the lines come from
 that d x d eigendata: Ad(a) maps (U e_i)(e_j U^-1) to lambda_i / lambda_j
 times itself and fixes each U H_k U^-1 (Fulton and Harris, Representation
-Theory, Lecture 15).  Lines whose eigenvalues differ by a zero form one
-eigenspace, and `zp_module_basis` saturates their coordinate rows.
+Theory, Lecture 15).  Each line's coordinate row is written from U's column
+and U^-1's row, with nothing built as a matrix and read back.  Lines whose
+eigenvalues differ by a zero form one eigenspace, and `zp_module_basis`
+saturates their coordinate rows.
 Otherwise, as on flows whose chi_a does not split over Q_p, `decompose`
 writes the dim_g x dim_g matrix Ad(a) in the algebra coordinates GroupSpec
 reads off the entries and takes its eigenvectors.  `_eigenvectors` on a
@@ -66,7 +68,7 @@ from .errors import (
     NotSplitAtPrecision,
     SingularAtPrecision,
 )
-from .liegroup import GroupSpec, exp
+from .liegroup import GroupSpec, _reps, exp
 from .matrix import (
     PadicMatrix,
     _SINGULAR,
@@ -165,7 +167,7 @@ class HorosphericalDecomposition:
     def coordinates(self, x: PadicMatrix) -> list:
         """Coordinates of x in the eigenbasis; on sl, of x less its trace at
         x_dd (see GroupSpec._read_off), so a residual off the algebra has some."""
-        coords, _ = self.group._read_off(x)
+        coords, _ = self.group._read_off(x.rows)
         zero = self.ctx.zero()
         return [_dot(coords, col, zero) for col in zip(*self._inverse)]
 
@@ -271,18 +273,30 @@ def _eigendata_lines(a: PadicMatrix, spec: GroupSpec):
     some a - lambda has too few kernel vectors.  Raises NotDiagonalizable
     when U is singular or an eigenspace's lines are dependent.
 
-    U's columns are the `_eigenvectors` of a.  The line (U e_i)(e_j U^-1)
-    has eigenvalue lambda_i / lambda_j, and on sl the lines U H_k U^-1 take
-    the place of i = j, with eigenvalue 1.  Lines whose eigenvalues differ
-    by a zero form one eigenspace, and `zp_module_basis` saturates its
-    coordinate rows to a Z_p-basis of its integral points, the rows kept.
-    The eigenspace keeps the value with the fewest digits: two values that
-    differ by a zero agree only to the lesser precision of the two, and that
-    value claims no digit that one of the lines lacks.
+    U's columns are the `_eigenvectors` of a, with chi_a's constant
+    coefficient read off (-1)^d det a where Berkowitz leaves it a zero.  The
+    line (U e_i)(e_j U^-1) has eigenvalue lambda_i / lambda_j, and on sl the
+    lines U H_k U^-1 take the place of i = j, with eigenvalue 1.  Each
+    line's coordinate row is written from U's column and U^-1's row: the
+    products x_r y_c, an exact zero x giving a row of itself, read off by
+    `GroupSpec._coordinates` (on sl, under its trace refusal), and on sl
+    each H_k entry is (x_r y_c) + (-(x'_r y'_c)); no line is built as a
+    matrix and read back.  Lines whose eigenvalues differ by a zero form one
+    eigenspace, and `zp_module_basis` saturates its coordinate rows to a
+    Z_p-basis of its integral points, the rows kept.  The eigenspace keeps
+    the value with the fewest digits: two values that differ by a zero agree
+    only to the lesser precision of the two, and that value claims no digit
+    that one of the lines lacks.
     """
     ctx, d = spec.ctx, spec.dim
+    chi = a.char_poly()
+    if chi[0].is_zero:
+        # Berkowitz cancelled every certified digit of chi_a(0) = (-1)^d det a;
+        # `eliminate` certifies det a at its true valuation (a is invertible)
+        det = a.det()
+        chi[0] = -det if d % 2 else det
     try:
-        lams, cols = _eigenvectors(a, a.char_poly())
+        lams, cols = _eigenvectors(a, chi)
     except (NotSplitAtPrecision, NotDiagonalizable):
         return None
     u_inv, _ = _invert([list(r) for r in zip(*cols)], ctx.zero(), ctx.one())
@@ -290,29 +304,33 @@ def _eigendata_lines(a: PadicMatrix, spec: GroupSpec):
         raise NotDiagonalizable(_DEPENDENT)
     one = ctx.one()
 
-    def line(i, j):
-        return PadicMatrix._own(ctx, [[x * y for y in u_inv[j]] for x in cols[i]])
+    def entries(i, j):  # of (U e_i)(e_j U^-1)
+        row = u_inv[j]
+        return [[x * y for y in row] if x else [x] * d for x in cols[i]]
 
-    pairs = [(one if i == j else lams[i] / lams[j], line(i, j))
+    def h_entries(k):  # of U H_k U^-1, as PadicMatrix.__sub__ forms them
+        return [[s + (-t) for s, t in zip(r, r2)] for r, r2 in zip(entries(k, k), entries(k + 1, k + 1))]
+
+    pairs = [(one if i == j else lams[i] / lams[j], entries(i, j))
              for i in range(d) for j in range(d) if i != j or spec.family == "gl"]
     if spec.family == "sl":
-        pairs += [(one, line(k, k) - line(k + 1, k + 1)) for k in range(d - 1)]
-    groups: list[list] = []  # [eigenvalue, its lines]
+        pairs += [(one, h_entries(k)) for k in range(d - 1)]
+    groups: list[list] = []  # [eigenvalue, its coordinate rows]
     for mu, x in pairs:
+        row = spec._coordinates(x)
         # nonzero values of other valuations differ by their lower one's certified leading digit
         group = next((g for g in groups if g[0].v == mu.v and (g[0] - mu).is_zero), None)
         if group is None:
-            groups.append([mu, [x]])
+            groups.append([mu, [row]])
             continue
-        group[1].append(x)
+        group[1].append(row)
         if mu.digits < group[0].digits:
             group[0] = mu
     _sort_roots(groups)
     eigenvalues, lines = [], []
-    for mu, members in groups:
-        rows = [spec.algebra_coordinates(x) for x in members]
+    for mu, rows in groups:
         basis = [] if None in rows else zp_module_basis(rows)
-        if len(basis) < len(members):
+        if len(basis) < len(rows):
             raise NotDiagonalizable(_DEPENDENT)
         eigenvalues += [mu] * len(basis)
         lines += basis
@@ -466,15 +484,15 @@ def _count_full(dec, k, n, level) -> BowenCounts:
     (den_a, a_int), (den_inv, inv_int) = _clear(a_frac), _clear(inv_frac)
     shift = _vp(den_a * den_inv, p)
     mod = p ** ((n - 1) * shift)
-    images = [[[int(x.as_rational()) for x in row] for row in b.rows] for b in dec.group.lie_basis]
+    images = [_reps(b) for b in dec.group.lie_basis]  # exact 0 and +-1, as int(as_rational()) reads them
     blocks = []
     for m in range(2, n + 1):
         images = [_mul_mod(_mul_mod(a_int, z, mod), inv_int, mod) for z in images]
         blocks.append(list(zip(*(sum(z, []) for z in images))))
         c_m = (m - 1) * shift
-        stack = [[Fraction(x % p ** (l * shift) * p ** (c_m - l * shift)) for x in row]
+        stack = [[x % p ** (l * shift) * p ** (c_m - l * shift) for x in row]
                  for l, block in enumerate(blocks, 1) for row in block]
-        stack = [row for row in stack if any(row)]  # rows every point passes
+        stack = [list(map(Fraction, row)) for row in stack if any(row)]  # a zero row constrains no point
         terms = [max(0, c_m - val(stack[i][j])) for i, j in eliminate(stack, Fraction(0), val=val)]
         if max(terms, default=0) > level - k:
             raise LevelTooSmall(f"window {m} needs p^{k + max(terms)} resolution, lattice has p^{level}")

@@ -143,17 +143,17 @@ class GroupSpec:
         one, zero, dim_g = self.ctx.one(), self.ctx.zero(), self.dim_g
         return tuple(self.element([one if i == m else zero for i in range(dim_g)]) for m in range(dim_g))
 
-    def _read_off(self, x: PadicMatrix) -> tuple[list, PadicScalar]:
-        """(coordinates, trace) of x, read off its entries: for gl the entries,
-        row-major, and the exact zero; for sl the entries above the diagonal,
-        the partial diagonal sums x_11 + ... + x_kk (k < d) and the entries
-        below, the coordinates of x less its trace at x_dd, and that trace."""
+    def _read_off(self, rows) -> tuple[list, PadicScalar]:
+        """(coordinates, trace) of the matrix x with these entry rows: for gl
+        the entries, row-major, and the exact zero; for sl the entries above
+        the diagonal, the partial diagonal sums x_11 + ... + x_kk (k < d) and
+        the entries below, the coordinates of x less its trace at x_dd, and
+        that trace."""
         d = self.dim
-        if x.dim != d:
-            raise ValueError(f"a {d}x{d} and a {x.dim}x{x.dim} matrix")
+        if len(rows) != d:
+            raise ValueError(f"a {d}x{d} and a {len(rows)}x{len(rows)} matrix")
         if self.family == "gl":
-            return x.flat(), self.ctx.zero()
-        rows = x.rows
+            return [e for r in rows for e in r], self.ctx.zero()
         *sums, trace = accumulate(rows[k][k] for k in range(d))
         above = [rows[i][j] for i in range(d) for j in range(i + 1, d)]
         below = [rows[i][j] for j in range(d) for i in range(j + 1, d)]
@@ -184,7 +184,11 @@ class GroupSpec:
     def algebra_coordinates(self, x: PadicMatrix):
         """Coordinates of x in lie_basis (see _read_off); None if x is outside,
         certifiably: an sl trace nonzero below p^N."""
-        coords, trace = self._read_off(x)
+        return self._coordinates(x.rows)
+
+    def _coordinates(self, rows):
+        """algebra_coordinates of the matrix with these entry rows."""
+        coords, trace = self._read_off(rows)
         return None if trace.v is not None and trace.v < self.ctx.precision else coords
 
     def in_group(self, g: PadicMatrix) -> bool:

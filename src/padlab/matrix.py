@@ -15,7 +15,10 @@ search skips O(p^c) as it skips the exact zero: where a rank is decided at
 working precision, "indistinguishable from zero" and "zero" force the same
 decision.  Everything that multiplies or sums skips only the exact zero, so
 O(p^c) carries its floor on: the row updates of `eliminate`, `_dot` (behind
-`@`, `char_poly` and `combine`) and `nullspace`.
+`@`, `char_poly` and `combine`), `nullspace`, the row scalings of
+`zp_module_basis` and `_invert`, and the eigenline products of
+`dynamics._eigendata_lines`.  A product with the exact zero is that zero, so
+a skip changes no field.
 
 Characteristic polynomials use the Berkowitz algorithm: it is division-free,
 so coefficients of exact-rational inputs keep full certified digits.  Root
@@ -66,14 +69,14 @@ def eliminate(rows, zero, width=None, val=_scalar_val) -> list[tuple[int, int]]:
     order, and clears its column in every other row: row -= (f / pivot) *
     pivot_row, skipping exact zeros; the pivot column is set to `zero`
     outright.  A step inverts its pivot once and takes each -(f / pivot) as
-    f times that negated inverse.  Pivot rows are not normalized, and a
-    pivot entry keeps its value through later steps.  So the rows become
-    T @ rows with det T = 1, and the pivots multiply to the determinant of
-    the pivoted minor, up to the sign of the pivot permutation.  T need not
-    be p-integral, as a step clears its column in earlier pivot rows too:
-    the output keeps the pivot valuations (the elementary divisors) but not
-    the rows' Z_(p)-module, so FULL re-eliminates its whole stack for every
-    window.
+    f times that negated inverse; a step with no other row to clear inverts
+    nothing.  Pivot rows are not normalized, and a pivot entry keeps its
+    value through later steps.  So the rows become T @ rows with det T = 1,
+    and the pivots multiply to the determinant of the pivoted minor, up to
+    the sign of the pivot permutation.  T need not be p-integral, as a step
+    clears its column in earlier pivot rows too: the output keeps the pivot
+    valuations (the elementary divisors) but not the rows' Z_(p)-module, so
+    FULL re-eliminates its whole stack for every window.
 
     Args:
         rows: list of mutable entry lists of one ring (PadicScalar or Fraction).
@@ -90,28 +93,27 @@ def eliminate(rows, zero, width=None, val=_scalar_val) -> list[tuple[int, int]]:
     free_cols = list(range(len(rows[0]) if width is None else width)) if rows else []
     pivots: list[tuple[int, int]] = []
     while True:
-        best = None
+        best = pi = pj = None
         for i in free_rows:
             row = rows[i]
             for j in free_cols:
                 v = val(row[j])
-                if v is not None and (best is None or v < best[0]):
-                    best = (v, i, j)
+                if v is not None and (best is None or v < best):
+                    best, pi, pj = v, i, j
         if best is None:
             return pivots
-        _, pi, pj = best
         free_rows.remove(pi)
         free_cols.remove(pj)
         pivots.append((pi, pj))
         prow = rows[pi]
+        targets = [row for i, row in enumerate(rows) if i != pi and row[pj]]
+        if not targets:
+            continue
         pivot = prow[pj]
         neg_inv = -(pivot.inverse() if isinstance(pivot, PadicScalar) else 1 / pivot)
         cols = [j for j, b in enumerate(prow) if j != pj and b]
-        for i, row in enumerate(rows):
-            f = row[pj]
-            if i == pi or not f:
-                continue
-            mult = f * neg_inv
+        for row in targets:
+            mult = row[pj] * neg_inv
             for j in cols:
                 row[j] = row[j] + mult * prow[j]
             row[pj] = zero
@@ -135,7 +137,7 @@ def _invert(rows, zero, one, val=_scalar_val):
     out = [None] * n
     for r, c in at:
         inv = one / aug[r][c]
-        out[c] = [x * inv for x in aug[r][n:]]
+        out[c] = [x * inv if x else x for x in aug[r][n:]]
     return out, pivots
 
 
@@ -501,7 +503,8 @@ def _class_roots(
     At k = 0 the residue 0 is skipped: those roots belong to another slope.
     """
     mod = p**m
-    g = [a * p ** (k * i) % mod for i, a in enumerate(_taylor_shift(f, c, mod))]
+    # the Taylor shift at 0 is the identity: the class Z_p itself (k = 0)
+    g = [a * p ** (k * i) % mod for i, a in enumerate(f if c == 0 else _taylor_shift(f, c, mod))]
     s = min((_vp(a, p) for a in g if a), default=m)
     if s >= m:
         return [(c, k, mu)]
@@ -675,6 +678,6 @@ def zp_module_basis(vectors: list[list[PadicScalar]]) -> list[list[PadicScalar]]
     basis = []
     for r, c in sorted(eliminate(work, ctx.zero()), key=operator.itemgetter(1)):
         inv = work[r][c].inverse()
-        basis.append([x * inv for x in work[r]])
+        basis.append([x if x.digits is None else x * inv for x in work[r]])
         basis[-1][c] = ctx.one()
     return basis

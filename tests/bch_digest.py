@@ -12,13 +12,15 @@ class, the output entries, the exact and the O(p^c) zeros among them and
 those that carry all N digits, and a SHA-256 over every entry's valuation,
 absolute precision, digit count and stored unit (or the refusal), in draw
 order.  A change to either mode that leaves its outputs alone leaves its
-digest alone:
+digest alone.  With --check it then compares both digests with the values
+pinned in PINNED and exits 1, naming each one that differs:
 
-    PYTHONPATH=src python tests/bch_digest.py
+    PYTHONPATH=src python tests/bch_digest.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import random
 import sys
@@ -28,6 +30,11 @@ from padlab import GroupSpec, PadicContext, PadicMatrix, PadicScalar, PadlabErro
 
 PAIRS = 36
 CUT_SHARE = 0.3
+# the digest of each mode
+PINNED = {
+    "dynkin": "52936738ea69036381f5c50c121e96c5987d38ac3853459b41cebc3974448b24",
+    "direct": "270db4082852b59c63200bed7ecaf5ee17abeca49c03be6974d6c5c59101b38a",
+}
 
 
 def draw_element(spec: GroupSpec, rng: random.Random, k: int) -> PadicMatrix:
@@ -83,14 +90,22 @@ def digest(pairs: list, mode: str) -> tuple[Counter, str]:
     return tally, sha.hexdigest()
 
 
-def main() -> int:
-    pairs = draw_pairs()
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="The BCH digest (see the module docstring).")
+    parser.add_argument("--check", action="store_true", help="compare both digests with PINNED")
+    args = parser.parse_args(argv)
+    pairs, bad = draw_pairs(), []
     for mode in ("dynkin", "direct"):
         tally, sha = digest(pairs, mode)
         print(f"{mode}: " + ", ".join(f"{key} {n}" for key, n in tally.items()))
         print(f"  sha256 of every entry's (v, abs precision, digits, unit): {sha}")
-    return 0
+        if sha != PINNED[mode]:
+            bad.append(f"check: {mode}: {sha} differs from the pinned {PINNED[mode]}")
+    if not args.check:
+        return 0
+    print("\n".join(bad) or "check: both digests match their pinned values")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

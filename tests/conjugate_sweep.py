@@ -21,9 +21,10 @@ Each flow is decomposed at the default precision N = 12; |nu| must be the
 sum of |e_i - e_j| over i < j.  Each factorization F H of g is checked by
 F H = g mod p^8, which may also be undecidable at the digits F H carries.
 
-Each seed flow that decomposes also gets three Bowen oracle windows, FULL
-at n = 1, 2, 3 with the least ball level k and the least lattice level
-k + (n - 1) max|nu| + 1.  Their ratios must lie in the oracle's bracket
+Each seed flow and each dense flow that decomposes also gets three Bowen
+oracle windows, FULL at n = 1, 2, 3 with the least ball level k and the
+lattice level k + (n - 1) max|nu| + 1 + lattice_defect, the least one at
+defect 0.  Their ratios must lie in the oracle's bracket
 closed_m p^-lattice_defect <= ratio_m <= closed_m around the closed-form
 volume ratios closed_m = p^(-(m-1)|nu|), and their counts must equal
 FACTORED's when lattice_defect is 0.
@@ -33,14 +34,18 @@ non-split and the dense families, the decompositions and the wrong |nu|
 among them, the refusals by error class and raising function, the
 factorizations by the outcome of their check, and a SHA-256 of every
 decomposition (each eigenvalue and line entry as v, unit and digits, and the
-lattice_defect) or refusal message; for each seed, the oracle windows by
-outcome, and a SHA-256 of every window's counts or refusal message:
+lattice_defect) or refusal message; for each seed and for the dense family,
+the oracle windows by outcome, and a SHA-256 of every window's counts or
+refusal message.  With --check it then compares every printed digest with
+the value pinned in PINNED and exits 1, naming each one that differs or has
+no pin:
 
-    PYTHONPATH=src python tests/conjugate_sweep.py 7 8
+    PYTHONPATH=src python tests/conjugate_sweep.py 7 8 --check
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import random
 import sys
@@ -65,6 +70,16 @@ NON_SPLIT_SEED, NON_SPLIT_FLOWS = 5, 120
 DENSE_SEED = 11
 CHECK_DIGITS = 8
 ORACLE_LENGTHS = (1, 2, 3)
+# every digest `main` prints, by its title
+PINNED = {
+    "seed 7": "25cd21513eb91fdaa4851b53e9cea6a20c56f34d7fd5e14448e187911a1b6dc2",
+    "seed 7 oracle": "86f590f7f31257979a9d960c71ae00c4c8d294cd58cb097b22c339b3b0799f1c",
+    "seed 8": "234ca43df166e4b40cd82a2144be817bdc219f351fbd9147fac3fd2277b59de2",
+    "seed 8 oracle": "f5632552543a06db0b47d2c1f584d1185c7653c6fb0fdd64cb6088a63929de3e",
+    f"non-split seed {NON_SPLIT_SEED}": "80ec28f9abf9aad00835098018dab46002c775c1842f69c2defdd5b5d1a0e8fa",
+    f"dense seed {DENSE_SEED}": "48bf9c3e68a09f15f0265232a6beec77e5e7043859a6d0298c6ad3857ca08437",
+    f"dense seed {DENSE_SEED} oracle": "793539c16d42d76c74e484328e8ded39c0843e1df7e71068a885b38e3d902265",
+}
 
 
 def _inverse(u: list[list[Fraction]]):
@@ -217,12 +232,13 @@ def sweep(seed: int, flows: int = FLOWS, draw=draw_flow) -> tuple[Counter, str]:
 
 
 def oracle_window(dec, n: int) -> tuple:
-    """(outcome, text) of FULL at window length n, the least k and the least
-    level.  outcome is the error class of a refusal, or (the bracket around
-    the closed form held, FACTORED held or None when lattice_defect > 0);
-    text is the refusal message or the counts."""
+    """(outcome, text) of FULL at window length n, the least k and the level
+    k + (n - 1) max|nu| + 1 + lattice_defect.  outcome is the error class of
+    a refusal, or (the bracket around the closed form held, FACTORED held or
+    None when lattice_defect > 0); text is the refusal message or the
+    counts."""
     k = max(2, dec.max_exponent() + 2)
-    level = k + (n - 1) * dec.max_exponent() + 1
+    level = k + (n - 1) * dec.max_exponent() + 1 + dec.lattice_defect
     try:
         full = bowen_count_oracle(dec, k, n, level, "FULL")
     except PadlabError as err:
@@ -235,14 +251,14 @@ def oracle_window(dec, n: int) -> tuple:
     return (bracket, factored), repr(full.counts)
 
 
-def oracle_sweep(seed: int, flows: int = FLOWS) -> tuple[Counter, str]:
+def oracle_sweep(seed: int, flows: int = FLOWS, draw=draw_flow) -> tuple[Counter, str]:
     """Outcome counts of the oracle windows of a seed's decomposed flows, and
     the SHA-256 of their lines "flow n text", flows numbered from 0."""
     rng = random.Random(seed)
     outcomes, digest = Counter(), hashlib.sha256()
     for i in range(flows):
         try:
-            dec = _decompose(draw_flow(rng))
+            dec = _decompose(draw(rng))
         except PadlabError:
             continue
         for n in ORACLE_LENGTHS:
@@ -265,7 +281,7 @@ def summary(counts: Counter) -> dict:
     return out
 
 
-def _report(title: str, counts: Counter, digest: str) -> None:
+def _report(title: str, counts: Counter, digest: str) -> tuple[str, str]:
     s = summary(counts)
     print(f"{title}: {sum(counts.values())} flows, {s['decomposed']} decomposed, "
           f"{s['wrong_nu']} with a wrong |nu|")
@@ -278,9 +294,10 @@ def _report(title: str, counts: Counter, digest: str) -> None:
     for key, n in sorted((k, n) for k, n in checks.items() if isinstance(k, tuple)):
         print(f"  factor refused: {key[0]} in {key[1]}: {n}")
     print(f"  sha256 of every decomposition or refusal: {digest}")
+    return title, digest
 
 
-def _report_oracle(title: str, outcomes: Counter, digest: str) -> None:
+def _report_oracle(title: str, outcomes: Counter, digest: str) -> tuple[str, str]:
     counted = {o: n for o, n in outcomes.items() if isinstance(o, tuple)}
     compared = sum(n for (_, factored), n in counted.items() if factored is not None)
     print(f"{title}: {sum(outcomes.values())} windows at n in {set(ORACLE_LENGTHS)}, "
@@ -290,16 +307,36 @@ def _report_oracle(title: str, outcomes: Counter, digest: str) -> None:
     for cls, n in sorted((o, n) for o, n in outcomes.items() if isinstance(o, str)):
         print(f"  FULL refused: {cls}: {n}")
     print(f"  sha256 of every window's counts or refusal: {digest}")
+    return title, digest
 
 
 def main(argv: list[str]) -> int:
-    for seed in map(int, argv or ["7"]):
-        _report(f"seed {seed}", *sweep(seed))
-        _report_oracle(f"seed {seed} oracle", *oracle_sweep(seed))
-    _report(f"non-split seed {NON_SPLIT_SEED}",
-            *sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow))
-    _report(f"dense seed {DENSE_SEED}", *sweep(DENSE_SEED, FLOWS, draw_dense_flow))
-    return 0
+    parser = argparse.ArgumentParser(description="The conjugate sweep (see the module docstring).")
+    parser.add_argument("seeds", nargs="*", type=int, default=[7])
+    parser.add_argument("--check", action="store_true", help="compare every digest with PINNED")
+    args = parser.parse_args(argv)
+    printed = []
+    for seed in args.seeds:
+        printed.append(_report(f"seed {seed}", *sweep(seed)))
+        printed.append(_report_oracle(f"seed {seed} oracle", *oracle_sweep(seed)))
+    printed.append(_report(f"non-split seed {NON_SPLIT_SEED}",
+                           *sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow)))
+    printed.append(_report(f"dense seed {DENSE_SEED}", *sweep(DENSE_SEED, FLOWS, draw_dense_flow)))
+    printed.append(_report_oracle(f"dense seed {DENSE_SEED} oracle",
+                                  *oracle_sweep(DENSE_SEED, FLOWS, draw_dense_flow)))
+    return check(printed) if args.check else 0
+
+
+def check(printed: list[tuple[str, str]]) -> int:
+    """0 when every (title, digest) printed matches its pin in PINNED; else
+    1, after naming each digest that differs or has no pin."""
+    bad = [(title, digest) for title, digest in printed if PINNED.get(title) != digest]
+    for title, digest in bad:
+        print(f"check: {title}: {digest} " + (f"differs from the pinned {PINNED[title]}"
+                                              if title in PINNED else "has no pinned value"))
+    if not bad:
+        print(f"check: all {len(printed)} digests match their pinned values")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

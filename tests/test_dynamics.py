@@ -421,21 +421,47 @@ def test_non_split_sweep():
 def test_dense_sweep_slice():
     # the first 255 flows of the dense family, whose conjugators need not lie
     # in GL_d(Z_p): every decomposition has the right |nu|; the refusals are
-    # the dependent lines that the construction (flows 22 and 109) and the
-    # eigendata path (flow 254, an eigenspace that saturates short) find, a
-    # flow singular at working precision (18), and two (56, 228) whose chi_a
-    # keeps no certified digit of its constant coefficient, so that a does
-    # not diagonalize at working precision and the Ad path runs and refuses
+    # the dependent lines that the construction (flows 22, 56, 109 and 228)
+    # and the eigendata path (flow 254, an eigenspace that saturates short)
+    # find, and a flow singular at working precision (18).  On flows 56 and
+    # 228 Berkowitz keeps no certified digit of chi_a's constant coefficient,
+    # which is read off det a instead, so a diagonalizes and the lines it
+    # gives are dependent at working precision
     counts, digest = sweep(DENSE_SEED, 255, draw_dense_flow)
     s = summary(counts)
     assert (s["decomposed"], s["wrong_nu"]) == (249, 0)
-    assert s["refused"] == {("NotDiagonalizable", "__post_init__"): 2,
+    assert s["refused"] == {("NotDiagonalizable", "__post_init__"): 4,
                             ("NotDiagonalizable", "_eigendata_lines"): 1,
-                            ("NotDiagonalizable", "decompose"): 2,
                             ("SingularAtPrecision", "decompose"): 1}
     assert s["factor"] == {"PASS": 143, ("DomainError", "horospherical_factor"): 55,
                            ("PrecisionExhausted", "horospherical_factor"): 51}
-    assert digest == "dde2b1e77209806267ac58a4b9249f8c91caa149e0eaf0910e9a416a088b6956"
+    assert digest == "f928f64a2d13c20f92f8ecbe5d58071296e10dfef22f57b15b24bb074f3b0708"
+
+
+def test_dense_oracle_sweep_slice():
+    # the oracle windows of the same 255 flows at the level k + (n - 1)
+    # max|nu| + 1 + lattice_defect: FULL counts every one, in the closed
+    # form's bracket, and equal to FACTORED's counts at defect 0
+    outcomes, digest = oracle_sweep(DENSE_SEED, 255, draw_dense_flow)
+    assert outcomes == Counter({(True, True): 576, (True, None): 171})
+    assert digest == "4565be2df85bf7ba3e2c8339a2d338ccd03da9ada8606b2eea62d342102e3b3b"
+
+
+def test_chi_a_constant_coefficient_is_read_off_det_a():
+    # dense flow 563, u diag(4, 1, 1/4) u^-1 on sl3 at p = 2: Berkowitz
+    # cancels every certified digit of chi_a(0) = -det a, which comes out
+    # O(2^0), where the pivots of `eliminate` certify det a = 1 to 5 digits;
+    # read off det a, chi_a splits and the flow decomposes instead of
+    # refusing on the Ad path
+    ctx = PadicContext(2)
+    a = PadicMatrix.from_rationals(ctx, [["4", "3/2", "9/2"], ["15/4", "37/16", "99/16"],
+                                         ["-5/4", "-7/16", "-17/16"]])
+    chi, det = a.char_poly(), a.det()
+    assert chi[0].is_zero and chi[0].abs_precision() == 0
+    assert (det.v, det.digits, det.unit % 2**5) == (0, 5, 1)
+    dec = decompose(a, GroupSpec.sl(ctx, 3))
+    assert (dec.nu_total, sorted(dec.nu)) == (8, [-4, -2, -2, 0, 0, 2, 2, 4])
+    assert dec.lattice_defect == 12
 
 
 @settings(max_examples=300)

@@ -19,7 +19,9 @@ from padlab.errors import NotSplitAtPrecision, PrecisionExhausted, SingularAtPre
 from padlab.matrix import (
     combine,
     eliminate,
+    fraction_val,
     hensel_roots,
+    _invert,
     nullspace,
     _residue_mult,
     _residue_roots,
@@ -762,3 +764,119 @@ def test_dot_product_matches_the_reference_loops(case):
     assert outcome(lambda: combine(mats, coords)) == outcome(
         lambda: reference_combine(mats, coords)
     )
+
+
+def reference_eliminate(rows, zero, width=None, val=operator.attrgetter("v")):
+    """`eliminate` building each better pivot as a (v, i, j) tuple, and
+    inverting every step's pivot whether or not a row is cleared."""
+    free_rows = list(range(len(rows)))
+    free_cols = list(range(len(rows[0]) if width is None else width)) if rows else []
+    pivots = []
+    while True:
+        best = None
+        for i in free_rows:
+            for j in free_cols:
+                v = val(rows[i][j])
+                if v is not None and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            return pivots
+        _, pi, pj = best
+        free_rows.remove(pi)
+        free_cols.remove(pj)
+        pivots.append((pi, pj))
+        prow = rows[pi]
+        pivot = prow[pj]
+        neg_inv = -(pivot.inverse() if isinstance(pivot, PadicScalar) else 1 / pivot)
+        cols = [j for j, b in enumerate(prow) if j != pj and b]
+        for i, row in enumerate(rows):
+            f = row[pj]
+            if i == pi or not f:
+                continue
+            mult = f * neg_inv
+            for j in cols:
+                row[j] = row[j] + mult * prow[j]
+            row[pj] = zero
+
+
+def reference_zp_module_basis(vectors):
+    """`zp_module_basis` scaling every entry of a pivot row, exact zeros too."""
+    ctx = vectors[0][0].ctx
+    work = [list(v) for v in vectors]
+    basis = []
+    for r, c in sorted(reference_eliminate(work, ctx.zero()), key=operator.itemgetter(1)):
+        inv = work[r][c].inverse()
+        basis.append([x * inv for x in work[r]])
+        basis[-1][c] = ctx.one()
+    return basis
+
+
+def reference_invert(rows, zero, one, val=operator.attrgetter("v")):
+    """`_invert` scaling every entry of the inverse, exact zeros too."""
+    n = len(rows)
+    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
+    at = reference_eliminate(aug, zero, n, val)
+    pivots = [aug[r][c] for r, c in at]
+    if len(at) < n:
+        return None, pivots
+    out = [None] * n
+    for r, c in at:
+        inv = one / aug[r][c]
+        out[c] = [x * inv for x in aug[r][n:]]
+    return out, pivots
+
+
+def fields(rows):
+    """(v, unit, digits) of every scalar of a list of rows, None kept."""
+    if rows is None:
+        return None
+    return [[(e.v, e.unit, e.digits) for e in r] for r in rows]
+
+
+@st.composite
+def mixed_rows(draw):
+    """(p, rows, square) over Q_p at 6 digits: 1-4 rows of 1-4 entries and a
+    1-4 square, each entry an exact zero, a zero O(p^c) or p^v u with v in
+    [-2, 3], so that pivots sit off valuation 0 and O(p^c) times their
+    inverse moves its floor."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    ctx = PadicContext(p, 6)
+    entry = st.one_of(
+        st.just(ctx.zero()),
+        st.integers(-2, 8).map(ctx.zero),
+        st.builds(lambda v, u, d: PadicScalar(ctx, v, u * p + 1 + u % (p - 1), d),
+                  st.integers(-2, 3), st.integers(0, p**6), st.integers(1, 6)),
+    )
+
+    def matrix(height, width):
+        return st.lists(st.lists(entry, min_size=width, max_size=width), min_size=height, max_size=height)
+
+    n = draw(st.integers(1, 4))
+    return p, draw(matrix(draw(st.integers(1, 4)), draw(st.integers(1, 4)))), draw(matrix(n, n))
+
+
+@settings(max_examples=300)
+@given(mixed_rows())
+def test_exact_zero_skips_match_the_references_that_multiply_every_entry(case):
+    # zp_module_basis and _invert pass an exact zero over unmultiplied, and
+    # eliminate inverts no pivot that clears no row; x * inv of the exact
+    # zero returns it, so every field agrees with the references, and an
+    # O(p^c) is still multiplied
+    p, rows, square = case
+    ctx = rows[0][0].ctx
+    work, ref = [list(r) for r in rows], [list(r) for r in rows]
+    assert eliminate(work, ctx.zero()) == reference_eliminate(ref, ctx.zero())
+    assert fields(work) == fields(ref)
+    assert fields(zp_module_basis(rows)) == fields(reference_zp_module_basis(rows))
+    inverse, pivots = _invert(square, ctx.zero(), ctx.one())
+    ref_inverse, ref_pivots = reference_invert(square, ctx.zero(), ctx.one())
+    assert (fields(inverse), fields([pivots])) == (fields(ref_inverse), fields([ref_pivots]))
+    # the same entries as Fractions, O(p^c) read as 0
+    fracs = [[Fraction(0) if e.is_zero else e.as_rational() for e in r] for r in square]
+    zero, one, val = Fraction(0), Fraction(1), fraction_val(p)
+    assert _invert(fracs, zero, one, val) == reference_invert(fracs, zero, one, val)
+
+
+def test_taylor_shift_at_0_is_f_mod_m():
+    for f, m in (([5, -3, 0, 7], 8), ([1], 3), ([-10, 4, 27], 9), ([0, 0, 1], 25)):
+        assert _taylor_shift(f, 0, m) == [c % m for c in f]
