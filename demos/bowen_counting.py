@@ -31,8 +31,8 @@ print("entropy:                ", entropy(dec), "nats =", dec.nu_total, "* ln 3"
 
 # a Bowen window at base level k = 4: the unstable line tightens with n
 for n in (1, 2, 3):
-    ball = bowen_ball(dec, 4, n)
-    print(f"window n={n}: levels {ball.levels}  volume ratio {bowen_volume_ratio(dec, n)}")
+    levels = bowen_ball(dec, 4, n)
+    print(f"window n={n}: levels {levels}  volume ratio {bowen_volume_ratio(dec, n)}")
 
 # FULL counts K_4/K_7's window points by the index of their lattice, from
 # integer window maps built from a alone (a and a^-1 cleared of their

@@ -54,7 +54,6 @@ from .liegroup import (
     log,
 )
 from .dynamics import (
-    AdaptedBall,
     BowenCounts,
     HorosphericalDecomposition,
     atom_representatives,
@@ -80,7 +79,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "AdaptedBall",
     "BowenCounts",
     "BudgetExceeded",
     "ConstantsBundle",

@@ -235,7 +235,7 @@ def _cmd_factor(args) -> tuple[dict, int]:
 
 def _cmd_bowen(args) -> tuple[dict, int]:
     dec = _decomposition(args)
-    levels = list(bowen_ball(dec, args.k, args.n).levels)
+    levels = list(bowen_ball(dec, args.k, args.n))
     _printable(args.p, (args.n - 1) * dec.nu_total, "volume ratio 1/")
     return {
         "k": args.k,

@@ -8,31 +8,28 @@ on the valuations nu_i = v_p(lambda_i) of the stable eigenvalues: entropy,
 Bowen ball shapes, partition atoms, and the module character all reduce to
 the total contraction |nu| = sum nu_i.
 
-`decompose` has two paths, and the input picks one; both read eigenvectors
-off one routine, `_eigenvectors`: the roots of a characteristic polynomial
-and, for each, the `nullspace` vectors of the matrix less the root, as many
-as its multiplicity.  When a diagonalizes over Q_p at working precision,
-a = U diag(lambda) U^-1 with U the eigenvectors of a, the lines come from
-that d x d eigendata: Ad(a) maps (U e_i)(e_j U^-1) to lambda_i / lambda_j
-times itself and fixes each U H_k U^-1 (Fulton and Harris, Representation
-Theory, Lecture 15).  Each line's coordinate row is written from U's column
-and U^-1's row, with nothing built as a matrix and read back.  Lines whose
-eigenvalues differ by a zero form one eigenspace, and `zp_module_basis`
-saturates their coordinate rows.
-Otherwise, as on flows whose chi_a does not split over Q_p, `decompose`
+`decompose` has two paths and chooses one itself: it takes det a, then
+the `_eigenvectors` of a, the roots of chi_a and, for each, the `nullspace`
+vectors of a less the root, as many as its multiplicity.  When they are
+found, a diagonalizes over Q_p at working precision, a = U diag(lambda) U^-1
+with U those eigenvectors, and `_eigendata_lines` writes the lines from that
+d x d eigendata: Ad(a) maps (U e_i)(e_j U^-1) to lambda_i / lambda_j times
+itself and fixes each U H_k U^-1 (Fulton and Harris, Representation Theory,
+Lecture 15).  Each line's coordinate row is written from U's column and
+U^-1's row.  Lines whose eigenvalues differ by a zero form one eigenspace,
+and `zp_module_basis` saturates their coordinate rows; a singular U or an
+eigenspace that saturates short is refused as dependent lines.  When they
+are not found, as on flows whose chi_a does not split over Q_p, `_ad_lines`
 writes the dim_g x dim_g matrix Ad(a) in the algebra coordinates GroupSpec
-reads off the entries and takes its eigenvectors.  `_eigenvectors` on a
-alone picks the path: once it returns, the Ad path never runs, and a
-singular U or an eigenspace that saturates short is refused as dependent
-lines.  Either way an eigenvalue's lines are a Z_p-basis of
-its eigenspace's integral points, each with an exact 1 at a coordinate of
-its own and the exact zero at the other lines' own coordinates, so a
-diagonal flow gets the same lines on both.  A decomposition keeps each line
-as that lie_basis coordinate row and takes the pivots of the rows by
-`eliminate` when it is built: it refuses dependent lines, and the pivot
-valuations sum to lattice_defect.  The lines written on the entries by
-`GroupSpec.element`, and the inverse of the rows, which coordinates in the
-eigenbasis read, are built on first use.
+reads off the entries and takes its `_eigenvectors`.  Either way an
+eigenvalue's lines are a Z_p-basis of its eigenspace's integral points, each
+with an exact 1 at a coordinate of its own and the exact zero at the other
+lines' own coordinates, so a diagonal flow gets the same lines on both.  A
+decomposition keeps each line as that lie_basis coordinate row and takes the
+pivots of the rows by `eliminate` when it is built: it refuses dependent
+lines, and the pivot valuations sum to lattice_defect.  The lines written on
+the entries by `GroupSpec.element`, and the inverse of the rows, which
+coordinates in the eigenbasis read, are built on first use.
 
 Both window conventions read one rule, `_window_levels`: the Bowen ball
 bowen_ball(dec, k, n) holds the points staying k-close for times 0..n, and
@@ -176,28 +173,17 @@ class HorosphericalDecomposition:
         return max((abs(v) for v in self.nu), default=0)
 
 
-@dataclass(frozen=True)
-class AdaptedBall:
-    """Product of coordinate balls: {X : v_p(coordinate_i) >= levels[i]}."""
-
-    dec: HorosphericalDecomposition
-    levels: tuple
-    k: int
-    n: int
-
-
 def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     """Diagonalize Ad(a) on spec's algebra and classify its eigenlines.
 
-    The input picks the path (module docstring): the lines come from a's own
-    eigendata (`_eigendata_lines`) when `_eigenvectors` finds a
-    diagonalizable over Q_p at working precision, and otherwise from
-    Ad(a)'s `_eigenvectors`; either way they are stored as the lie_basis
-    coordinate rows the path computed, and nothing is written on the
-    entries.  a is tested first, by the pivot count of `eliminate` on its
-    rows, the pivots `a.inverse()` would take, so a singular flow raises
-    SingularAtPrecision whichever path it would take, before any eigenvalue
-    is divided; a^-1 is built on the Ad path alone.
+    The path is chosen here (module docstring): det a is taken first, by the
+    pivots of `eliminate` on a's rows, the pivots `a.inverse()` would take,
+    so a singular flow raises SingularAtPrecision before any eigenvalue is
+    divided.  Then `_eigenvectors` on a, with chi_a's constant coefficient
+    read off (-1)^d det a where Berkowitz leaves it a zero, decides: when it
+    returns, the lines come from a's own eigendata (`_eigendata_lines`), and
+    when it refuses, from Ad(a)'s (`_ad_lines`).  Either way they are stored
+    as the lie_basis coordinate rows the path computed.
 
     Raises SingularAtPrecision when a has no inverse at working precision;
     NotDiagonalizable, on the Ad path, when the characteristic polynomial
@@ -209,31 +195,20 @@ def decompose(a: PadicMatrix, spec: GroupSpec) -> HorosphericalDecomposition:
     """
     if a.dim != spec.dim:
         raise ValueError(f"a {a.dim}x{a.dim} flow on a group of {spec.dim}x{spec.dim} matrices")
-    if len(eliminate([list(r) for r in a.rows], a.ctx.zero())) < a.dim:
+    det = a.det()
+    if det.is_zero:
         raise SingularAtPrecision(_SINGULAR)
-    eigenvalues, lines = _eigendata_lines(a, spec) or ([], [])
-    if not lines:  # the Ad path, inline: its refusals raise from decompose
-        dim_g, a_inv = spec.dim_g, a.inverse()
-        cols = []
-        for b in spec.lie_basis:
-            image = a @ b @ a_inv
-            co = spec.algebra_coordinates(image)
-            if co is None:
-                raise DomainError("a does not normalize the algebra")
-            cols.append(co)
-        ad_mat = PadicMatrix._own(spec.ctx, [[cols[j][i] for j in range(dim_g)] for i in range(dim_g)])
-        chi = ad_mat.char_poly()
-        # det Ad(a) = 1 and the spectrum {lambda_i / lambda_j} is closed under
-        # inversion, so c_j = (-1)^n c_(n-j), n = dim_g.  Berkowitz can cancel
-        # every certified digit of a low coefficient (c_0 = (-1)^n may come out
-        # O(p^-c)): read it off its mirror image where that is certified further
-        for j in range((dim_g + 1) // 2):
-            if chi[dim_g - j].abs_precision() > chi[j].abs_precision():
-                chi[j] = -chi[dim_g - j] if dim_g % 2 else chi[dim_g - j]
-        try:
-            eigenvalues, lines = _eigenvectors(ad_mat, chi)
-        except NotSplitAtPrecision as err:
-            raise NotDiagonalizable(f"adjoint spectrum does not split: {err}") from err
+    chi = a.char_poly()
+    if chi[0].is_zero:
+        # Berkowitz cancelled every certified digit of chi_a(0) = (-1)^d det a;
+        # `eliminate` certifies det a at its true valuation (a is invertible)
+        chi[0] = -det if a.dim % 2 else det
+    try:
+        lams, cols = _eigenvectors(a, chi)
+    except (NotSplitAtPrecision, NotDiagonalizable):
+        eigenvalues, lines = _ad_lines(a, spec)
+    else:
+        eigenvalues, lines = _eigendata_lines(spec, lams, cols)
     dec = HorosphericalDecomposition(a, spec, tuple(eigenvalues), tuple(map(tuple, lines)))
     if dec.nu_total == 0:
         raise NoHyperbolicity("every adjoint eigenvalue is a p-adic unit")
@@ -266,39 +241,54 @@ def _eigenvectors(m: PadicMatrix, chi: list) -> tuple[list, list]:
     return lams, vecs
 
 
-def _eigendata_lines(a: PadicMatrix, spec: GroupSpec):
-    """(eigenvalues, lines) of Ad(a) read off a = U diag(lambda) U^-1, the
-    lines as lie_basis coordinate rows, or None when a does not
-    diagonalize over Q_p at working precision: chi_a does not split, or
-    some a - lambda has too few kernel vectors.  Raises NotDiagonalizable
-    when U is singular or an eigenspace's lines are dependent.
+def _ad_lines(a: PadicMatrix, spec: GroupSpec) -> tuple[list, list]:
+    """(eigenvalues, lines) of Ad(a), written as the dim_g x dim_g matrix of
+    its images of the lie_basis in the algebra coordinates, the lines its
+    `_eigenvectors`.  Raises DomainError when a fails to normalize the
+    algebra, and NotDiagonalizable when chi_Ad does not split over Q_p at
+    working precision or an eigenspace comes up short."""
+    dim_g, a_inv = spec.dim_g, a.inverse()
+    cols = []
+    for b in spec.lie_basis:
+        image = a @ b @ a_inv
+        co = spec.algebra_coordinates(image)
+        if co is None:
+            raise DomainError("a does not normalize the algebra")
+        cols.append(co)
+    ad_mat = PadicMatrix._own(spec.ctx, [[cols[j][i] for j in range(dim_g)] for i in range(dim_g)])
+    chi = ad_mat.char_poly()
+    # det Ad(a) = 1 and the spectrum {lambda_i / lambda_j} is closed under
+    # inversion, so c_j = (-1)^n c_(n-j), n = dim_g.  Berkowitz can cancel
+    # every certified digit of a low coefficient (c_0 = (-1)^n may come out
+    # O(p^-c)): read it off its mirror image where that is certified further
+    for j in range((dim_g + 1) // 2):
+        if chi[dim_g - j].abs_precision() > chi[j].abs_precision():
+            chi[j] = -chi[dim_g - j] if dim_g % 2 else chi[dim_g - j]
+    try:
+        return _eigenvectors(ad_mat, chi)
+    except NotSplitAtPrecision as err:
+        raise NotDiagonalizable(f"adjoint spectrum does not split: {err}") from err
 
-    U's columns are the `_eigenvectors` of a, with chi_a's constant
-    coefficient read off (-1)^d det a where Berkowitz leaves it a zero.  The
-    line (U e_i)(e_j U^-1) has eigenvalue lambda_i / lambda_j, and on sl the
-    lines U H_k U^-1 take the place of i = j, with eigenvalue 1.  Each
+
+def _eigendata_lines(spec: GroupSpec, lams: list, cols: list) -> tuple[list, list]:
+    """(eigenvalues, lines) of Ad(a) read off a = U diag(lambda) U^-1, lams
+    and cols the `_eigenvectors` of a, the lines as lie_basis coordinate
+    rows.  Raises NotDiagonalizable when U is singular or an eigenspace's
+    lines are dependent.
+
+    The line (U e_i)(e_j U^-1) has eigenvalue lambda_i / lambda_j, and on sl
+    the lines U H_k U^-1 take the place of i = j, with eigenvalue 1.  Each
     line's coordinate row is written from U's column and U^-1's row: the
     products x_r y_c, an exact zero x giving a row of itself, read off by
     `GroupSpec._coordinates` (on sl, under its trace refusal), and on sl
-    each H_k entry is (x_r y_c) + (-(x'_r y'_c)); no line is built as a
-    matrix and read back.  Lines whose eigenvalues differ by a zero form one
-    eigenspace, and `zp_module_basis` saturates its coordinate rows to a
-    Z_p-basis of its integral points, the rows kept.  The eigenspace keeps
-    the value with the fewest digits: two values that differ by a zero agree
-    only to the lesser precision of the two, and that value claims no digit
-    that one of the lines lacks.
+    each H_k entry is (x_r y_c) + (-(x'_r y'_c)).  Lines whose eigenvalues
+    differ by a zero form one eigenspace, and `zp_module_basis` saturates
+    its coordinate rows to a Z_p-basis of its integral points, the rows
+    kept.  The eigenspace keeps the value with the fewest digits: two values
+    that differ by a zero agree only to the lesser precision of the two, and
+    that value claims no digit that one of the lines lacks.
     """
     ctx, d = spec.ctx, spec.dim
-    chi = a.char_poly()
-    if chi[0].is_zero:
-        # Berkowitz cancelled every certified digit of chi_a(0) = (-1)^d det a;
-        # `eliminate` certifies det a at its true valuation (a is invertible)
-        det = a.det()
-        chi[0] = -det if d % 2 else det
-    try:
-        lams, cols = _eigenvectors(a, chi)
-    except (NotSplitAtPrecision, NotDiagonalizable):
-        return None
     u_inv, _ = _invert([list(r) for r in zip(*cols)], ctx.zero(), ctx.one())
     if u_inv is None:
         raise NotDiagonalizable(_DEPENDENT)
@@ -361,8 +351,9 @@ def _window_levels(dec: HorosphericalDecomposition, k: int, n: int) -> tuple:
     return tuple(k + n * max(0, -v) for v in dec.nu)
 
 
-def bowen_ball(dec: HorosphericalDecomposition, k: int, n: int) -> AdaptedBall:
-    """Adapted ball of the points staying k-close for time 0..n.
+def bowen_ball(dec: HorosphericalDecomposition, k: int, n: int) -> tuple:
+    """Per-line levels of the adapted ball of the points staying k-close for
+    time 0..n: {X : v_p(coordinate_i) >= levels[i]}.
 
     Membership of X for the window means a^l exp(X) a^-l stays in the level-k
     ball for 0 <= l <= n (see `_window_levels`).
@@ -370,7 +361,7 @@ def bowen_ball(dec: HorosphericalDecomposition, k: int, n: int) -> AdaptedBall:
     levels = _window_levels(dec, k, n)
     if n < 1:
         raise DomainError("window length must be >= 1")
-    return AdaptedBall(dec=dec, levels=levels, k=k, n=n)
+    return levels
 
 
 def bowen_volume_ratio(dec: HorosphericalDecomposition, n: int) -> Fraction:

@@ -20,9 +20,9 @@ Delta_n is the integrated defect between f_{n+1} (the uniform average over
 one more coordinate) and the mu-conditional expectation of f_n on the same
 sigma-algebra.  For the uniform chain the two coincide and every Delta_n
 vanishes exactly.  Each value has one route: the gap in the telescoping
-report is the phi side of the gap identity, bit for bit, and f_n is the
-direct average f.average_first(n).  The from_document readers take JSON
-numbers only, never a bool or a numeric string.
+report is the phi side of the gap identity, bit for bit, and f_n is
+f.average_first(n), n one-coordinate averages as the telescope takes them.
+The from_document readers take JSON numbers only, never a bool or a string.
 
 This module imports numpy, and nothing else in the package imports this
 module at load time: ``padlab`` resolves its names on first access, and the
@@ -384,17 +384,25 @@ class CylinderFunction:
         it is the constant mean.
         """
         n = min(n, self.depth)
-        if n == 0:
-            return self
-        averaged = self.values.reshape(-1, self.s**n).mean(axis=1)
-        return CylinderFunction(self.depth - n, self.s, averaged)
+        values = self.values
+        for _ in range(n):
+            values = _average_step(values.reshape(-1, self.s))
+        return CylinderFunction(self.depth - n, self.s, values) if n else self
+
+
+def _average_step(grouped: np.ndarray) -> np.ndarray:
+    """The uniform average over the first coordinate of values.reshape(-1, s),
+    in the shape of the mu-conditional expectation (grouped * rows).sum(axis=1)
+    so that the two cancel exactly when the rows are uniform."""
+    s = grouped.shape[1]
+    return (grouped * np.full(s, 1.0 / s)).sum(axis=1)
 
 
 def f_sequence(f: CylinderFunction, n_max: int) -> list[CylinderFunction]:
     """The averaging sequence f_0 = f, f_1, ..., f_{n_max}.
 
-    f_n = f.average_first(n), the direct uniform average of f over its first
-    n coordinates; once n reaches depth(f) it is the constant mean.
+    f_n = f.average_first(n), the uniform average of f over its first n
+    coordinates; once n reaches depth(f) it is the constant mean.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -461,16 +469,13 @@ def telescope_bound_check(f: CylinderFunction, measure: MarkovMeasure) -> Telesc
     gap = _phi_side(measure)
     mu_f = float(measure.word_measures(m) @ f.values) if m > 0 else f.mean()
 
-    # the uniform average and the mu-conditional expectation go through the
-    # same expression shape so they cancel exactly when the rows are uniform
-    unif_row = np.full(s, 1.0 / s)
     deltas: list[float] = []
     bounds: list[float] = []
     root = math.sqrt(2.0 * gap)
     cur = f.values
     for n in range(m):
         grouped = cur.reshape(-1, s)
-        averaged = (grouped * unif_row).sum(axis=1)
+        averaged = _average_step(grouped)
         if n < m - 1:
             # condition on the coarser coordinates y; the finest remaining
             # coordinate of y indexes the conditional row

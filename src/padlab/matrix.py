@@ -36,7 +36,7 @@ import operator
 from fractions import Fraction
 
 from .errors import NotSplitAtPrecision, SingularAtPrecision
-from .scalar import PadicContext, PadicScalar
+from .scalar import PadicContext, PadicScalar, _vp
 
 
 def _dot(xs, ys, zero):
@@ -349,14 +349,6 @@ def _int_poly_eval(coeffs: list[int], x: int, mod: int) -> int:
 
 def _int_poly_derive(coeffs: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n != 0 and n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _taylor_shift(coeffs: list[int], r0: int, mod: int) -> list[int]:

@@ -17,8 +17,12 @@ keeps the smaller digit count, addition aligns valuations and can only lose
 digits when leading digits cancel.  `+` never raises:
 
   * an addition that cancels every jointly certified digit is O(p^cert),
-    cert the joint absolute precision, except that two full-precision
-    mirror-image representations provably sum to the exact zero;
+    cert the joint absolute precision, but for the mirror-image rule: two
+    full-precision units at one valuation whose representatives sum to 0
+    mod p^N give the exact zero.  That is the one place where `+` claims
+    more than the joint certificate: 1 + (3^12 - 1) at p = 3, N = 12 reads
+    as the exact zero, where the sum is 3^12, known only as O(3^12) (two
+    strict xfails in the tests pin this);
   * O(p^c) + x keeps only the digits of x below p^c;
   * O(p^c) * x is O(p^(c + v(x))).
 
@@ -76,6 +80,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _vp(n: int, p: int) -> int:
+    v = 0
+    while n != 0 and n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 @dataclass(frozen=True, slots=True)
 class PadicContext:
     """Ambient field Q_p at a fixed working precision.
@@ -120,14 +132,8 @@ class PadicContext:
         if a == 0:
             return self.zero()
         p, pn = self.p, self.modulus
-        va = 0
-        while a % p == 0:
-            a //= p
-            va += 1
-        vb = 0
-        while b % p == 0:
-            b //= p
-            vb += 1
+        va, vb = _vp(a, p), _vp(b, p)
+        a, b = a // p**va, b // p**vb
         unit = (a % pn) * pow(b % pn, -1, pn) % pn
         return PadicScalar._raw(self, va - vb, unit, self.precision)
 
@@ -245,7 +251,7 @@ class PadicScalar:
             s = (self.unit + other.unit) % pn
             sd, od = self.digits, other.digits
             n = ctx.precision
-            # exact cancellation: mirror-image full-precision representations
+            # the mirror-image rule (module docstring), past the joint certificate
             if s == 0 and sd == n and od == n:
                 return ctx._zero
             # cert: the joint certified digits, counted from p^sv

@@ -6,6 +6,7 @@ drift shows up as a diff here before it reaches a downstream parser.
 """
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -775,6 +776,26 @@ def test_readme_subcommand_list_matches_the_command_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = readme.split("Fifteen subcommands:", 1)[1].split(". All share", 1)[0]
     assert re.findall(r"`([a-z]+)`", listed) == list(COMMANDS)
+
+
+def test_readme_module_table_names_resolve():
+    # every backticked name in the rows of padlab.scalar through
+    # padlab.spectral resolves in that module or on a class of the same row;
+    # cells split on unescaped | only, as the spectral row escapes |nu|
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Modules", 1)[1].split("\n\n", 2)[1]
+    rows = [re.split(r"(?<!\\)\|", line)[1:3] for line in table.splitlines()[2:]]
+    modules = [cell.strip().strip("`") for cell, _ in rows]
+    assert modules[0] == "padlab.scalar"
+    checked = 0
+    for name, (_, contents) in zip(modules, rows[: modules.index("padlab.spectral") + 1]):
+        module = importlib.import_module(name)
+        listed = re.findall(r"`([A-Za-z_]\w*)`", contents)
+        classes = [getattr(module, x) for x in listed if isinstance(getattr(module, x, None), type)]
+        for x in listed:
+            assert hasattr(module, x) or any(hasattr(c, x) for c in classes), f"{name}: {x}"
+            checked += 1
+    assert checked >= 30
 
 
 def test_every_error_class_has_one_exit_code():

@@ -218,9 +218,8 @@ def test_stable_lines_contract_under_conjugation():
 
 def test_bowen_ball_levels_and_membership():
     _, dec = sl_flow(3, [Fraction(1, 3), 3])
-    ball = bowen_ball(dec, 4, 2)
     # the unstable line needs k + n |nu|, the others level k
-    assert ball.levels == (8, 4, 4)
+    assert bowen_ball(dec, 4, 2) == (8, 4, 4)
 
     with pytest.raises(LevelTooSmall):
         bowen_ball(dec, 3, 2)  # needs k >= max |nu| + 2 = 4
@@ -292,8 +291,7 @@ def test_one_window_rule_for_balls_and_oracle_windows():
         p, k = dec.ctx.p, dec.max_exponent() + 2
         for n in (1, 2):
             level = k + n * dec.max_exponent() + 1
-            ball = bowen_ball(dec, k, n)
-            expected = math.prod(p ** max(0, level - lvl) for lvl in ball.levels)
+            expected = math.prod(p ** max(0, level - lvl) for lvl in bowen_ball(dec, k, n))
             counts = bowen_count_oracle(dec, k, n + 1, level, "FACTORED").counts
             assert counts[n] == expected
         flows += 1
@@ -408,12 +406,13 @@ def test_oracle_sweep_slice():
 def test_non_split_sweep():
     # the non-split GL4 family of the conjugate sweep, whose characteristic
     # polynomials do not split over Q_p: every decomposition has the right
-    # |nu|, and every refusal is NotDiagonalizable, from the Ad path in
-    # decompose or, for dependent lines, from the decomposition's construction
+    # |nu|, and every refusal is NotDiagonalizable, from the Ad path
+    # (`_ad_lines`) or, for dependent lines, from the decomposition's
+    # construction
     counts, digest = sweep(NON_SPLIT_SEED, NON_SPLIT_FLOWS, draw_non_split_flow)
     s = summary(counts)
     assert (s["decomposed"], s["wrong_nu"]) == (39, 0)
-    assert s["refused"] == {("NotDiagonalizable", "decompose"): 63,
+    assert s["refused"] == {("NotDiagonalizable", "_ad_lines"): 63,
                             ("NotDiagonalizable", "__post_init__"): 18}
     assert digest == "80ec28f9abf9aad00835098018dab46002c775c1842f69c2defdd5b5d1a0e8fa"
 
@@ -534,6 +533,21 @@ def _lines_per_eigenvalue(dec, other) -> list:
             for lam in dict.fromkeys(dec.eigenvalues)]
 
 
+def _ad_decomposition(a, spec):
+    """The decomposition of a built on the Ad path, whichever path
+    decompose would take."""
+    eigenvalues, lines = dynamics._ad_lines(a, spec)
+    return dynamics.HorosphericalDecomposition(a, spec, tuple(eigenvalues), tuple(map(tuple, lines)))
+
+
+def _assert_paths_agree(eig, ad):
+    """The same |nu| per line, the same lattice defect and the same count of
+    lines per eigenvalue, read from either side."""
+    assert (eig.nu, eig.lattice_defect) == (ad.nu, ad.lattice_defect)
+    for ours, theirs in _lines_per_eigenvalue(eig, ad) + _lines_per_eigenvalue(ad, eig):
+        assert ours == theirs
+
+
 def _decompose_slice_and_conjugates() -> list:
     """Decompositions of the first 60 flows of seed 7, then of conjugates by
     unitriangular matrices with p in their denominators, whose lines only
@@ -548,17 +562,37 @@ def _decompose_slice_and_conjugates() -> list:
                       GroupSpec(PadicContext(p), family, len(a))) for family, p, a in flows]
 
 
-def test_eigendata_path_agrees_with_the_ad_path_on_the_sweep_slice(monkeypatch):
-    # the sweep slice and the four conjugates on both paths: the same |nu| per
-    # line, the same lattice defect and the same count of lines per eigenvalue
+def test_eigendata_path_agrees_with_the_ad_path_on_the_sweep_slice():
+    # the sweep slice and the four conjugates, each rebuilt on the Ad path
     eigendata = _decompose_slice_and_conjugates()
-    monkeypatch.setattr(dynamics, "_eigendata_lines", lambda a, spec: None)
-    adjoint = _decompose_slice_and_conjugates()
     assert [dec.lattice_defect for dec in eigendata[-4:]] == [3, 0, 20, 20]
-    for eig, ad in zip(eigendata, adjoint):
-        assert (eig.nu, eig.lattice_defect) == (ad.nu, ad.lattice_defect)
-        for ours, theirs in _lines_per_eigenvalue(eig, ad):
-            assert ours == theirs
+    for eig in eigendata:
+        _assert_paths_agree(eig, _ad_decomposition(eig.a, eig.group))
+
+
+def test_eigendata_path_agrees_with_the_ad_path_on_the_dense_slice():
+    # the first 255 dense flows, whose conjugators need not lie in GL_d(Z_p),
+    # so that the lattice defect can be positive: wherever both paths
+    # decompose they agree, and no flow decomposes on the Ad path alone
+    rng = random.Random(DENSE_SEED)
+    tally = Counter()
+    for _ in range(255):
+        family, p, _, a, _ = draw_dense_flow(rng)
+        ctx = PadicContext(p)
+        spec, flow = GroupSpec(ctx, family, len(a)), PadicMatrix.from_rationals(ctx, a)
+        decs = []
+        for build in (decompose, _ad_decomposition):
+            try:
+                decs.append(build(flow, spec))
+            except PadlabError:
+                decs.append(None)
+        eig, ad = decs
+        if eig is not None and ad is not None:
+            _assert_paths_agree(eig, ad)
+            tally["both", eig.lattice_defect > 0] += 1
+        else:
+            tally["eigendata only" if eig else "Ad only" if ad else "neither"] += 1
+    assert tally == {("both", False): 185, ("both", True): 23, "eigendata only": 41, "neither": 6}
 
 
 def test_lattice_defect_sums_the_pivots_of_the_inverse():
@@ -570,15 +604,14 @@ def test_lattice_defect_sums_the_pivots_of_the_inverse():
         assert dec.lattice_defect == sum(x.v for x in pivots)
 
 
-def test_basis_writes_the_stored_lines_on_the_entries(monkeypatch):
+def test_basis_writes_the_stored_lines_on_the_entries():
     # a decomposition stores its lines as lie_basis coordinate rows, on both
     # paths, and basis[i] is group.element(lines[i]) field for field
     def fields(m):
         return [(x.v, x.unit, x.digits) for x in m.flat()]
 
     decs = _decompose_slice_and_conjugates()
-    monkeypatch.setattr(dynamics, "_eigendata_lines", lambda a, spec: None)
-    for dec in decs + _decompose_slice_and_conjugates():
+    for dec in decs + [_ad_decomposition(dec.a, dec.group) for dec in decs]:
         assert all(type(row) is tuple and len(row) == dec.group.dim_g for row in dec.lines)
         for b, row in zip(dec.basis, dec.lines, strict=True):
             assert fields(b) == fields(dec.group.element(row))

@@ -448,6 +448,19 @@ def test_f_sequence_matches_direct_average():
             assert np.abs(fn.values - ref.values).max() <= 1e-12
 
 
+def test_average_first_steps_one_coordinate_at_a_time():
+    # f_n is n one-coordinate averages bit for bit, the steps the telescope
+    # takes; one mean over s^n values differs from them in the last bits
+    rng = random.Random(38)
+    for s in (2, 3, 4, 9):
+        for depth in (1, 2, 3):
+            f = CylinderFunction(depth, s, [rng.uniform(-2, 2) for _ in range(s**depth)])
+            step = f
+            for n in range(1, depth + 1):
+                step = step.average_first(1)
+                assert np.array_equal(f.average_first(n).values, step.values)
+
+
 # ---- the telescoping estimate ------------------------------------------------
 
 
