@@ -13,8 +13,9 @@ they compare do not agree.
 
 One table, COMMANDS, gives each subcommand's handler, summary and flags,
 the flags as (name, add_argument options) pairs after the common ones.
-main builds only the named subcommand's parser; any other first word gets
-the full parser, whose usage and errors list every subcommand.
+A call whose first word names a subcommand is parsed once, by that
+subcommand's parser alone; any other first word gets the full parser,
+whose usage and errors list every subcommand.
 """
 
 from __future__ import annotations
@@ -475,26 +476,34 @@ COMMANDS = {
 }
 
 
-def build_parser(only: str | None = None) -> _Parser:
-    """The padlab parser with every COMMANDS subcommand, or with only the one named."""
+def _subcommand(parser: _Parser, name: str) -> _Parser:
+    """parser with the common flags and name's own, answering subcommand=name."""
+    # the common flags belong to the subcommands alone: placed before the
+    # subcommand they are not recognized, so the call exits 1
+    for flag, options in (*_COMMON_FLAGS, *COMMANDS[name][2]):
+        parser.add_argument(flag, **options)
+    parser.set_defaults(subcommand=name)
+    return parser
+
+
+def build_parser(name: str | None = None) -> _Parser:
+    """The parser of subcommand name, for the words after it, or the full padlab parser."""
+    if name:
+        return _subcommand(_Parser(prog=f"padlab {name}"), name)
     # --help prints the docstring up to its last paragraph, which is for readers of the code
     parser = _Parser(prog="padlab", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    for name in (only,) if only else COMMANDS:
-        _, summary, flags = COMMANDS[name]
-        sp = sub.add_parser(name, help=summary)
-        # the common flags belong to the subcommands alone: placed before the
-        # subcommand they are not recognized, so the call exits 1
-        for flag, options in (*_COMMON_FLAGS, *flags):
-            sp.add_argument(flag, **options)
+    for name, (_, summary, _) in COMMANDS.items():
+        _subcommand(sub.add_parser(name, help=summary), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    named = bool(argv) and argv[0] in COMMANDS
+    parser = build_parser(argv[0] if named else None)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[1:] if named else argv)
         if args.subcommand is None:
             parser.print_usage(sys.stderr)
             return 1

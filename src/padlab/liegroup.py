@@ -19,12 +19,13 @@ denominator: the series is integer arithmetic mod p^M, nothing is absorbed,
 and the division by p^D at the end is the only one (DYNKIN also divides by
 each s <= n_max, below).  An output entry certified mod p^cert keeps
 min(N, cert - v) digits at valuation v; one = 0 mod p^cert is the zero
-O(p^cert).  M = cert + N + D for the largest cert, in all three series, so
-every printed unit is exact on the representatives modulo p^(v + N).  cert
-is the least of the floor of the truncated tail and the first-order input
-error carried by the kept terms (Caruso, Roe and Vaccon, arXiv:1402.0743); A
-is the least v + digits over the input entries, and k the least valuation an
-input entry may have (c at an O(p^c)).
+O(p^cert), and a nonzero one has v < cert, so every printed unit is exact
+on the representatives modulo p^(v + N) once M >= cert + N - 1 + D.  DYNKIN
+takes that M; exp and log take M = cert + N + D for the largest cert, which
+their early exit reads.  cert is the least of the floor of the truncated
+tail and the first-order input error carried by the kept terms (Caruso, Roe
+and Vaccon, arXiv:1402.0743); A is the least v + digits over the input
+entries, and k the least valuation an input entry may have (c at O(p^c)).
 
   * exp and log keep the terms j < n of sum c_j X^j, c_j = 1/j! or
     (-1)^(j+1)/j, and certify each entry on its own.  With E the absolute
@@ -67,7 +68,7 @@ input entry may have (c at an O(p^c)).
     as the key (p^L, p^L) is kept, v_p(deg) <= L and v_p(m) <= min(L,
     k (m - 1)), so the weight p^(D - v_p(m deg)) has at least L - v_p(m) >=
     max(0, L - k (m - 1)) spare digits: every weighted term is exact mod
-    p^M, and M = cert + N + D as for exp and log.
+    p^M, and M = cert + N - 1 + D.
 
     DYNKIN's certificate and degrees.  With b(n) = n k - v_p(n!) -
     floor(log_p n) - v_p(n) the floor of every degree-n term and n_N the
@@ -403,7 +404,7 @@ def _ad_traceless(x: list[list[int]], mod: int) -> tuple[list[list[int]], list[i
 
 def _bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int) -> PadicMatrix:
     """The Dynkin series over the degrees that can reach cert, on integer
-    representatives mod p^(cert + N + D): the divided powers U_m(deg), built
+    representatives mod p^(cert + N - 1 + D): the divided powers U_m(deg), built
     from G_s, the at most floor(log_p n_max) digits that the divisions by s
     cost being absorbed by the weights; every term but x + y in the traceless
     coordinates, and the trace of x + y through the column G_s E_dd.  See the
@@ -413,7 +414,7 @@ def _bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int) -> PadicMatrix:
     n_max, cert = _dynkin_plan(p, k, n_prec, min(e.abs_precision() for e in x.flat() + y.flat()))
     if n_max < 1:
         return PadicMatrix.from_flat(ctx, d, [ctx.zero(cert)] * (d * d))
-    big_d, mod, weights, divide = _dynkin_weights(p, n_max, cert + n_prec)
+    big_d, mod, weights, divide = _dynkin_weights(p, n_max, cert + n_prec - 1)
     last = d * d - 1
     xi, yi = _reps(x), _reps(y)
     x_flat, y_flat = sum(xi, []), sum(yi, [])
@@ -473,7 +474,7 @@ def _bch_dynkin(x: PadicMatrix, y: PadicMatrix, k: int) -> PadicMatrix:
 
 
 def _certified(z: int, cert: int, ctx: PadicContext) -> PadicScalar:
-    """The entry z, known mod p^(cert + N), certified mod p^cert."""
+    """The entry z, known mod p^(cert + N - 1) or finer, certified mod p^cert."""
     p, n_prec = ctx.p, ctx.precision
     if z % p**cert == 0:
         return ctx.zero(cert)

@@ -708,8 +708,7 @@ def _subparser(parser, name):
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_one_subcommand_parser_prints_the_full_parsers_help(name, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    one = _subparser(build_parser(name), name)
-    assert one.format_help() == _subparser(build_parser(), name).format_help()
+    assert build_parser(name).format_help() == _subparser(build_parser(), name).format_help()
 
 
 def _help_texts() -> str:
@@ -736,7 +735,8 @@ def _parsed(parser, argv):
 @pytest.mark.parametrize("argv", [argv for _, argv in GOLDEN_CASES]
                          + [argv for argv, _ in EXIT_CASES if argv and argv[0] in COMMANDS])
 def test_one_subcommand_parser_parses_like_the_full_parser(argv):
-    assert _parsed(build_parser(argv[0]), argv) == _parsed(build_parser(), argv)
+    # the named parser reads the words after the subcommand
+    assert _parsed(build_parser(argv[0]), argv[1:]) == _parsed(build_parser(), argv)
 
 
 def test_a_first_word_naming_no_subcommand_gets_the_full_parser(capsys):
@@ -759,17 +759,40 @@ def test_a_first_word_naming_no_subcommand_gets_the_full_parser(capsys):
 
 
 def test_main_builds_only_the_named_subcommands_parser(monkeypatch):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    built, handed = [], []
+    init = argparse.ArgumentParser.__init__
+    add_subparsers = argparse.ArgumentParser.add_subparsers
 
-    def counted(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    def counted_add_subparsers(self, **kwargs):
+        handed.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted_init)
+    monkeypatch.setattr(cli._Parser, "add_subparsers", counted_add_subparsers)
     code, out, _ = run_cli(["xi", "--k", "2"])
-    assert (code, built) == (0, ["xi"])
+    assert (code, built, handed) == (0, ["padlab xi"], [])
     assert json.loads(out)["command"] == "xi"
+    # a first word naming no subcommand still gets the full parser
+    built.clear()
+    assert run_cli(["nope"])[0] == 1
+    assert built == ["padlab", *(f"padlab {name}" for name in COMMANDS)]
+    assert handed == ["padlab"]
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_subcommand_help_through_main_prints_its_golden_section(name, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    sections = re.split(r"^==> (.*) --help <==\n", (GOLDEN_DIR / "help.txt").read_text(),
+                        flags=re.M)[1:]
+    with pytest.raises(SystemExit) as done:
+        cli.main([name, "--help"])
+    out, err = capsys.readouterr()
+    assert (done.value.code, err) == (0, "")
+    assert out == dict(zip(sections[::2], sections[1::2]))[f"padlab {name}"]
 
 
 def test_readme_subcommand_list_matches_the_command_table():
