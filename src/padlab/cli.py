@@ -13,9 +13,12 @@ they compare do not agree.
 
 One table, COMMANDS, gives each subcommand's handler, summary and flags,
 the flags as (name, add_argument options) pairs after the common ones.
-A call whose first word names a subcommand is parsed once, by that
-subcommand's parser alone; any other first word gets the full parser,
-whose usage and errors list every subcommand.
+A named call whose words are plain --flag value pairs that its row takes
+is read off that row, with no parser built (_plain_args).  Any other named
+call is parsed by its subcommand's parser alone, which keeps --help,
+abbreviations, --flag=value, values starting with "-" and every refusal;
+any other first word gets the full parser, whose usage and errors list
+every subcommand.
 """
 
 from __future__ import annotations
@@ -486,6 +489,40 @@ def _subcommand(parser: _Parser, name: str) -> _Parser:
     return parser
 
 
+def _plain_args(name: str, words: list[str]) -> argparse.Namespace | None:
+    """build_parser(name).parse_args(words), read off the same flag rows when
+    each word is one of name's flags, spelled exactly and given once, each
+    flag but --lf-shift takes a next word not starting with "-" that its type
+    and choices accept, and no required flag is missing; None otherwise."""
+    flags = dict((*_COMMON_FLAGS, *COMMANDS[name][2]))
+    given = {}
+    words = iter(words)
+    for flag in words:
+        options = flags.get(flag)
+        if options is None or flag in given:
+            return None
+        if "action" in options:  # store_true, the table's one action
+            given[flag] = True
+            continue
+        word = next(words, "-")  # a flag with no word left is declined too
+        if word.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(word)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        given[flag] = value
+    values = {}
+    for flag, options in flags.items():
+        if flag not in given and options.get("required"):
+            return None
+        default = options.get("default", False if "action" in options else None)
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return argparse.Namespace(**values, subcommand=name)
+
+
 def build_parser(name: str | None = None) -> _Parser:
     """The parser of subcommand name, for the words after it, or the full padlab parser."""
     if name:
@@ -501,12 +538,14 @@ def build_parser(name: str | None = None) -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     named = bool(argv) and argv[0] in COMMANDS
-    parser = build_parser(argv[0] if named else None)
     try:
-        args = parser.parse_args(argv[1:] if named else argv)
-        if args.subcommand is None:
-            parser.print_usage(sys.stderr)
-            return 1
+        args = _plain_args(argv[0], argv[1:]) if named else None
+        if args is None:
+            parser = build_parser(argv[0] if named else None)
+            args = parser.parse_args(argv[1:] if named else argv)
+            if args.subcommand is None:
+                parser.print_usage(sys.stderr)
+                return 1
         fields, code = COMMANDS[args.subcommand][0](args)
     except _ParseFailure as err:
         # the top level takes no flag, so a leading common flag is misplaced

@@ -17,6 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import padlab
 from padlab import errors
@@ -211,6 +213,18 @@ def test_telescope_keeps_the_gap_of_a_near_uniform_chain():
     doc = json.loads(out)
     assert doc["per_step_hold"] and doc["telescoping_holds"]
     assert float(doc["gap"]) == pytest.approx(1e-18, rel=1e-6, abs=0)
+
+
+def test_telescope_allows_the_rounding_of_a_large_f():
+    # at depth 1 both sides are equal in exact arithmetic; mean(f) and mu(f)
+    # near 3.1e5 differ by one ulp, 5.8e-11, past a fixed slack of 1e-12
+    markov = ('{"s":2,"transition":[[0.4999999998218432,0.5000000001781568],'
+              '[0.4999999998108975,0.5000000001891025]]}')
+    f = '{"depth":1,"values":[309661.2896747228,311508.0769920997]}'
+    code, out, err = run_cli(["telescope", "--markov", markov, "--f", f])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["per_step_hold"] and doc["telescoping_holds"]
 
 
 BOUND = ["bound"] + BUNDLE + ["--lf", "0", "--f-norm", "1"]
@@ -773,7 +787,12 @@ def test_main_builds_only_the_named_subcommands_parser(monkeypatch):
 
     monkeypatch.setattr(cli._Parser, "__init__", counted_init)
     monkeypatch.setattr(cli._Parser, "add_subparsers", counted_add_subparsers)
+    # plain --flag value words are read off the COMMANDS row: no parser
     code, out, _ = run_cli(["xi", "--k", "2"])
+    assert (code, built, handed) == (0, [], [])
+    assert json.loads(out)["command"] == "xi"
+    # words the reader declines get the named subcommand's parser alone
+    code, out, _ = run_cli(["xi", "--k=2"])
     assert (code, built, handed) == (0, ["padlab xi"], [])
     assert json.loads(out)["command"] == "xi"
     # a first word naming no subcommand still gets the full parser
@@ -781,6 +800,119 @@ def test_main_builds_only_the_named_subcommands_parser(monkeypatch):
     assert run_cli(["nope"])[0] == 1
     assert built == ["padlab", *(f"padlab {name}" for name in COMMANDS)]
     assert handed == ["padlab"]
+
+
+# named calls whose words the reader must decline, each for its own reason
+DECLINED = [
+    ["xi", "--k=1"],
+    ["xi", "--k", "1", "--k", "2"],
+    ["xi", "--k", "-1"],
+    ["xi", "--k"],
+    ["xi", "--k", ""],
+    ["xi", "--k", "1", "extra"],
+    ["xi", "--pr", "12", "--k", "1"],
+    ["xi", "--k", "1", "--format", "xml"],
+    ["xi", "--p", "4", "--k", "1"],
+    ["xi", "--p", "1" + "0" * 30, "--k", "1"],
+    ["xi"],
+    ["kappa"] + BUNDLE + ["--lf-shift", "yes"],
+    ["bch", "--x", '[["9","0"],["0","-9"]]', "--y", '[["0","9"],["0","0"]]',
+     "--mode", "dynkin", "--mode", "direct"],
+    ["oh", "--cartan", "[1,-1]", "--dimkv", "-0"],
+]
+CASE_ARGVS = ([argv for _, argv in GOLDEN_CASES] + [argv for argv, _ in EXIT_CASES]
+              + DECLINED)
+WORDS = ["", "x", "0", "1", "2", "3", "4", "-1", "1.5", "0.25", "-0.25", "1e400", "nan",
+         "inf", "-inf", "0x10", "1_000", " 3", "\u0663", "True", "[1,2]", '[["1"]]', "--k",
+         "-h", "--", "-"]
+
+
+def _taken(options):
+    """Words the flag's type and choices mostly take."""
+    if "choices" in options:
+        return st.sampled_from(options["choices"])
+    if options.get("type") is cli._finite_real:
+        return st.floats(0, 1e6).map(repr)
+    if "type" in options:
+        return st.integers(0, 13).map(str)
+    return st.sampled_from(["x", "", "[1,2]", '[["1/3","0"],["0","3"]]'])
+
+
+@st.composite
+def named_argvs(draw):
+    """A subcommand and words from its COMMANDS row: each flag present or not,
+    with a value that its type and choices take or one from WORDS, or spelled
+    as --flag=value or abbreviated, in any order; now and then one more
+    word: -h, a stray word, or a flag, alone or with a value."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    rows = dict((*cli._COMMON_FLAGS, *COMMANDS[name][2]))
+    words = st.sampled_from(WORDS)
+    pieces = []
+    for flag, options in rows.items():
+        if not draw(st.integers(0, 3)) and not options.get("required"):
+            continue
+        shape = draw(st.integers(0, 29))
+        if "action" in options:
+            pieces.append([flag] if shape else [flag, draw(words)])
+        elif shape == 0:
+            pieces.append([f"{flag}={draw(_taken(options))}"])
+        elif shape == 1:
+            pieces.append([flag[:draw(st.integers(3, len(flag)))], draw(_taken(options))])
+        else:
+            pieces.append([flag, draw(words if shape == 2 else _taken(options))])
+    pieces = draw(st.permutations(pieces))
+    if not draw(st.integers(0, 3)):
+        flags = st.sampled_from(list(rows))
+        extra = draw(st.one_of(st.sampled_from([["-h"], ["--help"], ["stray"]]),
+                               flags.map(lambda flag: [flag]),
+                               st.tuples(flags, words).map(list)))
+        pieces.insert(draw(st.integers(0, len(pieces))), extra)
+    return [name] + [word for piece in pieces for word in piece]
+
+
+def _case_examples(test):
+    for argv in CASE_ARGVS:
+        test = example(argv)(test)
+    return test
+
+
+@settings(max_examples=1500)
+@_case_examples
+@given(named_argvs())
+def test_plain_args_reads_what_argparse_parses(argv):
+    # wherever the reader answers, argparse gives the same namespace
+    if not argv or argv[0] not in COMMANDS:
+        return
+    plain = cli._plain_args(argv[0], argv[1:])
+    if plain is not None:
+        assert vars(plain) == _parsed(build_parser(argv[0]), argv[1:])
+
+
+def test_plain_args_reads_every_golden_and_declines_the_listed_words():
+    # a negative value is argparse's to read, as --gap -0.25 of exit 4 is
+    for argv in [argv for _, argv in GOLDEN_CASES] + [argv for argv, _ in EXIT_CASES]:
+        if argv and argv[0] in COMMANDS:
+            assert (cli._plain_args(argv[0], argv[1:]) is None) == ("-0.25" in argv), argv
+    assert all(cli._plain_args(argv[0], argv[1:]) is None for argv in DECLINED)
+
+
+@pytest.mark.parametrize("argv", CASE_ARGVS)
+def test_main_answers_the_same_without_the_reader(argv, monkeypatch):
+    read = run_cli(argv)
+    monkeypatch.setattr(cli, "_plain_args", lambda name, words: None)
+    assert read == run_cli(argv)
+
+
+def test_flag_rows_use_only_what_the_reader_reproduces():
+    # argparse runs a string default through the flag's type, and other
+    # options (dest, nargs, other actions) change what it reads; the reader
+    # does neither, so a row that needs them must teach it first
+    known = {"type", "default", "required", "choices", "help", "action"}
+    rows = [*cli._COMMON_FLAGS, *(row for _, _, flags in COMMANDS.values() for row in flags)]
+    for flag, options in rows:
+        assert flag.startswith("--") and set(options) <= known, flag
+        assert options.get("action", "store_true") == "store_true", flag
+        assert not ("type" in options and isinstance(options.get("default"), str)), flag
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))

@@ -4,6 +4,7 @@ Frozen oracle values below were recomputed by hand from the defining
 formulas (natural logs throughout).
 """
 
+import dataclasses
 import math
 import random
 from decimal import Decimal, localcontext
@@ -526,6 +527,22 @@ def test_telescope_sweep():
             for idx in range(s**depth)
         )
         assert report.mu_f == pytest.approx(brute, abs=1e-11)
+
+
+def test_telescope_rounding_allowance_hides_no_real_violation():
+    # f near 3.1e5 rounds mean(f) and mu(f) by an ulp, 5.8e-11, which the
+    # checks allow; a defect 10 times past its bound still reads as violated
+    mu = MarkovMeasure([[0.4999999998218432, 0.5000000001781568],
+                        [0.4999999998108975, 0.5000000001891025]])
+    f = CylinderFunction(1, 2, [309661.2896747228, 311508.0769920997])
+    report = telescope_bound_check(f, mu)
+    assert report.per_step_hold and report.telescoping_holds
+    assert 5.8e-11 < report.rounding < 1e-2 * report.delta_sum
+    far = dataclasses.replace(report, mu_f=report.mean_f - 10 * report.delta_sum)
+    assert far.total_defect == pytest.approx(10 * report.delta_sum)
+    assert not far.telescoping_holds
+    far = dataclasses.replace(report, deltas=(10 * report.per_step_bounds[0],))
+    assert not far.per_step_hold
 
 
 def test_telescope_symbol_mismatch():
