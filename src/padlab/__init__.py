@@ -24,6 +24,7 @@ it; nothing else loads numpy.
 import importlib
 
 from .errors import (
+    BoundViolated,
     BudgetExceeded,
     DivergentSeries,
     DivisionByZero,
@@ -79,6 +80,7 @@ from .spectral import (
 )
 
 __all__ = [
+    "BoundViolated",
     "BowenCounts",
     "BudgetExceeded",
     "ConstantsBundle",

@@ -14,11 +14,13 @@ they compare do not agree.
 One table, COMMANDS, gives each subcommand's handler, summary and flags,
 the flags as (name, add_argument options) pairs after the common ones.
 A named call whose words are plain --flag value pairs that its row takes
-is read off that row, with no parser built (_plain_args).  Any other named
-call is parsed by its subcommand's parser alone, which keeps --help,
-abbreviations, --flag=value, values starting with "-" and every refusal;
-any other first word gets the full parser, whose usage and errors list
-every subcommand.
+is read off that row in one pass, with no parser built (_plain_args).  Any
+other named call is parsed by its subcommand's parser alone, which keeps
+--help, abbreviations, --flag=value, values starting with "-" and every
+refusal; any other first word gets the full parser, whose usage and errors
+list every subcommand.  The JSON document is written in one pass too
+(_json_text), byte for byte what json.dumps(doc, sort_keys=True, indent=2)
+writes, without json's encoder in Python that indent turns on.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import errors
 from .dynamics import (
@@ -79,6 +83,7 @@ EXIT_CODES: dict[type, int] = {
     errors.DivergentSeries: 16,
     errors.NegativeExponent: 17,
     errors.IrreducibilityError: 18,
+    errors.BoundViolated: 19,
 }
 
 
@@ -155,9 +160,35 @@ def _matrix_doc(m: PadicMatrix) -> list[list[str]]:
     return [[_fmt_rational(x.as_rational()) for x in row] for row in m.rows]
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) in one pass, for the
+    documents main builds, whose keys are strings; json runs its encoder in
+    Python whenever indent is set.  A float, or any type not written here,
+    is json.dumps's own."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    return json.dumps(value)
+
+
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(_json_text(doc))
         return
     for line in _flatten(doc):
         print(line)
@@ -290,14 +321,14 @@ def _cmd_atoms(args) -> tuple[dict, int]:
 
 # the Markov lab loads numpy: its three handlers import it on first use
 def _cmd_gap(args) -> tuple[dict, int]:
-    from .entropylab import MarkovMeasure, entropy_gap, entropy_rate
+    from .entropylab import MarkovMeasure, entropy_gap
 
     measure = MarkovMeasure.from_document(_load_json_arg(args.markov))
     identity = entropy_gap(measure, args.nu, args.p)
     return {
         "nu_total": args.nu,
         "symbols": measure.s,
-        "entropy_rate": _fmt_real(entropy_rate(measure)),
+        "entropy_rate": _fmt_real(identity.entropy_rate),
         "entropy_side": _fmt_real(identity.entropy_side),
         "phi_side": _fmt_real(identity.phi_side),
         "stationary": [_fmt_real(w) for w in measure.stationary.weights],
@@ -489,38 +520,39 @@ def _subcommand(parser: _Parser, name: str) -> _Parser:
     return parser
 
 
-def _plain_args(name: str, words: list[str]) -> argparse.Namespace | None:
-    """build_parser(name).parse_args(words), read off the same flag rows when
-    each word is one of name's flags, spelled exactly and given once, each
-    flag but --lf-shift takes a next word not starting with "-" that its type
-    and choices accept, and no required flag is missing; None otherwise."""
-    flags = dict((*_COMMON_FLAGS, *COMMANDS[name][2]))
-    given = {}
+def _plain_args(name: str, words: list[str]) -> SimpleNamespace | None:
+    """build_parser(name).parse_args(words), with the same vars(), read off
+    the same flag rows when each word is one of name's flags, spelled
+    exactly and given once, each flag but --lf-shift takes a next word not
+    starting with "-" that its type and choices accept, and no required flag
+    is missing; None otherwise.  Each row is read once: a given flag's row
+    in the one pass over the words, and the rest after it for their
+    defaults."""
+    rows, values = dict((*_COMMON_FLAGS, *COMMANDS[name][2])), {"subcommand": name}
     words = iter(words)
     for flag in words:
-        options = flags.get(flag)
-        if options is None or flag in given:
+        options = rows.pop(flag, None)  # taken once, so a repeat finds none
+        if options is None:
             return None
         if "action" in options:  # store_true, the table's one action
-            given[flag] = True
-            continue
-        word = next(words, "-")  # a flag with no word left is declined too
-        if word.startswith("-"):
+            value = True
+        else:
+            word = next(words, "-")  # a flag with no word left is declined too
+            if word.startswith("-"):
+                return None
+            try:
+                value = options.get("type", str)(word)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+            if "choices" in options and value not in options["choices"]:
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    for flag, options in rows.items():  # the flags not given
+        if options.get("required"):
             return None
-        try:
-            value = options.get("type", str)(word)
-        except (ValueError, TypeError, argparse.ArgumentTypeError):
-            return None
-        if "choices" in options and value not in options["choices"]:
-            return None
-        given[flag] = value
-    values = {}
-    for flag, options in flags.items():
-        if flag not in given and options.get("required"):
-            return None
-        default = options.get("default", False if "action" in options else None)
-        values[flag[2:].replace("-", "_")] = given.get(flag, default)
-    return argparse.Namespace(**values, subcommand=name)
+        values[flag[2:].replace("-", "_")] = options.get(
+            "default", False if "action" in options else None)
+    return SimpleNamespace(**values)
 
 
 def build_parser(name: str | None = None) -> _Parser:

@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import IrreducibilityError, SupportMismatch, SymbolCountMismatch
+from .errors import BoundViolated, IrreducibilityError, SupportMismatch, SymbolCountMismatch
 from .errors import _json_int, _json_number
 
 # the stationary vector must have residual ||pi T - pi||_1 <= STATIONARY_TOL;
@@ -273,9 +273,10 @@ class MarkovMeasure:
 def entropy_rate(measure: MarkovMeasure) -> float:
     """Conditional entropy per split, sum_i pi_i H(T[i, :]), in nats."""
     total = 0.0
-    for i, pi in enumerate(measure.stationary.weights):
-        row = measure.transition[i]
-        h = -sum(float(t) * math.log(t) for t in row if t > 0.0)
+    # the rows as Python floats: the same doubles, without a numpy scalar
+    # per comparison, product and log
+    for pi, row in zip(measure.stationary.weights, measure.transition.tolist()):
+        h = -sum(t * math.log(t) for t in row if t > 0.0)
         total += pi * h
     return total
 
@@ -294,10 +295,12 @@ class GapIdentity(NamedTuple):
 
     entropy_side is |nu| ln p - entropy_rate; phi_side is the stationary
     average of phi(uniform, row).  They agree to 1e-10 by construction.
+    entropy_rate is h_mu, the entropy_rate(measure) the entropy side used.
     """
 
     entropy_side: float
     phi_side: float
+    entropy_rate: float
 
 
 def entropy_gap(measure: MarkovMeasure, nu_total: int, p: int) -> GapIdentity:
@@ -306,6 +309,7 @@ def entropy_gap(measure: MarkovMeasure, nu_total: int, p: int) -> GapIdentity:
     Raises:
         ValueError: nu_total < 0 or p < 2.
         SymbolCountMismatch: the chain does not have p^nu_total symbols.
+        BoundViolated: the two sides differ by more than 1e-10.
     """
     if nu_total < 0 or p < 2:
         raise ValueError(f"need |nu| >= 0 and p >= 2, got |nu| = {nu_total}, p = {p}")
@@ -318,13 +322,14 @@ def entropy_gap(measure: MarkovMeasure, nu_total: int, p: int) -> GapIdentity:
         raise SymbolCountMismatch(
             f"chain has {measure.s} symbols, the split needs p^|nu| = {p}^{nu_total}"
         )
-    side_a = nu_total * math.log(p) - entropy_rate(measure)
+    rate = entropy_rate(measure)
+    side_a = nu_total * math.log(p) - rate
     side_b = _phi_side(measure)
     if abs(side_a - side_b) > 1e-10:
-        raise ArithmeticError(
+        raise BoundViolated(
             f"gap identity violated: {side_a!r} vs {side_b!r}"
         )
-    return GapIdentity(side_a, side_b)
+    return GapIdentity(side_a, side_b, rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,6 +466,8 @@ def telescope_bound_check(f: CylinderFunction, measure: MarkovMeasure) -> Telesc
 
     Raises:
         SymbolCountMismatch: f and the measure disagree on symbol count.
+        BoundViolated: a per-step or the total estimate fails beyond its
+            slack.
     """
     if f.s != measure.s:
         raise SymbolCountMismatch(
@@ -506,5 +513,5 @@ def telescope_bound_check(f: CylinderFunction, measure: MarkovMeasure) -> Telesc
         rounding=n * u / (1 - n * u) * float(np.abs(f.values).max()),
     )
     if not report.per_step_hold or not report.telescoping_holds:
-        raise ArithmeticError("telescoping estimate violated")
+        raise BoundViolated("telescoping estimate violated")
     return report

@@ -79,6 +79,14 @@ class NegativeGap(PadlabError):
     """An entropy gap that should be nonnegative came out negative."""
 
 
+class BoundViolated(PadlabError, ArithmeticError):
+    """Two evaluations of one identity or estimate disagree beyond its slack.
+
+    An ArithmeticError too, so an except ArithmeticError clause around the
+    gap identity or the telescoping check still catches it.
+    """
+
+
 class DivergentSeries(PadlabError):
     """A geometric series constant requested outside its convergence region."""
 

@@ -59,6 +59,21 @@ def test_json_documents_are_canonical():
         assert "command" in doc and "p" in doc and "precision" in doc
         # emitted with sorted keys and two-space indent, nothing else
         assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert text == cli._json_text(doc) + "\n"
+
+
+_JSON_TEXT = st.text(st.one_of(
+    st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028é€\U0001f600')))
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _JSON_TEXT)
+
+
+@settings(max_examples=600)
+@given(st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(_JSON_TEXT, inner)),
+    max_leaves=30))
+def test_the_json_writer_writes_what_json_dumps_writes(doc):
+    # NaN and the infinities are json.dumps's own words, as every float is
+    assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 def test_text_format_flattens_the_same_document():
@@ -225,6 +240,46 @@ def test_telescope_allows_the_rounding_of_a_large_f():
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["per_step_hold"] and doc["telescoping_holds"]
+
+
+def _phi_side_off_by_1(monkeypatch):
+    from padlab import entropylab
+
+    phi_side = entropylab._phi_side
+    monkeypatch.setattr(entropylab, "_phi_side", lambda measure: phi_side(measure) + 1)
+
+
+def _telescoping_fails(monkeypatch):
+    from padlab import entropylab
+
+    monkeypatch.setattr(entropylab.TelescopeReport, "telescoping_holds",
+                        property(lambda report: False))
+
+
+@pytest.mark.parametrize("golden,violate,message", [
+    ("gap_uniform.json", _phi_side_off_by_1, "gap identity violated: "),
+    ("telescope.json", _telescoping_fails, "telescoping estimate violated"),
+])
+def test_a_violated_identity_or_estimate_exits_19(golden, violate, message, monkeypatch):
+    # an ArithmeticError too, so library callers' except clauses still hold
+    assert issubclass(errors.BoundViolated, ArithmeticError)
+    violate(monkeypatch)
+    code, out, err = run_cli(dict(GOLDEN_CASES)[golden])
+    assert (code, out) == (19, "")
+    assert err.startswith(f"padlab: BoundViolated: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_gap_computes_the_entropy_rate_once(monkeypatch):
+    from padlab import entropylab
+
+    calls = []
+    rate = entropylab.entropy_rate
+    monkeypatch.setattr(entropylab, "entropy_rate",
+                        lambda measure: calls.append(measure) or rate(measure))
+    name = "gap_bernoulli.json"
+    assert run_cli(dict(GOLDEN_CASES)[name]) == (0, (GOLDEN_DIR / name).read_text(), "")
+    assert len(calls) == 1
 
 
 BOUND = ["bound"] + BUNDLE + ["--lf", "0", "--f-norm", "1"]

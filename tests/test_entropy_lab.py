@@ -156,8 +156,8 @@ def test_bernoulli_chain():
     assert mu.stationary.weights[0] == pytest.approx(0.25, abs=1e-13)
     assert entropy_rate(mu) == pytest.approx(0.5623351446188083, abs=1e-13)
     # product measure on words, finest coordinate first; the stationary
-    # factor comes from a linear solve accepted at residual 1e-13, so the
-    # check allows more than rounding
+    # factor is np.linalg.eig's eigenvector, accepted at residual 1e-13, so
+    # the check allows more than rounding
     assert mu.word_measure([0, 1, 1]) == pytest.approx(
         0.25 * 0.75 * 0.75, abs=1e-11
     )
@@ -331,6 +331,21 @@ def test_entropy_gap_frozen_bernoulli():
     expected = math.log(3) - 1.5 * math.log(2) + math.log(4) - math.log(3)
     assert ident.entropy_side == pytest.approx(expected, abs=1e-12)
     assert ident.phi_side == pytest.approx(ident.entropy_side, abs=1e-10)
+    assert ident.entropy_rate == entropy_rate(mu)
+
+
+def test_entropy_rate_equals_the_loop_over_numpy_scalars():
+    # the rows are read as Python floats: the same doubles, summed in the
+    # same order as the reference's walk over numpy's own scalars
+    rng = random.Random(44)
+    chains = [random_chain(rng, s) for s in (2, 3, 4, 9) for _ in range(5)]
+    chains.append(MarkovMeasure.bernoulli([0.5, 0.25, 0.25, 0.0]))
+    for mu in chains:
+        total = 0.0
+        for i, pi in enumerate(mu.stationary.weights):
+            h = -sum(float(t) * math.log(t) for t in mu.transition[i] if t > 0.0)
+            total += pi * h
+        assert entropy_rate(mu) == total
 
 
 def test_entropy_gap_identity_sweep():
